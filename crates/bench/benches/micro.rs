@@ -6,8 +6,8 @@
 //! with `Instant` over a fixed warmup + measurement loop and reported as
 //! median / mean ns per iteration. Iteration counts scale with
 //! `WSN_BENCH_SCALE` (default 1); `WSN_BENCH_ONLY=<substring>` runs only
-//! the benchmarks whose name contains the substring (used by
-//! `scripts/bench_baseline.sh` to time just the 10k-scale path).
+//! the benchmarks whose name contains the substring (`WSN_BENCH_ONLY=10k`
+//! times just the 10k-scale path). End-to-end timing lives in `perfbench/`.
 
 use std::hint::black_box;
 use std::time::Instant;

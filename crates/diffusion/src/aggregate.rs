@@ -71,11 +71,10 @@ impl AggregationBuffer {
         !self.pending.is_empty()
     }
 
-    /// The distinct sources among pending items.
+    /// The distinct sources among pending items, sorted (the map's
+    /// `(source, round)` key order already groups them).
     pub fn pending_sources(&self) -> Vec<NodeId> {
         let mut v: Vec<NodeId> = self.pending.keys().map(|&(s, _)| s).collect();
-        v.dedup();
-        v.sort_unstable();
         v.dedup();
         v
     }

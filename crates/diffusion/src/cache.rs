@@ -16,13 +16,19 @@
 //! lowest-cost offer, preferring exploratory offers on cost ties and earlier
 //! arrivals on remaining ties (paper §4.1).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
 
 use wsn_net::NodeId;
 use wsn_sim::SimTime;
 
 use crate::config::Scheme;
+use crate::hash::{FastMap, FastSet};
 use crate::msg::{EventItem, MsgId};
+
+/// The "no such cost" sentinel: an absent offer, or an `own_energy` for an
+/// event this node never saw itself. Real costs count transmissions and
+/// never reach it.
+const NONE: u32 = u32::MAX;
 
 /// Which kind of offer won the upstream choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,12 +40,37 @@ pub enum UpstreamKind {
     Incremental,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+/// The best offers from one neighbor, 24 bytes: a cost of [`NONE`] marks
+/// an offer not yet made (its arrival time is then meaningless).
+#[derive(Debug, Clone, Copy)]
 struct Offer {
-    /// Best exploratory (cost, arrival) from this neighbor.
-    expl: Option<(u32, SimTime)>,
-    /// Best incremental (cost, arrival) from this neighbor.
-    incr: Option<(u32, SimTime)>,
+    /// Best exploratory cost from this neighbor.
+    expl_cost: u32,
+    /// Best incremental cost from this neighbor.
+    incr_cost: u32,
+    /// Arrival of the best exploratory offer.
+    expl_at: SimTime,
+    /// Arrival of the best incremental offer.
+    incr_at: SimTime,
+}
+
+impl Offer {
+    const EMPTY: Offer = Offer {
+        expl_cost: NONE,
+        incr_cost: NONE,
+        expl_at: SimTime::ZERO,
+        incr_at: SimTime::ZERO,
+    };
+
+    /// Best exploratory (cost, arrival), if any.
+    fn expl(&self) -> Option<(u32, SimTime)> {
+        (self.expl_cost != NONE).then_some((self.expl_cost, self.expl_at))
+    }
+
+    /// Best incremental (cost, arrival), if any.
+    fn incr(&self) -> Option<(u32, SimTime)> {
+        (self.incr_cost != NONE).then_some((self.incr_cost, self.incr_at))
+    }
 }
 
 /// Cached state for one exploratory event.
@@ -52,9 +83,10 @@ pub struct ExplEntry {
     /// Arrival time of the first copy.
     pub first_arrival: SimTime,
     /// Minimum energy cost at which this node received the event — the `E`
-    /// looked up when forwarding incremental cost messages.
+    /// looked up when forwarding incremental cost messages. `u32::MAX`
+    /// when only incremental offers arrived.
     pub own_energy: u32,
-    offers: HashMap<NodeId, Offer>,
+    offers: FastMap<NodeId, Offer>,
     /// Whether a reinforcement was already propagated for this id (one
     /// upstream reinforcement per id per node).
     pub reinforce_sent: bool,
@@ -62,13 +94,29 @@ pub struct ExplEntry {
     pub timer_armed: bool,
 }
 
+impl ExplEntry {
+    /// A fresh entry for the first message heard about an event; the
+    /// caller records its offer.
+    fn new(item: EventItem, from: NodeId, now: SimTime) -> Self {
+        ExplEntry {
+            item,
+            first_from: from,
+            first_arrival: now,
+            own_energy: NONE,
+            offers: FastMap::default(),
+            reinforce_sent: false,
+            timer_armed: false,
+        }
+    }
+}
+
 /// The per-node exploratory cache.
 #[derive(Debug, Clone, Default)]
 pub struct ExplCache {
-    entries: HashMap<MsgId, ExplEntry>,
+    entries: FastMap<MsgId, ExplEntry>,
     /// Dedup for incremental cost messages: `(id, origin)` pairs already
     /// forwarded.
-    seen_incremental: HashSet<(MsgId, NodeId)>,
+    seen_incremental: FastSet<(MsgId, NodeId)>,
 }
 
 impl ExplCache {
@@ -87,21 +135,15 @@ impl ExplCache {
         energy: u32,
         now: SimTime,
     ) -> bool {
-        let first = !self.entries.contains_key(&id);
-        let entry = self.entries.entry(id).or_insert_with(|| ExplEntry {
-            item,
-            first_from: from,
-            first_arrival: now,
-            own_energy: energy,
-            offers: HashMap::new(),
-            reinforce_sent: false,
-            timer_armed: false,
-        });
+        let (entry, first) = match self.entries.entry(id) {
+            Entry::Occupied(o) => (o.into_mut(), false),
+            Entry::Vacant(v) => (v.insert(ExplEntry::new(item, from, now)), true),
+        };
         entry.own_energy = entry.own_energy.min(energy);
-        let offer = entry.offers.entry(from).or_default();
-        match offer.expl {
-            Some((e, _)) if e <= energy => {}
-            _ => offer.expl = Some((energy, now)),
+        let offer = entry.offers.entry(from).or_insert(Offer::EMPTY);
+        if energy < offer.expl_cost {
+            offer.expl_cost = energy;
+            offer.expl_at = now;
         }
         first
     }
@@ -119,19 +161,14 @@ impl ExplCache {
         cost: u32,
         now: SimTime,
     ) {
-        let entry = self.entries.entry(id).or_insert_with(|| ExplEntry {
-            item,
-            first_from: from,
-            first_arrival: now,
-            own_energy: u32::MAX,
-            offers: HashMap::new(),
-            reinforce_sent: false,
-            timer_armed: false,
-        });
-        let offer = entry.offers.entry(from).or_default();
-        match offer.incr {
-            Some((c, _)) if c <= cost => {}
-            _ => offer.incr = Some((cost, now)),
+        let entry = self
+            .entries
+            .entry(id)
+            .or_insert_with(|| ExplEntry::new(item, from, now));
+        let offer = entry.offers.entry(from).or_insert(Offer::EMPTY);
+        if cost < offer.incr_cost {
+            offer.incr_cost = cost;
+            offer.incr_at = now;
         }
     }
 
@@ -158,7 +195,7 @@ impl ExplCache {
         self.entries
             .get(&id)
             .map(|e| e.own_energy)
-            .filter(|&e| e != u32::MAX)
+            .filter(|&e| e != NONE)
     }
 
     /// The upstream neighbor to reinforce for `id` under `scheme`.
@@ -170,7 +207,7 @@ impl ExplCache {
     /// offers over incremental ones; remaining ties go to the earliest
     /// arrival, then the lowest neighbor id (full determinism).
     pub fn choose_upstream(&self, id: MsgId, scheme: Scheme) -> Option<(NodeId, UpstreamKind)> {
-        self.choose_upstream_excluding(id, scheme, &std::collections::HashSet::new())
+        self.choose_upstream_excluding(id, scheme, &[])
     }
 
     /// Like [`choose_upstream`](Self::choose_upstream), but skips the
@@ -184,12 +221,12 @@ impl ExplCache {
         &self,
         id: MsgId,
         scheme: Scheme,
-        excluded: &HashSet<NodeId>,
+        excluded: &[NodeId],
     ) -> Option<(NodeId, UpstreamKind)> {
         let entry = self.entries.get(&id)?;
         match scheme {
             Scheme::Opportunistic => {
-                if entry.own_energy == u32::MAX {
+                if entry.own_energy == NONE {
                     None // never actually saw the exploratory event
                 } else if !excluded.contains(&entry.first_from) {
                     Some((entry.first_from, UpstreamKind::Exploratory))
@@ -197,8 +234,8 @@ impl ExplCache {
                     entry
                         .offers
                         .iter()
-                        .filter(|(n, o)| !excluded.contains(n) && o.expl.is_some())
-                        .min_by_key(|(n, o)| (o.expl.expect("filtered").1, **n))
+                        .filter(|(n, o)| !excluded.contains(n) && o.expl_cost != NONE)
+                        .min_by_key(|(n, o)| (o.expl_at, **n))
                         .map(|(&n, _)| (n, UpstreamKind::Exploratory))
                 }
             }
@@ -210,10 +247,10 @@ impl ExplCache {
                     }
                     let candidates = [
                         offer
-                            .expl
+                            .expl()
                             .map(|(c, t)| (c, 0u8, t, n, UpstreamKind::Exploratory)),
                         offer
-                            .incr
+                            .incr()
                             .map(|(c, t)| (c, 1u8, t, n, UpstreamKind::Incremental)),
                     ];
                     for cand in candidates.into_iter().flatten() {
@@ -245,8 +282,9 @@ impl ExplCache {
     /// long runs; two exploratory intervals of history are plenty).
     pub fn expire_before(&mut self, horizon: SimTime) {
         self.entries.retain(|_, e| e.item.generated >= horizon);
-        let live: HashSet<MsgId> = self.entries.keys().copied().collect();
-        self.seen_incremental.retain(|(id, _)| live.contains(id));
+        let entries = &self.entries;
+        self.seen_incremental
+            .retain(|(id, _)| entries.contains_key(id));
     }
 
     /// Removes all state (node failure).
@@ -413,6 +451,11 @@ mod tests {
         assert!(!c.first_incremental(id(0, 0), NodeId(5)));
         assert!(c.first_incremental(id(0, 0), NodeId(6)));
         assert!(c.first_incremental(id(0, 1), NodeId(5)));
+    }
+
+    #[test]
+    fn offer_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Offer>(), 24);
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! dissemination scheme. No gradients, no reinforcement, no aggregation.
 //! Useful here as the upper bracket against both aggregation schemes.
 
-use std::collections::HashSet;
-
 use wsn_net::{Ctx, NodeId, Packet, Protocol};
 use wsn_sim::{SimDuration, SimTime};
 
+use crate::hash::FastSet;
 use crate::msg::EventItem;
 use crate::node::Role;
 use crate::stats::SinkStats;
@@ -58,7 +57,7 @@ pub struct FloodingNode {
     cfg: FloodingConfig,
     role: Role,
     me: NodeId,
-    seen: HashSet<(NodeId, u32)>,
+    seen: FastSet<(NodeId, u32)>,
     /// Delivery records (meaningful for sinks).
     pub sink: SinkStats,
     /// Events generated (meaningful for sources).
@@ -74,7 +73,7 @@ impl FloodingNode {
             cfg,
             role,
             me,
-            seen: HashSet::new(),
+            seen: FastSet::default(),
             sink: SinkStats::default(),
             events_generated: 0,
             forwards: 0,

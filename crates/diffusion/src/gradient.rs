@@ -6,10 +6,10 @@
 //! *data* gradient (high-rate data flows along it); negative reinforcement
 //! degrades it back.
 
-use std::collections::HashMap;
-
 use wsn_net::NodeId;
 use wsn_sim::SimTime;
+
+use crate::hash::FastMap;
 
 /// Per-neighbor gradient state. A neighbor can hold an exploratory gradient
 /// and a data gradient simultaneously; each expires independently.
@@ -17,6 +17,20 @@ use wsn_sim::SimTime;
 struct Entry {
     expl_until: Option<SimTime>,
     data_until: Option<SimTime>,
+}
+
+impl Entry {
+    fn expl_live(&self, now: SimTime) -> bool {
+        self.expl_until.is_some_and(|u| u >= now)
+    }
+
+    fn data_live(&self, now: SimTime) -> bool {
+        self.data_until.is_some_and(|u| u >= now)
+    }
+
+    fn live(&self, now: SimTime) -> bool {
+        self.expl_live(now) || self.data_live(now)
+    }
 }
 
 /// The gradients a node maintains, keyed by neighbor.
@@ -39,7 +53,7 @@ struct Entry {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct GradientTable {
-    entries: HashMap<NodeId, Entry>,
+    entries: FastMap<NodeId, Entry>,
 }
 
 impl GradientTable {
@@ -81,58 +95,55 @@ impl GradientTable {
     /// exists at `now` (data implies the direction is still valid for
     /// exploratory traffic).
     pub fn has_any(&self, neighbor: NodeId, now: SimTime) -> bool {
-        self.has_exploratory(neighbor, now) || self.has_data(neighbor, now)
+        self.entries.get(&neighbor).is_some_and(|e| e.live(now))
     }
 
     /// Whether a live exploratory gradient toward `neighbor` exists at `now`.
     pub fn has_exploratory(&self, neighbor: NodeId, now: SimTime) -> bool {
         self.entries
             .get(&neighbor)
-            .and_then(|e| e.expl_until)
-            .is_some_and(|u| u >= now)
+            .is_some_and(|e| e.expl_live(now))
     }
 
     /// Whether a live data gradient toward `neighbor` exists at `now`.
     pub fn has_data(&self, neighbor: NodeId, now: SimTime) -> bool {
         self.entries
             .get(&neighbor)
-            .and_then(|e| e.data_until)
-            .is_some_and(|u| u >= now)
+            .is_some_and(|e| e.data_live(now))
     }
 
     /// The neighbors with a live data gradient at `now`, sorted for
     /// determinism.
     pub fn data_neighbors(&self, now: SimTime) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.data_until.is_some_and(|u| u >= now))
-            .map(|(&n, _)| n)
-            .collect();
-        v.sort_unstable();
-        v
+        self.sorted_neighbors(|e| e.data_live(now))
     }
 
     /// The neighbors with any live gradient at `now`, sorted for determinism.
     pub fn all_neighbors(&self, now: SimTime) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| {
-                e.expl_until.is_some_and(|u| u >= now) || e.data_until.is_some_and(|u| u >= now)
-            })
-            .map(|(&n, _)| n)
-            .collect();
-        v.sort_unstable();
-        v
+        self.sorted_neighbors(|e| e.live(now))
+    }
+
+    /// Whether any live gradient exists at `now` — the same answer as
+    /// `!all_neighbors(now).is_empty()` without building the list.
+    pub fn any_live(&self, now: SimTime) -> bool {
+        self.entries.values().any(|e| e.live(now))
     }
 
     /// Whether the node is "on the existing tree": it has at least one live
     /// data gradient (someone downstream wants its data).
     pub fn on_tree(&self, now: SimTime) -> bool {
-        self.entries
-            .values()
-            .any(|e| e.data_until.is_some_and(|u| u >= now))
+        self.entries.values().any(|e| e.data_live(now))
+    }
+
+    fn sorted_neighbors(&self, keep: impl Fn(&Entry) -> bool) -> Vec<NodeId> {
+        let mut v: Vec<NodeId> = self
+            .entries
+            .iter()
+            .filter(|(_, e)| keep(e))
+            .map(|(&n, _)| n)
+            .collect();
+        v.sort_unstable();
+        v
     }
 
     /// Drops entries whose gradients have all expired.
@@ -220,6 +231,19 @@ mod tests {
         assert_eq!(g.all_neighbors(t(0)), vec![NodeId(2), NodeId(5), NodeId(9)]);
         // After exploratory expiry only the data gradients remain.
         assert_eq!(g.all_neighbors(t(50)), vec![NodeId(2), NodeId(5)]);
+    }
+
+    #[test]
+    fn any_live_tracks_both_kinds_of_expiry() {
+        let mut g = GradientTable::new();
+        assert!(!g.any_live(t(0)));
+        g.refresh_exploratory(NodeId(1), t(15));
+        g.reinforce(NodeId(2), t(30));
+        assert!(g.any_live(t(15)));
+        assert!(g.any_live(t(30)), "the data gradient alone keeps it live");
+        assert!(!g.any_live(t(31)));
+        g.degrade(NodeId(2));
+        assert!(!g.any_live(t(20)));
     }
 
     #[test]

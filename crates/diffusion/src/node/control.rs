@@ -135,7 +135,7 @@ impl DiffusionNode {
             self.sink_consider_reinforce(ctx, id, from);
         }
         // Re-flood along gradients with E increased by this transmission.
-        if !self.gradients.all_neighbors(now).is_empty() {
+        if self.gradients.any_live(now) {
             let msg = DiffMsg::Exploratory {
                 id,
                 item,

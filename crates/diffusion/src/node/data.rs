@@ -111,7 +111,7 @@ impl DiffusionNode {
                 e.reinforce_sent = true;
             }
             self.seen_items.insert(item.key());
-            if !self.gradients.all_neighbors(now).is_empty() {
+            if self.gradients.any_live(now) {
                 let msg = DiffMsg::Exploratory {
                     id,
                     item,

@@ -29,9 +29,14 @@ impl Protocol for DiffusionNode {
         self.counters.count_received(packet.payload.kind());
         let from = packet.from;
         // Hearing anything from a neighbor clears link-failure suspicion.
-        self.link_failures.remove(&from);
-        self.suspects.remove(&from);
-        match packet.payload.clone() {
+        // Both maps are almost always empty: skip the probe then.
+        if !self.link_failures.is_empty() {
+            self.link_failures.remove(&from);
+        }
+        if !self.suspects.is_empty() {
+            self.suspects.remove(&from);
+        }
+        match packet.payload {
             DiffMsg::Interest { sink, seq } => {
                 let now = ctx.now();
                 self.gradients
@@ -44,8 +49,8 @@ impl Protocol for DiffusionNode {
             DiffMsg::Exploratory { id, item, energy } => {
                 self.on_exploratory(ctx, from, id, item, energy);
             }
-            DiffMsg::Data { items, cost } => {
-                self.on_data(ctx, from, &items, cost);
+            DiffMsg::Data { ref items, cost } => {
+                self.on_data(ctx, from, items, cost);
             }
             DiffMsg::IncrementalCost { id, origin, cost } => {
                 self.on_incremental(ctx, from, id, origin, cost);

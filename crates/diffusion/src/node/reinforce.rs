@@ -1,8 +1,6 @@
 //! Reinforcement handling: positive reinforcement propagation, negative
 //! reinforcement / path truncation (§4.3), and local path repair.
 
-use std::collections::HashSet;
-
 use wsn_net::{Ctx, NodeId};
 use wsn_sim::SimDuration;
 
@@ -119,16 +117,14 @@ impl DiffusionNode {
         {
             return;
         }
-        let mut excluded: HashSet<NodeId> = self
+        let mut excluded: Vec<NodeId> = self
             .suspects
             .iter()
             .filter(|(_, &u)| u >= now)
             .map(|(&n, _)| n)
             .collect();
-        excluded.insert(self.me);
-        if let Some(e) = exclude {
-            excluded.insert(e);
-        }
+        excluded.push(self.me);
+        excluded.extend(exclude);
         if let Some((up, _)) =
             self.expl
                 .choose_upstream_excluding(track.last_id, self.cfg.scheme, &excluded)

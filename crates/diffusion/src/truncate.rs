@@ -58,8 +58,6 @@ impl TruncationLog {
 
     /// Evicts entries older than the window.
     pub fn evict(&mut self, now: SimTime) {
-        let horizon = now.saturating_duration_since(SimTime::ZERO); // now as duration
-        let _ = horizon;
         while let Some(front) = self.entries.front() {
             if now.saturating_duration_since(front.arrived) > self.window {
                 self.entries.pop_front();

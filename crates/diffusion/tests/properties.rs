@@ -21,6 +21,57 @@ fn offers() -> impl Strategy<Value = Vec<(u32, u32, bool)>> {
     prop::collection::vec((0u32..8, 1u32..30, any::<bool>()), 1..20)
 }
 
+/// Offers as ((neighbor, incremental?), cost, arrival ns). Narrow cost and
+/// time ranges force ties, so every tie-break rule gets exercised.
+fn keyed_offers() -> impl Strategy<Value = Vec<((u32, bool), u32, u64)>> {
+    prop::collection::vec(((0u32..12, any::<bool>()), 1u32..5, 1u64..6), 1..24)
+}
+
+/// A Fisher–Yates shuffle of `v` driven by a splitmix64 stream from `seed`.
+fn shuffled<T: Clone>(v: &[T], seed: u64) -> Vec<T> {
+    let mut out = v.to_vec();
+    let mut state = seed;
+    for i in (1..out.len()).rev() {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        out.swap(i, (z % (i as u64 + 1)) as usize);
+    }
+    out
+}
+
+/// Records `offers` for `id` after a fixed first exploratory copy from
+/// `first` (which fixes `first_from`).
+fn cache_with(id: MsgId, first: (u32, u32), offers: &[((u32, bool), u32, u64)]) -> ExplCache {
+    let mut cache = ExplCache::new();
+    let it = item(id.source.0, id.round);
+    cache.record_exploratory(id, it, NodeId(first.0), first.1, SimTime::ZERO);
+    for &((n, incremental), cost, t) in offers {
+        let now = SimTime::from_nanos(t);
+        if incremental {
+            cache.record_incremental(id, it, NodeId(n), cost, now);
+        } else {
+            cache.record_exploratory(id, it, NodeId(n), cost, now);
+        }
+    }
+    cache
+}
+
+/// Applies gradient refreshes `(neighbor, data?, until ns)`. Both kinds only
+/// ever extend validity, so any order yields the same live state.
+fn apply_gradients(table: &mut GradientTable, ops: &[(u32, bool, u64)]) {
+    for &(n, data, until) in ops {
+        let until = SimTime::from_nanos(until);
+        if data {
+            table.reinforce(NodeId(n), until);
+        } else {
+            table.refresh_exploratory(NodeId(n), until);
+        }
+    }
+}
+
 proptest! {
     /// The greedy upstream choice equals the brute-force minimum under the
     /// paper's tie rules (cost, then exploratory-over-incremental, then
@@ -82,6 +133,63 @@ proptest! {
                 prop_assert_eq!(chosen, Some(NodeId(n)));
             }
             _ => {} // first message was incremental: entry exists but answer may be None
+        }
+    }
+
+    /// The upstream choice does not depend on the order offers arrive in
+    /// (beyond the first copy) nor on the cache's hash-table layout: the
+    /// same offers recorded in a shuffled order give identical answers.
+    #[test]
+    fn upstream_choice_ignores_offer_order(
+        first in (0u32..12, 1u32..5),
+        script in keyed_offers(),
+        excluded in prop::collection::vec(0u32..12, 0..4),
+        seed in any::<u64>(),
+    ) {
+        // One offer per (neighbor, kind): repeats would make the kept
+        // arrival time depend on order for real, not through the table.
+        let mut keys = std::collections::BTreeSet::new();
+        let script: Vec<_> = script.into_iter().filter(|(k, _, _)| keys.insert(*k)).collect();
+        let id = MsgId { source: NodeId(99), round: 3 };
+        let a = cache_with(id, first, &script);
+        let b = cache_with(id, first, &shuffled(&script, seed));
+        let excluded: Vec<NodeId> = excluded.into_iter().map(NodeId).collect();
+        let first_only = [NodeId(first.0)];
+        for scheme in [Scheme::Greedy, Scheme::Opportunistic] {
+            prop_assert_eq!(a.choose_upstream(id, scheme), b.choose_upstream(id, scheme));
+            for ex in [&excluded[..], &first_only[..]] {
+                prop_assert_eq!(
+                    a.choose_upstream_excluding(id, scheme, ex),
+                    b.choose_upstream_excluding(id, scheme, ex)
+                );
+            }
+        }
+        prop_assert_eq!(a.own_energy(id), b.own_energy(id));
+    }
+
+    /// Gradient queries do not depend on the order refreshes arrive in nor
+    /// on the table's layout: decoy neighbors grow one table and are swept
+    /// away again, leaving the same live state in a larger, reshuffled table.
+    #[test]
+    fn gradient_queries_ignore_table_order(
+        ops in prop::collection::vec((0u32..16, any::<bool>(), 1u64..60), 1..32),
+        decoys in 0u32..48,
+        seed in any::<u64>(),
+    ) {
+        let mut a = GradientTable::new();
+        apply_gradients(&mut a, &ops);
+        let mut b = GradientTable::new();
+        for d in 0..decoys {
+            b.refresh_exploratory(NodeId(1000 + d), SimTime::ZERO);
+        }
+        apply_gradients(&mut b, &shuffled(&ops, seed));
+        b.sweep(SimTime::from_nanos(1)); // drops exactly the decoys
+        for now in (1..=61).step_by(3).map(SimTime::from_nanos) {
+            prop_assert_eq!(a.data_neighbors(now), b.data_neighbors(now));
+            prop_assert_eq!(a.all_neighbors(now), b.all_neighbors(now));
+            prop_assert_eq!(a.on_tree(now), b.on_tree(now));
+            prop_assert_eq!(a.any_live(now), b.any_live(now));
+            prop_assert_eq!(a.any_live(now), !a.all_neighbors(now).is_empty());
         }
     }
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, the tier-1 test suite, and a smoke sweep
-# through the parallel run-execution layer. Run from anywhere.
+# Repo gate: formatting, lints, the tier-1 test suite, smoke sweeps through
+# the run-execution, trace and metrics layers, and the benchmark's output
+# check. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,7 +67,16 @@ scale_out="$(cargo run --release -p wsn-bench --bin run_one -- \
 echo "$scale_out" | head -1
 echo "$scale_out" | grep -q "field: 10000 nodes"
 
-echo "==> perf gate: scripts/bench_compare.sh"
-./scripts/bench_compare.sh
+echo "==> benchmark output check: every workload reproduces its committed digests"
+# perfbench prints one JSON result line per workload; each must read
+# "correct": true (digests match perfbench/digests.txt, no run failed).
+bench_out="$(cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seconds 1 --trace 0)"
+results="$(echo "$bench_out" | grep '^{"correct": ' || true)"
+echo "$results" | cut -c1-60
+if [ -z "$results" ] || echo "$results" | grep -qv '^{"correct": true,'; then
+    echo "benchmark output check failed" >&2
+    exit 1
+fi
 
 echo "==> all checks passed"

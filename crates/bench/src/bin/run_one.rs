@@ -17,6 +17,10 @@
 //! and writes its snapshot stream (JSONL) to `PATH`; `--prometheus` prints
 //! the final registry in Prometheus exposition format on stdout (both may
 //! be combined).
+//!
+//! `--help` prints the usage and exits 0. A malformed command line (an
+//! unknown flag, a missing or unparsable value) prints one `error:` line
+//! and the usage to stderr and exits with status 2.
 
 use wsn_diffusion::{DiffusionConfig, DiffusionNode, MsgKind, Role, Scheme};
 use wsn_metrics::RunRecord;
@@ -43,7 +47,44 @@ struct Args {
     prometheus: bool,
 }
 
-fn parse_args() -> Args {
+const USAGE: &str = "\
+usage: run_one [options]
+
+  --nodes N          node count (default 200)
+  --scheme S         greedy | opportunistic (default greedy)
+  --duration SECS    simulated seconds (default 200)
+  --seed N           scenario seed (default 2002)
+  --sources N        source count (default 5)
+  --sinks N          sink count (default 1)
+  --failures         schedule rolling node failures
+  --random-sources   place sources uniformly, not in the paper's corner
+  --mac M            csma | rtscts | ideal (default csma)
+  --scale F          nodes x F in a field sqrt(F) times wider (default 1)
+  --max-events N     abort with status 2 past N simulator events
+  --svg PATH         write the field and its aggregation tree as SVG
+  --metrics PATH     write the metrics snapshot stream (JSONL)
+  --prometheus       print the final metrics registry (Prometheus format)
+  --help             print this help
+";
+
+/// What the command line asks for.
+enum Command {
+    Help,
+    Run(Args),
+}
+
+/// Parses `flag`'s value.
+fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value
+        .parse()
+        .map_err(|e| format!("{flag}: cannot parse {value:?}: {e}"))
+}
+
+/// Parses the command line (without the program name).
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Command, String> {
     let mut args = Args {
         nodes: 200,
         scheme: Scheme::Greedy,
@@ -60,44 +101,59 @@ fn parse_args() -> Args {
         metrics: None,
         prometheus: false,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| panic!("{a} needs a value"));
-        match a.as_str() {
-            "--nodes" => args.nodes = val().parse().expect("--nodes"),
+    let mut it = argv.into_iter();
+    while let Some(flag) = it.next() {
+        let mut val = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--help" | "-h" => return Ok(Command::Help),
+            "--nodes" => args.nodes = parse_value(&flag, &val()?)?,
             "--scheme" => {
-                args.scheme = match val().as_str() {
+                args.scheme = match val()?.as_str() {
                     "greedy" => Scheme::Greedy,
                     "opportunistic" => Scheme::Opportunistic,
-                    other => panic!("unknown scheme {other:?} (greedy|opportunistic)"),
+                    other => {
+                        return Err(format!(
+                            "--scheme: unknown scheme {other:?} (greedy|opportunistic)"
+                        ))
+                    }
                 }
             }
-            "--duration" => args.duration_s = val().parse().expect("--duration"),
-            "--seed" => args.seed = val().parse().expect("--seed"),
-            "--sources" => args.sources = val().parse().expect("--sources"),
-            "--sinks" => args.sinks = val().parse().expect("--sinks"),
+            "--duration" => args.duration_s = parse_value(&flag, &val()?)?,
+            "--seed" => args.seed = parse_value(&flag, &val()?)?,
+            "--sources" => args.sources = parse_value(&flag, &val()?)?,
+            "--sinks" => args.sinks = parse_value(&flag, &val()?)?,
             "--failures" => args.failures = true,
             "--random-sources" => args.random_sources = true,
-            "--mac" => args.mac = val().parse().expect("--mac (csma|rtscts|ideal)"),
-            "--svg" => args.svg = Some(val()),
-            "--max-events" => args.max_events = Some(val().parse().expect("--max-events")),
-            "--metrics" => args.metrics = Some(val()),
+            "--mac" => args.mac = parse_value(&flag, &val()?)?,
+            "--svg" => args.svg = Some(val()?),
+            "--max-events" => args.max_events = Some(parse_value(&flag, &val()?)?),
+            "--metrics" => args.metrics = Some(val()?),
             "--prometheus" => args.prometheus = true,
             "--scale" => {
-                args.scale = val().parse().expect("--scale");
-                assert!(
-                    args.scale.is_finite() && args.scale > 0.0,
-                    "--scale must be positive"
-                );
+                args.scale = parse_value(&flag, &val()?)?;
+                if !(args.scale.is_finite() && args.scale > 0.0) {
+                    return Err(format!("--scale must be positive, got {}", args.scale));
+                }
             }
-            other => panic!("unknown argument {other:?}; see the module docs of run_one for usage"),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    args
+    Ok(Command::Run(args))
 }
 
 fn main() {
-    let mut args = parse_args();
+    let mut args = match parse_args(std::env::args().skip(1)) {
+        Ok(Command::Run(args)) => args,
+        Ok(Command::Help) => {
+            print!("{USAGE}");
+            return;
+        }
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            eprint!("{USAGE}");
+            std::process::exit(2);
+        }
+    };
     let defaults = ScenarioSpec::default();
     let mut field_side_m = defaults.field_side_m;
     let mut connectivity = defaults.connectivity;

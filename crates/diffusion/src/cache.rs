@@ -15,6 +15,13 @@
 //! first copy (empirically lowest delay); the *greedy* scheme reinforces the
 //! lowest-cost offer, preferring exploratory offers on cost ties and earlier
 //! arrivals on remaining ties (paper §4.1).
+//!
+//! Offers are dense over the node's neighbor list: offer slot `k` holds
+//! `neighbors[k]`'s offers, the position a delivery reports as
+//! [`Ctx::sender_index`](wsn_net::Ctx::sender_index), and one extra last
+//! slot holds the node's own offer (a source's cost-0 copy of its own
+//! event). Recording an offer is one indexed store; the upstream choice
+//! compares `NodeId`s, never slots, so storage order cannot reach it.
 
 use std::collections::hash_map::Entry;
 
@@ -78,15 +85,17 @@ impl Offer {
 pub struct ExplEntry {
     /// The event item the exploratory message carried.
     pub item: EventItem,
-    /// Neighbor that delivered the first copy (the opportunistic choice).
-    pub first_from: NodeId,
+    /// Offer slot of the sender of the first copy (the opportunistic
+    /// choice).
+    first_from: u32,
     /// Arrival time of the first copy.
     pub first_arrival: SimTime,
     /// Minimum energy cost at which this node received the event — the `E`
     /// looked up when forwarding incremental cost messages. `u32::MAX`
     /// when only incremental offers arrived.
     pub own_energy: u32,
-    offers: FastMap<NodeId, Offer>,
+    /// One offer per neighbor slot, then the node's own.
+    offers: Vec<Offer>,
     /// Whether a reinforcement was already propagated for this id (one
     /// upstream reinforcement per id per node).
     pub reinforce_sent: bool,
@@ -95,15 +104,16 @@ pub struct ExplEntry {
 }
 
 impl ExplEntry {
-    /// A fresh entry for the first message heard about an event; the
-    /// caller records its offer.
-    fn new(item: EventItem, from: NodeId, now: SimTime) -> Self {
+    /// A fresh entry with `slots` empty offers for the first message heard
+    /// about an event, from offer slot `from`; the caller records its
+    /// offer.
+    fn new(item: EventItem, from: usize, now: SimTime, slots: usize) -> Self {
         ExplEntry {
             item,
-            first_from: from,
+            first_from: from as u32,
             first_arrival: now,
             own_energy: NONE,
-            offers: FastMap::default(),
+            offers: vec![Offer::EMPTY; slots],
             reinforce_sent: false,
             timer_armed: false,
         }
@@ -111,8 +121,36 @@ impl ExplEntry {
 }
 
 /// The per-node exploratory cache.
-#[derive(Debug, Clone, Default)]
+///
+/// # Examples
+///
+/// ```
+/// use wsn_diffusion::{EventItem, ExplCache, MsgId, Scheme, UpstreamKind};
+/// use wsn_net::NodeId;
+/// use wsn_sim::SimTime;
+///
+/// // Node 5 with neighbors 2 and 7: offer slots 0 and 1, own slot 2.
+/// let mut cache = ExplCache::new(NodeId(5), &[NodeId(2), NodeId(7)]);
+/// let id = MsgId { source: NodeId(0), round: 0 };
+/// let item = EventItem { source: NodeId(0), round: 0, generated: SimTime::ZERO };
+/// assert!(cache.record_exploratory(id, item, 1, 4, SimTime::from_secs(1)));
+/// assert!(!cache.record_exploratory(id, item, 0, 3, SimTime::from_secs(2)));
+/// assert_eq!(
+///     cache.choose_upstream(id, Scheme::Greedy),
+///     Some((NodeId(2), UpstreamKind::Exploratory))
+/// );
+/// assert_eq!(
+///     cache.choose_upstream(id, Scheme::Opportunistic),
+///     Some((NodeId(7), UpstreamKind::Exploratory))
+/// );
+/// ```
+#[derive(Debug, Clone)]
 pub struct ExplCache {
+    /// This node, the owner of the last offer slot.
+    me: NodeId,
+    /// The node's neighbors, ascending: offer slot `k` belongs to
+    /// `neighbors[k]`.
+    neighbors: Box<[NodeId]>,
     entries: FastMap<MsgId, ExplEntry>,
     /// Dedup for incremental cost messages: `(id, origin)` pairs already
     /// forwarded.
@@ -120,27 +158,66 @@ pub struct ExplCache {
 }
 
 impl ExplCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        ExplCache::default()
+    /// An empty cache for node `me` over its `neighbors`, in ascending id
+    /// order (as [`Ctx::neighbors`](wsn_net::Ctx::neighbors) lists them).
+    pub fn new(me: NodeId, neighbors: &[NodeId]) -> Self {
+        debug_assert!(
+            neighbors.windows(2).all(|w| w[0] < w[1]),
+            "neighbor list not ascending"
+        );
+        ExplCache {
+            me,
+            neighbors: neighbors.into(),
+            entries: FastMap::default(),
+            seen_incremental: FastSet::default(),
+        }
     }
 
-    /// Records a received exploratory event. Returns `true` when this is the
-    /// first copy of `id` (the caller then re-floods it).
+    /// The offer slot of the node's own offer: one past the last neighbor.
+    pub fn own_slot(&self) -> usize {
+        self.neighbors.len()
+    }
+
+    /// The node an offer slot belongs to.
+    fn node_at(&self, slot: usize) -> NodeId {
+        self.neighbors.get(slot).copied().unwrap_or(self.me)
+    }
+
+    /// The entry for `id`, created for a first message from offer slot
+    /// `from` if absent; `true` when it was created.
+    fn entry_or_new(
+        &mut self,
+        id: MsgId,
+        item: EventItem,
+        from: usize,
+        now: SimTime,
+    ) -> (&mut ExplEntry, bool) {
+        let slots = self.neighbors.len() + 1;
+        match self.entries.entry(id) {
+            Entry::Occupied(o) => (o.into_mut(), false),
+            Entry::Vacant(v) => (v.insert(ExplEntry::new(item, from, now, slots)), true),
+        }
+    }
+
+    /// Records a received exploratory event from offer slot `from` (a
+    /// neighbor's slot, or [`own_slot`](Self::own_slot) for the node's own
+    /// event). Returns `true` when this is the first copy of `id` (the
+    /// caller then re-floods it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is past the own slot.
     pub fn record_exploratory(
         &mut self,
         id: MsgId,
         item: EventItem,
-        from: NodeId,
+        from: usize,
         energy: u32,
         now: SimTime,
     ) -> bool {
-        let (entry, first) = match self.entries.entry(id) {
-            Entry::Occupied(o) => (o.into_mut(), false),
-            Entry::Vacant(v) => (v.insert(ExplEntry::new(item, from, now)), true),
-        };
+        let (entry, first) = self.entry_or_new(id, item, from, now);
         entry.own_energy = entry.own_energy.min(energy);
-        let offer = entry.offers.entry(from).or_insert(Offer::EMPTY);
+        let offer = &mut entry.offers[from];
         if energy < offer.expl_cost {
             offer.expl_cost = energy;
             offer.expl_at = now;
@@ -148,24 +225,25 @@ impl ExplCache {
         first
     }
 
-    /// Records a received incremental cost offer from `from`.
+    /// Records a received incremental cost offer from offer slot `from`.
     ///
     /// Unknown ids are accepted: a node can hear an incremental cost message
     /// for an exploratory event it never saw (it is on the tree but off the
     /// flood path — rare, but the reinforcement walk must still work there).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is past the own slot.
     pub fn record_incremental(
         &mut self,
         id: MsgId,
         item: EventItem,
-        from: NodeId,
+        from: usize,
         cost: u32,
         now: SimTime,
     ) {
-        let entry = self
-            .entries
-            .entry(id)
-            .or_insert_with(|| ExplEntry::new(item, from, now));
-        let offer = entry.offers.entry(from).or_insert(Offer::EMPTY);
+        let (entry, _) = self.entry_or_new(id, item, from, now);
+        let offer = &mut entry.offers[from];
         if cost < offer.incr_cost {
             offer.incr_cost = cost;
             offer.incr_at = now;
@@ -205,7 +283,8 @@ impl ExplCache {
     ///
     /// Greedy: the offer with the lowest cost; cost ties prefer exploratory
     /// offers over incremental ones; remaining ties go to the earliest
-    /// arrival, then the lowest neighbor id (full determinism).
+    /// arrival, then the lowest node id (full determinism). The node's own
+    /// offer competes like any other, under its own id.
     pub fn choose_upstream(&self, id: MsgId, scheme: Scheme) -> Option<(NodeId, UpstreamKind)> {
         self.choose_upstream_excluding(id, scheme, &[])
     }
@@ -226,22 +305,30 @@ impl ExplCache {
         let entry = self.entries.get(&id)?;
         match scheme {
             Scheme::Opportunistic => {
+                let first = self.node_at(entry.first_from as usize);
                 if entry.own_energy == NONE {
                     None // never actually saw the exploratory event
-                } else if !excluded.contains(&entry.first_from) {
-                    Some((entry.first_from, UpstreamKind::Exploratory))
+                } else if !excluded.contains(&first) {
+                    Some((first, UpstreamKind::Exploratory))
                 } else {
                     entry
                         .offers
                         .iter()
-                        .filter(|(n, o)| !excluded.contains(n) && o.expl_cost != NONE)
-                        .min_by_key(|(n, o)| (o.expl_at, **n))
-                        .map(|(&n, _)| (n, UpstreamKind::Exploratory))
+                        .enumerate()
+                        .filter(|(_, o)| o.expl_cost != NONE)
+                        .map(|(k, o)| (o.expl_at, self.node_at(k)))
+                        .filter(|(_, n)| !excluded.contains(n))
+                        .min()
+                        .map(|(_, n)| (n, UpstreamKind::Exploratory))
                 }
             }
             Scheme::Greedy => {
                 let mut best: Option<(u32, u8, SimTime, NodeId, UpstreamKind)> = None;
-                for (&n, offer) in &entry.offers {
+                for (k, offer) in entry.offers.iter().enumerate() {
+                    if offer.expl_cost == NONE && offer.incr_cost == NONE {
+                        continue;
+                    }
+                    let n = self.node_at(k);
                     if excluded.contains(&n) {
                         continue;
                     }
@@ -317,35 +404,56 @@ mod tests {
         SimTime::from_nanos(ms * 1_000_000)
     }
 
+    /// Node 50's neighbors; offer slot `k` belongs to `NEIGHBORS[k]`.
+    const NEIGHBORS: [NodeId; 6] = [
+        NodeId(1),
+        NodeId(2),
+        NodeId(3),
+        NodeId(4),
+        NodeId(7),
+        NodeId(9),
+    ];
+
+    fn cache() -> ExplCache {
+        ExplCache::new(NodeId(50), &NEIGHBORS)
+    }
+
+    fn slot(n: u32) -> usize {
+        NEIGHBORS
+            .iter()
+            .position(|&m| m == NodeId(n))
+            .expect("a neighbor")
+    }
+
     #[test]
     fn first_copy_is_detected() {
-        let mut c = ExplCache::new();
-        assert!(c.record_exploratory(id(0, 0), item(0, 0), NodeId(1), 3, t(10)));
-        assert!(!c.record_exploratory(id(0, 0), item(0, 0), NodeId(2), 2, t(20)));
+        let mut c = cache();
+        assert!(c.record_exploratory(id(0, 0), item(0, 0), slot(1), 3, t(10)));
+        assert!(!c.record_exploratory(id(0, 0), item(0, 0), slot(2), 2, t(20)));
         assert_eq!(c.len(), 1);
     }
 
     #[test]
     fn own_energy_is_minimum_over_copies() {
-        let mut c = ExplCache::new();
-        c.record_exploratory(id(0, 0), item(0, 0), NodeId(1), 5, t(10));
-        c.record_exploratory(id(0, 0), item(0, 0), NodeId(2), 3, t(20));
-        c.record_exploratory(id(0, 0), item(0, 0), NodeId(3), 7, t(30));
+        let mut c = cache();
+        c.record_exploratory(id(0, 0), item(0, 0), slot(1), 5, t(10));
+        c.record_exploratory(id(0, 0), item(0, 0), slot(2), 3, t(20));
+        c.record_exploratory(id(0, 0), item(0, 0), slot(3), 7, t(30));
         assert_eq!(c.own_energy(id(0, 0)), Some(3));
     }
 
     #[test]
     fn own_energy_absent_without_exploratory() {
-        let mut c = ExplCache::new();
-        c.record_incremental(id(0, 0), item(0, 0), NodeId(1), 4, t(10));
+        let mut c = cache();
+        c.record_incremental(id(0, 0), item(0, 0), slot(1), 4, t(10));
         assert_eq!(c.own_energy(id(0, 0)), None);
     }
 
     #[test]
     fn opportunistic_choice_is_first_sender() {
-        let mut c = ExplCache::new();
-        c.record_exploratory(id(0, 0), item(0, 0), NodeId(4), 9, t(10));
-        c.record_exploratory(id(0, 0), item(0, 0), NodeId(2), 1, t(20));
+        let mut c = cache();
+        c.record_exploratory(id(0, 0), item(0, 0), slot(4), 9, t(10));
+        c.record_exploratory(id(0, 0), item(0, 0), slot(2), 1, t(20));
         assert_eq!(
             c.choose_upstream(id(0, 0), Scheme::Opportunistic),
             Some((NodeId(4), UpstreamKind::Exploratory))
@@ -354,9 +462,9 @@ mod tests {
 
     #[test]
     fn greedy_choice_is_lowest_cost() {
-        let mut c = ExplCache::new();
-        c.record_exploratory(id(0, 0), item(0, 0), NodeId(4), 9, t(10));
-        c.record_exploratory(id(0, 0), item(0, 0), NodeId(2), 3, t(20));
+        let mut c = cache();
+        c.record_exploratory(id(0, 0), item(0, 0), slot(4), 9, t(10));
+        c.record_exploratory(id(0, 0), item(0, 0), slot(2), 3, t(20));
         assert_eq!(
             c.choose_upstream(id(0, 0), Scheme::Greedy),
             Some((NodeId(2), UpstreamKind::Exploratory))
@@ -365,9 +473,9 @@ mod tests {
 
     #[test]
     fn greedy_prefers_incremental_when_cheaper() {
-        let mut c = ExplCache::new();
-        c.record_exploratory(id(0, 0), item(0, 0), NodeId(4), 9, t(10));
-        c.record_incremental(id(0, 0), item(0, 0), NodeId(7), 2, t(30));
+        let mut c = cache();
+        c.record_exploratory(id(0, 0), item(0, 0), slot(4), 9, t(10));
+        c.record_incremental(id(0, 0), item(0, 0), slot(7), 2, t(30));
         assert_eq!(
             c.choose_upstream(id(0, 0), Scheme::Greedy),
             Some((NodeId(7), UpstreamKind::Incremental))
@@ -379,9 +487,9 @@ mod tests {
         // Paper: "If the energy cost of an exploratory event and the
         // incremental cost message are equivalent, the sink reinforces the
         // neighboring node that sent the exploratory event."
-        let mut c = ExplCache::new();
-        c.record_incremental(id(0, 0), item(0, 0), NodeId(7), 5, t(5));
-        c.record_exploratory(id(0, 0), item(0, 0), NodeId(4), 5, t(10));
+        let mut c = cache();
+        c.record_incremental(id(0, 0), item(0, 0), slot(7), 5, t(5));
+        c.record_exploratory(id(0, 0), item(0, 0), slot(4), 5, t(10));
         assert_eq!(
             c.choose_upstream(id(0, 0), Scheme::Greedy),
             Some((NodeId(4), UpstreamKind::Exploratory))
@@ -391,9 +499,9 @@ mod tests {
     #[test]
     fn remaining_tie_prefers_lowest_delay() {
         // "Other ties are decided in favor of the lowest delay."
-        let mut c = ExplCache::new();
-        c.record_exploratory(id(0, 0), item(0, 0), NodeId(9), 5, t(10));
-        c.record_exploratory(id(0, 0), item(0, 0), NodeId(3), 5, t(20));
+        let mut c = cache();
+        c.record_exploratory(id(0, 0), item(0, 0), slot(9), 5, t(10));
+        c.record_exploratory(id(0, 0), item(0, 0), slot(3), 5, t(20));
         assert_eq!(
             c.choose_upstream(id(0, 0), Scheme::Greedy),
             Some((NodeId(9), UpstreamKind::Exploratory))
@@ -402,11 +510,11 @@ mod tests {
 
     #[test]
     fn offer_keeps_best_cost_per_neighbor() {
-        let mut c = ExplCache::new();
-        c.record_exploratory(id(0, 0), item(0, 0), NodeId(1), 5, t(10));
-        c.record_exploratory(id(0, 0), item(0, 0), NodeId(1), 3, t(20));
-        c.record_exploratory(id(0, 0), item(0, 0), NodeId(1), 8, t(30));
-        c.record_exploratory(id(0, 0), item(0, 0), NodeId(2), 4, t(40));
+        let mut c = cache();
+        c.record_exploratory(id(0, 0), item(0, 0), slot(1), 5, t(10));
+        c.record_exploratory(id(0, 0), item(0, 0), slot(1), 3, t(20));
+        c.record_exploratory(id(0, 0), item(0, 0), slot(1), 8, t(30));
+        c.record_exploratory(id(0, 0), item(0, 0), slot(2), 4, t(40));
         assert_eq!(
             c.choose_upstream(id(0, 0), Scheme::Greedy),
             Some((NodeId(1), UpstreamKind::Exploratory))
@@ -415,15 +523,15 @@ mod tests {
 
     #[test]
     fn incremental_cost_only_decreases_per_neighbor() {
-        let mut c = ExplCache::new();
-        c.record_incremental(id(0, 0), item(0, 0), NodeId(1), 4, t(10));
-        c.record_incremental(id(0, 0), item(0, 0), NodeId(1), 9, t(20));
+        let mut c = cache();
+        c.record_incremental(id(0, 0), item(0, 0), slot(1), 4, t(10));
+        c.record_incremental(id(0, 0), item(0, 0), slot(1), 9, t(20));
         assert_eq!(
             c.choose_upstream(id(0, 0), Scheme::Greedy),
             Some((NodeId(1), UpstreamKind::Incremental))
         );
         // Cost 4 retained: a competitor at 5 loses.
-        c.record_exploratory(id(0, 0), item(0, 0), NodeId(2), 5, t(30));
+        c.record_exploratory(id(0, 0), item(0, 0), slot(2), 5, t(30));
         assert_eq!(
             c.choose_upstream(id(0, 0), Scheme::Greedy),
             Some((NodeId(1), UpstreamKind::Incremental))
@@ -432,25 +540,66 @@ mod tests {
 
     #[test]
     fn choose_on_unknown_id_is_none() {
-        let c = ExplCache::new();
+        let c = cache();
         assert_eq!(c.choose_upstream(id(9, 9), Scheme::Greedy), None);
         assert_eq!(c.choose_upstream(id(9, 9), Scheme::Opportunistic), None);
     }
 
     #[test]
     fn opportunistic_without_exploratory_is_none() {
-        let mut c = ExplCache::new();
-        c.record_incremental(id(0, 0), item(0, 0), NodeId(1), 4, t(10));
+        let mut c = cache();
+        c.record_incremental(id(0, 0), item(0, 0), slot(1), 4, t(10));
         assert_eq!(c.choose_upstream(id(0, 0), Scheme::Opportunistic), None);
     }
 
     #[test]
     fn incremental_dedup_by_origin() {
-        let mut c = ExplCache::new();
+        let mut c = cache();
         assert!(c.first_incremental(id(0, 0), NodeId(5)));
         assert!(!c.first_incremental(id(0, 0), NodeId(5)));
         assert!(c.first_incremental(id(0, 0), NodeId(6)));
         assert!(c.first_incremental(id(0, 1), NodeId(5)));
+    }
+
+    #[test]
+    fn own_offer_sits_in_the_last_slot_under_the_nodes_id() {
+        let mut c = cache();
+        assert_eq!(c.own_slot(), NEIGHBORS.len());
+        // A source's own event: cost 0 from itself beats every neighbor.
+        c.record_exploratory(id(50, 0), item(50, 0), c.own_slot(), 0, t(0));
+        c.record_exploratory(id(50, 0), item(50, 0), slot(2), 1, t(5));
+        assert_eq!(c.own_energy(id(50, 0)), Some(0));
+        assert_eq!(
+            c.choose_upstream(id(50, 0), Scheme::Greedy),
+            Some((NodeId(50), UpstreamKind::Exploratory))
+        );
+        assert_eq!(
+            c.choose_upstream(id(50, 0), Scheme::Opportunistic),
+            Some((NodeId(50), UpstreamKind::Exploratory))
+        );
+        assert_eq!(
+            c.choose_upstream_excluding(id(50, 0), Scheme::Greedy, &[NodeId(50)]),
+            Some((NodeId(2), UpstreamKind::Exploratory))
+        );
+    }
+
+    #[test]
+    fn cost_ties_fall_to_node_id_not_slot() {
+        // Equal cost, kind and arrival: the lower node id wins. Node 5's
+        // own offer sits in the last slot but competes under its id, below
+        // neighbor 9's.
+        let mut c = ExplCache::new(NodeId(5), &NEIGHBORS);
+        c.record_exploratory(id(0, 0), item(0, 0), slot(9), 4, t(10));
+        c.record_exploratory(id(0, 0), item(0, 0), c.own_slot(), 4, t(10));
+        assert_eq!(
+            c.choose_upstream(id(0, 0), Scheme::Greedy),
+            Some((NodeId(5), UpstreamKind::Exploratory))
+        );
+        c.record_exploratory(id(0, 0), item(0, 0), slot(3), 4, t(10));
+        assert_eq!(
+            c.choose_upstream(id(0, 0), Scheme::Greedy),
+            Some((NodeId(3), UpstreamKind::Exploratory))
+        );
     }
 
     #[test]
@@ -460,7 +609,7 @@ mod tests {
 
     #[test]
     fn expire_drops_old_entries() {
-        let mut c = ExplCache::new();
+        let mut c = cache();
         let old = EventItem {
             source: NodeId(0),
             round: 0,
@@ -471,8 +620,8 @@ mod tests {
             round: 100,
             generated: t(100_000),
         };
-        c.record_exploratory(id(0, 0), old, NodeId(1), 1, t(10));
-        c.record_exploratory(id(0, 100), new, NodeId(1), 1, t(100_010));
+        c.record_exploratory(id(0, 0), old, slot(1), 1, t(10));
+        c.record_exploratory(id(0, 100), new, slot(1), 1, t(100_010));
         c.first_incremental(id(0, 0), NodeId(5));
         c.expire_before(t(50_000));
         assert_eq!(c.len(), 1);

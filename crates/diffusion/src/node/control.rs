@@ -86,12 +86,13 @@ impl DiffusionNode {
         &mut self,
         ctx: &mut Ctx<'_, DiffMsg, DiffTimer>,
         from: NodeId,
+        slot: usize,
         id: MsgId,
         item: EventItem,
         energy: u32,
     ) {
         let now = ctx.now();
-        let first = self.expl.record_exploratory(id, item, from, energy, now);
+        let first = self.expl.record_exploratory(id, item, slot, energy, now);
         if !first {
             // Duplicate exploratory copy: the cache suppresses the re-flood.
             self.metric(ctx, |ids, reg| {
@@ -169,6 +170,7 @@ impl DiffusionNode {
         &mut self,
         ctx: &mut Ctx<'_, DiffMsg, DiffTimer>,
         from: NodeId,
+        slot: usize,
         id: MsgId,
         origin: NodeId,
         cost: u32,
@@ -180,7 +182,7 @@ impl DiffusionNode {
             generated: now,
         };
         self.expl
-            .record_incremental(id, placeholder, from, cost, now);
+            .record_incremental(id, placeholder, slot, cost, now);
         if self.role.is_sink {
             // Offers recorded; make sure a reinforcement decision happens
             // even if the exploratory flood misses us.

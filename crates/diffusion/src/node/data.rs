@@ -105,7 +105,8 @@ impl DiffusionNode {
             };
             // Record in our own cache: cost to ourselves is 0 and the
             // reinforcement walk must stop here.
-            self.expl.record_exploratory(id, item, self.me, 0, now);
+            let own = self.expl.own_slot();
+            self.expl.record_exploratory(id, item, own, 0, now);
             self.last_expl = Some(id);
             if let Some(e) = self.expl.entry_mut(id) {
                 e.reinforce_sent = true;

@@ -111,6 +111,9 @@ pub struct DiffusionNode {
     // Control plane.
     interest_seq: u32,
     seen_interests: FastSet<(NodeId, u32)>,
+    /// Per-neighbor gradients and exploratory offers, both addressed by the
+    /// neighbor's position in the topology's neighbor list (bound to it in
+    /// `on_start`).
     gradients: GradientTable,
     expl: ExplCache,
     // Data plane.
@@ -160,8 +163,8 @@ impl DiffusionNode {
             me,
             interest_seq: 0,
             seen_interests: FastSet::default(),
-            gradients: GradientTable::new(),
-            expl: ExplCache::new(),
+            gradients: GradientTable::default(),
+            expl: ExplCache::new(me, &[]),
             seen_items: FastSet::default(),
             buffer: AggregationBuffer::new(),
             window,

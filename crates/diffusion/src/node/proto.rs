@@ -4,6 +4,8 @@
 use wsn_net::{Ctx, NodeId, Packet, Protocol};
 use wsn_trace::{DropReason, TraceRecord};
 
+use crate::cache::ExplCache;
+use crate::gradient::GradientTable;
 use crate::msg::DiffMsg;
 
 use super::{DiffTimer, DiffusionNode};
@@ -14,6 +16,8 @@ impl Protocol for DiffusionNode {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, DiffMsg, DiffTimer>) {
         debug_assert_eq!(self.me, ctx.node(), "protocol bound to the wrong node");
+        self.gradients = GradientTable::new(ctx.neighbors());
+        self.expl = ExplCache::new(self.me, ctx.neighbors());
         if self.role.is_sink {
             self.originate_interest(ctx);
         }
@@ -28,6 +32,9 @@ impl Protocol for DiffusionNode {
     fn on_packet(&mut self, ctx: &mut Ctx<'_, DiffMsg, DiffTimer>, packet: &Packet<DiffMsg>) {
         self.counters.count_received(packet.payload.kind());
         let from = packet.from;
+        let slot = ctx
+            .sender_index()
+            .expect("packets are delivered from a neighbor");
         // Hearing anything from a neighbor clears link-failure suspicion.
         // Both maps are almost always empty: skip the probe then.
         if !self.link_failures.is_empty() {
@@ -40,26 +47,26 @@ impl Protocol for DiffusionNode {
             DiffMsg::Interest { sink, seq } => {
                 let now = ctx.now();
                 self.gradients
-                    .refresh_exploratory(from, now + self.cfg.gradient_timeout);
+                    .refresh_exploratory(slot, now + self.cfg.gradient_timeout);
                 if self.seen_interests.insert((sink, seq)) {
                     let jitter = self.cfg.interest_jitter;
                     self.send_jittered(ctx, jitter, None, DiffMsg::Interest { sink, seq });
                 }
             }
             DiffMsg::Exploratory { id, item, energy } => {
-                self.on_exploratory(ctx, from, id, item, energy);
+                self.on_exploratory(ctx, from, slot, id, item, energy);
             }
             DiffMsg::Data { ref items, cost } => {
                 self.on_data(ctx, from, items, cost);
             }
             DiffMsg::IncrementalCost { id, origin, cost } => {
-                self.on_incremental(ctx, from, id, origin, cost);
+                self.on_incremental(ctx, from, slot, id, origin, cost);
             }
             DiffMsg::Reinforce { id, kind } => {
-                self.on_reinforce(ctx, from, id, kind);
+                self.on_reinforce(ctx, from, slot, id, kind);
             }
             DiffMsg::NegativeReinforce => {
-                self.on_negative_reinforce(ctx, from);
+                self.on_negative_reinforce(ctx, slot);
             }
         }
     }
@@ -152,7 +159,12 @@ impl Protocol for DiffusionNode {
         // A failed *data* transmission breaks the tree below us — degrade
         // the gradient so we stop burning retries into the void; the next
         // refresh, reinforcement, repair, or exploratory round rebuilds it.
-        if matches!(msg, DiffMsg::Data { .. }) && self.gradients.degrade(to) {
+        if matches!(msg, DiffMsg::Data { .. })
+            && self
+                .gradients
+                .slot(to)
+                .is_some_and(|k| self.gradients.degrade(k))
+        {
             self.metric(ctx, |ids, reg| reg.inc(ids.tree_edges_dropped));
         }
     }

@@ -13,6 +13,7 @@ impl DiffusionNode {
         &mut self,
         ctx: &mut Ctx<'_, DiffMsg, DiffTimer>,
         from: NodeId,
+        slot: usize,
         id: MsgId,
         kind: ReinforceKind,
     ) {
@@ -21,7 +22,7 @@ impl DiffusionNode {
         // the aggregation tree by one edge (us → them, toward the sink).
         let new_edge = !self.gradients.has_data(from, now);
         self.gradients
-            .reinforce(from, now + self.cfg.data_gradient_timeout);
+            .reinforce(slot, now + self.cfg.data_gradient_timeout);
         self.metric(ctx, |ids, reg| {
             reg.inc(ids.reinforcements);
             if new_edge {
@@ -144,10 +145,10 @@ impl DiffusionNode {
     pub(super) fn on_negative_reinforce(
         &mut self,
         ctx: &mut Ctx<'_, DiffMsg, DiffTimer>,
-        from: NodeId,
+        slot: usize,
     ) {
         let now = ctx.now();
-        let had_data = self.gradients.degrade(from);
+        let had_data = self.gradients.degrade(slot);
         if had_data {
             self.metric(ctx, |ids, reg| reg.inc(ids.tree_edges_dropped));
         }

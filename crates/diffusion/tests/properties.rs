@@ -1,9 +1,11 @@
 //! Property-based tests of the diffusion building blocks.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use wsn_diffusion::{
     AggregationBuffer, AggregationFn, EventItem, ExplCache, GradientTable, IncomingAgg, MsgId,
-    Scheme, TruncationLog, WindowEntry,
+    Scheme, TruncationLog, UpstreamKind, WindowEntry,
 };
 use wsn_net::NodeId;
 use wsn_sim::{SimDuration, SimTime};
@@ -42,21 +44,86 @@ fn shuffled<T: Clone>(v: &[T], seed: u64) -> Vec<T> {
     out
 }
 
-/// Records `offers` for `id` after a fixed first exploratory copy from
-/// `first` (which fixes `first_from`).
+/// The node the exploratory-cache tests run on, and its neighbors: every
+/// other id below `n`, ascending. Offer slot `k` is `neighbors[k]`'s; the
+/// own slot is the node's.
+fn node_and_neighbors(me: u32, n: u32) -> (NodeId, Vec<NodeId>) {
+    (
+        NodeId(me),
+        (0..n).filter(|&m| m != me).map(NodeId).collect(),
+    )
+}
+
+/// The offer slot of node `n` in `cache`, whose node is `me`.
+fn offer_slot(cache: &ExplCache, neighbors: &[NodeId], me: NodeId, n: u32) -> usize {
+    if NodeId(n) == me {
+        cache.own_slot()
+    } else {
+        neighbors.binary_search(&NodeId(n)).expect("a neighbor")
+    }
+}
+
+/// Records `offers` for `id` at node 99 over neighbors 0..12 after a fixed
+/// first exploratory copy from `first` (which fixes the first sender).
 fn cache_with(id: MsgId, first: (u32, u32), offers: &[((u32, bool), u32, u64)]) -> ExplCache {
-    let mut cache = ExplCache::new();
+    let (me, neighbors) = node_and_neighbors(99, 12);
+    let mut cache = ExplCache::new(me, &neighbors);
     let it = item(id.source.0, id.round);
-    cache.record_exploratory(id, it, NodeId(first.0), first.1, SimTime::ZERO);
+    let slot = |cache: &ExplCache, n| offer_slot(cache, &neighbors, me, n);
+    cache.record_exploratory(id, it, slot(&cache, first.0), first.1, SimTime::ZERO);
     for &((n, incremental), cost, t) in offers {
         let now = SimTime::from_nanos(t);
+        let k = slot(&cache, n);
         if incremental {
-            cache.record_incremental(id, it, NodeId(n), cost, now);
+            cache.record_incremental(id, it, k, cost, now);
         } else {
-            cache.record_exploratory(id, it, NodeId(n), cost, now);
+            cache.record_exploratory(id, it, k, cost, now);
         }
     }
     cache
+}
+
+/// The upstream choice by brute force over the *effective* offers — per
+/// (node, incremental?) the lowest cost with the arrival that first
+/// reached it — under the paper's total order: cost, then exploratory
+/// before incremental, then earliest arrival, then lowest node id.
+fn brute_force_upstream(
+    first: u32,
+    effective: &BTreeMap<(u32, bool), (u32, u64)>,
+    scheme: Scheme,
+    excluded: &[NodeId],
+) -> Option<(NodeId, UpstreamKind)> {
+    let allowed = |n: u32| !excluded.contains(&NodeId(n));
+    let kind = |incremental| {
+        if incremental {
+            UpstreamKind::Incremental
+        } else {
+            UpstreamKind::Exploratory
+        }
+    };
+    match scheme {
+        Scheme::Greedy => effective
+            .iter()
+            .filter(|(&(n, _), _)| allowed(n))
+            .map(|(&(n, inc), &(cost, t))| (cost, u8::from(inc), t, n))
+            .min()
+            .map(|(_, inc, _, n)| (NodeId(n), kind(inc == 1))),
+        Scheme::Opportunistic => {
+            let heard_exploratory = effective.keys().any(|&(_, inc)| !inc);
+            if !heard_exploratory {
+                None
+            } else if allowed(first) {
+                Some((NodeId(first), UpstreamKind::Exploratory))
+            } else {
+                effective
+                    .iter()
+                    .filter(|(&(n, inc), _)| !inc && allowed(n))
+                    .map(|(&(n, _), &(_, t))| (t, n))
+                    .min()
+                    .map(|(_, n)| (NodeId(n), UpstreamKind::Exploratory))
+            }
+        }
+    }
 }
 
 /// Applies gradient refreshes `(neighbor, data?, until ns)`. Both kinds only
@@ -64,10 +131,11 @@ fn cache_with(id: MsgId, first: (u32, u32), offers: &[((u32, bool), u32, u64)]) 
 fn apply_gradients(table: &mut GradientTable, ops: &[(u32, bool, u64)]) {
     for &(n, data, until) in ops {
         let until = SimTime::from_nanos(until);
+        let slot = table.slot(NodeId(n)).expect("a neighbor");
         if data {
-            table.reinforce(NodeId(n), until);
+            table.reinforce(slot, until);
         } else {
-            table.refresh_exploratory(NodeId(n), until);
+            table.refresh_exploratory(slot, until);
         }
     }
 }
@@ -79,17 +147,19 @@ proptest! {
     #[test]
     fn greedy_choice_matches_brute_force(script in offers()) {
         let id = MsgId { source: NodeId(99), round: 0 };
-        let mut cache = ExplCache::new();
+        let (me, neighbors) = node_and_neighbors(50, 8);
+        let mut cache = ExplCache::new(me, &neighbors);
         // Brute force over *effective* offers: per (neighbor, kind) the best
         // cost with its earliest achieving time.
         let mut best: Option<(u32, u8, u64, u32)> = None; // cost, kind, time, neighbor
         let mut effective: std::collections::HashMap<(u32, bool), (u32, u64)> = Default::default();
         for (t, &(n, cost, incremental)) in script.iter().enumerate() {
             let now = SimTime::from_nanos((t as u64 + 1) * 1000);
+            let slot = offer_slot(&cache, &neighbors, me, n);
             if incremental {
-                cache.record_incremental(id, item(99, 0), NodeId(n), cost, now);
+                cache.record_incremental(id, item(99, 0), slot, cost, now);
             } else {
-                cache.record_exploratory(id, item(99, 0), NodeId(n), cost, now);
+                cache.record_exploratory(id, item(99, 0), slot, cost, now);
             }
             let e = effective.entry((n, incremental)).or_insert((cost, now.as_nanos()));
             if cost < e.0 {
@@ -112,14 +182,16 @@ proptest! {
     #[test]
     fn opportunistic_choice_is_first_exploratory(script in offers()) {
         let id = MsgId { source: NodeId(99), round: 0 };
-        let mut cache = ExplCache::new();
+        let (me, neighbors) = node_and_neighbors(50, 8);
+        let mut cache = ExplCache::new(me, &neighbors);
         let mut first_expl: Option<u32> = None;
         for (t, &(n, cost, incremental)) in script.iter().enumerate() {
             let now = SimTime::from_nanos((t as u64 + 1) * 1000);
+            let slot = offer_slot(&cache, &neighbors, me, n);
             if incremental {
-                cache.record_incremental(id, item(99, 0), NodeId(n), cost, now);
+                cache.record_incremental(id, item(99, 0), slot, cost, now);
             } else {
-                cache.record_exploratory(id, item(99, 0), NodeId(n), cost, now);
+                cache.record_exploratory(id, item(99, 0), slot, cost, now);
                 if first_expl.is_none() {
                     first_expl = Some(n);
                 }
@@ -137,8 +209,8 @@ proptest! {
     }
 
     /// The upstream choice does not depend on the order offers arrive in
-    /// (beyond the first copy) nor on the cache's hash-table layout: the
-    /// same offers recorded in a shuffled order give identical answers.
+    /// (beyond the first copy) nor on the cache's storage layout: the same
+    /// offers recorded in a shuffled order give identical answers.
     #[test]
     fn upstream_choice_ignores_offer_order(
         first in (0u32..12, 1u32..5),
@@ -167,20 +239,67 @@ proptest! {
         prop_assert_eq!(a.own_energy(id), b.own_energy(id));
     }
 
+    /// Both upstream choices equal the brute-force minimum over (cost,
+    /// kind, arrival, node id) — with the node's own offer competing under
+    /// its own id, wherever that id falls among its neighbors' — under no
+    /// exclusions, random ones, and the node itself excluded.
+    #[test]
+    fn upstream_choice_is_the_total_order_minimum(
+        me in 0u32..12,
+        script in keyed_offers(),
+        excluded in prop::collection::vec(0u32..12, 0..4),
+    ) {
+        let id = MsgId { source: NodeId(99), round: 1 };
+        let (node, neighbors) = node_and_neighbors(me, 12);
+        let mut cache = ExplCache::new(node, &neighbors);
+        let mut effective: BTreeMap<(u32, bool), (u32, u64)> = BTreeMap::new();
+        for &((n, incremental), cost, t) in &script {
+            let now = SimTime::from_nanos(t);
+            let slot = offer_slot(&cache, &neighbors, node, n);
+            if incremental {
+                cache.record_incremental(id, item(99, 1), slot, cost, now);
+            } else {
+                cache.record_exploratory(id, item(99, 1), slot, cost, now);
+            }
+            let e = effective.entry((n, incremental)).or_insert((cost, t));
+            if cost < e.0 {
+                *e = (cost, t);
+            }
+        }
+        let first = script[0].0 .0;
+        let excluded: Vec<NodeId> = excluded.into_iter().map(NodeId).collect();
+        for scheme in [Scheme::Greedy, Scheme::Opportunistic] {
+            prop_assert_eq!(
+                cache.choose_upstream(id, scheme),
+                brute_force_upstream(first, &effective, scheme, &[])
+            );
+            for ex in [&excluded[..], &[node][..]] {
+                prop_assert_eq!(
+                    cache.choose_upstream_excluding(id, scheme, ex),
+                    brute_force_upstream(first, &effective, scheme, ex)
+                );
+            }
+        }
+    }
+
     /// Gradient queries do not depend on the order refreshes arrive in nor
-    /// on the table's layout: decoy neighbors grow one table and are swept
-    /// away again, leaving the same live state in a larger, reshuffled table.
+    /// on the table's layout: decoy neighbors widen one table and their
+    /// gradients are swept away again, leaving the same live state in a
+    /// larger table filled in a shuffled order.
     #[test]
     fn gradient_queries_ignore_table_order(
         ops in prop::collection::vec((0u32..16, any::<bool>(), 1u64..60), 1..32),
         decoys in 0u32..48,
         seed in any::<u64>(),
     ) {
-        let mut a = GradientTable::new();
+        let neighbors: Vec<NodeId> = (0..16).map(NodeId).collect();
+        let mut a = GradientTable::new(&neighbors);
         apply_gradients(&mut a, &ops);
-        let mut b = GradientTable::new();
+        let wide: Vec<NodeId> = (0..16).chain(1000..1000 + decoys).map(NodeId).collect();
+        let mut b = GradientTable::new(&wide);
         for d in 0..decoys {
-            b.refresh_exploratory(NodeId(1000 + d), SimTime::ZERO);
+            let slot = b.slot(NodeId(1000 + d)).expect("a decoy neighbor");
+            b.refresh_exploratory(slot, SimTime::ZERO);
         }
         apply_gradients(&mut b, &shuffled(&ops, seed));
         b.sweep(SimTime::from_nanos(1)); // drops exactly the decoys
@@ -290,23 +409,25 @@ proptest! {
     /// refresh never shortens validity.
     #[test]
     fn gradient_lifecycle(ops in prop::collection::vec((0u32..4, 0u8..3, 1u64..100), 1..40)) {
-        let mut table = GradientTable::new();
+        let neighbors: Vec<NodeId> = (0..4).map(NodeId).collect();
+        let mut table = GradientTable::new(&neighbors);
         let mut model: std::collections::HashMap<u32, u64> = Default::default(); // data_until
         for (i, &(n, op, horizon)) in ops.iter().enumerate() {
             let now = i as u64;
             let until = now + horizon;
+            let slot = table.slot(NodeId(n)).expect("a neighbor");
             match op {
                 0 => {
-                    table.reinforce(NodeId(n), SimTime::from_nanos(until));
+                    table.reinforce(slot, SimTime::from_nanos(until));
                     let e = model.entry(n).or_insert(0);
                     *e = (*e).max(until);
                 }
                 1 => {
-                    table.degrade(NodeId(n));
+                    table.degrade(slot);
                     model.remove(&n);
                 }
                 _ => {
-                    table.refresh_exploratory(NodeId(n), SimTime::from_nanos(until));
+                    table.refresh_exploratory(slot, SimTime::from_nanos(until));
                 }
             }
             let t = SimTime::from_nanos(now);

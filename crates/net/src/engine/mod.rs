@@ -268,10 +268,7 @@ impl<P: Protocol> Network<P> {
             self.started = true;
             for i in 0..self.protocols.len() {
                 let node = NodeId::from_index(i);
-                let mut ctx = Ctx {
-                    core: &mut self.core,
-                    node,
-                };
+                let mut ctx = Ctx::new(&mut self.core, node);
                 self.protocols[i].on_start(&mut ctx);
             }
         }
@@ -342,12 +339,11 @@ impl<P: Protocol> Network<P> {
                     let (mac, mut ctx) = self.core.mac_split();
                     mac.on_tx_end(&mut ctx, i, tx, &outcome);
                 }
-                for (v, packet) in &outcome.deliveries {
-                    let mut ctx = Ctx {
-                        core: &mut self.core,
-                        node: *v,
-                    };
-                    self.protocols[v.index()].on_packet(&mut ctx, packet);
+                if let Some(packet) = outcome.packet.take() {
+                    for &(v, sender_index) in &outcome.deliveries {
+                        let mut ctx = Ctx::delivery(&mut self.core, v, sender_index);
+                        self.protocols[v.index()].on_packet(&mut ctx, &packet);
+                    }
                 }
                 self.outcome_scratch = outcome;
             }
@@ -366,10 +362,7 @@ impl<P: Protocol> Network<P> {
                 };
                 if let Some(packet) = failed {
                     let to = packet.dst.expect("only unicasts use the handshake");
-                    let mut ctx = Ctx {
-                        core: &mut self.core,
-                        node,
-                    };
+                    let mut ctx = Ctx::new(&mut self.core, node);
                     self.protocols[node.index()].on_unicast_failed(&mut ctx, to, &packet.payload);
                 }
             }
@@ -380,37 +373,25 @@ impl<P: Protocol> Network<P> {
                 };
                 if let Some(packet) = failed {
                     let to = packet.dst.expect("only unicasts await ACKs");
-                    let mut ctx = Ctx {
-                        core: &mut self.core,
-                        node,
-                    };
+                    let mut ctx = Ctx::new(&mut self.core, node);
                     self.protocols[node.index()].on_unicast_failed(&mut ctx, to, &packet.payload);
                 }
             }
             Ev::Timer { node, timer } => {
                 if self.core.take_timer(node, id) {
-                    let mut ctx = Ctx {
-                        core: &mut self.core,
-                        node,
-                    };
+                    let mut ctx = Ctx::new(&mut self.core, node);
                     self.protocols[node.index()].on_timer(&mut ctx, timer);
                 }
             }
             Ev::NodeDown { node } => {
                 if self.core.apply_down(node.index()) {
-                    let mut ctx = Ctx {
-                        core: &mut self.core,
-                        node,
-                    };
+                    let mut ctx = Ctx::new(&mut self.core, node);
                     self.protocols[node.index()].on_down(&mut ctx);
                 }
             }
             Ev::NodeUp { node } => {
                 if self.core.apply_up(node.index()) {
-                    let mut ctx = Ctx {
-                        core: &mut self.core,
-                        node,
-                    };
+                    let mut ctx = Ctx::new(&mut self.core, node);
                     self.protocols[node.index()].on_up(&mut ctx);
                 }
             }

@@ -3,8 +3,8 @@
 //!
 //! [`Phy`] owns everything below the MAC — the topology (disc propagation),
 //! the per-node radio state (power, energy meter, the frame on the air,
-//! carrier-sense count, in-progress receptions), and the aggregate
-//! [`NetStats`]. Its contract with the MAC layer is two calls:
+//! carrier sense and reception state), one reception flag per link, and the
+//! aggregate [`NetStats`]. Its contract with the MAC layer is two calls:
 //!
 //! * [`Phy::start_frame`] puts a frame on the air: it charges carrier sense
 //!   at every hearer, corrupts overlapping receptions (receiver-side
@@ -20,11 +20,17 @@
 //!
 //! Per-node state is struct-of-arrays: the fields the broadcast loops touch
 //! for *every* hearer of *every* frame — `up` (a packed bitset), `meters`,
-//! `transmitting`, `busy_count` — are parallel arrays, while the cold
-//! reception state (`in_flight`, `active_rx`) lives in separate arrays the
-//! hot scan never walks. At 10k–100k nodes the hot arrays stay
-//! cache-resident where the old array-of-structs (one `PhyNode` with
-//! embedded `Vec`s per node) did not. See `DESIGN.md` §16.
+//! `transmitting`, `radio` — are parallel arrays, and the cold `in_flight`
+//! frames live in a separate array the hot scan never walks. See
+//! `DESIGN.md` §16.
+//!
+//! Receptions are addressed by link, not stored per hearer: a reception of
+//! `u`'s frame at `v` is one set bit in `receiving` at the address of the
+//! link `u → v` (its position in the topology's neighbor arena), and the
+//! frame itself stays in `u`'s `in_flight` slot. Whether that reception is
+//! still decodable lives in `v`'s [`Radio`] record, which is exact because
+//! any overlap corrupts *every* reception at a hearer: at most one
+//! reception per hearer is ever clean. See `DESIGN.md` §19.
 //!
 //! The broadcast loops iterate the topology's neighbor slices through split
 //! borrows (`topo` is a field disjoint from the per-node arrays and
@@ -48,7 +54,7 @@ use crate::engine::Ev;
 use crate::metrics::{drop_reason_index, MetricsState};
 use crate::node::NodeId;
 use crate::packet::{Packet, TxId};
-use crate::soa::NodeBits;
+use crate::soa::Bits;
 use crate::topology::Topology;
 
 /// What a transmission carries.
@@ -63,20 +69,6 @@ pub(crate) enum Frame<M> {
     Rts { to: NodeId },
     /// Clear to send, addressed to `to` (the RTS sender).
     Cts { to: NodeId },
-}
-
-impl<M> Clone for Frame<M> {
-    fn clone(&self) -> Self {
-        match self {
-            Frame::Payload(p) => Frame::Payload(Rc::clone(p)),
-            Frame::Ack { acked, to } => Frame::Ack {
-                acked: *acked,
-                to: *to,
-            },
-            Frame::Rts { to } => Frame::Rts { to: *to },
-            Frame::Cts { to } => Frame::Cts { to: *to },
-        }
-    }
 }
 
 impl<M> Frame<M> {
@@ -139,9 +131,9 @@ fn emit_to(trace: &Option<SharedSink>, rec: TraceRecord) {
 #[allow(clippy::too_many_arguments)]
 fn update_meter_at(
     meters: &mut [EnergyMeter],
-    up: &NodeBits,
+    up: &Bits,
     transmitting: &[Option<TxId>],
-    busy_count: &[u32],
+    radio: &[Radio],
     trace: &Option<SharedSink>,
     metrics: &mut Option<Box<MetricsState>>,
     i: usize,
@@ -151,7 +143,7 @@ fn update_meter_at(
         RadioState::Off
     } else if transmitting[i].is_some() {
         RadioState::Transmitting
-    } else if busy_count[i] > 0 {
+    } else if radio[i].busy > 0 {
         RadioState::Receiving
     } else {
         RadioState::Idle
@@ -180,12 +172,35 @@ fn update_meter_at(
     }
 }
 
-/// An in-progress reception at one hearer.
-#[derive(Debug)]
-struct RxEntry<M> {
-    tx: TxId,
-    frame: Frame<M>,
-    corrupted: bool,
+/// Counts one corrupted reception at `node`: the stats total, the metrics
+/// counter and the trace record.
+fn record_collision(
+    stats: &mut NetStats,
+    metrics: &mut Option<Box<MetricsState>>,
+    trace: &Option<SharedSink>,
+    t_ns: u64,
+    node: u32,
+) {
+    stats.collisions += 1;
+    if let Some(m) = metrics {
+        m.reg.inc(m.ids.collisions);
+    }
+    emit_to(trace, TraceRecord::Collision { t_ns, node });
+}
+
+/// One node's carrier-sense and reception state.
+#[derive(Debug, Clone, Copy, Default)]
+struct Radio {
+    /// In-range transmissions on the air (carrier sense).
+    busy: u32,
+    /// Receptions in progress: the set `receiving` flags among the links
+    /// into this node.
+    rx: u32,
+    /// Whether the reception in progress is still decodable. A second
+    /// reception corrupts every reception at the hearer, so `clean`
+    /// implies `rx == 1`. Never set under perfect capture, where nothing
+    /// is corrupted.
+    clean: bool,
 }
 
 /// Per-node transmit/receive counters.
@@ -280,10 +295,13 @@ pub(crate) enum Control {
 /// delivery vectors — they keep their high-water capacity.
 #[derive(Debug)]
 pub(crate) struct TxOutcome<M> {
-    /// Payload frames decoded at each hearer that passed the logical
-    /// destination filter, in neighbor order — dispatched to protocols by
-    /// the engine.
-    pub(crate) deliveries: Vec<(NodeId, Rc<Packet<M>>)>,
+    /// The payload that left the air, if the frame carried one.
+    pub(crate) packet: Option<Rc<Packet<M>>>,
+    /// The hearers that decoded [`packet`](TxOutcome::packet) and passed
+    /// the logical destination filter, in neighbor order, each with the
+    /// sender's position in the hearer's neighbor list — dispatched to
+    /// protocols by the engine.
+    pub(crate) deliveries: Vec<(NodeId, u32)>,
     /// The addressed receiver that cleanly decoded a unicast payload; under
     /// an acknowledged MAC it owes the sender an ACK.
     pub(crate) unicast_decoded: Option<NodeId>,
@@ -295,6 +313,7 @@ pub(crate) struct TxOutcome<M> {
 impl<M> Default for TxOutcome<M> {
     fn default() -> Self {
         TxOutcome {
+            packet: None,
             deliveries: Vec::new(),
             unicast_decoded: None,
             control: Vec::new(),
@@ -305,6 +324,7 @@ impl<M> Default for TxOutcome<M> {
 impl<M> TxOutcome<M> {
     /// Resets for reuse, keeping the vectors' capacity.
     pub(crate) fn clear(&mut self) {
+        self.packet = None;
         self.deliveries.clear();
         self.unicast_decoded = None;
         self.control.clear();
@@ -319,19 +339,20 @@ pub(crate) struct Phy<M> {
     pub(crate) topo: Topology,
     // ---- hot per-node arrays: touched for every hearer of every frame ----
     /// Power state, packed 64 nodes to a word.
-    up: NodeBits,
+    up: Bits,
     /// Energy meters, advanced on every radio-state change.
     meters: Vec<EnergyMeter>,
     /// The transmission each node has on the air, if any.
     transmitting: Vec<Option<TxId>>,
-    /// Number of in-range transmissions currently on the air (carrier
-    /// sense).
-    busy_count: Vec<u32>,
-    // ---- cold per-node arrays: only touched at the nodes a frame reaches ----
+    /// Carrier sense and reception state.
+    radio: Vec<Radio>,
+    // ---- hot per-link flags: touched for every link a frame crosses ----
+    /// Bit `l` is set while the far end of link `l = u → v` is receiving
+    /// `u`'s frame on the air.
+    receiving: Bits,
+    // ---- cold per-node array: only touched at the sender ----
     /// The frame each node has on the air (present iff `transmitting` is).
     in_flight: Vec<Option<Frame<M>>>,
-    /// In-progress receptions at each node.
-    active_rx: Vec<Vec<RxEntry<M>>>,
     pub(crate) stats: NetStats,
     next_tx: u64,
     /// The installed trace sink, if any. `None` keeps every emission site
@@ -360,7 +381,7 @@ impl<M: std::fmt::Debug> std::fmt::Debug for Phy<M> {
             .field("up", &self.up)
             .field("meters", &self.meters)
             .field("transmitting", &self.transmitting)
-            .field("busy_count", &self.busy_count)
+            .field("radio", &self.radio)
             .field("stats", &self.stats)
             .field("next_tx", &self.next_tx)
             .field("trace", &self.trace.is_some())
@@ -376,13 +397,13 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
         let n = topo.len();
         let now = SimTime::ZERO;
         Phy {
-            topo,
-            up: NodeBits::new_all_set(n),
+            up: Bits::new_all_set(n),
             meters: (0..n).map(|_| EnergyMeter::new(cfg.energy, now)).collect(),
             transmitting: vec![None; n],
-            busy_count: vec![0; n],
+            radio: vec![Radio::default(); n],
+            receiving: Bits::new_all_clear(topo.link_count()),
             in_flight: (0..n).map(|_| None).collect(),
-            active_rx: (0..n).map(|_| Vec::new()).collect(),
+            topo,
             stats: NetStats {
                 per_node: vec![NodeStats::default(); n],
                 collisions: 0,
@@ -421,7 +442,7 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
     /// the air).
     #[inline]
     pub(crate) fn is_busy(&self, i: usize) -> bool {
-        self.busy_count[i] > 0
+        self.radio[i].busy > 0
     }
 
     /// Node `i`'s energy meter.
@@ -464,16 +485,16 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
         // Split borrows: the neighbor slice lives in `topo`, disjoint from
         // the per-node arrays and the counters in `stats`, so the loops
         // below iterate it directly — no neighbor-list clone. Each SoA
-        // field is its own borrow, so mutating `active_rx` never conflicts
+        // field is its own borrow, so mutating `radio` never conflicts
         // with reading `up` or `transmitting`.
         let Phy {
             topo,
             up,
             meters,
             transmitting,
-            busy_count,
+            radio,
+            receiving,
             in_flight,
-            active_rx,
             stats,
             trace,
             lineage,
@@ -501,79 +522,43 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
         }
         debug_assert!(transmitting[i].is_none(), "radio already busy");
         transmitting[i] = Some(tx);
-        in_flight[i] = Some(frame.clone());
-        if !capture {
-            // Half-duplex: anything we were receiving is lost.
-            for rx in &mut active_rx[i] {
-                if !rx.corrupted {
-                    rx.corrupted = true;
-                    stats.collisions += 1;
-                    if let Some(m) = metrics {
-                        m.reg.inc(m.ids.collisions);
-                    }
-                    emit_to(
-                        trace,
-                        TraceRecord::Collision {
-                            t_ns,
-                            node: i as u32,
-                        },
-                    );
-                }
-            }
+        in_flight[i] = Some(frame);
+        // Half-duplex: the reception we were decoding, if any, is lost.
+        if radio[i].clean {
+            radio[i].clean = false;
+            record_collision(stats, metrics, trace, t_ns, i as u32);
         }
-        update_meter_at(meters, up, transmitting, busy_count, trace, metrics, i, now);
+        update_meter_at(meters, up, transmitting, radio, trace, metrics, i, now);
 
         let sender = NodeId::from_index(i);
-        for &v in topo.neighbors(sender) {
+        let links = topo.links(sender);
+        for (link, &v) in links.zip(topo.neighbors(sender)) {
             let vi = v.index();
-            busy_count[vi] += 1;
+            let r = &mut radio[vi];
+            r.busy += 1;
             if capture {
                 // Perfect capture: every powered hearer decodes the frame,
                 // overlap or not, even while transmitting itself.
                 if up.get(vi) {
-                    active_rx[vi].push(RxEntry {
-                        tx,
-                        frame: frame.clone(),
-                        corrupted: false,
-                    });
+                    r.rx += 1;
+                    receiving.set(link, true);
                 }
             } else if up.get(vi) && transmitting[vi].is_none() {
-                // Overlap with any ongoing reception corrupts everything.
-                let rx_list = &mut active_rx[vi];
-                let corrupted = !rx_list.is_empty();
-                if corrupted {
-                    for rx in rx_list.iter_mut() {
-                        if !rx.corrupted {
-                            rx.corrupted = true;
-                            stats.collisions += 1;
-                            if let Some(m) = metrics {
-                                m.reg.inc(m.ids.collisions);
-                            }
-                            emit_to(trace, TraceRecord::Collision { t_ns, node: v.0 });
-                        }
+                // Overlap with any ongoing reception corrupts everything:
+                // the one clean reception, if any, and this one.
+                if r.rx > 0 {
+                    if r.clean {
+                        r.clean = false;
+                        record_collision(stats, metrics, trace, t_ns, v.0);
                     }
-                    stats.collisions += 1;
-                    if let Some(m) = metrics {
-                        m.reg.inc(m.ids.collisions);
-                    }
-                    emit_to(trace, TraceRecord::Collision { t_ns, node: v.0 });
+                    record_collision(stats, metrics, trace, t_ns, v.0);
+                } else {
+                    r.clean = true;
                 }
-                rx_list.push(RxEntry {
-                    tx,
-                    frame: frame.clone(),
-                    corrupted,
-                });
+                r.rx += 1;
+                receiving.set(link, true);
             }
-            update_meter_at(
-                meters,
-                up,
-                transmitting,
-                busy_count,
-                trace,
-                metrics,
-                vi,
-                now,
-            );
+            update_meter_at(meters, up, transmitting, radio, trace, metrics, vi, now);
         }
         let duration = cfg.tx_duration(bytes);
         sim.schedule_after(duration, Ev::TxEnd { node: sender, tx });
@@ -598,28 +583,34 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
             up,
             meters,
             transmitting,
-            busy_count,
+            radio,
+            receiving,
             in_flight,
-            active_rx,
             stats,
             trace,
             metrics,
+            capture,
             ..
         } = self;
         debug_assert_eq!(transmitting[i], Some(tx), "TxEnd out of order");
         transmitting[i] = None;
         let frame = in_flight[i].take().expect("frame in flight");
-        update_meter_at(meters, up, transmitting, busy_count, trace, metrics, i, now);
+        update_meter_at(meters, up, transmitting, radio, trace, metrics, i, now);
 
         let sender = NodeId::from_index(i);
-        for &v in topo.neighbors(sender) {
+        let hearers = topo.links(sender).zip(topo.neighbors(sender));
+        for ((link, &v), &back) in hearers.zip(topo.reverse(sender)) {
             let vi = v.index();
-            debug_assert!(busy_count[vi] > 0, "busy count underflow at {v}");
-            busy_count[vi] -= 1;
-            let rx_list = &mut active_rx[vi];
-            if let Some(pos) = rx_list.iter().position(|r| r.tx == tx) {
-                let entry = rx_list.swap_remove(pos);
-                if entry.corrupted {
+            let r = &mut radio[vi];
+            debug_assert!(r.busy > 0, "busy count underflow at {v}");
+            r.busy -= 1;
+            if receiving.take(link) {
+                // Under capture nothing is corrupted; otherwise a clean
+                // hearer's one reception is this one.
+                let corrupted = !*capture && !r.clean;
+                r.rx -= 1;
+                r.clean = false;
+                if corrupted {
                     stats.per_node[vi].rx_corrupted += 1;
                     if let Some(m) = metrics {
                         m.reg
@@ -635,10 +626,14 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
                         },
                     );
                 } else if up.get(vi) {
-                    match &entry.frame {
+                    match &frame {
                         Frame::Payload(pkt) => {
                             stats.per_node[vi].rx_ok += 1;
-                            if pkt.dst == Some(v) {
+                            // Addressed unicasts and broadcasts deliver;
+                            // an addressed unicast may owe an ACK, which
+                            // the MAC decides.
+                            let addressed = pkt.dst == Some(v);
+                            if addressed || pkt.dst.is_none() {
                                 if let Some(m) = metrics {
                                     m.reg.inc(m.ids.frames_rx);
                                 }
@@ -652,25 +647,10 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
                                         bytes: pkt.bytes,
                                     },
                                 );
-                                // Addressed unicast: deliver; the MAC
-                                // decides whether an ACK is owed.
-                                out.deliveries.push((v, Rc::clone(pkt)));
-                                out.unicast_decoded = Some(v);
-                            } else if pkt.dst.is_none() {
-                                if let Some(m) = metrics {
-                                    m.reg.inc(m.ids.frames_rx);
+                                out.deliveries.push((v, back));
+                                if addressed {
+                                    out.unicast_decoded = Some(v);
                                 }
-                                emit_to(
-                                    trace,
-                                    TraceRecord::PacketRx {
-                                        t_ns,
-                                        node: v.0,
-                                        from: sender.0,
-                                        tx: tx.0,
-                                        bytes: pkt.bytes,
-                                    },
-                                );
-                                out.deliveries.push((v, Rc::clone(pkt)));
                             }
                         }
                         Frame::Ack { acked, to } => {
@@ -691,18 +671,11 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
                     }
                 }
             }
-            update_meter_at(
-                meters,
-                up,
-                transmitting,
-                busy_count,
-                trace,
-                metrics,
-                vi,
-                now,
-            );
+            update_meter_at(meters, up, transmitting, radio, trace, metrics, vi, now);
         }
-        let _ = frame;
+        if let Frame::Payload(pkt) = frame {
+            out.packet = Some(pkt);
+        }
     }
 
     /// A radio dying mid-transmission cuts the signal: every in-progress
@@ -712,49 +685,50 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
     /// the truncated frame is simply never decoded — no collision is
     /// recorded.
     pub(crate) fn fail_transmission(&mut self, now: SimTime, i: usize) {
-        let Some(tx) = self.transmitting[i] else {
+        if self.transmitting[i].is_none() {
             return;
-        };
+        }
         let me = NodeId::from_index(i);
         let Phy {
             topo,
-            active_rx,
+            radio,
+            receiving,
             stats,
             trace,
             metrics,
             capture,
             ..
         } = self;
-        if *capture {
-            for &v in topo.neighbors(me) {
-                active_rx[v.index()].retain(|rx| rx.tx != tx);
-            }
-            return;
-        }
-        for &v in topo.neighbors(me) {
-            for rx in &mut active_rx[v.index()] {
-                if rx.tx == tx && !rx.corrupted {
-                    rx.corrupted = true;
-                    stats.collisions += 1;
-                    if let Some(m) = metrics {
-                        m.reg.inc(m.ids.collisions);
-                    }
-                    emit_to(
-                        trace,
-                        TraceRecord::Collision {
-                            t_ns: now.as_nanos(),
-                            node: v.0,
-                        },
-                    );
+        for (link, &v) in topo.links(me).zip(topo.neighbors(me)) {
+            let r = &mut radio[v.index()];
+            if *capture {
+                if receiving.take(link) {
+                    r.rx -= 1;
                 }
+            } else if r.clean && receiving.get(link) {
+                // A clean hearer's one reception is this frame.
+                r.clean = false;
+                record_collision(stats, metrics, trace, now.as_nanos(), v.0);
             }
         }
     }
 
     /// Clears a failed node's reception state (its own transmission, if any,
-    /// is handled by [`Phy::fail_transmission`] first).
+    /// is handled by [`Phy::fail_transmission`] first): the flags of every
+    /// link into it, found through the reverse index.
     pub(crate) fn clear_receptions(&mut self, i: usize) {
-        self.active_rx[i].clear();
+        let me = NodeId::from_index(i);
+        let Phy {
+            topo,
+            radio,
+            receiving,
+            ..
+        } = self;
+        for (&u, &back) in topo.neighbors(me).iter().zip(topo.reverse(me)) {
+            receiving.set(topo.links(u).start + back as usize, false);
+        }
+        radio[i].rx = 0;
+        radio[i].clean = false;
     }
 
     /// Recomputes the radio state after any bookkeeping change, debiting the
@@ -764,11 +738,11 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
             up,
             meters,
             transmitting,
-            busy_count,
+            radio,
             trace,
             metrics,
             ..
         } = self;
-        update_meter_at(meters, up, transmitting, busy_count, trace, metrics, i, now);
+        update_meter_at(meters, up, transmitting, radio, trace, metrics, i, now);
     }
 }

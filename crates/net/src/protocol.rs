@@ -81,12 +81,52 @@ pub trait Protocol: Sized {
 pub struct Ctx<'a, M, T> {
     pub(crate) core: &'a mut EngineCore<M, T>,
     pub(crate) node: NodeId,
+    /// During a delivery, the sender's position in `node`'s neighbor list.
+    sender_index: Option<u32>,
 }
 
-impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> Ctx<'_, M, T> {
+impl<'a, M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> Ctx<'a, M, T> {
+    /// A context for a callback on `node` that is not a delivery.
+    pub(crate) fn new(core: &'a mut EngineCore<M, T>, node: NodeId) -> Self {
+        Ctx {
+            core,
+            node,
+            sender_index: None,
+        }
+    }
+
+    /// A context for delivering a frame to `node` from its neighbor at
+    /// position `sender_index` of its neighbor list.
+    pub(crate) fn delivery(
+        core: &'a mut EngineCore<M, T>,
+        node: NodeId,
+        sender_index: u32,
+    ) -> Self {
+        Ctx {
+            core,
+            node,
+            sender_index: Some(sender_index),
+        }
+    }
+
     /// The node this callback runs on.
     pub fn node(&self) -> NodeId {
         self.node
+    }
+
+    /// This node's in-range neighbors, in ascending id order — the
+    /// topology's neighbor list, whose positions address per-link state
+    /// (see [`Ctx::sender_index`]).
+    pub fn neighbors(&self) -> &[NodeId] {
+        self.core.phy.topo.neighbors(self.node)
+    }
+
+    /// Inside [`Protocol::on_packet`], the position of the packet's sender
+    /// in [`Ctx::neighbors`], so per-neighbor state indexed by that
+    /// position is one array access: `ctx.neighbors()[i] == packet.from`.
+    /// `None` in every other callback.
+    pub fn sender_index(&self) -> Option<usize> {
+        self.sender_index.map(|i| i as usize)
     }
 
     /// The current simulated time.

@@ -17,6 +17,13 @@
 //! per-node `(offset, len)` span, rather than `Vec<Vec<NodeId>>`. One
 //! allocation instead of n, and the broadcast hot path walks contiguous
 //! memory. See `DESIGN.md` §16.
+//!
+//! Every arena entry is a *link* `u → v` with a fixed address: its position
+//! in the arena. A parallel reverse index gives, for the entry `v` at
+//! position `k` of `u`'s span, `u`'s position in `v`'s span, so per-link
+//! state (the PHY's reception flags, a protocol's per-neighbor gradients)
+//! lives in flat arrays that both endpoints can address. See `DESIGN.md`
+//! §19.
 
 use crate::node::NodeId;
 use crate::position::Position;
@@ -289,14 +296,40 @@ impl SpatialGrid {
             arena[off..].sort_unstable();
             spans.push((off as u32, (arena.len() - off) as u32));
         }
+        // The cell index has served its purpose; its `n` slots become the
+        // reverse pass's per-node counters instead of a fresh allocation.
+        let mut next = self.cell_nodes;
+        next.fill(0);
+        let reverse = reverse_index(&arena, &mut next);
         Topology {
             positions: self.positions,
             range_m: self.range_m,
             range_sq: self.range_sq,
             arena,
             spans,
+            reverse,
         }
     }
+}
+
+/// The reverse-link index of sorted, symmetric neighbor spans laid out in
+/// ascending node order: for the entry `v` at position `k` of `u`'s span,
+/// `u`'s position in `v`'s span.
+///
+/// One linear pass over the arena, i.e. in ascending `u`. Since `v`'s span
+/// lists exactly the nodes that list `v`, in ascending order, the pass
+/// meets `v`'s neighbors in the order `v`'s span holds them, and a running
+/// count per node (`next`, one zeroed slot per node) hands out the
+/// positions.
+fn reverse_index(arena: &[NodeId], next: &mut [u32]) -> Vec<u32> {
+    arena
+        .iter()
+        .map(|v| {
+            let pos = &mut next[v.index()];
+            *pos += 1;
+            *pos - 1
+        })
+        .collect()
 }
 
 /// The flat cell index of a position (free function twin of
@@ -343,10 +376,12 @@ pub struct Topology {
     range_m: f64,
     /// `range_m * range_m`, cached once so range tests never recompute it.
     range_sq: f64,
-    /// All neighbor lists, back to back.
+    /// All neighbor lists, back to back. Position `i` is link `i`.
     arena: Vec<NodeId>,
     /// Per-node `(offset, len)` into `arena`.
     spans: Vec<(u32, u32)>,
+    /// Parallel to `arena`: for link `u → v`, `u`'s position in `v`'s span.
+    reverse: Vec<u32>,
 }
 
 impl Topology {
@@ -396,8 +431,30 @@ impl Topology {
     ///
     /// Panics if `node` is out of bounds.
     pub fn neighbors(&self, node: NodeId) -> &[NodeId] {
+        &self.arena[self.links(node)]
+    }
+
+    /// The reverse index of a node's span: for `v = neighbors(u)[k]`,
+    /// `reverse(u)[k]` is `u`'s position in `neighbors(v)`, so that
+    /// `neighbors(v)[reverse(u)[k]] == u`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of bounds.
+    pub fn reverse(&self, node: NodeId) -> &[u32] {
+        &self.reverse[self.links(node)]
+    }
+
+    /// The addresses of a node's outgoing links: the positions of its span
+    /// in the flat neighbor arena, in neighbor order.
+    pub(crate) fn links(&self, node: NodeId) -> std::ops::Range<usize> {
         let (off, len) = self.spans[node.index()];
-        &self.arena[off as usize..off as usize + len as usize]
+        off as usize..off as usize + len as usize
+    }
+
+    /// The total number of links (twice the number of neighbor pairs).
+    pub(crate) fn link_count(&self) -> usize {
+        self.arena.len()
     }
 
     /// Whether two distinct nodes are within radio range.

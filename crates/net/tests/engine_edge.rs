@@ -1,7 +1,14 @@
-//! Edge-case tests of the network engine's MAC/ARQ/failure machinery.
+//! Edge-case tests of the network engine's MAC/ARQ/failure machinery and
+//! of the PHY's reception bookkeeping.
 
-use wsn_net::{Ctx, MacKind, NetConfig, Network, NodeId, Packet, Position, Protocol, Topology};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use wsn_net::{
+    Ctx, MacKind, NetConfig, Network, NodeId, Packet, Position, Protocol, Topology, TraceOptions,
+};
 use wsn_sim::{SimDuration, SimTime};
+use wsn_trace::{DropReason, MemSink, SharedSink, TraceRecord};
 
 /// Minimal scripted protocol (see `engine_properties.rs` for the generic
 /// one); here each instance also records failure callbacks.
@@ -307,4 +314,261 @@ fn line(n: usize) -> Topology {
             .collect(),
         40.0,
     )
+}
+
+/// Broadcasts `(delay, bytes, payload)` frames armed at start and again
+/// after every recovery, and records what it decodes.
+#[derive(Debug, Default)]
+struct Air {
+    at_start: Vec<(SimDuration, u32, u32)>,
+    at_up: Vec<(SimDuration, u32, u32)>,
+    received: Vec<(NodeId, u32)>,
+}
+
+impl Protocol for Air {
+    type Msg = u32;
+    type Timer = (u32, u32);
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_, u32, (u32, u32)>) {
+        for &(d, bytes, p) in &self.at_start {
+            ctx.set_timer(d, (bytes, p));
+        }
+    }
+    fn on_packet(&mut self, ctx: &mut Ctx<'_, u32, (u32, u32)>, packet: &Packet<u32>) {
+        let k = ctx.sender_index().expect("a delivery names its sender");
+        assert_eq!(ctx.neighbors()[k], packet.from, "sender index is wrong");
+        self.received.push((packet.from, packet.payload));
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, u32, (u32, u32)>, (bytes, p): (u32, u32)) {
+        assert_eq!(ctx.sender_index(), None, "timers are not deliveries");
+        ctx.broadcast(bytes, p);
+    }
+    fn on_up(&mut self, ctx: &mut Ctx<'_, u32, (u32, u32)>) {
+        for &(d, bytes, p) in &self.at_up {
+            ctx.set_timer(d, (bytes, p));
+        }
+    }
+}
+
+/// Runs `net` to `end` with an in-memory trace and returns the records.
+fn run_recorded(net: &mut Network<Air>, end: SimTime) -> Vec<TraceRecord> {
+    let sink = Rc::new(RefCell::new(MemSink::new()));
+    let handle: SharedSink = sink.clone();
+    net.set_trace(handle, TraceOptions::default());
+    net.run_until(end);
+    net.finish_trace().expect("a memory sink cannot fail");
+    let events = std::mem::take(&mut sink.borrow_mut().events);
+    events
+}
+
+/// Node `node`'s `nth` frame on the air: `(start ns, tx id, end ns)`.
+fn frame_on_air(recs: &[TraceRecord], node: u32, nth: usize, cfg: &NetConfig) -> (u64, u64, u64) {
+    recs.iter()
+        .filter_map(|r| match *r {
+            TraceRecord::PacketTx {
+                t_ns,
+                node: n,
+                tx,
+                bytes,
+                ..
+            } if n == node => Some((t_ns, tx, t_ns + cfg.tx_duration(bytes).as_nanos())),
+            _ => None,
+        })
+        .nth(nth)
+        .expect("the frame was sent")
+}
+
+fn collisions_at(recs: &[TraceRecord], node: u32) -> Vec<u64> {
+    recs.iter()
+        .filter_map(|r| match *r {
+            TraceRecord::Collision { t_ns, node: n } if n == node => Some(t_ns),
+            _ => None,
+        })
+        .collect()
+}
+
+/// `(t_ns, tx)` of every collision drop at `node`.
+fn collision_drops_at(recs: &[TraceRecord], node: u32) -> Vec<(u64, Option<u64>)> {
+    recs.iter()
+        .filter_map(|r| match *r {
+            TraceRecord::PacketDrop {
+                t_ns,
+                node: n,
+                reason: DropReason::Collision,
+                tx,
+            } if n == node => Some((t_ns, tx)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Builds a network of `Air` nodes whose frame plans come from `plan`.
+fn air_network(
+    topo: Topology,
+    cfg: NetConfig,
+    seed: u64,
+    plan: impl Fn(NodeId, &mut Air),
+) -> Network<Air> {
+    Network::new(topo, cfg, seed, |id| {
+        let mut p = Air::default();
+        plan(id, &mut p);
+        p
+    })
+}
+
+#[test]
+fn hearer_down_and_up_mid_frame_gets_nothing_and_carrier_releases_at_tx_end() {
+    let cfg = NetConfig::default();
+    let build = || {
+        air_network(pair(), cfg.clone(), 41, |id, p| {
+            if id == NodeId(0) {
+                p.at_start.push((ms(10), 1000, 7));
+                p.at_start.push((ms(200), 64, 8));
+            }
+            if id == NodeId(1) {
+                // Queued right after recovery, while node 0's frame is
+                // still on the air: carrier sense must hold it back.
+                p.at_up.push((SimDuration::from_micros(10), 64, 9));
+            }
+        })
+    };
+    let dry = run_recorded(&mut build(), SimTime::from_secs(1));
+    let (start, tx, end) = frame_on_air(&dry, 0, 0, &cfg);
+
+    let mut net = build();
+    let third = (end - start) / 3;
+    net.schedule_down(SimTime::from_nanos(start + third), NodeId(1));
+    net.schedule_up(SimTime::from_nanos(start + 2 * third), NodeId(1));
+    let recs = run_recorded(&mut net, SimTime::from_secs(1));
+    assert_eq!(frame_on_air(&recs, 0, 0, &cfg), (start, tx, end));
+
+    // Neither a delivery nor a drop record for the interrupted reception;
+    // node 0's next frame then arrives clean.
+    assert_eq!(net.protocol(NodeId(1)).received, vec![(NodeId(0), 8)]);
+    assert!(!recs.iter().any(|r| matches!(
+        *r,
+        TraceRecord::PacketRx { node: 1, tx: t, .. } | TraceRecord::PacketDrop { node: 1, tx: Some(t), .. }
+            if t == tx
+    )));
+    assert!(!recs
+        .iter()
+        .any(|r| matches!(r, TraceRecord::PacketDrop { node: 1, .. })));
+    let stats = net.stats().node(NodeId(1));
+    assert_eq!((stats.rx_ok, stats.rx_corrupted), (1, 0));
+    assert_eq!(net.stats().collisions, 0);
+    // Back up, node 1 senses the frame until its TxEnd (it receives, in
+    // energy terms) and then idles...
+    assert!(recs.iter().any(|r| matches!(
+        *r,
+        TraceRecord::EnergyDebit { t_ns, node: 1, state: "rx", .. } if t_ns == end
+    )));
+    // ...and its own frame, queued before that TxEnd, waits for it and then
+    // goes out and delivers.
+    let (tx1_start, _, _) = frame_on_air(&recs, 1, 0, &cfg);
+    assert!(
+        tx1_start > end,
+        "node 1 sent at {tx1_start} before TxEnd {end}"
+    );
+    assert_eq!(net.protocol(NodeId(0)).received, vec![(NodeId(1), 9)]);
+}
+
+/// A sender between two hearers that cannot hear each other.
+fn sender_between_two_hearers() -> Topology {
+    Topology::new(
+        vec![
+            Position::new(0.0, 0.0),
+            Position::new(30.0, 0.0),
+            Position::new(-30.0, 0.0),
+        ],
+        40.0,
+    )
+}
+
+/// Node 0 dies a third into its first frame and recovers after that
+/// frame's TxEnd, then sends a second frame. Returns the run's records,
+/// the first frame's `(tx, end)` and the network.
+fn transmitter_death(mac: MacKind) -> (Vec<TraceRecord>, (u64, u64), Network<Air>) {
+    let cfg = NetConfig {
+        mac,
+        ..NetConfig::default()
+    };
+    let build = || {
+        air_network(sender_between_two_hearers(), cfg.clone(), 43, |id, p| {
+            if id == NodeId(0) {
+                p.at_start.push((ms(10), 1000, 1));
+                p.at_up.push((ms(1), 1000, 2));
+            }
+        })
+    };
+    let dry = run_recorded(&mut build(), SimTime::from_secs(1));
+    let (start, tx, end) = frame_on_air(&dry, 0, 0, &cfg);
+    let mut net = build();
+    net.schedule_down(SimTime::from_nanos(start + (end - start) / 3), NodeId(0));
+    net.schedule_up(SimTime::from_nanos(end + 1_000_000), NodeId(0));
+    let recs = run_recorded(&mut net, SimTime::from_secs(1));
+    assert_eq!(frame_on_air(&recs, 0, 0, &cfg), (start, tx, end));
+    (recs, (tx, end), net)
+}
+
+#[test]
+fn transmitter_death_mid_frame_costs_one_collision_per_clean_hearer_under_csma() {
+    let (recs, (tx, end), net) = transmitter_death(MacKind::Csma);
+    assert_eq!(net.stats().collisions, 2);
+    for hearer in [1, 2] {
+        assert_eq!(collisions_at(&recs, hearer).len(), 1);
+        // The cut frame fails its checksum at its scheduled TxEnd.
+        assert_eq!(collision_drops_at(&recs, hearer), vec![(end, Some(tx))]);
+        // The next frame delivers normally.
+        assert_eq!(net.protocol(NodeId(hearer)).received, vec![(NodeId(0), 2)]);
+    }
+}
+
+#[test]
+fn transmitter_death_mid_frame_costs_no_collision_under_ideal() {
+    let (recs, _, net) = transmitter_death(MacKind::Ideal);
+    assert_eq!(net.stats().collisions, 0);
+    for hearer in [1, 2] {
+        assert!(collisions_at(&recs, hearer).is_empty());
+        assert!(collision_drops_at(&recs, hearer).is_empty());
+        // The cut frame is never decoded; the next one is.
+        assert_eq!(net.protocol(NodeId(hearer)).received, vec![(NodeId(0), 2)]);
+    }
+}
+
+#[test]
+fn third_frame_onto_a_corrupted_reception_adds_exactly_one_collision() {
+    // Hearer 0 with three senders hidden from each other (35 m from the
+    // hearer, 49.5–70 m apart), each sending one long frame 1 ms after the
+    // last: all three overlap at the hearer.
+    let topo = Topology::new(
+        vec![
+            Position::new(0.0, 0.0),
+            Position::new(35.0, 0.0),
+            Position::new(-35.0, 0.0),
+            Position::new(0.0, 35.0),
+        ],
+        40.0,
+    );
+    let cfg = NetConfig::default();
+    let mut net = air_network(topo, cfg.clone(), 47, |id, p| {
+        if id != NodeId(0) {
+            p.at_start.push((ms(9 + u64::from(id.0)), 1000, id.0));
+        }
+    });
+    let recs = run_recorded(&mut net, SimTime::from_secs(1));
+    let (a, ta, a_end) = frame_on_air(&recs, 1, 0, &cfg);
+    let (b, tb, _) = frame_on_air(&recs, 2, 0, &cfg);
+    let (c, tc, _) = frame_on_air(&recs, 3, 0, &cfg);
+    assert!(a < b && b < c && c < a_end, "frames do not overlap");
+    // The second frame corrupts the first and itself; the third adds only
+    // its own.
+    assert_eq!(collisions_at(&recs, 0), vec![b, b, c]);
+    assert_eq!(net.stats().collisions, 3);
+    let mut dropped: Vec<Option<u64>> = collision_drops_at(&recs, 0)
+        .into_iter()
+        .map(|(_, tx)| tx)
+        .collect();
+    dropped.sort_unstable();
+    assert_eq!(dropped, vec![Some(ta), Some(tb), Some(tc)]);
+    assert!(net.protocol(NodeId(0)).received.is_empty());
 }

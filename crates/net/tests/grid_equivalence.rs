@@ -3,7 +3,8 @@
 //! must produce exactly the set `{ j ≠ i : |pᵢ − pⱼ|² ≤ range² }`, in
 //! ascending id order, regardless of field size, range, or node placement —
 //! including the degenerate regimes the grid special-cases (range wider than
-//! the whole field, nodes sitting exactly on cell boundaries).
+//! the whole field, nodes sitting exactly on cell boundaries). Every
+//! topology built here also checks its reverse-link index.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -25,6 +26,27 @@ fn all_pairs(positions: &[Position], range_m: f64) -> Vec<Vec<NodeId>> {
     neighbors
 }
 
+/// Every link round-trips through the reverse index: for
+/// `v = neighbors(u)[k]`, `neighbors(v)[reverse(u)[k]] == u`.
+fn assert_reverse_round_trips(topo: &Topology) -> Result<(), TestCaseError> {
+    for i in 0..topo.len() {
+        let u = NodeId(i as u32);
+        let (neighbors, reverse) = (topo.neighbors(u), topo.reverse(u));
+        prop_assert_eq!(neighbors.len(), reverse.len());
+        for (k, (&v, &back)) in neighbors.iter().zip(reverse).enumerate() {
+            prop_assert_eq!(
+                topo.neighbors(v).get(back as usize).copied(),
+                Some(u),
+                "link {} -> {} at position {} does not round-trip",
+                u,
+                v,
+                k
+            );
+        }
+    }
+    Ok(())
+}
+
 fn assert_equivalent(positions: Vec<(f64, f64)>, range_m: f64) -> Result<(), TestCaseError> {
     let positions: Vec<Position> = positions
         .into_iter()
@@ -43,7 +65,7 @@ fn assert_equivalent(positions: Vec<(f64, f64)>, range_m: f64) -> Result<(), Tes
     // Connectivity must agree with a BFS over the materialized lists.
     let grid = SpatialGrid::new(topo.positions().to_vec(), range_m);
     prop_assert_eq!(grid.is_connected(), topo.is_connected());
-    Ok(())
+    assert_reverse_round_trips(&topo)
 }
 
 proptest! {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo gate: formatting, lints, the tier-1 test suite, smoke sweeps through
-# the run-execution, trace and metrics layers, and the benchmark's output
-# check. Run from anywhere.
+# the run-execution, trace and metrics layers, and the benchmark's own tests
+# and output check. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,6 +66,10 @@ scale_out="$(cargo run --release -p wsn-bench --bin run_one -- \
     --nodes 200 --scale 50 --duration 5 --max-events 5000000)"
 echo "$scale_out" | head -1
 echo "$scale_out" | grep -q "field: 10000 nodes"
+
+echo "==> benchmark suite: perfbench's own tests"
+# perfbench is a workspace of its own, so tier-1 never builds its tests.
+cargo test --offline --release --manifest-path perfbench/Cargo.toml
 
 echo "==> benchmark output check: every workload reproduces its committed digests"
 # perfbench prints one JSON result line per workload; each must read

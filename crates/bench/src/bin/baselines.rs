@@ -95,8 +95,9 @@ fn main() {
                 (wsn_trace::shared(sink), spec.options())
             });
             let m = Experiment::new(spec.clone(), scheme)
-                .run_on_traced(&instance, u64::MAX, trace)
+                .run_on_observed(&instance, u64::MAX, trace, None, None)
                 .expect("an unbounded event budget cannot trip")
+                .0
                 .record
                 .metrics();
             scheme_energy.push(m.avg_activity_energy);

@@ -22,9 +22,10 @@
 //! unknown flag, a missing or unparsable value) prints one `error:` line
 //! and the usage to stderr and exits with status 2.
 
-use wsn_diffusion::{DiffusionConfig, DiffusionNode, MsgKind, Role, Scheme};
-use wsn_metrics::RunRecord;
-use wsn_net::{MacKind, NetConfig, Network};
+use wsn_bench::{exit_usage_error, parse_scale, parse_value};
+use wsn_core::{Experiment, MetricsSetup};
+use wsn_diffusion::{MsgKind, Scheme, SinkStats};
+use wsn_net::MacKind;
 use wsn_scenario::{
     render_svg, Connectivity, FailureConfig, RenderOverlay, ScenarioSpec, SourcePlacement,
 };
@@ -73,16 +74,6 @@ enum Command {
     Run(Args),
 }
 
-/// Parses `flag`'s value.
-fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    value
-        .parse()
-        .map_err(|e| format!("{flag}: cannot parse {value:?}: {e}"))
-}
-
 /// Parses the command line (without the program name).
 fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Command, String> {
     let mut args = Args {
@@ -129,12 +120,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Command, String>
             "--max-events" => args.max_events = Some(parse_value(&flag, &val()?)?),
             "--metrics" => args.metrics = Some(val()?),
             "--prometheus" => args.prometheus = true,
-            "--scale" => {
-                args.scale = parse_value(&flag, &val()?)?;
-                if !(args.scale.is_finite() && args.scale > 0.0) {
-                    return Err(format!("--scale must be positive, got {}", args.scale));
-                }
-            }
+            "--scale" => args.scale = parse_scale(&val()?)?,
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
@@ -148,11 +134,7 @@ fn main() {
             print!("{USAGE}");
             return;
         }
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprint!("{USAGE}");
-            std::process::exit(2);
-        }
+        Err(msg) => exit_usage_error(&msg, USAGE),
     };
     let defaults = ScenarioSpec::default();
     let mut field_side_m = defaults.field_side_m;
@@ -196,82 +178,25 @@ fn main() {
         args.scheme
     );
 
-    // Metric ids register before the engine exists (fixed-slot registry).
-    let want_metrics = args.metrics.is_some() || args.prometheus;
-    let mut registered = None;
-    let mut diff_ids = None;
-    if want_metrics {
-        let mut reg = wsn_metrics::MetricsRegistry::new();
-        let net_ids = wsn_net::NetMetricIds::register(&mut reg, spec.mac);
-        diff_ids = Some(wsn_diffusion::DiffusionMetricIds::register(&mut reg));
-        registered = Some((reg, net_ids));
-    }
-    let cfg = DiffusionConfig::for_scheme(args.scheme);
-    let mut net = Network::new(
-        instance.field.topology.clone(),
-        NetConfig {
-            mac: spec.mac,
-            ..NetConfig::default()
-        },
-        spec.seed,
-        |id| {
-            let (is_source, is_sink) = instance.role_of(id);
-            let node = DiffusionNode::new(cfg.clone(), id, Role { is_source, is_sink });
-            match diff_ids {
-                Some(ids) => node.with_metrics(ids),
-                None => node,
-            }
-        },
-    );
-    for e in &instance.failure_events {
-        if e.down {
-            net.schedule_down(e.at, e.node);
-        } else {
-            net.schedule_up(e.at, e.node);
-        }
-    }
-    if let Some((reg, net_ids)) = registered {
-        let out: Option<Box<dyn std::io::Write>> = args.metrics.as_ref().map(|path| {
+    let metrics = (args.metrics.is_some() || args.prometheus).then(|| MetricsSetup {
+        out: args.metrics.as_ref().map(|path| {
             let file = std::fs::File::create(path)
                 .unwrap_or_else(|e| panic!("cannot create metrics file {path}: {e}"));
             Box::new(std::io::BufWriter::new(file)) as Box<dyn std::io::Write>
-        });
-        net.install_metrics(reg, net_ids, wsn_net::MetricsOptions::default(), out);
-    }
+        }),
+        ..MetricsSetup::in_memory()
+    });
     let wall = std::time::Instant::now();
-    if let Err(err) = net.run_until_capped(instance.end, args.max_events.unwrap_or(u64::MAX)) {
-        eprintln!("error: {err}");
-        std::process::exit(2);
-    }
+    let max_events = args.max_events.unwrap_or(u64::MAX);
+    let (outcome, registry) = Experiment::new(spec, args.scheme)
+        .run_on_observed(&instance, max_events, None, None, metrics)
+        .unwrap_or_else(|err| {
+            eprintln!("error: {err}");
+            std::process::exit(2);
+        });
     let wall = wall.elapsed();
 
-    // Harvest.
-    let mut distinct = 0u64;
-    let mut delay_sum = 0.0;
-    let mut generated = 0u64;
-    for (_, p) in net.protocols() {
-        if p.role().is_sink {
-            distinct += p.sink.distinct;
-            delay_sum += p.sink.delay_sum_s;
-        }
-        if p.role().is_source {
-            generated += p.events_generated;
-        }
-    }
-    let stats = net.stats();
-    let record = RunRecord {
-        node_count: args.nodes,
-        sink_count: instance.sinks.len(),
-        duration_s: instance.end.as_secs_f64(),
-        total_energy_j: net.total_energy(),
-        activity_energy_j: net.total_activity_energy(),
-        distinct_events: distinct,
-        delay_sum_s: delay_sum,
-        events_generated: generated,
-        tx_frames: stats.total_tx_frames(),
-        tx_bytes: stats.total_tx_bytes(),
-        collisions: stats.collisions,
-    };
+    let record = &outcome.record;
     let m = record.metrics();
     println!("\nmetrics:");
     println!(
@@ -284,13 +209,11 @@ fn main() {
     );
     println!("  avg delay:                     {:.3} s", m.avg_delay_s);
     println!("  distinct-event delivery ratio: {:.3}", m.delivery_ratio);
-    let mut all_delays = wsn_diffusion::SinkStats::default();
-    for (_, p) in net.protocols() {
-        if p.role().is_sink {
-            all_delays.delays_s.extend_from_slice(&p.sink.delays_s);
-        }
-    }
-    if !all_delays.delays_s.is_empty() {
+    if !outcome.delays_s.is_empty() {
+        let all_delays = SinkStats {
+            delays_s: outcome.delays_s,
+            ..SinkStats::default()
+        };
         println!(
             "  delay percentiles:             p50 {:.3} s / p95 {:.3} s / p99 {:.3} s",
             all_delays.delay_percentile_s(50.0),
@@ -304,18 +227,14 @@ fn main() {
         record.tx_frames,
         record.tx_bytes,
         record.collisions,
-        stats.total_retries(),
-        stats.total_failed()
+        outcome.retries,
+        outcome.failed_unicasts
     );
     println!(
         "  energy {:.1} J total / {:.1} J communication",
         record.total_energy_j, record.activity_energy_j
     );
-    let hotspot = (0..args.nodes)
-        .map(wsn_net::NodeId::from_index)
-        .map(|id| (id, net.activity_energy(id)))
-        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-        .expect("non-empty field");
+    let hotspot = outcome.hotspot;
     println!(
         "  hotspot: {} at {:.2} J ({:.1}% of network communication energy)",
         hotspot.0,
@@ -324,22 +243,19 @@ fn main() {
     );
     println!("\nmessages sent:");
     for kind in MsgKind::ALL {
-        let n: u64 = net.protocols().map(|(_, p)| p.counters.sent(kind)).sum();
-        println!("  {kind:?}: {n}");
+        println!("  {kind:?}: {}", outcome.sent[kind.index()]);
     }
-    let accounting = net.accounting();
     println!(
         "\nsimulated {:.0} s ({} events) in {:.2} s wall time",
         record.duration_s,
-        accounting.events_processed,
+        outcome.accounting.events_processed,
         wall.as_secs_f64()
     );
     if let Some(kb) = wsn_core::peak_rss_kb() {
         println!("peak RSS: {:.1} MiB", kb as f64 / 1024.0);
     }
 
-    if want_metrics {
-        let reg = net.finish_metrics().expect("metrics were installed");
+    if let Some(reg) = registry {
         if let Some(path) = &args.metrics {
             println!("wrote {path}");
         }
@@ -350,24 +266,11 @@ fn main() {
     }
 
     if let Some(path) = args.svg {
-        let now = net.now();
-        let tree_edges: Vec<_> = net
-            .protocols()
-            .flat_map(|(id, p)| {
-                p.gradients()
-                    .data_neighbors(now)
-                    .into_iter()
-                    .map(move |n| (id, n))
-            })
-            .collect();
         let overlay = RenderOverlay {
             sources: instance.sources.clone(),
             sinks: instance.sinks.clone(),
-            tree_edges,
-            down: (0..args.nodes)
-                .map(wsn_net::NodeId::from_index)
-                .filter(|&n| !net.is_up(n))
-                .collect(),
+            tree_edges: outcome.tree_edges,
+            down: outcome.down,
         };
         let svg = render_svg(&instance.field, &overlay);
         std::fs::write(&path, svg).expect("write SVG");

@@ -36,7 +36,12 @@
 //!   `FACTOR`× the nodes in a `√FACTOR`× wider square, so the paper's
 //!   density axis is unchanged while the field grows (`fig5 --scale 100`
 //!   puts ≈5,000 nodes at the 50-node point's density). `1` (the default)
-//!   is exactly the paper's geometry.
+//!   is exactly the paper's geometry;
+//! * `--help` — print the usage and exit 0.
+//!
+//! A malformed command line (an unknown flag, a missing or unparsable
+//! value) prints one `error:` line and the usage on stderr and exits with
+//! status 2.
 //!
 //! Output is the three metric panels of the figure as aligned text tables
 //! (mean ± standard deviation over fields) followed by CSV blocks, suitable
@@ -60,13 +65,32 @@ pub struct HarnessOptions {
     pub runner: Runner,
 }
 
+/// The figure harness's usage text below its `usage:` line.
+const OPTIONS: &str = "
+  --quick            a reduced sweep for smoke tests (2 fields, 60 s runs)
+  --fields N         fields per sweep point
+  --duration SECS    simulated seconds per run
+  --seed N           master seed (default 2002)
+  --no-csv           print the text tables only
+  --jobs N           worker threads (default WSN_JOBS, else one per CPU)
+  --max-events N     abort with status 2 past N simulator events in a run
+  --progress         per-job NDJSON progress lines on stderr
+  --trace DIR        write one JSONL trace per run into DIR
+  --metrics DIR      write one metrics snapshot stream per run into DIR
+  --profile          attach the wall-clock dispatch profiler
+  --scale F          nodes x F in a field sqrt(F) times wider (default 1)
+  --help             print this help
+";
+
 impl HarnessOptions {
     /// Parses options from an argument list (without the program name).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on unknown or malformed arguments.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
+    /// Returns a one-line message on an unknown flag, a missing or
+    /// unparsable value, a non-positive `--scale`, or a `--trace` or
+    /// `--metrics` directory that cannot be created.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut seed = 2002u64;
         let mut quick = false;
         let mut fields: Option<usize> = None;
@@ -75,58 +99,32 @@ impl HarnessOptions {
         let mut scale = 1.0f64;
         let mut runner = Runner::from_env();
         let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
+        while let Some(flag) = it.next() {
+            let mut val = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
                 "--quick" => quick = true,
                 "--no-csv" => csv = false,
                 "--progress" => runner.progress = true,
-                "--fields" => {
-                    let v = it.next().expect("--fields needs a value");
-                    fields = Some(v.parse().expect("--fields takes an integer"));
-                }
-                "--duration" => {
-                    let v = it.next().expect("--duration needs a value");
-                    duration = Some(v.parse().expect("--duration takes seconds"));
-                }
-                "--seed" => {
-                    let v = it.next().expect("--seed needs a value");
-                    seed = v.parse().expect("--seed takes an integer");
-                }
-                "--jobs" => {
-                    let v = it.next().expect("--jobs needs a value");
-                    runner.workers = v.parse().expect("--jobs takes an integer");
-                }
-                "--max-events" => {
-                    let v = it.next().expect("--max-events needs a value");
-                    runner.max_events = Some(v.parse().expect("--max-events takes an integer"));
-                }
+                "--fields" => fields = Some(parse_value(&flag, &val()?)?),
+                "--duration" => duration = Some(parse_value(&flag, &val()?)?),
+                "--seed" => seed = parse_value(&flag, &val()?)?,
+                "--jobs" => runner.workers = parse_value(&flag, &val()?)?,
+                "--max-events" => runner.max_events = Some(parse_value(&flag, &val()?)?),
                 "--trace" => {
-                    let dir = it.next().expect("--trace needs a directory");
+                    let dir = val()?;
                     std::fs::create_dir_all(&dir)
-                        .unwrap_or_else(|e| panic!("cannot create trace directory {dir:?}: {e}"));
+                        .map_err(|e| format!("cannot create trace directory {dir:?}: {e}"))?;
                     runner.trace = Some(TraceSpec::new(dir));
                 }
                 "--metrics" => {
-                    let dir = it.next().expect("--metrics needs a directory");
+                    let dir = val()?;
                     std::fs::create_dir_all(&dir)
-                        .unwrap_or_else(|e| panic!("cannot create metrics directory {dir:?}: {e}"));
+                        .map_err(|e| format!("cannot create metrics directory {dir:?}: {e}"))?;
                     runner.metrics = Some(MetricsSpec::new(dir));
                 }
                 "--profile" => runner.profile = true,
-                "--scale" => {
-                    let v = it.next().expect("--scale needs a value");
-                    let s: f64 = v.parse().expect("--scale takes a number");
-                    assert!(
-                        s.is_finite() && s > 0.0,
-                        "--scale must be positive, got {s}"
-                    );
-                    scale = s;
-                }
-                other => panic!(
-                    "unknown argument {other:?}; usage: [--quick] [--fields N] [--duration SECS] \
-                     [--seed SEED] [--no-csv] [--jobs N] [--max-events N] [--progress] \
-                     [--trace DIR] [--metrics DIR] [--profile] [--scale FACTOR]"
-                ),
+                "--scale" => scale = parse_scale(&val()?)?,
+                other => return Err(format!("unknown argument {other:?}")),
             }
         }
         let mut params = if quick {
@@ -141,17 +139,71 @@ impl HarnessOptions {
             params.duration = SimDuration::from_secs(d);
         }
         params.scale = scale;
-        HarnessOptions {
+        Ok(HarnessOptions {
             params,
             csv,
             runner,
-        }
+        })
     }
 
-    /// Parses from the process arguments.
+    /// Parses the process arguments. `--help` (or `-h`) prints the usage
+    /// and exits 0; a malformed command line prints one `error:` line and
+    /// the usage on stderr and exits with status 2.
     pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
+        let mut argv = std::env::args();
+        let program = argv
+            .next()
+            .as_deref()
+            .map(std::path::Path::new)
+            .and_then(|p| p.file_name())
+            .map_or_else(
+                || "wsn-bench".to_string(),
+                |n| n.to_string_lossy().into_owned(),
+            );
+        let usage = format!("usage: {program} [options]\n{OPTIONS}");
+        let args: Vec<String> = argv.collect();
+        if args.iter().any(|a| a == "--help" || a == "-h") {
+            print!("{usage}");
+            std::process::exit(0);
+        }
+        Self::parse(args).unwrap_or_else(|msg| exit_usage_error(&msg, &usage))
     }
+}
+
+/// Parses `flag`'s value.
+///
+/// # Errors
+///
+/// Returns a message naming `flag` and the value if it does not parse.
+pub fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value
+        .parse()
+        .map_err(|e| format!("{flag}: cannot parse {value:?}: {e}"))
+}
+
+/// Parses a `--scale` factor.
+///
+/// # Errors
+///
+/// Returns a message unless `value` is a finite number above zero.
+pub fn parse_scale(value: &str) -> Result<f64, String> {
+    let scale: f64 = parse_value("--scale", value)?;
+    if scale.is_finite() && scale > 0.0 {
+        Ok(scale)
+    } else {
+        Err(format!("--scale must be positive, got {scale}"))
+    }
+}
+
+/// Prints `error: {msg}` and then `usage` on stderr, and exits with
+/// status 2 — how every bench binary rejects a malformed command line.
+pub fn exit_usage_error(msg: &str, usage: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprint!("{usage}");
+    std::process::exit(2);
 }
 
 /// Runs `figure` on the options' runner and prints its panels (and CSV, if
@@ -195,9 +247,13 @@ mod tests {
         v.iter().map(|x| x.to_string()).collect()
     }
 
+    fn parse(v: &[&str]) -> HarnessOptions {
+        HarnessOptions::parse(s(v)).expect("a valid command line")
+    }
+
     #[test]
     fn defaults_are_paper_scale() {
-        let o = HarnessOptions::parse(s(&[]));
+        let o = parse(&[]);
         assert_eq!(o.params.fields_per_point, 10);
         assert_eq!(o.params.node_counts.len(), 7);
         assert!(o.csv);
@@ -206,13 +262,13 @@ mod tests {
 
     #[test]
     fn quick_flag_shrinks_sweep() {
-        let o = HarnessOptions::parse(s(&["--quick"]));
+        let o = parse(&["--quick"]);
         assert_eq!(o.params.fields_per_point, 2);
     }
 
     #[test]
     fn overrides_apply() {
-        let o = HarnessOptions::parse(s(&[
+        let o = parse(&[
             "--quick",
             "--fields",
             "4",
@@ -221,7 +277,7 @@ mod tests {
             "--seed",
             "7",
             "--no-csv",
-        ]));
+        ]);
         assert_eq!(o.params.fields_per_point, 4);
         assert_eq!(o.params.duration, SimDuration::from_secs(80));
         assert_eq!(o.params.seed, 7);
@@ -230,7 +286,7 @@ mod tests {
 
     #[test]
     fn runner_flags_apply() {
-        let o = HarnessOptions::parse(s(&["--jobs", "3", "--max-events", "5000", "--progress"]));
+        let o = parse(&["--jobs", "3", "--max-events", "5000", "--progress"]);
         assert_eq!(o.runner.workers, 3);
         assert_eq!(o.runner.effective_workers(), 3);
         assert_eq!(o.runner.max_events, Some(5000));
@@ -240,27 +296,27 @@ mod tests {
 
     #[test]
     fn profile_flag_arms_the_profiler() {
-        let o = HarnessOptions::parse(s(&["--profile"]));
+        let o = parse(&["--profile"]);
         assert!(o.runner.profile);
     }
 
     #[test]
     fn scale_flag_applies_and_defaults_to_identity() {
-        assert_eq!(HarnessOptions::parse(s(&[])).params.scale, 1.0);
-        let o = HarnessOptions::parse(s(&["--quick", "--scale", "100"]));
+        assert_eq!(parse(&[]).params.scale, 1.0);
+        let o = parse(&["--quick", "--scale", "100"]);
         assert_eq!(o.params.scale, 100.0);
     }
 
     #[test]
-    #[should_panic(expected = "--scale must be positive")]
-    fn non_positive_scale_panics() {
-        HarnessOptions::parse(s(&["--scale", "0"]));
+    fn non_positive_scale_is_an_error() {
+        let err = HarnessOptions::parse(s(&["--scale", "0"])).expect_err("--scale 0 is rejected");
+        assert!(err.contains("--scale must be positive"), "{err}");
     }
 
     #[test]
     fn trace_flag_creates_the_directory_and_wires_the_runner() {
         let dir = std::env::temp_dir().join("wsn_bench_trace_flag_test");
-        let o = HarnessOptions::parse(s(&["--trace", dir.to_str().expect("utf-8 temp path")]));
+        let o = parse(&["--trace", dir.to_str().expect("utf-8 temp path")]);
         let spec = o.runner.trace.expect("--trace sets a trace spec");
         assert_eq!(spec.dir, dir);
         assert!(dir.is_dir());
@@ -270,7 +326,7 @@ mod tests {
     #[test]
     fn metrics_flag_creates_the_directory_and_wires_the_runner() {
         let dir = std::env::temp_dir().join("wsn_bench_metrics_flag_test");
-        let o = HarnessOptions::parse(s(&["--metrics", dir.to_str().expect("utf-8 temp path")]));
+        let o = parse(&["--metrics", dir.to_str().expect("utf-8 temp path")]);
         let spec = o.runner.metrics.expect("--metrics sets a metrics spec");
         assert_eq!(spec.dir, dir);
         assert!(dir.is_dir());
@@ -278,8 +334,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown argument")]
-    fn unknown_argument_panics() {
-        HarnessOptions::parse(s(&["--bogus"]));
+    fn unknown_argument_is_an_error() {
+        let err = HarnessOptions::parse(s(&["--bogus"])).expect_err("--bogus is rejected");
+        assert!(err.contains("unknown argument"), "{err}");
     }
 }

@@ -1,6 +1,6 @@
-//! Running one experiment: a scenario, a scheme, a seed → a [`RunRecord`].
+//! Running one experiment: a scenario, a scheme, a seed → a [`RunOutcome`].
 
-use wsn_diffusion::{DiffusionConfig, DiffusionMetricIds, DiffusionNode, Role, Scheme};
+use wsn_diffusion::{DiffusionConfig, DiffusionMetricIds, DiffusionNode, MsgKind, Role, Scheme};
 use wsn_metrics::{MetricsRegistry, RunRecord};
 use wsn_net::{
     EventBudgetExceeded, MetricsOptions, NetConfig, NetMetricIds, Network, NodeId, TraceOptions,
@@ -58,14 +58,6 @@ impl MetricsSetup {
             out: None,
         }
     }
-
-    /// Default options, streaming snapshots into `out`.
-    pub fn to_writer(out: impl std::io::Write + 'static) -> Self {
-        MetricsSetup {
-            opts: MetricsOptions::default(),
-            out: Some(Box::new(out)),
-        }
-    }
 }
 
 impl std::fmt::Debug for MetricsSetup {
@@ -77,20 +69,35 @@ impl std::fmt::Debug for MetricsSetup {
     }
 }
 
-/// The result of one run.
+/// The result of one run: the one harvest every report reads (the figure
+/// metrics, `run_one`'s printout, the tree renderings), taken at the end of
+/// the run before the observability layers close.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// Raw counters for the metrics pipeline.
     pub record: RunRecord,
     /// Per-sink distinct-event counts (diagnostics).
     pub per_sink_distinct: Vec<(NodeId, u64)>,
-    /// Data items dropped for want of a data gradient (diagnostics).
-    pub items_dropped_no_gradient: u64,
     /// The hottest node's communication energy and its id — the traffic
     /// concentration the paper's §3 warns aggregated paths can create
     /// ("aggregated data paths introduce traffic concentration ... which
     /// adversely impacts network lifetime").
     pub hotspot: (NodeId, f64),
+    /// Diffusion messages sent over all nodes, by kind, in [`MsgKind::ALL`]
+    /// order (index with [`MsgKind::index`]).
+    pub sent: [u64; 6],
+    /// MAC retransmissions over all nodes.
+    pub retries: u64,
+    /// Unicasts the MAC gave up on at its retry limit.
+    pub failed_unicasts: u64,
+    /// The one-way delay of every distinct event, seconds: each sink's
+    /// delays in arrival order, sinks in node order.
+    pub delays_s: Vec<f64>,
+    /// The live data gradients at the end of the run as `(node, next hop)`
+    /// pairs, nodes in ascending order — the aggregation tree that formed.
+    pub tree_edges: Vec<(NodeId, NodeId)>,
+    /// The nodes down at the end of the run, in ascending order.
+    pub down: Vec<NodeId>,
     /// Simulator run accounting (events dispatched, final clock, backlog).
     pub accounting: RunAccounting,
     /// Disconnected placements rejected while generating the run's field
@@ -113,127 +120,29 @@ impl Experiment {
         }
     }
 
-    /// Runs the experiment to completion and harvests the counters.
+    /// Runs the experiment to completion and harvests the outcome.
     ///
     /// Deterministic: the outcome is a pure function of the experiment's
     /// fields.
     pub fn run(&self) -> RunOutcome {
-        let instance = self.scenario.instantiate();
-        self.run_on(&instance)
+        self.run_on(&self.scenario.instantiate())
     }
 
     /// Runs on an already instantiated scenario (lets paired comparisons
-    /// share one instantiation).
+    /// share one instantiation), unbudgeted and unobserved.
     pub fn run_on(&self, instance: &ScenarioInstance) -> RunOutcome {
-        self.run_on_budgeted(instance, u64::MAX)
+        self.run_on_observed(instance, u64::MAX, None, None, None)
             .expect("u64::MAX event budget cannot be exhausted")
+            .0
     }
 
-    /// Runs the experiment under a watchdog budget of at most `max_events`
-    /// dispatched simulator events.
+    /// The one full-control entry point: an instantiated scenario, a
+    /// watchdog budget of at most `max_events` dispatched simulator events,
+    /// an optional trace sink, an optional dispatch profiler and an
+    /// optional in-sim metrics attachment. Returns the outcome, plus the
+    /// final registry when metrics were requested.
     ///
-    /// # Errors
-    ///
-    /// Returns [`EventBudgetExceeded`] if the simulation would need more
-    /// than `max_events` events to reach the scenario's end time. The run
-    /// execution layer ([`crate::Runner`]) uses this to turn a runaway
-    /// simulation into a reported job error instead of a hung sweep.
-    pub fn run_budgeted(&self, max_events: u64) -> Result<RunOutcome, EventBudgetExceeded> {
-        let instance = self.scenario.instantiate();
-        self.run_on_budgeted(&instance, max_events)
-    }
-
-    /// [`run_budgeted`](Experiment::run_budgeted) with an optional trace
-    /// sink: the run's telemetry records stream into `sink`, which is
-    /// flushed (best-effort) before this returns — including on the
-    /// watchdog-error path, so a cut-off run still leaves a usable partial
-    /// trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EventBudgetExceeded`] if the budget runs out before the
-    /// scenario's end time.
-    pub fn run_budgeted_traced(
-        &self,
-        max_events: u64,
-        trace: Option<(SharedSink, TraceOptions)>,
-    ) -> Result<RunOutcome, EventBudgetExceeded> {
-        let instance = self.scenario.instantiate();
-        self.run_on_traced(&instance, max_events, trace)
-    }
-
-    /// [`run_budgeted_traced`](Experiment::run_budgeted_traced) with an
-    /// optional dispatch profiler; see
-    /// [`run_on_instrumented`](Experiment::run_on_instrumented).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EventBudgetExceeded`] if the budget runs out before the
-    /// scenario's end time.
-    pub fn run_budgeted_instrumented(
-        &self,
-        max_events: u64,
-        trace: Option<(SharedSink, TraceOptions)>,
-        profile: Option<SharedProfile>,
-    ) -> Result<RunOutcome, EventBudgetExceeded> {
-        let instance = self.scenario.instantiate();
-        self.run_on_instrumented(&instance, max_events, trace, profile)
-    }
-
-    /// [`run_budgeted_instrumented`](Experiment::run_budgeted_instrumented)
-    /// plus an optional metrics attachment; see
-    /// [`run_on_observed`](Experiment::run_on_observed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EventBudgetExceeded`] if the budget runs out before the
-    /// scenario's end time.
-    pub fn run_budgeted_observed(
-        &self,
-        max_events: u64,
-        trace: Option<(SharedSink, TraceOptions)>,
-        profile: Option<SharedProfile>,
-        metrics: Option<MetricsSetup>,
-    ) -> Result<(RunOutcome, Option<MetricsRegistry>), EventBudgetExceeded> {
-        let instance = self.scenario.instantiate();
-        self.run_on_observed(&instance, max_events, trace, profile, metrics)
-    }
-
-    /// [`run_on`](Experiment::run_on) under a watchdog budget; see
-    /// [`run_budgeted`](Experiment::run_budgeted).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EventBudgetExceeded`] if the budget runs out before the
-    /// scenario's end time.
-    pub fn run_on_budgeted(
-        &self,
-        instance: &ScenarioInstance,
-        max_events: u64,
-    ) -> Result<RunOutcome, EventBudgetExceeded> {
-        self.run_on_traced(instance, max_events, None)
-    }
-
-    /// [`run_on_instrumented`](Experiment::run_on_instrumented) without a
-    /// profiler.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EventBudgetExceeded`] if the budget runs out before the
-    /// scenario's end time.
-    pub fn run_on_traced(
-        &self,
-        instance: &ScenarioInstance,
-        max_events: u64,
-        trace: Option<(SharedSink, TraceOptions)>,
-    ) -> Result<RunOutcome, EventBudgetExceeded> {
-        self.run_on_instrumented(instance, max_events, trace, None)
-    }
-
-    /// The full-control entry point: instantiated scenario, watchdog budget,
-    /// optional trace sink, optional dispatch profiler.
-    ///
-    /// The trace is closed out *after* the metrics are harvested, so a
+    /// The trace is closed out *after* the outcome is harvested, so a
     /// traced run produces bit-identical metrics to an untraced one (closing
     /// the energy meters folds partially elapsed intervals into their
     /// per-state buckets, which can perturb the floating-point summation
@@ -248,25 +157,6 @@ impl Experiment {
     /// requested — a traced-but-unprofiled run stays byte-identical across
     /// repeats.
     ///
-    /// # Errors
-    ///
-    /// Returns [`EventBudgetExceeded`] if the budget runs out before the
-    /// scenario's end time.
-    pub fn run_on_instrumented(
-        &self,
-        instance: &ScenarioInstance,
-        max_events: u64,
-        trace: Option<(SharedSink, TraceOptions)>,
-        profile: Option<SharedProfile>,
-    ) -> Result<RunOutcome, EventBudgetExceeded> {
-        self.run_on_observed(instance, max_events, trace, profile, None)
-            .map(|(outcome, _)| outcome)
-    }
-
-    /// [`run_on_instrumented`](Experiment::run_on_instrumented) plus an
-    /// optional in-sim metrics attachment; returns the final registry
-    /// alongside the outcome when metrics were requested.
-    ///
     /// When both a trace and metrics are active, the trace's snapshot
     /// cadence drives the shared snapshot event, so enabling metrics adds no
     /// simulator events to a traced run (the trace stays byte-identical).
@@ -277,10 +167,13 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Returns [`EventBudgetExceeded`] if the budget runs out before the
-    /// scenario's end time. The metrics sink still receives its flight-ring
+    /// Returns [`EventBudgetExceeded`] if the simulation would need more
+    /// than `max_events` events to reach the scenario's end time; the run
+    /// execution layer ([`crate::Runner`]) turns this into a reported job
+    /// error instead of a hung sweep. The trace sink is flushed
+    /// (best-effort) and the metrics sink still receives its flight-ring
     /// dump and final `mtotal` line on that path, so a watchdog trip leaves
-    /// a usable post-mortem artifact.
+    /// usable post-mortem artifacts.
     pub fn run_on_observed(
         &self,
         instance: &ScenarioInstance,
@@ -343,24 +236,33 @@ impl Experiment {
             return Err(cause);
         }
 
+        let now = net.now();
         let mut distinct_events = 0;
         let mut delay_sum_s = 0.0;
         let mut events_generated = 0;
-        let mut items_dropped = 0;
         let mut per_sink_distinct = Vec::new();
+        let mut sent = [0; 6];
+        let mut delays_s = Vec::new();
+        let mut tree_edges = Vec::new();
         for (id, proto) in net.protocols() {
             if proto.role().is_sink {
                 distinct_events += proto.sink.distinct;
                 delay_sum_s += proto.sink.delay_sum_s;
                 per_sink_distinct.push((id, proto.sink.distinct));
+                delays_s.extend_from_slice(&proto.sink.delays_s);
             }
             if proto.role().is_source {
                 events_generated += proto.events_generated;
             }
-            items_dropped += proto.counters.items_dropped_no_gradient;
+            for kind in MsgKind::ALL {
+                sent[kind.index()] += proto.counters.sent(kind);
+            }
+            let next_hops = proto.gradients().data_neighbors(now);
+            tree_edges.extend(next_hops.into_iter().map(|hop| (id, hop)));
         }
-        let hotspot = (0..instance.field.positions.len())
-            .map(NodeId::from_index)
+        let nodes = (0..instance.field.positions.len()).map(NodeId::from_index);
+        let hotspot = nodes
+            .clone()
             .map(|id| (id, net.activity_energy(id)))
             .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite energies"))
             .unwrap_or((NodeId(0), 0.0));
@@ -381,8 +283,13 @@ impl Experiment {
         let outcome = RunOutcome {
             record,
             per_sink_distinct,
-            items_dropped_no_gradient: items_dropped,
             hotspot,
+            sent,
+            retries: stats.total_retries(),
+            failed_unicasts: stats.total_failed(),
+            delays_s,
+            tree_edges,
+            down: nodes.filter(|&id| !net.is_up(id)).collect(),
             accounting: net.accounting(),
             field_retries: instance.field.retries,
         };

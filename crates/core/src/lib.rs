@@ -5,7 +5,8 @@
 //! the substrates together:
 //!
 //! * [`Experiment`] — one scenario + one scheme + one seed → a
-//!   [`wsn_metrics::RunRecord`];
+//!   [`RunOutcome`], the run's one harvest (its [`wsn_metrics::RunRecord`]
+//!   plus message counts, delays and the tree that formed);
 //! * [`RunJob`] / [`Runner`] — the deterministic parallel run-execution
 //!   layer: a sweep materializes as a job list and executes across
 //!   `std::thread::scope` workers with bit-identical results at any worker
@@ -45,6 +46,5 @@ pub use experiment::{Experiment, MetricsSetup, RunOutcome};
 pub use figures::{run_figure, run_figure_with, Figure, FigureData, FigureParams};
 pub use runner::{peak_rss_kb, JobError, JobReport, MetricsSpec, RunJob, Runner, TraceSpec};
 pub use sweep::{
-    collect_points, compare_point, compare_point_with, field_seed, run_sweep, sweep_jobs,
-    ComparisonPoint, MetricKind,
+    collect_points, compare_point, field_seed, run_sweep, sweep_jobs, ComparisonPoint, MetricKind,
 };

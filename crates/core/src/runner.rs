@@ -327,7 +327,13 @@ impl Runner {
                 out: Some(Box::new(std::io::BufWriter::new(file))),
             }
         });
-        let result = exp.run_budgeted_observed(budget, trace, profile.clone(), metrics);
+        let result = exp.run_on_observed(
+            &job.spec.instantiate(),
+            budget,
+            trace,
+            profile.clone(),
+            metrics,
+        );
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         // The handle never escapes the job; pull the data back out of it.
         let profile = profile.map(|p| p.borrow().clone());

@@ -215,28 +215,16 @@ pub fn compare_point(
     aggregation: AggregationFn,
     make_spec: impl Fn(usize) -> ScenarioSpec,
 ) -> ComparisonPoint {
-    compare_point_with(x, fields, make_spec, |scheme| DiffusionConfig {
-        aggregation,
-        ..DiffusionConfig::for_scheme(scheme)
-    })
-}
-
-/// Like [`compare_point`], but with full control over the protocol
-/// configuration per scheme — the ablation harness uses this to sweep
-/// individual timers (`T_p`, `T_a`, the exploratory interval, ...).
-pub fn compare_point_with(
-    x: f64,
-    fields: usize,
-    make_spec: impl Fn(usize) -> ScenarioSpec,
-    configure: impl Fn(Scheme) -> DiffusionConfig,
-) -> ComparisonPoint {
     let runner = Runner::from_env();
     run_sweep(
         &runner,
         &[x],
         fields,
         |_, f| make_spec(f),
-        |_, s| configure(s),
+        |_, scheme| DiffusionConfig {
+            aggregation,
+            ..DiffusionConfig::for_scheme(scheme)
+        },
     )
     .expect("a runner without a watchdog budget cannot fail")
     .pop()

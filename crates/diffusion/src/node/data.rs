@@ -203,7 +203,6 @@ impl DiffusionNode {
         let now = ctx.now();
         let downstream = self.gradients.data_neighbors(now);
         if downstream.is_empty() {
-            self.counters.items_dropped_no_gradient += out.items.len() as u64;
             self.metric(ctx, |ids, reg| {
                 reg.add(
                     ids.item_drops[wsn_net::drop_reason_index(DropReason::NoRoute)],

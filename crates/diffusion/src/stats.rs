@@ -26,9 +26,6 @@ impl MsgKind {
 pub struct ProtoCounters {
     sent: [u64; 6],
     received: [u64; 6],
-    /// Data items that had to be dropped because no data gradient existed at
-    /// flush time.
-    pub items_dropped_no_gradient: u64,
 }
 
 impl ProtoCounters {

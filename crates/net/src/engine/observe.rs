@@ -18,7 +18,7 @@ use super::Network;
 
 impl<P: Protocol> Network<P> {
     /// Installs a dispatch profiler: every subsequent event dispatch is
-    /// counted exactly, and one in [`PROFILE_SAMPLE`] is timed (wall
+    /// counted exactly, and one in `PROFILE_SAMPLE` is timed (wall
     /// clock), bucketed by event type in `sink` with the sampled time
     /// scaled back up to an estimate of the label's total.
     ///

@@ -25,13 +25,13 @@ use super::events::Ev;
 const STREAM_PROTO: u64 = 0x0050_524F_544F;
 
 /// Everything the engine owns except the protocol instances: the simulator,
-/// the [`Phy`], the installed MAC, the protocol RNGs and timers.
+/// the `Phy`, the installed MAC, the protocol RNGs and timers.
 ///
 /// Splitting the protocols (`Vec<P>`) from this core is what lets a protocol
 /// callback receive `&mut EngineCore` (via [`Ctx`](crate::Ctx)) while the
 /// engine holds `&mut P` — a plain split borrow, no `RefCell`. The same
 /// pattern repeats one layer down: MAC callbacks take `&mut self` alongside
-/// a [`MacCtx`] split-borrowed from the core's other fields.
+/// a `MacCtx` split-borrowed from the core's other fields.
 pub struct EngineCore<M, T> {
     pub(crate) sim: Simulator<Ev<T>>,
     cfg: NetConfig,

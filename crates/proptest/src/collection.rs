@@ -46,7 +46,7 @@ impl SizeRange {
     }
 }
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec`](fn@vec).
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

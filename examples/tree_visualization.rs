@@ -8,13 +8,14 @@
 //! # then open greedy_tree.svg and opportunistic_tree.svg
 //! ```
 
-use wsn::diffusion::{DiffusionConfig, DiffusionNode, Role, Scheme};
-use wsn::net::{NetConfig, Network};
+use wsn::core::Experiment;
+use wsn::diffusion::Scheme;
 use wsn::scenario::{render_svg, RenderOverlay, ScenarioSpec};
-use wsn::sim::SimTime;
+use wsn::sim::SimDuration;
 
 fn main() {
-    let spec = ScenarioSpec::paper(250, 2002);
+    let mut spec = ScenarioSpec::paper(250, 2002);
+    spec.duration = SimDuration::from_secs(120);
     let instance = spec.instantiate();
     println!(
         "field: 250 nodes (degree {:.1}), sources {:?}, sink {:?}",
@@ -24,38 +25,17 @@ fn main() {
     );
 
     for scheme in [Scheme::Greedy, Scheme::Opportunistic] {
-        let cfg = DiffusionConfig::for_scheme(scheme);
-        let mut net = Network::new(
-            instance.field.topology.clone(),
-            NetConfig::default(),
-            spec.seed,
-            |id| {
-                let (is_source, is_sink) = instance.role_of(id);
-                DiffusionNode::new(cfg.clone(), id, Role { is_source, is_sink })
-            },
-        );
-        net.run_until(SimTime::from_secs(120));
-
-        let now = net.now();
-        let tree_edges: Vec<_> = net
-            .protocols()
-            .flat_map(|(id, p)| {
-                p.gradients()
-                    .data_neighbors(now)
-                    .into_iter()
-                    .map(move |n| (id, n))
-            })
-            .collect();
+        let outcome = Experiment::new(spec.clone(), scheme).run_on(&instance);
         println!(
             "{scheme}: {} tree edges, {} distinct events delivered",
-            tree_edges.len(),
-            net.protocol(instance.sinks[0]).sink.distinct
+            outcome.tree_edges.len(),
+            outcome.record.distinct_events
         );
         let overlay = RenderOverlay {
             sources: instance.sources.clone(),
             sinks: instance.sinks.clone(),
-            tree_edges,
-            down: Vec::new(),
+            tree_edges: outcome.tree_edges,
+            down: outcome.down,
         };
         let path = format!("{scheme}_tree.svg");
         std::fs::write(&path, render_svg(&instance.field, &overlay))

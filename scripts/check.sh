@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, the tier-1 test suite, smoke sweeps through
-# the run-execution, trace and metrics layers, and the benchmark's own tests
-# and output check. Run from anywhere.
+# Repo gate: formatting, lints, rustdoc links, the tier-1 test suite, smoke
+# sweeps through the run-execution, trace and metrics layers, and the
+# benchmark's own tests and output check. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -10,6 +10,10 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> rustdoc: cargo doc --no-deps --workspace with -D warnings"
+# Broken or private intra-doc links (say, to a deleted method) fail here.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release

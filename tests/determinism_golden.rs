@@ -43,8 +43,14 @@ fn golden_line(nodes: usize, scheme: Scheme) -> String {
     let exp = Experiment::new(spec, scheme);
     let sink = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
     let handle: SharedSink = sink.clone();
-    let outcome = exp
-        .run_budgeted_traced(u64::MAX, Some((handle, TraceOptions::default())))
+    let (outcome, _) = exp
+        .run_on_observed(
+            &exp.scenario.instantiate(),
+            u64::MAX,
+            Some((handle, TraceOptions::default())),
+            None,
+            None,
+        )
         .expect("u64::MAX budget cannot trip");
     let bytes = Rc::try_unwrap(sink)
         .expect("the engine must release its sink handle at run end")

@@ -27,8 +27,14 @@ fn experiment(nodes: usize, scheme: Scheme, seed: u64) -> Experiment {
 fn traced_text(exp: &Experiment) -> (String, RunOutcome) {
     let sink = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
     let handle: SharedSink = sink.clone();
-    let outcome = exp
-        .run_budgeted_traced(u64::MAX, Some((handle, TraceOptions::default())))
+    let (outcome, _) = exp
+        .run_on_observed(
+            &exp.scenario.instantiate(),
+            u64::MAX,
+            Some((handle, TraceOptions::default())),
+            None,
+            None,
+        )
         .expect("u64::MAX budget cannot trip");
     let bytes = Rc::try_unwrap(sink)
         .expect("the engine must release its sink handle at run end")

@@ -6,6 +6,11 @@
 //! reason, collisions, item drops, reinforcements, aggregation fan-in, and
 //! per-state energy in quantized nanojoules.
 //!
+//! The same runs pin the run's one harvest, [`RunOutcome`], against the
+//! registry and the scenario: counts incremented side by side must agree
+//! exactly, and the harvested tree and down set must be consistent with the
+//! field and its failure schedule.
+//!
 //! Also pins the flight recorder's post-mortem: a run killed by the event
 //! budget watchdog dumps its last-N snapshot ring into the metrics sink.
 
@@ -13,12 +18,12 @@ use std::cell::RefCell;
 use std::io::Write;
 use std::rc::Rc;
 
-use wsn::core::{Experiment, MetricsSetup};
-use wsn::diffusion::Scheme;
-use wsn::metrics::joules_to_nj;
-use wsn::net::TraceOptions;
-use wsn::scenario::{FailureConfig, ScenarioSpec};
-use wsn::sim::SimDuration;
+use wsn::core::{Experiment, MetricsSetup, RunOutcome};
+use wsn::diffusion::{MsgKind, Scheme};
+use wsn::metrics::{joules_to_nj, MetricsRegistry};
+use wsn::net::{NodeId, TraceOptions};
+use wsn::scenario::{FailureConfig, FailureEvent, ScenarioInstance, ScenarioSpec};
+use wsn::sim::{SimDuration, SimTime};
 use wsn::trace::{DropReason, JsonlSink, SharedSink, ENERGY_STATES};
 
 /// Frame-kind labels in `phy.frames_tx{kind=..}` registration order.
@@ -88,14 +93,19 @@ fn trace_totals(text: &str) -> TraceTotals {
     t
 }
 
-/// Runs `spec` with both a trace and metrics attached; returns the final
-/// registry and the trace text.
-fn observed_run(spec: ScenarioSpec, scheme: Scheme) -> (wsn::metrics::MetricsRegistry, String) {
+/// Runs `spec` (instantiated as `instance`) with both a trace and metrics
+/// attached; returns the outcome, the final registry and the trace text.
+fn observed_run(
+    spec: ScenarioSpec,
+    instance: &ScenarioInstance,
+    scheme: Scheme,
+) -> (RunOutcome, MetricsRegistry, String) {
     let exp = Experiment::new(spec, scheme);
     let sink = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
     let handle: SharedSink = sink.clone();
-    let (_, reg) = exp
-        .run_budgeted_observed(
+    let (outcome, reg) = exp
+        .run_on_observed(
+            instance,
             u64::MAX,
             Some((handle, TraceOptions::default())),
             None,
@@ -108,17 +118,20 @@ fn observed_run(spec: ScenarioSpec, scheme: Scheme) -> (wsn::metrics::MetricsReg
         .into_inner();
     let bytes = sink.into_inner().expect("Vec writer cannot fail");
     (
+        outcome,
         reg,
         String::from_utf8(bytes).expect("traces are ASCII JSON"),
     )
 }
 
+fn counter(reg: &MetricsRegistry, name: &str) -> u64 {
+    reg.counter_by_name(name)
+        .unwrap_or_else(|| panic!("registered counter {name}"))
+}
+
 /// Asserts every reconcilable registry total equals the trace total.
-fn assert_reconciles(reg: &wsn::metrics::MetricsRegistry, t: &TraceTotals) {
-    let counter = |name: &str| {
-        reg.counter_by_name(name)
-            .unwrap_or_else(|| panic!("registered counter {name}"))
-    };
+fn assert_reconciles(reg: &MetricsRegistry, t: &TraceTotals) {
+    let counter = |name: &str| counter(reg, name);
     for (slot, kind) in FRAME_KINDS.iter().enumerate() {
         assert_eq!(
             counter(&format!("phy.frames_tx{{kind={kind}}}")),
@@ -166,25 +179,71 @@ fn assert_reconciles(reg: &wsn::metrics::MetricsRegistry, t: &TraceTotals) {
     assert_eq!(fanin.sum(), t.agg_inputs_sum, "agg_fanin sum");
 }
 
+/// Asserts the outcome's harvest agrees exactly with the registry and with
+/// the scenario the run was instantiated from.
+fn assert_harvest_agrees(instance: &ScenarioInstance, outcome: &RunOutcome, reg: &MetricsRegistry) {
+    // Both incremented side by side in the protocol's `send_now`.
+    assert_eq!(
+        outcome.sent[MsgKind::Interest.index()],
+        counter(reg, "diffusion.interests_sent"),
+        "interests sent"
+    );
+    // Both incremented together when the MAC gives up at its retry limit.
+    assert_eq!(
+        outcome.failed_unicasts,
+        counter(
+            reg,
+            &format!("phy.drops{{reason={}}}", DropReason::RetryLimit.name())
+        ),
+        "failed unicasts"
+    );
+    assert_eq!(
+        outcome.delays_s.len() as u64,
+        outcome.record.distinct_events,
+        "one delay per distinct event"
+    );
+    let topology = &instance.field.topology;
+    for &(node, hop) in &outcome.tree_edges {
+        assert!(
+            topology.neighbors(node).contains(&hop),
+            "tree edge {node} -> {hop} is not a link of the field"
+        );
+    }
+    for node in &outcome.down {
+        assert!(
+            instance
+                .failure_events
+                .iter()
+                .any(|e| e.down && e.node == *node),
+            "{node} is down at the end without a scheduled failure"
+        );
+    }
+}
+
 #[test]
 fn registry_totals_reconcile_exactly_with_the_trace_greedy() {
     let mut spec = ScenarioSpec::paper(60, 7);
     spec.duration = SimDuration::from_secs(60);
-    let (reg, text) = observed_run(spec, Scheme::Greedy);
+    let instance = spec.instantiate();
+    let (outcome, reg, text) = observed_run(spec, &instance, Scheme::Greedy);
     let t = trace_totals(&text);
     assert!(t.tx_by_kind[0] > 0, "a 60 s run transmits data frames");
     assert!(t.energy_nj[1] > 0, "idle energy is always debited");
     assert_reconciles(&reg, &t);
+    assert!(!outcome.tree_edges.is_empty(), "a 60 s run grows a tree");
+    assert_harvest_agrees(&instance, &outcome, &reg);
 }
 
 #[test]
 fn registry_totals_reconcile_exactly_with_the_trace_opportunistic() {
     let mut spec = ScenarioSpec::paper(60, 7);
     spec.duration = SimDuration::from_secs(60);
-    let (reg, text) = observed_run(spec, Scheme::Opportunistic);
+    let instance = spec.instantiate();
+    let (outcome, reg, text) = observed_run(spec, &instance, Scheme::Opportunistic);
     let t = trace_totals(&text);
     assert!(t.agg_count > 0, "opportunistic runs merge at junctions");
     assert_reconciles(&reg, &t);
+    assert_harvest_agrees(&instance, &outcome, &reg);
 }
 
 #[test]
@@ -193,9 +252,29 @@ fn reconciliation_holds_under_node_failures() {
     let mut spec = ScenarioSpec::paper(50, 11);
     spec.duration = SimDuration::from_secs(60);
     spec.failures = Some(FailureConfig::default());
-    let (reg, text) = observed_run(spec, Scheme::Greedy);
+    let instance = spec.instantiate();
+    let (outcome, reg, text) = observed_run(spec, &instance, Scheme::Greedy);
     let t = trace_totals(&text);
     assert_reconciles(&reg, &t);
+    assert_harvest_agrees(&instance, &outcome, &reg);
+}
+
+#[test]
+fn a_node_left_down_is_harvested_as_down() {
+    // The rolling schedule always ends with a recovery, so give one node a
+    // failure that never recovers.
+    let mut spec = ScenarioSpec::paper(50, 11);
+    spec.duration = SimDuration::from_secs(30);
+    let mut instance = spec.instantiate();
+    let victim = NodeId(0);
+    instance.failure_events.push(FailureEvent {
+        at: SimTime::from_secs(20),
+        node: victim,
+        down: true,
+    });
+    let (outcome, reg, _) = observed_run(spec, &instance, Scheme::Greedy);
+    assert_eq!(outcome.down, vec![victim]);
+    assert_harvest_agrees(&instance, &outcome, &reg);
 }
 
 /// A `Box<dyn Write>` sink the test can read back after the run.
@@ -226,7 +305,7 @@ fn flight_recorder_dumps_the_ring_on_budget_exhaustion() {
         out: Some(Box::new(SharedBuf(Rc::clone(&buf)))),
     };
     let err = exp
-        .run_budgeted_observed(10_000, None, None, Some(setup))
+        .run_on_observed(&exp.scenario.instantiate(), 10_000, None, None, Some(setup))
         .expect_err("10k events cannot cover a 120 s, 50-node run");
     assert!(err.to_string().contains("budget"), "err: {err}");
     let text = String::from_utf8(buf.borrow().clone()).expect("metrics are ASCII JSON");

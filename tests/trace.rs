@@ -10,7 +10,7 @@ use wsn::core::{Experiment, RunOutcome};
 use wsn::diffusion::Scheme;
 use wsn::net::TraceOptions;
 use wsn::scenario::ScenarioSpec;
-use wsn::sim::SimDuration;
+use wsn::sim::{SharedProfile, SimDuration};
 use wsn::trace::{JsonlSink, MemSink, SharedSink, TraceSummary};
 
 fn experiment(nodes: usize, seed: u64) -> Experiment {
@@ -26,14 +26,24 @@ fn full_options() -> TraceOptions {
     }
 }
 
+/// Runs `exp` unbudgeted with `trace` and `profile` attached.
+fn observed(
+    exp: &Experiment,
+    trace: Option<(SharedSink, TraceOptions)>,
+    profile: Option<SharedProfile>,
+) -> RunOutcome {
+    let instance = exp.scenario.instantiate();
+    exp.run_on_observed(&instance, u64::MAX, trace, profile, None)
+        .expect("u64::MAX budget cannot trip")
+        .0
+}
+
 /// Runs `exp` with a JSONL sink over an in-memory buffer and returns the
 /// trace bytes alongside the outcome.
 fn traced_bytes(exp: &Experiment, opts: TraceOptions) -> (Vec<u8>, RunOutcome) {
     let sink = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
     let handle: SharedSink = sink.clone();
-    let outcome = exp
-        .run_budgeted_traced(u64::MAX, Some((handle, opts)))
-        .expect("u64::MAX budget cannot trip");
+    let outcome = observed(exp, Some((handle, opts)), None);
     // finish_trace drops the engine's handle, so ours is the last one.
     let sink = Rc::try_unwrap(sink)
         .expect("the engine must release its sink handle at run end")
@@ -84,9 +94,7 @@ fn energy_debits_reconcile_with_the_run_record() {
     let exp = experiment(60, 7);
     let sink = Rc::new(RefCell::new(MemSink::new()));
     let handle: SharedSink = sink.clone();
-    let outcome = exp
-        .run_budgeted_traced(u64::MAX, Some((handle, TraceOptions::default())))
-        .expect("u64::MAX budget cannot trip");
+    let outcome = observed(&exp, Some((handle, TraceOptions::default())), None);
     let events = Rc::try_unwrap(sink)
         .expect("engine released its handle")
         .into_inner()
@@ -106,7 +114,7 @@ fn energy_debits_reconcile_with_the_run_record() {
 #[test]
 fn tracing_does_not_perturb_the_simulation() {
     let exp = experiment(50, 13);
-    let untraced = exp.run_budgeted(u64::MAX).expect("no budget");
+    let untraced = exp.run();
     // Snapshots off: the traced run dispatches the same event sequence.
     let (_, traced) = traced_bytes(&exp, TraceOptions::default());
     assert_eq!(
@@ -125,13 +133,11 @@ fn tracing_does_not_perturb_the_simulation() {
 #[test]
 fn profiling_does_not_perturb_metrics() {
     let exp = experiment(50, 21);
-    let untraced = exp.run_budgeted(u64::MAX).expect("no budget");
+    let untraced = exp.run();
     // Profiler only (no trace): bit-identical metrics, every dispatched
     // event profiled.
     let profile = wsn::sim::shared_profile(wsn::sim::ProfileSink::new());
-    let profiled = exp
-        .run_budgeted_instrumented(u64::MAX, None, Some(profile.clone()))
-        .expect("no budget");
+    let profiled = observed(&exp, None, Some(profile.clone()));
     assert_eq!(untraced.record, profiled.record);
     assert_eq!(untraced.accounting, profiled.accounting);
     assert_eq!(
@@ -144,13 +150,11 @@ fn profiling_does_not_perturb_metrics() {
     let sink = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
     let handle: SharedSink = sink.clone();
     let profile = wsn::sim::shared_profile(wsn::sim::ProfileSink::new());
-    let both = exp
-        .run_budgeted_instrumented(
-            u64::MAX,
-            Some((handle, TraceOptions::default())),
-            Some(profile.clone()),
-        )
-        .expect("no budget");
+    let both = observed(
+        &exp,
+        Some((handle, TraceOptions::default())),
+        Some(profile.clone()),
+    );
     assert_eq!(untraced.record, both.record);
     let bytes = Rc::try_unwrap(sink)
         .expect("engine released its handle")

@@ -12,7 +12,11 @@
 //! GIT-vs-SPT savings under (a) the event-radius model, (b) the random
 //! sources model, and (c) the ICDCS paper's corner placement, as a function
 //! of network density.
+//!
+//! `--help` prints the usage and exits 0. A malformed command line prints
+//! one `error:` line and the usage on stderr and exits with status 2.
 
+use wsn_bench::{args_or_help, exit_usage_error, parse_value};
 use wsn_core::Runner;
 use wsn_metrics::{FigureTable, Summary};
 use wsn_net::{Position, Rect};
@@ -21,18 +25,29 @@ use wsn_trees::{
     compare_trees, event_radius_sources, random_geometric, random_sources, region_sources,
 };
 
-fn main() {
+const USAGE: &str = "\
+usage: krishnamachari [options]
+
+  --jobs N           worker threads (default WSN_JOBS, else one per CPU)
+  --help             print this help
+";
+
+/// The runner the command line asks for.
+fn parse_args(argv: Vec<String>) -> Result<Runner, String> {
     let mut runner = Runner::from_env();
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--jobs" => {
-                let v = it.next().expect("--jobs needs a value");
-                runner.workers = v.parse().expect("--jobs takes an integer");
-            }
-            other => panic!("unknown argument {other:?}; usage: [--jobs N]"),
+    let mut it = argv.into_iter();
+    while let Some(flag) = it.next() {
+        if flag != "--jobs" {
+            return Err(format!("unknown argument {flag:?}"));
         }
+        let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        runner.workers = parse_value(&flag, &value)?;
     }
+    Ok(runner)
+}
+
+fn main() {
+    let runner = parse_args(args_or_help(USAGE)).unwrap_or_else(|e| exit_usage_error(&e, USAGE));
     let fields_per_point = 10;
     let node_counts = [50usize, 100, 150, 200, 250, 300, 350];
     let mut table = FigureTable::new(

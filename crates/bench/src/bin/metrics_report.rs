@@ -13,89 +13,61 @@
 //! histograms as count/sum/mean plus a sparkline over the log2 buckets.
 //!
 //! With `--audit TRACE_DIR`, each `NAME.metrics.jsonl` is paired with
-//! `TRACE_DIR/NAME.jsonl` and the registry totals are reconciled against
-//! trace-derived totals with **zero tolerance**: frames by kind vs `tx`
-//! lines, receptions vs `rx` lines, collisions vs `collision` lines, drops
-//! by reason vs `drop` lines, item drops by reason vs `item_drop` lines,
-//! reinforcements vs `reinforce` lines, tree edges vs `tree_edge` lines,
-//! aggregation fan-in count/sum vs `agg_merge` lines, and per-state energy
-//! vs the nanojoule-quantized sum of `energy` debits. The metrics side
-//! quantizes each debit independently (`joules_to_nj` per record), so the
-//! audit does the same — summing floats first would drift.
+//! `TRACE_DIR/NAME.jsonl`, the trace is reduced to a
+//! [`wsn_trace::TraceSummary`], and [`wsn_core::registry_mismatches`]
+//! reconciles the stream's final totals against it with **zero
+//! tolerance**: frames by kind, receptions, collisions, drops and item
+//! drops by reason, reinforcements, tree edges, aggregation fan-in
+//! count/sum, and per-state energy in per-debit-quantized nanojoules.
 //!
 //! Also accepts a single `.metrics.jsonl` file in place of a directory.
 //! Exit status: `0` clean, `1` when any audit finds violations, `2` on
-//! usage or I/O errors.
+//! usage or I/O errors (a malformed command line, or a path with no
+//! metrics files, prints one `error:` line and the usage). `--help` prints
+//! the usage and exits 0.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-use wsn_metrics::{joules_to_nj, MetricType, MetricsLine, HIST_BUCKETS};
-use wsn_trace::{DropReason, ENERGY_STATES};
+use wsn_bench::{args_or_help, artifact_files, exit_usage_error, read_artifact};
+use wsn_core::registry_mismatches;
+use wsn_metrics::{MetricType, MetricsLine, HIST_BUCKETS};
+use wsn_trace::TraceSummary;
 
-/// Frame-kind labels in `phy.frames_tx{kind=..}` registration order.
-const FRAME_KINDS: [&str; 4] = ["data", "ack", "rts", "cts"];
+const USAGE: &str = "\
+usage: metrics_report PATH [--audit TRACE_DIR]
+
+  PATH               a metrics directory, or one .metrics.jsonl stream
+  --audit TRACE_DIR  reconcile each NAME.metrics.jsonl with TRACE_DIR/NAME.jsonl
+  --help             print this help
+";
 
 struct Args {
     path: PathBuf,
     audit: Option<PathBuf>,
 }
 
-fn parse_args() -> Args {
+fn parse_args(argv: Vec<String>) -> Result<Args, String> {
     let mut path: Option<PathBuf> = None;
     let mut audit: Option<PathBuf> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    let mut it = argv.into_iter();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
             "--audit" => {
-                let Some(dir) = it.next() else {
-                    eprintln!("--audit needs a trace directory");
-                    std::process::exit(2);
-                };
+                let dir = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
                 audit = Some(PathBuf::from(dir));
             }
-            other if other.starts_with("--") => {
-                eprintln!(
-                    "unknown argument {other:?}; usage: metrics_report [--audit TRACE_DIR] \
-                     DIR|FILE.metrics.jsonl"
-                );
-                std::process::exit(2);
+            other if other.starts_with("--") => return Err(format!("unknown argument {other:?}")),
+            other if path.is_some() => {
+                return Err(format!("at most one metrics path, got a second: {other:?}"))
             }
-            other => {
-                if path.is_some() {
-                    eprintln!("at most one metrics path, got a second: {other:?}");
-                    std::process::exit(2);
-                }
-                path = Some(PathBuf::from(other));
-            }
+            other => path = Some(PathBuf::from(other)),
         }
     }
-    let path = path.unwrap_or_else(|| {
-        eprintln!("usage: metrics_report [--audit TRACE_DIR] DIR|FILE.metrics.jsonl");
-        std::process::exit(2);
-    });
-    Args { path, audit }
-}
-
-/// The `.metrics.jsonl` files under `path` (or `path` itself if it is a
-/// file), sorted by name for deterministic report order.
-fn metrics_files(path: &Path) -> Vec<PathBuf> {
-    if path.is_file() {
-        return vec![path.to_path_buf()];
-    }
-    let Ok(entries) = std::fs::read_dir(path) else {
-        return Vec::new();
-    };
-    let mut files: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.ends_with(".metrics.jsonl"))
-        })
-        .collect();
-    files.sort();
-    files
+    Ok(Args {
+        path: path.ok_or("missing the metrics path")?,
+        audit,
+    })
 }
 
 /// One metrics stream, decoded: names in registration order plus the final
@@ -239,138 +211,6 @@ fn report(stream: &Stream) {
     }
 }
 
-/// Totals recomputed from a telemetry trace, in the units the registry
-/// counts them.
-#[derive(Default)]
-struct TraceTotals {
-    tx_by_kind: HashMap<String, u64>,
-    rx: u64,
-    collisions: u64,
-    drops: [u64; DropReason::ALL.len()],
-    item_drops: [u64; DropReason::ALL.len()],
-    energy_nj: [u64; ENERGY_STATES.len()],
-    reinforcements: u64,
-    tree_edges: u64,
-    agg_count: u64,
-    agg_inputs_sum: u64,
-}
-
-fn reason_slot(name: &str) -> Option<usize> {
-    let reason = DropReason::parse(name)?;
-    DropReason::ALL.iter().position(|&r| r == reason)
-}
-
-fn trace_totals(text: &str) -> TraceTotals {
-    let mut t = TraceTotals::default();
-    for line in text.lines() {
-        let Some(p) = wsn_trace::parse_line(line) else {
-            continue;
-        };
-        match p.tag().unwrap_or("") {
-            "tx" => {
-                if let Some(kind) = p.str_field("kind") {
-                    *t.tx_by_kind.entry(kind.to_string()).or_insert(0) += 1;
-                }
-            }
-            "rx" => t.rx += 1,
-            "collision" => t.collisions += 1,
-            "drop" => {
-                if let Some(slot) = p.str_field("reason").and_then(reason_slot) {
-                    t.drops[slot] += 1;
-                }
-            }
-            "item_drop" => {
-                if let Some(slot) = p.str_field("reason").and_then(reason_slot) {
-                    t.item_drops[slot] += 1;
-                }
-            }
-            "energy" => {
-                if let (Some(state), Some(joules)) = (p.str_field("state"), p.f64_field("joules")) {
-                    if let Some(slot) = ENERGY_STATES.iter().position(|&s| s == state) {
-                        // Quantize per debit, exactly as the registry did.
-                        t.energy_nj[slot] += joules_to_nj(joules);
-                    }
-                }
-            }
-            "reinforce" => t.reinforcements += 1,
-            "tree_edge" => t.tree_edges += 1,
-            "agg_merge" => {
-                t.agg_count += 1;
-                t.agg_inputs_sum += p.u64_field("inputs").unwrap_or(0);
-            }
-            _ => {}
-        }
-    }
-    t
-}
-
-/// Cross-checks one metrics stream against its trace. Returns the number of
-/// violations, printing one line per mismatch.
-fn audit(stream: &Stream, trace: &TraceTotals) -> usize {
-    let mut violations = 0usize;
-    let mut check = |name: &str, registry: Option<u64>, expected: u64| {
-        let Some(got) = registry else {
-            println!("  VIOLATION: metric {name} missing from the stream header");
-            violations += 1;
-            return;
-        };
-        if got != expected {
-            println!("  VIOLATION: {name}: registry {got} != trace {expected}");
-            violations += 1;
-        }
-    };
-    for kind in FRAME_KINDS {
-        check(
-            &format!("phy.frames_tx{{kind={kind}}}"),
-            stream.counter(&format!("phy.frames_tx{{kind={kind}}}")),
-            trace.tx_by_kind.get(kind).copied().unwrap_or(0),
-        );
-    }
-    check("phy.frames_rx", stream.counter("phy.frames_rx"), trace.rx);
-    check(
-        "phy.collisions",
-        stream.counter("phy.collisions"),
-        trace.collisions,
-    );
-    for (slot, reason) in DropReason::ALL.iter().enumerate() {
-        let name = format!("phy.drops{{reason={}}}", reason.name());
-        check(&name, stream.counter(&name), trace.drops[slot]);
-        let name = format!("diffusion.item_drops{{reason={}}}", reason.name());
-        check(&name, stream.counter(&name), trace.item_drops[slot]);
-    }
-    for (slot, state) in ENERGY_STATES.iter().enumerate() {
-        let name = format!("phy.energy_nj{{state={state}}}");
-        check(&name, stream.counter(&name), trace.energy_nj[slot]);
-    }
-    check(
-        "diffusion.reinforcements",
-        stream.counter("diffusion.reinforcements"),
-        trace.reinforcements,
-    );
-    check(
-        "diffusion.tree_edges_added",
-        stream.counter("diffusion.tree_edges_added"),
-        trace.tree_edges,
-    );
-    match stream.hist("diffusion.agg_fanin") {
-        Some((count, sum)) => {
-            if count != trace.agg_count || sum != trace.agg_inputs_sum {
-                println!(
-                    "  VIOLATION: diffusion.agg_fanin: registry count {count} sum {sum} != \
-                     trace count {} sum {}",
-                    trace.agg_count, trace.agg_inputs_sum
-                );
-                violations += 1;
-            }
-        }
-        None => {
-            println!("  VIOLATION: metric diffusion.agg_fanin missing from the stream header");
-            violations += 1;
-        }
-    }
-    violations
-}
-
 /// `NAME.metrics.jsonl` → `TRACE_DIR/NAME.jsonl`.
 fn trace_path_for(metrics_file: &Path, trace_dir: &Path) -> PathBuf {
     let name = metrics_file
@@ -382,21 +222,12 @@ fn trace_path_for(metrics_file: &Path, trace_dir: &Path) -> PathBuf {
 }
 
 fn main() {
-    let args = parse_args();
-    let files = metrics_files(&args.path);
-    if files.is_empty() {
-        eprintln!("error: no .metrics.jsonl files at {}", args.path.display());
-        std::process::exit(2);
-    }
+    let args = parse_args(args_or_help(USAGE)).unwrap_or_else(|e| exit_usage_error(&e, USAGE));
+    let files = artifact_files(&args.path, ".metrics.jsonl")
+        .unwrap_or_else(|e| exit_usage_error(&e, USAGE));
     let mut total_violations = 0usize;
     for file in &files {
-        let text = match std::fs::read_to_string(file) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", file.display());
-                std::process::exit(2);
-            }
-        };
+        let text = read_artifact(file);
         let stream = match Stream::parse(&text, file) {
             Ok(s) => s,
             Err(e) => {
@@ -408,17 +239,20 @@ fn main() {
         report(&stream);
         if let Some(trace_dir) = &args.audit {
             let trace_file = trace_path_for(file, trace_dir);
-            let trace_text = match std::fs::read_to_string(&trace_file) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read trace {}: {e}", trace_file.display());
-                    std::process::exit(2);
-                }
-            };
-            let totals = trace_totals(&trace_text);
-            let v = audit(&stream, &totals);
-            println!("  audit vs {}: {} violation(s)", trace_file.display(), v);
-            total_violations += v;
+            let mismatches = registry_mismatches(
+                &TraceSummary::from_text(&read_artifact(&trace_file)),
+                |name| stream.counter(name),
+                |name| stream.hist(name),
+            );
+            for m in &mismatches {
+                println!("  VIOLATION: {m}");
+            }
+            println!(
+                "  audit vs {}: {} violation(s)",
+                trace_file.display(),
+                mismatches.len()
+            );
+            total_violations += mismatches.len();
         }
         println!();
     }

@@ -22,7 +22,7 @@
 //! unknown flag, a missing or unparsable value) prints one `error:` line
 //! and the usage to stderr and exits with status 2.
 
-use wsn_bench::{exit_usage_error, parse_scale, parse_value};
+use wsn_bench::{args_or_help, exit_usage_error, parse_scale, parse_value};
 use wsn_core::{Experiment, MetricsSetup};
 use wsn_diffusion::{MsgKind, Scheme, SinkStats};
 use wsn_net::MacKind;
@@ -68,14 +68,8 @@ usage: run_one [options]
   --help             print this help
 ";
 
-/// What the command line asks for.
-enum Command {
-    Help,
-    Run(Args),
-}
-
 /// Parses the command line (without the program name).
-fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Command, String> {
+fn parse_args(argv: Vec<String>) -> Result<Args, String> {
     let mut args = Args {
         nodes: 200,
         scheme: Scheme::Greedy,
@@ -96,7 +90,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Command, String>
     while let Some(flag) = it.next() {
         let mut val = || it.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
-            "--help" | "-h" => return Ok(Command::Help),
             "--nodes" => args.nodes = parse_value(&flag, &val()?)?,
             "--scheme" => {
                 args.scheme = match val()?.as_str() {
@@ -124,18 +117,11 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Command, String>
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    Ok(Command::Run(args))
+    Ok(args)
 }
 
 fn main() {
-    let mut args = match parse_args(std::env::args().skip(1)) {
-        Ok(Command::Run(args)) => args,
-        Ok(Command::Help) => {
-            print!("{USAGE}");
-            return;
-        }
-        Err(msg) => exit_usage_error(&msg, USAGE),
-    };
+    let mut args = parse_args(args_or_help(USAGE)).unwrap_or_else(|e| exit_usage_error(&e, USAGE));
     let defaults = ScenarioSpec::default();
     let mut field_side_m = defaults.field_side_m;
     let mut connectivity = defaults.connectivity;

@@ -1,7 +1,8 @@
-//! Replay run traces and check their conservation invariants: every `rx`
-//! pairs with a `tx`, energy debits reconcile with the `run_end` total, and
-//! the lineage stream (`event_gen`/`deliver`) recomputes *exactly* the
-//! delivery ratio and average delay the run reported in its `metrics` line.
+//! Replay run traces and check their conservation invariants: every line
+//! decodes, every `rx` pairs with a `tx`, energy debits reconcile with the
+//! `run_end` total, and the lineage stream (`event_gen`/`deliver`)
+//! recomputes *exactly* the delivery ratio and average delay the run
+//! reported in its `metrics` line.
 //!
 //! ```sh
 //! cargo run --release -p wsn-bench --bin fig8 -- --quick --trace traces/
@@ -10,69 +11,42 @@
 //!
 //! Also accepts a single `.jsonl` file in place of a directory. Exit status:
 //! `0` when every trace passes, `1` when any audit finds violations, `2` on
-//! usage or I/O errors.
+//! usage or I/O errors (a malformed command line, or a path with no trace
+//! files, prints one `error:` line and the usage). `--help` prints the
+//! usage and exits 0.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
+use wsn_bench::{args_or_help, artifact_files, exit_usage_error, read_artifact};
 use wsn_trace::audit_text;
 
-fn parse_args() -> PathBuf {
+const USAGE: &str = "\
+usage: trace_audit PATH
+
+  PATH               a trace directory, or one .jsonl trace
+  --help             print this help
+";
+
+fn parse_args(argv: Vec<String>) -> Result<PathBuf, String> {
     let mut path: Option<PathBuf> = None;
-    for a in std::env::args().skip(1) {
-        match a.as_str() {
-            other if other.starts_with("--") => {
-                eprintln!("unknown argument {other:?}; usage: trace_audit DIR|FILE.jsonl");
-                std::process::exit(2);
+    for arg in argv {
+        match arg.as_str() {
+            other if other.starts_with("--") => return Err(format!("unknown argument {other:?}")),
+            other if path.is_some() => {
+                return Err(format!("at most one trace path, got a second: {other:?}"))
             }
-            other => {
-                if path.is_some() {
-                    eprintln!("at most one trace path, got a second: {other:?}");
-                    std::process::exit(2);
-                }
-                path = Some(PathBuf::from(other));
-            }
+            other => path = Some(PathBuf::from(other)),
         }
     }
-    path.unwrap_or_else(|| {
-        eprintln!("usage: trace_audit DIR|FILE.jsonl");
-        std::process::exit(2);
-    })
-}
-
-/// The `.jsonl` files under `path` (or `path` itself if it is a file),
-/// sorted by name for deterministic audit order.
-fn trace_files(path: &Path) -> Vec<PathBuf> {
-    if path.is_file() {
-        return vec![path.to_path_buf()];
-    }
-    let Ok(entries) = std::fs::read_dir(path) else {
-        return Vec::new();
-    };
-    let mut files: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
-        .collect();
-    files.sort();
-    files
+    path.ok_or_else(|| "missing the trace path".into())
 }
 
 fn main() {
-    let path = parse_args();
-    let files = trace_files(&path);
-    if files.is_empty() {
-        eprintln!("error: no .jsonl trace files at {}", path.display());
-        std::process::exit(2);
-    }
+    let path = parse_args(args_or_help(USAGE)).unwrap_or_else(|e| exit_usage_error(&e, USAGE));
+    let files = artifact_files(&path, ".jsonl").unwrap_or_else(|e| exit_usage_error(&e, USAGE));
     let mut total_violations = 0usize;
     for file in &files {
-        let text = match std::fs::read_to_string(file) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", file.display());
-                std::process::exit(2);
-            }
-        };
-        let report = audit_text(&text);
+        let report = audit_text(&read_artifact(file));
         println!("=== {} ===", file.display());
         print!("{}", report.render());
         println!();

@@ -7,14 +7,28 @@
 //! cargo run --release -p wsn-bench --bin trace_report -- traces/ --top 10
 //! ```
 //!
-//! Also accepts a single `.jsonl` file in place of a directory. Exits with
-//! status 2 when the path does not exist or holds no trace files. With
+//! Also accepts a single `.jsonl` file in place of a directory. With
 //! `--profile`, traces from profiled runs (`--profile` on the figure binary)
 //! additionally get a per-event-type dispatch-cost table.
+//!
+//! `--help` prints the usage and exits 0. A malformed command line prints
+//! one `error:` line and the usage on stderr and exits with status 2, as
+//! does a path that holds no trace files.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
+use wsn_bench::{args_or_help, artifact_files, exit_usage_error, parse_value, read_artifact};
 use wsn_trace::TraceSummary;
+
+const USAGE: &str = "\
+usage: trace_report PATH [options]
+
+  PATH               a trace directory, or one .jsonl trace
+  --top N            hottest nodes to list (default 5)
+  --buckets N        bins of the per-node energy histogram (default 10)
+  --profile          add the dispatch-profile table of profiled runs
+  --help             print this help
+";
 
 struct Args {
     path: PathBuf,
@@ -23,76 +37,44 @@ struct Args {
     profile: bool,
 }
 
-fn parse_args() -> Args {
+fn parse_args(argv: Vec<String>) -> Result<Args, String> {
     let mut path: Option<PathBuf> = None;
     let mut top = 5usize;
     let mut buckets = 10usize;
     let mut profile = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| panic!("{a} needs a value"));
-        match a.as_str() {
-            "--top" => top = val().parse().expect("--top takes an integer"),
-            "--buckets" => buckets = val().parse().expect("--buckets takes an integer"),
+    let mut it = argv.into_iter();
+    while let Some(flag) = it.next() {
+        let mut val = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--top" => top = parse_value(&flag, &val()?)?,
+            "--buckets" => buckets = parse_value(&flag, &val()?)?,
             "--profile" => profile = true,
-            other if other.starts_with("--") => {
-                panic!(
-                    "unknown argument {other:?}; usage: trace_report DIR [--top N] [--buckets N] \
-                     [--profile]"
-                )
+            other if other.starts_with("--") => return Err(format!("unknown argument {other:?}")),
+            other if path.is_some() => {
+                return Err(format!("at most one trace path, got a second: {other:?}"))
             }
-            other => {
-                assert!(
-                    path.is_none(),
-                    "at most one trace path, got a second: {other:?}"
-                );
-                path = Some(PathBuf::from(other));
-            }
+            other => path = Some(PathBuf::from(other)),
         }
     }
-    Args {
-        path: path.expect("usage: trace_report DIR [--top N] [--buckets N] [--profile]"),
+    if buckets == 0 {
+        return Err("--buckets must be positive".into());
+    }
+    Ok(Args {
+        path: path.ok_or("missing the trace path")?,
         top,
         buckets,
         profile,
-    }
-}
-
-/// The `.jsonl` files under `path` (or `path` itself if it is a file),
-/// sorted by name for deterministic report order.
-fn trace_files(path: &Path) -> Vec<PathBuf> {
-    if path.is_file() {
-        return vec![path.to_path_buf()];
-    }
-    let Ok(entries) = std::fs::read_dir(path) else {
-        return Vec::new();
-    };
-    let mut files: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
-        .collect();
-    files.sort();
-    files
+    })
 }
 
 fn main() {
-    let args = parse_args();
-    let files = trace_files(&args.path);
-    if files.is_empty() {
-        eprintln!("error: no .jsonl trace files at {}", args.path.display());
-        std::process::exit(2);
-    }
+    let args = parse_args(args_or_help(USAGE)).unwrap_or_else(|e| exit_usage_error(&e, USAGE));
+    let files =
+        artifact_files(&args.path, ".jsonl").unwrap_or_else(|e| exit_usage_error(&e, USAGE));
     let mut grand_energy = 0.0;
     let mut grand_records = 0u64;
     for file in &files {
-        let text = match std::fs::read_to_string(file) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", file.display());
-                std::process::exit(2);
-            }
-        };
-        let summary = TraceSummary::from_text(&text);
+        let summary = TraceSummary::from_text(&read_artifact(file));
         println!("=== {} ===", file.display());
         print!("{}", summary.render(args.top, args.buckets));
         if args.profile {

@@ -51,6 +51,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::path::{Path, PathBuf};
+
 use wsn_core::{run_figure_with, Figure, FigureData, FigureParams, MetricsSpec, Runner, TraceSpec};
 use wsn_sim::SimDuration;
 
@@ -150,24 +152,29 @@ impl HarnessOptions {
     /// and exits 0; a malformed command line prints one `error:` line and
     /// the usage on stderr and exits with status 2.
     pub fn from_env() -> Self {
-        let mut argv = std::env::args();
-        let program = argv
+        let program = std::env::args()
             .next()
             .as_deref()
-            .map(std::path::Path::new)
+            .map(Path::new)
             .and_then(|p| p.file_name())
             .map_or_else(
                 || "wsn-bench".to_string(),
                 |n| n.to_string_lossy().into_owned(),
             );
         let usage = format!("usage: {program} [options]\n{OPTIONS}");
-        let args: Vec<String> = argv.collect();
-        if args.iter().any(|a| a == "--help" || a == "-h") {
-            print!("{usage}");
-            std::process::exit(0);
-        }
-        Self::parse(args).unwrap_or_else(|msg| exit_usage_error(&msg, &usage))
+        Self::parse(args_or_help(&usage)).unwrap_or_else(|msg| exit_usage_error(&msg, &usage))
     }
+}
+
+/// The process arguments after the program name. `--help` (or `-h`)
+/// anywhere on the command line prints `usage` and exits 0.
+pub fn args_or_help(usage: &str) -> Vec<String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{usage}");
+        std::process::exit(0);
+    }
+    args
 }
 
 /// Parses `flag`'s value.
@@ -204,6 +211,44 @@ pub fn exit_usage_error(msg: &str, usage: &str) -> ! {
     eprintln!("error: {msg}");
     eprint!("{usage}");
     std::process::exit(2);
+}
+
+/// The run artifacts at `path`: the files directly under it whose names
+/// end in `suffix` (`.jsonl`, `.metrics.jsonl`), sorted by name for a
+/// deterministic report order — or `path` itself if it is a file.
+///
+/// # Errors
+///
+/// Returns a one-line message when `path` holds no such file.
+pub fn artifact_files(path: &Path, suffix: &str) -> Result<Vec<PathBuf>, String> {
+    let mut files: Vec<PathBuf> = if path.is_file() {
+        vec![path.to_path_buf()]
+    } else {
+        std::fs::read_dir(path)
+            .into_iter()
+            .flatten()
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .filter(|p| {
+                p.file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(|n| n.ends_with(suffix))
+            })
+            .collect()
+    };
+    files.sort();
+    if files.is_empty() {
+        return Err(format!("no {suffix} files at {}", path.display()));
+    }
+    Ok(files)
+}
+
+/// Reads one artifact, or prints `error: cannot read …` and exits with
+/// status 2.
+pub fn read_artifact(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("error: cannot read {}: {e}", path.display());
+        std::process::exit(2)
+    })
 }
 
 /// Runs `figure` on the options' runner and prints its panels (and CSV, if

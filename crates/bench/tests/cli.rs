@@ -1,7 +1,10 @@
 //! Command-line behavior of the bench binaries: `--help` and usage errors
-//! exit cleanly with the usage text instead of panicking, for `run_one` and
-//! for the figure binaries' shared harness (exercised through `fig5`).
+//! exit cleanly with the usage text instead of panicking, for `run_one`,
+//! the figure binaries' shared harness (exercised through `fig5`), the
+//! trace and metrics readers, and `krishnamachari`; and the two audits
+//! pass a real run's artifacts and fail on a tampered copy.
 
+use std::path::Path;
 use std::process::{Command, Output};
 
 /// A bench binary: the name its usage line gives, and its path.
@@ -9,6 +12,11 @@ type Bin = (&'static str, &'static str);
 
 const RUN_ONE: Bin = ("run_one", env!("CARGO_BIN_EXE_run_one"));
 const FIG5: Bin = ("fig5", env!("CARGO_BIN_EXE_fig5"));
+const FIG8: Bin = ("fig8", env!("CARGO_BIN_EXE_fig8"));
+const TRACE_REPORT: Bin = ("trace_report", env!("CARGO_BIN_EXE_trace_report"));
+const TRACE_AUDIT: Bin = ("trace_audit", env!("CARGO_BIN_EXE_trace_audit"));
+const METRICS_REPORT: Bin = ("metrics_report", env!("CARGO_BIN_EXE_metrics_report"));
+const KRISHNAMACHARI: Bin = ("krishnamachari", env!("CARGO_BIN_EXE_krishnamachari"));
 
 fn run((name, path): Bin, args: &[&str]) -> Output {
     Command::new(path)
@@ -51,15 +59,19 @@ fn assert_usage_error(bin: Bin, args: &[&str], needle: &str) {
 
 #[test]
 fn help_prints_the_usage_and_exits_zero() {
-    let cases = [
+    let cases: [(Bin, &[&str]); 6] = [
         (
             RUN_ONE,
-            ["--nodes", "--scheme", "--mac", "--scale", "--max-events"],
+            &["--nodes", "--scheme", "--mac", "--scale", "--max-events"],
         ),
         (
             FIG5,
-            ["--quick", "--fields", "--jobs", "--trace", "--scale"],
+            &["--quick", "--fields", "--jobs", "--trace", "--scale"],
         ),
+        (TRACE_REPORT, &["PATH", "--top", "--buckets", "--profile"]),
+        (TRACE_AUDIT, &["PATH"]),
+        (METRICS_REPORT, &["PATH", "--audit"]),
+        (KRISHNAMACHARI, &["--jobs"]),
     ];
     for (bin, documented) in cases {
         for flag in ["--help", "-h"] {
@@ -77,8 +89,16 @@ fn help_prints_the_usage_and_exits_zero() {
 
 #[test]
 fn unknown_flag_is_a_usage_error() {
-    assert_usage_error(RUN_ONE, &["--bogus"], "--bogus");
-    assert_usage_error(FIG5, &["--bogus"], "--bogus");
+    for bin in [
+        RUN_ONE,
+        FIG5,
+        TRACE_REPORT,
+        TRACE_AUDIT,
+        METRICS_REPORT,
+        KRISHNAMACHARI,
+    ] {
+        assert_usage_error(bin, &["--bogus"], "--bogus");
+    }
 }
 
 #[test]
@@ -86,6 +106,21 @@ fn missing_value_is_a_usage_error() {
     assert_usage_error(RUN_ONE, &["--nodes"], "--nodes needs a value");
     assert_usage_error(RUN_ONE, &["--seed", "7", "--svg"], "--svg needs a value");
     assert_usage_error(FIG5, &["--fields"], "--fields needs a value");
+    assert_usage_error(TRACE_REPORT, &["t/", "--top"], "--top needs a value");
+    assert_usage_error(METRICS_REPORT, &["m/", "--audit"], "--audit needs a value");
+    assert_usage_error(KRISHNAMACHARI, &["--jobs"], "--jobs needs a value");
+}
+
+#[test]
+fn a_missing_or_empty_path_is_a_usage_error() {
+    assert_usage_error(TRACE_REPORT, &["--top", "3"], "missing the trace path");
+    assert_usage_error(TRACE_AUDIT, &[], "missing the trace path");
+    assert_usage_error(METRICS_REPORT, &[], "missing the metrics path");
+    assert_usage_error(TRACE_AUDIT, &["a/", "b/"], "at most one trace path");
+    let nowhere = "/nonexistent/wsn-cli-test";
+    assert_usage_error(TRACE_REPORT, &[nowhere], "no .jsonl files");
+    assert_usage_error(TRACE_AUDIT, &[nowhere], "no .jsonl files");
+    assert_usage_error(METRICS_REPORT, &[nowhere], "no .metrics.jsonl files");
 }
 
 #[test]
@@ -96,6 +131,13 @@ fn unparsable_value_is_a_usage_error() {
     assert_usage_error(RUN_ONE, &["--mac", "tdma"], "--mac");
     assert_usage_error(RUN_ONE, &["--scale", "0"], "--scale");
     assert_usage_error(FIG5, &["--scale", "0"], "--scale must be positive");
+    assert_usage_error(TRACE_REPORT, &["t/", "--top", "x"], "--top");
+    assert_usage_error(
+        TRACE_REPORT,
+        &["t/", "--buckets", "0"],
+        "--buckets must be positive",
+    );
+    assert_usage_error(KRISHNAMACHARI, &["--jobs", "x"], "--jobs");
 }
 
 #[test]
@@ -131,5 +173,48 @@ fn run_one_writes_every_artifact() {
     let stream = std::fs::read_to_string(&metrics).expect("the metrics stream was written");
     let header = stream.lines().next().unwrap_or_default();
     assert!(header.starts_with("{\"ev\":\"mreg\""), "{header}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn audits_pass_a_real_run_and_fail_on_a_tampered_copy() {
+    let dir = std::env::temp_dir().join(format!("wsn_cli_audit_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let arg = |p: &Path| p.to_str().expect("UTF-8 temp path").to_string();
+    let (traces, metrics, tampered) = (dir.join("t"), dir.join("m"), dir.join("tampered"));
+    let (t, m) = (arg(&traces), arg(&metrics));
+    let mut fig8: Vec<&str> = "--quick --fields 1 --duration 10 --no-csv --jobs 1"
+        .split(' ')
+        .collect();
+    fig8.extend(["--trace", &t, "--metrics", &m]);
+    let out = run(FIG8, &fig8);
+    assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
+    let name = "point1_field0_greedy";
+    let trace = traces.join(format!("{name}.jsonl"));
+    let stream = arg(&metrics.join(format!("{name}.metrics.jsonl")));
+    let status = |bin: Bin, args: &[&str]| run(bin, args).status.code();
+    assert_eq!(status(TRACE_AUDIT, &[&arg(&trace)]), Some(0));
+    assert_eq!(status(METRICS_REPORT, &[&stream, "--audit", &t]), Some(0));
+
+    // Tampered copies of the trace, under the same file name.
+    let original = std::fs::read_to_string(&trace).expect("the trace was written");
+    let rx = original
+        .lines()
+        .find(|l| l.starts_with("{\"ev\":\"rx\""))
+        .expect("a 10 s run receives frames");
+    std::fs::create_dir_all(&tampered).expect("temp dir");
+    let copy = tampered.join(format!("{name}.jsonl"));
+    let write_copy = |text: String| std::fs::write(&copy, text).expect("write the tampered copy");
+    // One reception claims a sender that never transmitted it.
+    let from = rx.find("\"from\":").expect("rx names its sender") + "\"from\":".len();
+    let end = from + rx[from..].find(',').expect("more fields follow");
+    write_copy(original.replacen(rx, &format!("{}999999{}", &rx[..from], &rx[end..]), 1));
+    assert_eq!(status(TRACE_AUDIT, &[&arg(&copy)]), Some(1));
+    // One reception missing from the trace but counted by the registry.
+    write_copy(original.replacen(&format!("{rx}\n"), "", 1));
+    assert_eq!(
+        status(METRICS_REPORT, &[&stream, "--audit", &arg(&tampered)]),
+        Some(1)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -14,7 +14,9 @@
 //! * [`compare_point`] — paired greedy/opportunistic runs on identical
 //!   fields;
 //! * [`run_figure`] — regenerates any of the paper's Figures 5–10 as three
-//!   metric tables ([`run_figure_with`] for an explicit runner).
+//!   metric tables ([`run_figure_with`] for an explicit runner);
+//! * [`registry_mismatches`] — the registry↔trace audit of a run observed
+//!   with both a metrics registry and a trace.
 //!
 //! # Examples
 //!
@@ -39,11 +41,13 @@
 
 mod experiment;
 mod figures;
+mod reconcile;
 mod runner;
 mod sweep;
 
 pub use experiment::{Experiment, MetricsSetup, RunOutcome};
 pub use figures::{run_figure, run_figure_with, Figure, FigureData, FigureParams};
+pub use reconcile::registry_mismatches;
 pub use runner::{peak_rss_kb, JobError, JobReport, MetricsSpec, RunJob, Runner, TraceSpec};
 pub use sweep::{
     collect_points, compare_point, field_seed, run_sweep, sweep_jobs, ComparisonPoint, MetricKind,

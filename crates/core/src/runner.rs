@@ -70,13 +70,6 @@ pub struct RunJob {
     pub max_events: Option<u64>,
 }
 
-impl RunJob {
-    /// The scenario seed (convenience; the seed lives in [`RunJob::spec`]).
-    pub fn seed(&self) -> u64 {
-        self.spec.seed
-    }
-}
-
 /// What one completed job reports back.
 #[derive(Debug, Clone)]
 pub struct JobReport {
@@ -87,27 +80,9 @@ pub struct JobReport {
     /// Wall-clock milliseconds the job took (informational; never feeds
     /// back into results).
     pub wall_ms: f64,
-    /// Simulator events dispatched per wall-clock second — the runner's
-    /// throughput figure (informational, like [`JobReport::wall_ms`]).
-    pub events_per_sec: f64,
-    /// Where this job's trace landed ([`None`] on untraced runs).
-    pub trace_path: Option<PathBuf>,
-    /// Where this job's metrics snapshot stream landed ([`None`] without
-    /// [`Runner::metrics`]).
-    pub metrics_path: Option<PathBuf>,
-    /// Process peak RSS in KiB when the job finished (see [`peak_rss_kb`];
-    /// informational, never feeds back into results).
-    pub peak_rss_kb: Option<u64>,
-    /// The job's dispatch profile ([`None`] unless [`Runner::profile`];
-    /// wall-clock data — informational, never feeds back into results).
-    pub profile: Option<ProfileSink>,
-    /// Disconnected placements rejected while generating the job's field
-    /// (surfaced in progress output; sparse specs burn generation time
-    /// here).
-    pub field_retries: u32,
 }
 
-/// Where (and how densely) the runner writes per-job trace artifacts.
+/// Where the runner writes per-job trace artifacts.
 ///
 /// One `.jsonl` file per job lands in [`TraceSpec::dir`], named
 /// `point{x}_field{f}_{scheme}.jsonl` — the same `(point, field, scheme)`
@@ -116,28 +91,20 @@ pub struct JobReport {
 pub struct TraceSpec {
     /// Directory receiving the per-job `.jsonl` files (must already exist).
     pub dir: PathBuf,
-    /// Cadence of per-node snapshot records; `None` disables snapshots.
-    pub snapshot_every: Option<SimDuration>,
-    /// Record every kernel dispatch (high volume; off by default).
-    pub dispatch: bool,
 }
 
 impl TraceSpec {
-    /// Traces into `dir` with a 10-second snapshot cadence and no dispatch
-    /// records — the defaults behind the bench harness `--trace` flag.
+    /// Traces into `dir` — the bench harness `--trace` flag.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        TraceSpec {
-            dir: dir.into(),
-            snapshot_every: Some(SimDuration::from_secs(10)),
-            dispatch: false,
-        }
+        TraceSpec { dir: dir.into() }
     }
 
-    /// The engine-side options this spec selects.
+    /// The engine-side options every job trace uses: a 10-second snapshot
+    /// cadence and no dispatch records.
     pub fn options(&self) -> TraceOptions {
         TraceOptions {
-            snapshot_every: self.snapshot_every,
-            dispatch: self.dispatch,
+            snapshot_every: Some(SimDuration::from_secs(10)),
+            dispatch: false,
         }
     }
 
@@ -150,29 +117,24 @@ impl TraceSpec {
     }
 }
 
-/// Where (and how densely) the runner writes per-job metrics artifacts.
+/// Where the runner writes per-job metrics artifacts.
 ///
 /// One `.metrics.jsonl` file per job lands in [`MetricsSpec::dir`], named
 /// `point{x}_field{f}_{scheme}.metrics.jsonl` — the suffix keeps metrics
 /// and trace artifacts distinguishable even when both share a directory.
-/// Reduce a metrics directory with the `metrics_report` binary.
+/// Every job records with the default [`MetricsOptions`] (10-second
+/// snapshots). Reduce a metrics directory with the `metrics_report` binary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSpec {
     /// Directory receiving the per-job `.metrics.jsonl` files (must already
     /// exist).
     pub dir: PathBuf,
-    /// Engine-side cadence and flight-ring options.
-    pub opts: MetricsOptions,
 }
 
 impl MetricsSpec {
-    /// Metrics into `dir` with the default 10-second snapshot cadence —
-    /// the defaults behind the bench harness `--metrics` flag.
+    /// Metrics into `dir` — the bench harness `--metrics` flag.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        MetricsSpec {
-            dir: dir.into(),
-            opts: MetricsOptions::default(),
-        }
+        MetricsSpec { dir: dir.into() }
     }
 
     /// The metrics-file path for one job's coordinates.
@@ -232,9 +194,9 @@ pub struct Runner {
     /// default) runs without in-sim metrics.
     pub metrics: Option<MetricsSpec>,
     /// Attach a wall-clock dispatch profiler to every job. The profile
-    /// reaches [`JobReport::profile`], the progress stream, and — when
-    /// tracing too — the trace's `profile` records. Off by default: profile
-    /// numbers are nondeterministic by nature.
+    /// reaches the progress stream and — when tracing too — the trace's
+    /// `profile` records. Off by default: profile numbers are
+    /// nondeterministic by nature.
     pub profile: bool,
 }
 
@@ -305,12 +267,15 @@ impl Runner {
             .trace
             .as_ref()
             .map(|spec| spec.job_path(job.point_x, job.field_index, job.scheme));
-        let trace = self.trace.as_ref().map(|spec| {
-            let path = trace_path.as_ref().expect("trace spec implies a path");
-            let sink = JsonlSink::create(path)
-                .unwrap_or_else(|e| panic!("cannot create trace file {}: {e}", path.display()));
-            (wsn_trace::shared(sink), spec.options())
-        });
+        let trace = self
+            .trace
+            .as_ref()
+            .zip(trace_path.as_ref())
+            .map(|(spec, path)| {
+                let sink = JsonlSink::create(path)
+                    .unwrap_or_else(|e| panic!("cannot create trace file {}: {e}", path.display()));
+                (wsn_trace::shared(sink), spec.options())
+            });
         let profile = self
             .profile
             .then(|| wsn_sim::shared_profile(ProfileSink::new()));
@@ -318,12 +283,11 @@ impl Runner {
             .metrics
             .as_ref()
             .map(|spec| spec.job_path(job.point_x, job.field_index, job.scheme));
-        let metrics = self.metrics.as_ref().map(|spec| {
-            let path = metrics_path.as_ref().expect("metrics spec implies a path");
+        let metrics = metrics_path.as_ref().map(|path| {
             let file = std::fs::File::create(path)
                 .unwrap_or_else(|e| panic!("cannot create metrics file {}: {e}", path.display()));
             MetricsSetup {
-                opts: spec.opts,
+                opts: MetricsOptions::default(),
                 out: Some(Box::new(std::io::BufWriter::new(file))),
             }
         });
@@ -335,23 +299,23 @@ impl Runner {
             metrics,
         );
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        // The handle never escapes the job; pull the data back out of it.
-        let profile = profile.map(|p| p.borrow().clone());
-        let peak_rss = peak_rss_kb();
         // Progress lines carry the artifact paths so a consumer tailing the
         // stream can go straight from a finished (or failed) job to its
-        // trace or metrics without re-deriving the naming scheme.
-        let trace_json = trace_path
-            .as_ref()
-            .map(|p| format!(",\"trace\":{}", json_string(&p.display().to_string())))
-            .unwrap_or_default();
-        let metrics_json = metrics_path
-            .as_ref()
-            .map(|p| format!(",\"metrics\":{}", json_string(&p.display().to_string())))
-            .unwrap_or_default();
-        let rss_json = peak_rss
-            .map(|kb| format!(",\"peak_rss_kb\":{kb}"))
-            .unwrap_or_default();
+        // trace or metrics without re-deriving the naming scheme, and the
+        // process peak RSS when the job finished.
+        let artifacts_json = if self.progress {
+            let path_json = |key: &str, path: &Option<PathBuf>| {
+                path.as_ref()
+                    .map(|p| format!(",\"{key}\":{}", json_string(&p.display().to_string())))
+                    .unwrap_or_default()
+            };
+            let rss_json = peak_rss_kb()
+                .map(|kb| format!(",\"peak_rss_kb\":{kb}"))
+                .unwrap_or_default();
+            path_json("trace", &trace_path) + &path_json("metrics", &metrics_path) + &rss_json
+        } else {
+            String::new()
+        };
         match result {
             Ok((outcome, _registry)) => {
                 let events = outcome.accounting.events_processed;
@@ -359,41 +323,33 @@ impl Runner {
                     metrics: outcome.record.metrics(),
                     accounting: outcome.accounting,
                     wall_ms,
-                    events_per_sec: events_per_sec(events, wall_ms),
-                    trace_path,
-                    metrics_path,
-                    peak_rss_kb: peak_rss,
-                    profile,
-                    field_retries: outcome.field_retries,
                 };
                 if self.progress {
-                    let profile_json = report
-                        .profile
-                        .as_ref()
-                        .and_then(|p| p.hottest().map(|(label, _)| (label, p.total_ns())))
-                        .map(|(label, total_ns)| {
-                            format!(
-                                ",\"profile_ns\":{},\"hottest\":{}",
-                                total_ns,
-                                json_string(label)
-                            )
+                    let profile_json = profile
+                        .and_then(|p| {
+                            let p = p.borrow();
+                            p.hottest().map(|(label, _)| {
+                                format!(
+                                    ",\"profile_ns\":{},\"hottest\":{}",
+                                    p.total_ns(),
+                                    json_string(label)
+                                )
+                            })
                         })
                         .unwrap_or_default();
                     eprintln!(
                         "{{\"job\":\"done\",\"point\":{},\"field\":{},\"scheme\":\"{}\",\
                          \"events\":{},\"sim_s\":{:.1},\"wall_ms\":{:.1},\"events_per_sec\":{:.0},\
-                         \"field_retries\":{}{}{}{}{}}}",
+                         \"field_retries\":{}{}{}}}",
                         job.point_x,
                         job.field_index,
                         job.scheme,
                         events,
                         report.accounting.final_time.as_secs_f64(),
                         wall_ms,
-                        report.events_per_sec,
-                        report.field_retries,
-                        trace_json,
-                        metrics_json,
-                        rss_json,
+                        events_per_sec(events, wall_ms),
+                        outcome.field_retries,
+                        artifacts_json,
                         profile_json,
                     );
                 }
@@ -403,16 +359,14 @@ impl Runner {
                 if self.progress {
                     eprintln!(
                         "{{\"job\":\"error\",\"point\":{},\"field\":{},\"scheme\":\"{}\",\
-                         \"events\":{},\"sim_s\":{:.1},\"wall_ms\":{:.1},\"error\":\"budget\"{}{}{}}}",
+                         \"events\":{},\"sim_s\":{:.1},\"wall_ms\":{:.1},\"error\":\"budget\"{}}}",
                         job.point_x,
                         job.field_index,
                         job.scheme,
                         cause.events_processed,
                         cause.sim_time.as_secs_f64(),
                         wall_ms,
-                        trace_json,
-                        metrics_json,
-                        rss_json,
+                        artifacts_json,
                     );
                 }
                 Err(JobError {

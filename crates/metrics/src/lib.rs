@@ -56,16 +56,3 @@ pub use registry::{CounterId, GaugeId, HistId, MetricDesc, MetricType, MetricsRe
 pub use snapshot::{MetricsLine, SnapshotEncoder, METRICS_WIRE_VERSION};
 pub use stats::Summary;
 pub use table::{FigureRow, FigureTable};
-
-/// Joules → integer nanojoules, the unit the registry counts energy in.
-///
-/// Used at the meter-debit site *and* when re-deriving totals from parsed
-/// trace floats: trace floats are written with shortest-round-trip
-/// formatting, so `str::parse::<f64>()` returns the exact debited value
-/// and the per-debit rounding here reproduces the registry's integer sum
-/// bit-for-bit — which is what makes the zero-tolerance energy audit
-/// possible.
-#[inline]
-pub fn joules_to_nj(joules: f64) -> u64 {
-    (joules * 1e9).round() as u64
-}

@@ -22,15 +22,10 @@ pub enum RadioState {
 }
 
 impl RadioState {
-    /// The state's short name as it appears in trace records — matches
-    /// `wsn_trace::ENERGY_STATES` ("off", "idle", "rx", "tx").
+    /// The state's short name as it appears in trace records, from
+    /// [`wsn_trace::ENERGY_STATES`] ("off", "idle", "rx", "tx").
     pub fn name(self) -> &'static str {
-        match self {
-            RadioState::Off => "off",
-            RadioState::Idle => "idle",
-            RadioState::Receiving => "rx",
-            RadioState::Transmitting => "tx",
-        }
+        wsn_trace::ENERGY_STATES[state_index(self)]
     }
 }
 

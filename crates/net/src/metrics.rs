@@ -18,7 +18,7 @@ use std::io::Write;
 
 use wsn_metrics::{CounterId, FlightRecorder, GaugeId, HistId, MetricsRegistry, SnapshotEncoder};
 use wsn_sim::SimDuration;
-use wsn_trace::DropReason;
+use wsn_trace::{DropReason, ENERGY_STATES, FRAME_KINDS};
 
 use crate::mac::MacKind;
 
@@ -123,15 +123,15 @@ impl NetMetricIds {
     /// Registers the full PHY/MAC/engine metric set on `reg`. `mac` labels
     /// the queue-depth gauge with the run's MAC kind.
     pub fn register(reg: &mut MetricsRegistry, mac: MacKind) -> NetMetricIds {
-        let frames_tx = ["data", "ack", "rts", "cts"]
-            .map(|kind| reg.counter(&format!("phy.frames_tx{{kind={kind}}}")));
+        let frames_tx =
+            FRAME_KINDS.map(|kind| reg.counter(&format!("phy.frames_tx{{kind={kind}}}")));
         let frames_rx = reg.counter("phy.frames_rx");
         let collisions = reg.counter("phy.collisions");
         let busy_samples = reg.counter("phy.busy_samples");
         let drops =
             DropReason::ALL.map(|r| reg.counter(&format!("phy.drops{{reason={}}}", r.name())));
-        let energy_nj = ["off", "idle", "rx", "tx"]
-            .map(|state| reg.counter(&format!("phy.energy_nj{{state={state}}}")));
+        let energy_nj =
+            ENERGY_STATES.map(|state| reg.counter(&format!("phy.energy_nj{{state={state}}}")));
         NetMetricIds {
             frames_tx,
             frames_rx,

@@ -74,16 +74,11 @@ pub(crate) enum Frame<M> {
 impl<M> Frame<M> {
     /// The frame kind tag used in trace records.
     fn kind(&self) -> &'static str {
-        match self {
-            Frame::Payload(_) => "data",
-            Frame::Ack { .. } => "ack",
-            Frame::Rts { .. } => "rts",
-            Frame::Cts { .. } => "cts",
-        }
+        wsn_trace::FRAME_KINDS[self.kind_index()]
     }
 
-    /// Index into the `phy.frames_tx{kind=..}` counter array — same order
-    /// as the registration in [`NetMetricIds`](crate::NetMetricIds).
+    /// Index into [`wsn_trace::FRAME_KINDS`] and the `phy.frames_tx{kind=..}`
+    /// counter array registered from it in [`NetMetricIds`](crate::NetMetricIds).
     fn kind_index(&self) -> usize {
         match self {
             Frame::Payload(_) => 0,
@@ -157,7 +152,7 @@ fn update_meter_at(
         if let Some(m) = metrics {
             m.reg.add(
                 m.ids.energy_nj[state_index(prev)],
-                wsn_metrics::joules_to_nj(joules),
+                wsn_trace::joules_to_nj(joules),
             );
         }
         emit_to(

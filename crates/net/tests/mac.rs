@@ -11,7 +11,7 @@ use wsn_net::{
     Ctx, MacKind, NetConfig, Network, NodeId, Packet, Position, Protocol, Topology, TraceOptions,
 };
 use wsn_sim::{SimDuration, SimTime};
-use wsn_trace::{parse_line, JsonlSink, SharedSink};
+use wsn_trace::{DropReason, JsonlSink, SharedSink, TraceRecord};
 
 /// Minimal scripted protocol: sends on timers, records receptions.
 #[derive(Debug, Default)]
@@ -73,6 +73,19 @@ fn run_traced(net: &mut Network<Probe>, end: SimTime) -> String {
     String::from_utf8(bytes).expect("traces are ASCII JSON")
 }
 
+/// The nodes of the trace's `drop` records blaming `reason`.
+fn drops(text: &str, reason: DropReason) -> Vec<u32> {
+    let decode = |l: &str| TraceRecord::from_json(l).unwrap_or_else(|e| panic!("{e}: {l}"));
+    text.lines()
+        .filter_map(|l| match decode(l) {
+            TraceRecord::PacketDrop {
+                node, reason: r, ..
+            } if r == reason => Some(node),
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
 fn retry_exhaustion_drop_is_attributed_in_the_trace() {
     // Unicast into a dead (but in-range) node: the ARQ exhausts its retries
@@ -87,13 +100,11 @@ fn retry_exhaustion_drop_is_attributed_in_the_trace() {
     net.schedule_down(SimTime::from_nanos(1), NodeId(1));
     let text = run_traced(&mut net, SimTime::from_secs(3));
 
-    let retry_drops: Vec<_> = text
-        .lines()
-        .filter_map(parse_line)
-        .filter(|p| p.tag() == Some("drop") && p.str_field("reason") == Some("retry_limit"))
-        .collect();
-    assert_eq!(retry_drops.len(), 1, "exactly one exhausted ARQ:\n{text}");
-    assert_eq!(retry_drops[0].u32_field("node"), Some(0));
+    assert_eq!(
+        drops(&text, DropReason::RetryLimit),
+        vec![0],
+        "exactly one exhausted ARQ, at node 0:\n{text}"
+    );
     assert_eq!(
         net.protocol(NodeId(0)).failed_unicasts,
         vec![(NodeId(1), 5)]
@@ -152,10 +163,7 @@ fn ideal_mac_is_collision_free_and_lossless_on_an_uncontended_link() {
     // Never a collision — neither in the stats nor in the trace.
     assert_eq!(net.stats().collisions, 0);
     assert!(
-        !text
-            .lines()
-            .filter_map(parse_line)
-            .any(|p| { p.tag() == Some("drop") && p.str_field("reason") == Some("collision") }),
+        drops(&text, DropReason::Collision).is_empty(),
         "ideal MAC traced a collision:\n{text}"
     );
 

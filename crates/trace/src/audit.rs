@@ -3,13 +3,17 @@
 //! A schema-v2 trace is a *self-verifying artifact*: it carries both the
 //! raw causal record (transmissions, receptions, losses, lineage births
 //! and deaths, energy debits) and the metrics the run reported (`metrics`
-//! and `run_end` lines). The [`Auditor`] replays the record and checks that
-//! the two agree:
+//! and `run_end` lines). The [`Auditor`] decodes each line into a typed
+//! [`TraceRecord`], replays it, and checks that the two agree. Every count
+//! it reports comes from the trace's one reduction, a [`TraceSummary`] it
+//! folds alongside; the auditor itself keeps only invariant state.
 //!
-//! 1. **Framing** — exactly one `run_start` (first) with the current
-//!    [`crate::SCHEMA_VERSION`], exactly one `run_end` (last), and — when
-//!    dispatch records were enabled — a dispatch count equal to the
-//!    `run_end` event count.
+//! 1. **Framing** — exactly one `run_start` (first), exactly one `run_end`
+//!    (last), every record line decodes (a line tagged as a record that
+//!    breaks the schema — a missing field, an unknown label, a `run_start`
+//!    of another [`crate::SCHEMA_VERSION`] — is a violation, while foreign
+//!    lines are skipped), and — when dispatch records were enabled — a
+//!    dispatch count equal to the `run_end` event count.
 //! 2. **Rx ⇔ tx pairing** — every reception (and every collision /
 //!    retry-limit drop that names a transmission) refers to a transmission
 //!    already on the air, from the sender the record claims, with the same
@@ -31,12 +35,11 @@
 //! order the simulator used (see `DESIGN.md` §13), which is what makes
 //! exact — not approximate — comparison possible.
 
-use std::collections::BTreeMap;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
-use crate::parse::parse_line;
-use crate::record::{DropReason, ENERGY_STATES, SCHEMA_VERSION};
+use crate::record::{DecodeError, DropReason, TraceRecord};
+use crate::report::TraceSummary;
 
 /// How far apart the debit sum and the harvested `metrics` energy total may
 /// drift (the harvest precedes the final interval close-out; see module
@@ -140,44 +143,13 @@ struct TxInfo {
     t_ns: u64,
 }
 
-/// The reported `metrics` line, as parsed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReportedMetrics {
-    /// Events generated across all sources.
-    pub generated: u64,
-    /// Distinct events delivered, summed over sinks.
-    pub distinct: u64,
-    /// Sum of per-event delivery delays over all sinks, seconds.
-    pub delay_sum_s: f64,
-    /// Number of sinks in the scenario.
-    pub sinks: u32,
-    /// Total energy as harvested into the run record, joules.
-    pub total_energy_j: f64,
-}
-
 /// The outcome of auditing one trace.
 #[derive(Debug, Clone, Default)]
 pub struct AuditReport {
-    /// Lines consumed (including unparsable ones).
+    /// Non-blank lines consumed, records or not.
     pub lines: u64,
-    /// Lines that did not parse as trace records.
-    pub skipped_lines: u64,
-    /// Transmissions replayed.
-    pub tx: u64,
-    /// Receptions replayed (each paired with its transmission).
-    pub rx: u64,
-    /// Frame drops replayed, per [`DropReason`] wire label.
-    pub frame_drops: BTreeMap<&'static str, u64>,
-    /// Item drops replayed, per [`DropReason`] wire label.
-    pub item_drops: BTreeMap<&'static str, u64>,
-    /// Lineage ids born (`event_gen` lines).
-    pub generated: u64,
-    /// Deliveries replayed (`deliver` lines).
-    pub delivered: u64,
-    /// The per-state, per-node energy debit sum, joules.
-    pub debited_j: f64,
-    /// The reported `metrics` line, when the trace carried one.
-    pub metrics: Option<ReportedMetrics>,
+    /// The trace's reduction: every count the audit reports.
+    pub summary: TraceSummary,
     /// Every broken invariant, in replay order.
     pub violations: Vec<Violation>,
 }
@@ -191,23 +163,29 @@ impl AuditReport {
     /// Renders the audit verdict as a short human-readable block.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
+        let s = &self.summary;
         let mut out = String::new();
         let _ = writeln!(
             out,
             "lines {} (skipped {}), tx {}, rx {}, generated {}, delivered {}",
-            self.lines, self.skipped_lines, self.tx, self.rx, self.generated, self.delivered
+            self.lines,
+            s.skipped_lines,
+            s.node_total(|t| t.tx),
+            s.node_total(|t| t.rx),
+            s.events_generated,
+            s.delivered
         );
-        let frame: u64 = self.frame_drops.values().sum();
-        let item: u64 = self.item_drops.values().sum();
+        let frame: u64 = s.drop_reasons.values().sum();
+        let item: u64 = s.item_drop_reasons.values().sum();
         let _ = writeln!(out, "frame drops {frame}, item drops {item}:");
         for reason in DropReason::ALL {
-            let f = self.frame_drops.get(reason.name()).copied().unwrap_or(0);
-            let i = self.item_drops.get(reason.name()).copied().unwrap_or(0);
+            let f = s.drop_reasons.get(reason.name()).copied().unwrap_or(0);
+            let i = s.item_drop_reasons.get(reason.name()).copied().unwrap_or(0);
             if f > 0 || i > 0 {
                 let _ = writeln!(out, "  {:<18} frames {f:>8}  items {i:>8}", reason.name());
             }
         }
-        let _ = writeln!(out, "debited energy {:.9} J", self.debited_j);
+        let _ = writeln!(out, "debited energy {:.9} J", s.total_energy_j());
         if self.ok() {
             let _ = writeln!(out, "verdict: OK (0 violations)");
         } else {
@@ -224,21 +202,16 @@ impl AuditReport {
 #[derive(Debug, Default)]
 pub struct Auditor {
     report: AuditReport,
-    saw_run_start: bool,
-    run_end: Option<(u64, f64)>,
     records_after_end: u64,
-    dispatches: u64,
     /// Transmissions on the air, by tx id.
     txs: HashMap<u64, TxInfo>,
     /// Birth time of each lineage id, keyed `(src, seq)`.
     births: HashMap<(u32, u32), u64>,
     /// Delivered `(sink, src, seq)` triples (for duplicate detection).
-    deliveries: HashMap<(u32, u32, u32), u64>,
+    deliveries: HashSet<(u32, u32, u32)>,
     /// Per-sink delay sums, accumulated in arrival order (the same
     /// association order `SinkStats` used), keyed by sink node id.
     sink_delay_s: BTreeMap<u32, f64>,
-    /// Per-node, per-state debit sums in [`ENERGY_STATES`] order.
-    node_energy: BTreeMap<u32, [f64; 4]>,
 }
 
 impl Auditor {
@@ -247,163 +220,121 @@ impl Auditor {
         Auditor::default()
     }
 
-    /// Replays one NDJSON line.
+    /// Decodes and replays one NDJSON line. A foreign line is skipped; a
+    /// record line that fails to decode is a [`Violation::Framing`].
     pub fn add_line(&mut self, line: &str) {
         if line.trim().is_empty() {
             return;
         }
         self.report.lines += 1;
-        let Some(p) = parse_line(line) else {
-            self.report.skipped_lines += 1;
-            return;
-        };
-        let Some(tag) = p.tag() else {
-            self.report.skipped_lines += 1;
-            return;
-        };
-        if !self.saw_run_start && tag != "run_start" {
+        match TraceRecord::from_json(line) {
+            Ok(rec) => self.replay(&rec),
+            Err(err) => {
+                self.report.summary.skipped_lines += 1;
+                if let DecodeError::Invalid(msg) = err {
+                    let at = self.report.lines;
+                    self.violation(Violation::Framing(format!("line {at}: {msg}")));
+                }
+            }
+        }
+    }
+
+    /// Checks one record's invariants, then folds it into the summary.
+    fn replay(&mut self, rec: &TraceRecord) {
+        let tag = rec.tag();
+        if self.report.summary.records == 0 && tag != "run_start" {
             self.violation(Violation::Framing(format!(
                 "first record is {tag:?}, expected run_start"
             )));
-            self.saw_run_start = true; // report the misplacement once
         }
-        if self.run_end.is_some() {
+        if self.report.summary.run_end.is_some() {
             self.records_after_end += 1;
         }
-        let t_ns = p.u64_field("t_ns").unwrap_or(0);
-        let node = p.u32_field("node").unwrap_or(0);
-        match tag {
-            "run_start" => {
-                if self.saw_run_start {
-                    self.violation(Violation::Framing("duplicate run_start".into()));
-                }
-                self.saw_run_start = true;
-                match p.u64_field("v") {
-                    Some(v) if v == u64::from(SCHEMA_VERSION) => {}
-                    v => self.violation(Violation::Framing(format!(
-                        "schema version {v:?}, expected {SCHEMA_VERSION}"
-                    ))),
-                }
+        match *rec {
+            TraceRecord::RunStart { .. } if self.report.summary.seed.is_some() => {
+                self.violation(Violation::Framing("duplicate run_start".into()))
             }
-            "dispatch" => self.dispatches += 1,
-            "tx" => {
-                self.report.tx += 1;
-                if let Some(tx) = p.u64_field("tx") {
-                    self.txs.insert(
-                        tx,
-                        TxInfo {
-                            node,
-                            bytes: p.u32_field("bytes").unwrap_or(0),
-                            t_ns,
-                        },
-                    );
-                } else {
-                    self.violation(Violation::TxPairing {
-                        t_ns,
-                        node,
-                        tx: 0,
-                        detail: "tx record without a tx id".into(),
-                    });
-                }
+            TraceRecord::PacketTx {
+                t_ns,
+                node,
+                tx,
+                bytes,
+                ..
+            } => {
+                self.txs.insert(tx, TxInfo { node, bytes, t_ns });
             }
-            "rx" => {
-                self.report.rx += 1;
-                let tx = p.u64_field("tx").unwrap_or(u64::MAX);
+            TraceRecord::PacketRx {
+                t_ns,
+                node,
+                from,
+                tx,
+                bytes,
+            } => {
+                let pairing = |detail: String| Violation::TxPairing {
+                    t_ns,
+                    node,
+                    tx,
+                    detail,
+                };
                 match self.txs.get(&tx).copied() {
-                    None => self.violation(Violation::TxPairing {
-                        t_ns,
-                        node,
-                        tx,
-                        detail: "rx names a transmission never put on the air".into(),
-                    }),
+                    None => self.violation(pairing(
+                        "rx names a transmission never put on the air".into(),
+                    )),
                     Some(info) => {
-                        if p.u32_field("from") != Some(info.node) {
-                            self.violation(Violation::TxPairing {
-                                t_ns,
-                                node,
-                                tx,
-                                detail: format!(
-                                    "rx claims sender {:?}, transmission came from {}",
-                                    p.u32_field("from"),
-                                    info.node
-                                ),
-                            });
+                        if from != info.node {
+                            self.violation(pairing(format!(
+                                "rx claims sender {from}, transmission came from {}",
+                                info.node
+                            )));
                         }
-                        if p.u32_field("bytes") != Some(info.bytes) {
-                            self.violation(Violation::TxPairing {
-                                t_ns,
-                                node,
-                                tx,
-                                detail: format!(
-                                    "rx bytes {:?} != tx bytes {}",
-                                    p.u32_field("bytes"),
-                                    info.bytes
-                                ),
-                            });
+                        if bytes != info.bytes {
+                            self.violation(pairing(format!(
+                                "rx bytes {bytes} != tx bytes {}",
+                                info.bytes
+                            )));
                         }
                         if t_ns <= info.t_ns {
-                            self.violation(Violation::TxPairing {
-                                t_ns,
-                                node,
-                                tx,
-                                detail: format!("rx at {t_ns} not after tx start {}", info.t_ns),
-                            });
+                            self.violation(pairing(format!(
+                                "rx at {t_ns} not after tx start {}",
+                                info.t_ns
+                            )));
                         }
                     }
                 }
             }
-            "drop" => {
-                let reason = p
-                    .str_field("reason")
-                    .and_then(DropReason::parse)
-                    .unwrap_or(DropReason::Budget);
-                *self.report.frame_drops.entry(reason.name()).or_insert(0) += 1;
-                if let Some(tx) = p.u64_field("tx") {
-                    if !self.txs.contains_key(&tx) {
-                        self.violation(Violation::TxPairing {
-                            t_ns,
-                            node,
-                            tx,
-                            detail: "drop names a transmission never put on the air".into(),
-                        });
-                    }
-                }
+            TraceRecord::PacketDrop {
+                t_ns,
+                node,
+                tx: Some(tx),
+                ..
+            } if !self.txs.contains_key(&tx) => self.violation(Violation::TxPairing {
+                t_ns,
+                node,
+                tx,
+                detail: "drop names a transmission never put on the air".into(),
+            }),
+            TraceRecord::ItemDrop { node, src, seq, .. }
+                if !self.births.contains_key(&(src, seq)) =>
+            {
+                self.violation(Violation::Lineage(format!(
+                    "item_drop at node {node} names unborn lineage {src}#{seq}"
+                )))
             }
-            "item_drop" => {
-                let reason = p
-                    .str_field("reason")
-                    .and_then(DropReason::parse)
-                    .unwrap_or(DropReason::Budget);
-                *self.report.item_drops.entry(reason.name()).or_insert(0) += 1;
-                if let (Some(src), Some(seq)) = (p.u32_field("src"), p.u32_field("seq")) {
-                    if !self.births.contains_key(&(src, seq)) {
-                        self.violation(Violation::Lineage(format!(
-                            "item_drop at node {node} names unborn lineage {src}#{seq}"
-                        )));
-                    }
-                }
-            }
-            "energy" => {
-                if let (Some(state), Some(j)) = (p.str_field("state"), p.f64_field("joules")) {
-                    if let Some(si) = ENERGY_STATES.iter().position(|&s| s == state) {
-                        self.node_energy.entry(node).or_insert([0.0; 4])[si] += j;
-                    }
-                }
-            }
-            "event_gen" => {
-                self.report.generated += 1;
-                let seq = p.u32_field("seq").unwrap_or(0);
-                if self.births.insert((node, seq), t_ns).is_some() {
+            TraceRecord::EventGen { t_ns, node, seq } => {
+                let reborn = self.births.insert((node, seq), t_ns).is_some();
+                if reborn {
                     self.violation(Violation::Lineage(format!(
                         "lineage {node}#{seq} generated twice"
                     )));
                 }
             }
-            "deliver" => {
-                self.report.delivered += 1;
-                let src = p.u32_field("src").unwrap_or(0);
-                let seq = p.u32_field("seq").unwrap_or(0);
-                let gen_ns = p.u64_field("gen_ns").unwrap_or(0);
+            TraceRecord::EventDeliver {
+                t_ns,
+                node,
+                src,
+                seq,
+                gen_ns,
+            } => {
                 match self.births.get(&(src, seq)) {
                     None => self.violation(Violation::Lineage(format!(
                         "sink {node} delivered unborn lineage {src}#{seq}"
@@ -413,7 +344,7 @@ impl Auditor {
                     ))),
                     Some(_) => {}
                 }
-                if self.deliveries.insert((node, src, seq), t_ns).is_some() {
+                if !self.deliveries.insert((node, src, seq)) {
                     self.violation(Violation::Lineage(format!(
                         "sink {node} delivered lineage {src}#{seq} twice"
                     )));
@@ -424,48 +355,18 @@ impl Auditor {
                 let delay_s = t_ns.saturating_sub(gen_ns) as f64 / 1e9;
                 *self.sink_delay_s.entry(node).or_insert(0.0) += delay_s;
             }
-            "metrics" => {
-                if let (
-                    Some(generated),
-                    Some(distinct),
-                    Some(delay_sum_s),
-                    Some(sinks),
-                    Some(total),
-                ) = (
-                    p.u64_field("generated"),
-                    p.u64_field("distinct"),
-                    p.f64_field("delay_sum_s"),
-                    p.u32_field("sinks"),
-                    p.f64_field("total_energy_j"),
-                ) {
-                    self.report.metrics = Some(ReportedMetrics {
-                        generated,
-                        distinct,
-                        delay_sum_s,
-                        sinks,
-                        total_energy_j: total,
-                    });
-                } else {
-                    self.violation(Violation::Framing(
-                        "metrics record with missing fields".into(),
-                    ));
-                }
-            }
-            "run_end" => {
-                if self.run_end.is_some() {
+            TraceRecord::RunEnd { .. } => {
+                if self.report.summary.run_end.is_some() {
                     self.violation(Violation::Framing("duplicate run_end".into()));
                 }
-                self.run_end = Some((
-                    p.u64_field("events").unwrap_or(0),
-                    p.f64_field("total_energy_j").unwrap_or(f64::NAN),
-                ));
                 self.records_after_end = 0;
             }
-            // Structural records with no conservation invariant of their own.
-            "enq" | "collision" | "reinforce" | "tree_edge" | "agg_merge" | "snapshot"
-            | "profile" => {}
-            other => self.violation(Violation::Framing(format!("unknown record tag {other:?}"))),
+            // The summary alone reduces the rest: structural records with
+            // no conservation invariant of their own, and the reported
+            // totals that `finish` checks.
+            _ => {}
         }
+        self.report.summary.add_record(rec);
     }
 
     fn violation(&mut self, v: Violation) {
@@ -474,100 +375,106 @@ impl Auditor {
 
     /// Runs the end-of-trace checks and returns the report.
     pub fn finish(mut self) -> AuditReport {
-        if !self.saw_run_start {
-            self.violation(Violation::Framing("empty trace (no run_start)".into()));
+        let end = self.end_violations();
+        self.report.violations.extend(end);
+        self.report
+    }
+
+    /// The framing, energy and lineage checks over the whole replay.
+    fn end_violations(&self) -> Vec<Violation> {
+        let s = &self.report.summary;
+        let mut out = Vec::new();
+        if s.seed.is_none() {
+            out.push(Violation::Framing("no run_start".into()));
         }
-        let Some((events, reported_total)) = self.run_end else {
-            self.violation(Violation::Framing("missing run_end".into()));
-            return self.report;
+        let Some((events, reported_total)) = s.run_end else {
+            out.push(Violation::Framing("missing run_end".into()));
+            return out;
         };
         if self.records_after_end > 0 {
-            self.violation(Violation::Framing(format!(
+            out.push(Violation::Framing(format!(
                 "{} record(s) after run_end",
                 self.records_after_end
             )));
         }
-        if self.dispatches > 0 && self.dispatches != events {
-            self.violation(Violation::Count {
+        if s.dispatches > 0 && s.dispatches != events {
+            out.push(Violation::Count {
                 what: "dispatched events",
-                recomputed: self.dispatches,
+                recomputed: s.dispatches,
                 reported: events,
             });
         }
         // Energy conservation: per node, states summed in ENERGY_STATES
         // order; nodes summed in node order — the meter's own association
         // order, so the comparison against run_end is exact.
-        let debited: f64 = self
-            .node_energy
-            .values()
-            .map(|by_state| by_state.iter().sum::<f64>())
-            .sum();
-        self.report.debited_j = debited;
+        let debited = s.total_energy_j();
         if debited != reported_total {
-            self.violation(Violation::Energy {
+            out.push(Violation::Energy {
                 against: "run_end total",
                 debited,
                 reported: reported_total,
             });
         }
         // Lineage conservation against the harvested metrics.
-        if let Some(m) = self.report.metrics {
-            if (debited - m.total_energy_j).abs() > ENERGY_DRIFT_TOLERANCE_J {
-                self.violation(Violation::Energy {
-                    against: "harvested metrics total",
-                    debited,
-                    reported: m.total_energy_j,
-                });
+        let Some(m) = s.metrics else {
+            if s.events_generated > 0 || s.delivered > 0 {
+                out.push(Violation::Framing(
+                    "trace has lineage records but no metrics record".into(),
+                ));
             }
-            if self.report.generated != m.generated {
-                self.violation(Violation::Count {
-                    what: "generated events",
-                    recomputed: self.report.generated,
-                    reported: m.generated,
-                });
-            }
-            if self.report.delivered != m.distinct {
-                self.violation(Violation::Count {
-                    what: "distinct deliveries",
-                    recomputed: self.report.delivered,
-                    reported: m.distinct,
-                });
-            }
-            // Cross-sink sum in node-id order — Experiment's harvest order.
-            let delay_sum: f64 = self.sink_delay_s.values().sum();
-            if delay_sum != m.delay_sum_s {
-                self.violation(Violation::Metric {
-                    what: "delay sum (s)",
-                    recomputed: delay_sum,
-                    reported: m.delay_sum_s,
-                });
-            }
-            // The paper's derived metrics, by the RunRecord::metrics
-            // formulas, from recomputed vs reported inputs.
-            let recomputed_ratio = ratio(self.report.delivered, self.report.generated, m.sinks);
-            let reported_ratio = ratio(m.distinct, m.generated, m.sinks);
-            if recomputed_ratio != reported_ratio {
-                self.violation(Violation::Metric {
-                    what: "delivery ratio",
-                    recomputed: recomputed_ratio,
-                    reported: reported_ratio,
-                });
-            }
-            let recomputed_delay = avg_delay(delay_sum, self.report.delivered);
-            let reported_delay = avg_delay(m.delay_sum_s, m.distinct);
-            if recomputed_delay != reported_delay {
-                self.violation(Violation::Metric {
-                    what: "average delay (s)",
-                    recomputed: recomputed_delay,
-                    reported: reported_delay,
-                });
-            }
-        } else if self.report.generated > 0 || self.report.delivered > 0 {
-            self.violation(Violation::Framing(
-                "trace has lineage records but no metrics record".into(),
-            ));
+            return out;
+        };
+        if (debited - m.total_energy_j).abs() > ENERGY_DRIFT_TOLERANCE_J {
+            out.push(Violation::Energy {
+                against: "harvested metrics total",
+                debited,
+                reported: m.total_energy_j,
+            });
         }
-        self.report
+        if s.events_generated != m.generated {
+            out.push(Violation::Count {
+                what: "generated events",
+                recomputed: s.events_generated,
+                reported: m.generated,
+            });
+        }
+        if s.delivered != m.distinct {
+            out.push(Violation::Count {
+                what: "distinct deliveries",
+                recomputed: s.delivered,
+                reported: m.distinct,
+            });
+        }
+        // Cross-sink sum in node-id order — Experiment's harvest order.
+        let delay_sum: f64 = self.sink_delay_s.values().sum();
+        if delay_sum != m.delay_sum_s {
+            out.push(Violation::Metric {
+                what: "delay sum (s)",
+                recomputed: delay_sum,
+                reported: m.delay_sum_s,
+            });
+        }
+        // The paper's derived metrics, by the RunRecord::metrics formulas,
+        // from recomputed vs reported inputs.
+        let recomputed_ratio = ratio(s.delivered, s.events_generated, m.sinks);
+        let reported_ratio = ratio(m.distinct, m.generated, m.sinks);
+        if recomputed_ratio != reported_ratio {
+            out.push(Violation::Metric {
+                what: "delivery ratio",
+                recomputed: recomputed_ratio,
+                reported: reported_ratio,
+            });
+        }
+        let recomputed_delay = avg_delay(delay_sum, s.delivered);
+        let reported_delay = avg_delay(m.delay_sum_s, m.distinct);
+        if recomputed_delay != reported_delay {
+            out.push(Violation::Metric {
+                what: "average delay (s)",
+                recomputed: recomputed_delay,
+                reported: reported_delay,
+            });
+        }
+        out
     }
 }
 
@@ -603,7 +510,6 @@ pub fn audit_text(text: &str) -> AuditReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::TraceRecord;
 
     fn to_text(recs: &[TraceRecord]) -> String {
         let mut text = String::new();
@@ -677,11 +583,56 @@ mod tests {
     fn consistent_trace_audits_clean() {
         let report = audit_text(&to_text(&minimal_consistent()));
         assert!(report.ok(), "violations: {:?}", report.violations);
-        assert_eq!(report.tx, 1);
-        assert_eq!(report.rx, 1);
-        assert_eq!(report.generated, 1);
-        assert_eq!(report.delivered, 1);
-        assert_eq!(report.debited_j, 0.75);
+        let s = &report.summary;
+        assert_eq!(s.node_total(|t| t.tx), 1);
+        assert_eq!(s.node_total(|t| t.rx), 1);
+        assert_eq!(s.events_generated, 1);
+        assert_eq!(s.delivered, 1);
+        assert_eq!(s.total_energy_j(), 0.75);
+    }
+
+    /// Audits the consistent trace with `from` replaced by `to` on the
+    /// first line containing `from`.
+    fn audit_edited(from: &str, to: &str) -> AuditReport {
+        let text = to_text(&minimal_consistent());
+        assert!(text.contains(from), "{from} in {text}");
+        audit_text(&text.replacen(from, to, 1))
+    }
+
+    #[test]
+    fn undecodable_record_lines_are_framing_violations() {
+        for (from, to) in [
+            // A transmission without its id.
+            ("\"tx\":1,", ""),
+            // A lineage birth without its seq (0 here, so a reader that
+            // defaulted the missing field would see nothing wrong).
+            (",\"seq\":0}", "}"),
+            // An energy debit in a radio state the schema does not know.
+            ("\"state\":\"tx\"", "\"state\":\"sleep\""),
+            // A run_start of another schema generation.
+            ("\"v\":2", "\"v\":1"),
+        ] {
+            let report = audit_edited(from, to);
+            assert!(
+                report
+                    .violations
+                    .iter()
+                    .any(|v| matches!(v, Violation::Framing(_))),
+                "{from:?} -> {to:?}: {:?}",
+                report.violations
+            );
+            assert_eq!(report.summary.skipped_lines, 1, "{from:?} -> {to:?}");
+        }
+    }
+
+    #[test]
+    fn foreign_lines_are_skipped_not_violations() {
+        let mut text = to_text(&minimal_consistent());
+        text.insert_str(text.find('\n').unwrap() + 1, "garbage line\n{\"note\":1}\n");
+        let report = audit_text(&text);
+        assert!(report.ok(), "violations: {:?}", report.violations);
+        assert_eq!(report.summary.skipped_lines, 2);
+        assert_eq!(report.lines, 11);
     }
 
     #[test]

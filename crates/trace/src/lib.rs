@@ -3,8 +3,11 @@
 //! This crate is the observability substrate the rest of the workspace
 //! threads through: simulations emit schema-versioned [`TraceRecord`]s
 //! through a [`TraceSink`], sinks serialise them as NDJSON (one flat JSON
-//! object per line), and [`TraceSummary`] reduces a trace back into
-//! per-node energy/traffic tallies and figure-style tables.
+//! object per line), [`TraceRecord::from_json`] decodes a line back into a
+//! typed record, and [`TraceSummary`] reduces typed records into per-node
+//! energy/traffic tallies and figure-style tables. Every reader — the
+//! report, the [`Auditor`], the registry audit — decodes once and folds
+//! into that one summary.
 //!
 //! Design constraints, in order:
 //!
@@ -17,8 +20,8 @@
 //!    Records carry sim-time (`t_ns`), never wall-clock; floats are written
 //!    with Rust's shortest-round-trip `Display`, which is deterministic.
 //! 3. **No dependencies.** The workspace builds offline; records are
-//!    hand-serialised flat JSON and [`parse_line`] is a single-pass scanner
-//!    for exactly that shape.
+//!    hand-serialised flat JSON and the decoder's scanner is a single pass
+//!    over exactly that shape.
 //!
 //! # Examples
 //!
@@ -50,14 +53,16 @@
 
 pub mod audit;
 pub mod lineage;
-pub mod parse;
+mod parse;
 pub mod record;
 pub mod report;
 pub mod sink;
 
 pub use audit::{audit_text, AuditReport, Auditor, Violation};
 pub use lineage::{join_lineage, split_lineage, LineageHandle, LineageId, LineageTable};
-pub use parse::{parse_line, ParsedLine};
-pub use record::{DropReason, TraceRecord, ENERGY_STATES, SCHEMA_VERSION};
-pub use report::{NodeTally, ProfileRow, TraceSummary};
+pub use record::{
+    joules_to_nj, DecodeError, DropReason, TraceRecord, ENERGY_STATES, FRAME_KINDS,
+    REINFORCE_KINDS, SCHEMA_VERSION,
+};
+pub use report::{NodeTally, ProfileRow, ReportedMetrics, TraceSummary};
 pub use sink::{shared, JsonlSink, MemSink, NullSink, SharedSink, TraceSink};

@@ -8,8 +8,8 @@
 //!
 //! On the wire a lineage id is the string `src#seq` (e.g. `"3#12"`), and a
 //! *set* of ids is one comma-joined string (e.g. `"3#12,5#12"`). The set
-//! encoding is flat — no JSON arrays — so [`crate::parse::parse_line`]
-//! handles lineage-carrying lines like any other.
+//! encoding is flat — no JSON arrays — so [`crate::TraceRecord::from_json`]
+//! decodes lineage-carrying lines like any other.
 
 use std::collections::HashMap;
 use std::fmt;

@@ -1,51 +1,35 @@
-//! A dependency-free parser for the flat NDJSON lines this crate writes.
+//! The dependency-free scanner behind [`crate::TraceRecord::from_json`].
 //!
 //! This is deliberately *not* a general JSON parser: trace records are flat
 //! objects whose values are unescaped strings or plain numbers (see
 //! [`crate::record`]), so a single left-to-right scan suffices. Lines that
-//! do not fit that shape parse to `None` and reductions skip them, which
-//! keeps `trace_report` robust against foreign lines mixed into a file.
+//! do not fit that shape scan to `None`, which the decoder reports as a
+//! foreign line.
 
-use std::collections::HashMap;
-
-/// One parsed flat-JSON line: a map from field name to raw value text.
+/// One scanned flat-JSON line: field names and raw value text, borrowed
+/// from the line, in line order.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct ParsedLine {
-    fields: HashMap<String, String>,
+pub(crate) struct ParsedLine<'a> {
+    fields: Vec<(&'a str, &'a str)>,
 }
 
-impl ParsedLine {
+impl<'a> ParsedLine<'a> {
     /// The record tag (`ev` field), if present.
-    pub fn tag(&self) -> Option<&str> {
+    pub(crate) fn tag(&self) -> Option<&'a str> {
         self.str_field("ev")
     }
 
-    /// A string-valued field.
-    pub fn str_field(&self, key: &str) -> Option<&str> {
-        self.fields.get(key).map(String::as_str)
-    }
-
-    /// A field parsed as `u64`.
-    pub fn u64_field(&self, key: &str) -> Option<u64> {
-        self.fields.get(key)?.parse().ok()
-    }
-
-    /// A field parsed as `u32`.
-    pub fn u32_field(&self, key: &str) -> Option<u32> {
-        self.fields.get(key)?.parse().ok()
-    }
-
-    /// A field parsed as `f64`.
-    pub fn f64_field(&self, key: &str) -> Option<f64> {
-        self.fields.get(key)?.parse().ok()
+    /// A field's raw value text (a string value without its quotes).
+    pub(crate) fn str_field(&self, key: &str) -> Option<&'a str> {
+        self.fields.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
     }
 }
 
-/// Parses one flat NDJSON object line. Returns `None` when the line is not
+/// Scans one flat NDJSON object line. Returns `None` when the line is not
 /// a flat object of string/number fields.
-pub fn parse_line(line: &str) -> Option<ParsedLine> {
+pub(crate) fn parse_line(line: &str) -> Option<ParsedLine<'_>> {
     let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let mut fields = HashMap::new();
+    let mut fields = Vec::new();
     let mut rest = body;
     while !rest.is_empty() {
         // Key: a quoted name followed by ':'.
@@ -68,7 +52,7 @@ pub fn parse_line(line: &str) -> Option<ParsedLine> {
             }
             rest = &rest[val_end..];
         }
-        fields.insert(key.to_string(), value.to_string());
+        fields.push((key, value));
         if let Some(after_comma) = rest.strip_prefix(',') {
             rest = after_comma;
         } else if !rest.is_empty() {
@@ -128,21 +112,29 @@ mod tests {
         .to_json();
         let p = parse_line(&line).unwrap();
         assert_eq!(p.str_field("lineage"), Some("0#1,2#1,2#2"));
-        assert_eq!(p.f64_field("cost"), Some(1.5));
+        assert_eq!(p.str_field("cost"), Some("1.5"));
     }
 
     #[test]
     fn extracts_typed_fields() {
-        let p = parse_line(
-            "{\"ev\":\"energy\",\"t_ns\":10,\"node\":3,\"state\":\"tx\",\"joules\":0.5}",
-        )
-        .unwrap();
+        let line = "{\"ev\":\"energy\",\"t_ns\":10,\"node\":3,\"state\":\"tx\",\"joules\":0.5}";
+        let p = parse_line(line).unwrap();
         assert_eq!(p.tag(), Some("energy"));
-        assert_eq!(p.u64_field("t_ns"), Some(10));
-        assert_eq!(p.u32_field("node"), Some(3));
+        assert_eq!(p.str_field("t_ns"), Some("10"));
+        assert_eq!(p.str_field("node"), Some("3"));
         assert_eq!(p.str_field("state"), Some("tx"));
-        assert_eq!(p.f64_field("joules"), Some(0.5));
-        assert_eq!(p.f64_field("missing"), None);
+        assert_eq!(p.str_field("joules"), Some("0.5"));
+        assert_eq!(p.str_field("missing"), None);
+        // The decoder types the raw values.
+        assert_eq!(
+            TraceRecord::from_json(line),
+            Ok(TraceRecord::EnergyDebit {
+                t_ns: 10,
+                node: 3,
+                state: "tx",
+                joules: 0.5
+            })
+        );
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The trace record vocabulary and its NDJSON encoding.
 //!
-//! One [`TraceRecord`] is one line of a run's `.jsonl` artifact. Records are
-//! *flat* JSON objects (no nesting) so the dependency-free line parser in
-//! [`crate::parse`] stays trivial, and every numeric field is written with
-//! Rust's shortest-round-trip `Display` formatting, which is deterministic —
-//! the same run produces byte-identical lines.
+//! One [`TraceRecord`] is one line of a run's `.jsonl` artifact, and
+//! [`TraceRecord::from_json`] is the one way back: every reader decodes a
+//! line into a typed record before it counts anything. Records are *flat*
+//! JSON objects (no nesting) so the dependency-free scanner behind the
+//! decoder stays trivial, and every numeric field is written with Rust's
+//! shortest-round-trip `Display` formatting, which is deterministic — the
+//! same run produces byte-identical lines, and floats decode bit-exact.
 //!
 //! Schema v2 adds event lineage: application payloads carry `(source, seq)`
 //! lineage ids (see [`crate::lineage`]), physical transmissions carry a
@@ -13,7 +15,11 @@
 //! (on `tx`, `enq`, and `agg_merge` lines) are encoded as one quoted string
 //! of comma-joined `src#seq` ids, which keeps the lines flat.
 
+use std::fmt;
 use std::io::{self, Write};
+use std::str::FromStr;
+
+use crate::parse::{parse_line, ParsedLine};
 
 /// Version stamp of the record schema, written on the `run_start` line.
 ///
@@ -26,6 +32,39 @@ pub const SCHEMA_VERSION: u32 = 2;
 /// that re-sum debits in this same per-state order reproduce the meter's
 /// floating-point total bit-for-bit.
 pub const ENERGY_STATES: [&str; 4] = ["off", "idle", "rx", "tx"];
+
+/// Frame-kind labels used by [`TraceRecord::PacketTx`], in the order the
+/// PHY registers its `phy.frames_tx{kind=..}` counters.
+pub const FRAME_KINDS: [&str; 4] = ["data", "ack", "rts", "cts"];
+
+/// Reinforcement-kind labels used by [`TraceRecord::GradientReinforce`].
+pub const REINFORCE_KINDS: [&str; 3] = ["establish", "refresh", "repair"];
+
+/// Joules → integer nanojoules, the unit the metrics registry counts
+/// energy in.
+///
+/// Used at the meter-debit site *and* when reducing a trace's `energy`
+/// records ([`crate::TraceSummary::energy_nj`]): debits are written with
+/// shortest-round-trip formatting, so a decoded debit is the exact debited
+/// value and the per-debit rounding here reproduces the registry's integer
+/// sum bit-for-bit — which is what makes the zero-tolerance registry audit
+/// possible.
+#[inline]
+pub fn joules_to_nj(joules: f64) -> u64 {
+    (joules * 1e9).round() as u64
+}
+
+/// Builds `TraceRecord::$variant` from the line fields of the same names,
+/// each decoded as its record field's type ([`FieldValue`]); fields after
+/// `;` are labels checked against their vocabulary.
+macro_rules! decode {
+    ($f:ident => $variant:ident { $($field:ident),* $(; $label:ident in $labels:ident)? }) => {
+        TraceRecord::$variant {
+            $($field: $f.get(stringify!($field))?,)*
+            $($label: $f.label(stringify!($label), &$labels)?,)?
+        }
+    };
+}
 
 /// Why a frame or a buffered event item was lost.
 ///
@@ -130,7 +169,7 @@ pub enum TraceRecord {
         node: u32,
         /// Per-run transmission id.
         tx: u64,
-        /// Frame kind: `"data"`, `"ack"`, `"rts"`, or `"cts"`.
+        /// Frame kind, one of [`FRAME_KINDS`].
         kind: &'static str,
         /// Frame size in bytes.
         bytes: u32,
@@ -193,7 +232,7 @@ pub enum TraceRecord {
         node: u32,
         /// The downstream neighbor that sent the reinforcement.
         from: u32,
-        /// Reinforcement kind: `"establish"`, `"refresh"`, or `"repair"`.
+        /// Reinforcement kind, one of [`REINFORCE_KINDS`].
         kind: &'static str,
     },
     /// A new data gradient (aggregation-tree edge `node → parent`) appeared.
@@ -520,6 +559,144 @@ impl TraceRecord {
         buf.pop(); // trailing '\n'
         String::from_utf8(buf).expect("records are ASCII")
     }
+
+    /// Decodes one NDJSON line: the exact inverse of
+    /// [`TraceRecord::to_json`] (`from_json(&r.to_json()) == Ok(r)`).
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::NotARecord`] when the line is not a flat JSON object
+    /// carrying an `ev` tag (a foreign line); [`DecodeError::Invalid`] when
+    /// it is tagged but breaks the schema: an unknown tag, a missing or
+    /// unparsable field, a label outside [`FRAME_KINDS`], [`ENERGY_STATES`],
+    /// [`REINFORCE_KINDS`] or [`DropReason::ALL`], or a `run_start` of
+    /// another [`SCHEMA_VERSION`].
+    pub fn from_json(line: &str) -> Result<TraceRecord, DecodeError> {
+        let parsed = parse_line(line).ok_or(DecodeError::NotARecord)?;
+        let tag = parsed.tag().ok_or(DecodeError::NotARecord)?;
+        let f = Fields { line: &parsed, tag };
+        Ok(match tag {
+            "run_start" => match f.get::<u32>("v")? {
+                SCHEMA_VERSION => decode!(f => RunStart { seed, nodes }),
+                v => {
+                    return Err(f.invalid(format_args!(
+                        "schema version {v}, expected {SCHEMA_VERSION}"
+                    )))
+                }
+            },
+            "dispatch" => decode!(f => Dispatch { t_ns, seq }),
+            "enq" => decode!(f => MacEnqueue { t_ns, node, bytes, dst, lineage }),
+            "tx" => {
+                decode!(f => PacketTx { t_ns, node, tx, bytes, dst, lineage; kind in FRAME_KINDS })
+            }
+            "rx" => decode!(f => PacketRx { t_ns, node, from, tx, bytes }),
+            "drop" => decode!(f => PacketDrop { t_ns, node, reason, tx }),
+            "collision" => decode!(f => Collision { t_ns, node }),
+            "energy" => decode!(f => EnergyDebit { t_ns, node, joules; state in ENERGY_STATES }),
+            "reinforce" => {
+                decode!(f => GradientReinforce { t_ns, node, from; kind in REINFORCE_KINDS })
+            }
+            "tree_edge" => decode!(f => TreeEdge { t_ns, node, parent }),
+            "agg_merge" => decode!(f => AggMerge { t_ns, node, inputs, items, cost, lineage }),
+            "event_gen" => decode!(f => EventGen { t_ns, node, seq }),
+            "deliver" => decode!(f => EventDeliver { t_ns, node, src, seq, gen_ns }),
+            "item_drop" => decode!(f => ItemDrop { t_ns, node, src, seq, reason }),
+            "metrics" => {
+                decode!(f => RunMetrics { t_ns, generated, distinct, delay_sum_s, sinks, total_energy_j })
+            }
+            "profile" => decode!(f => Profile { label, count, total_ns, max_ns }),
+            "snapshot" => decode!(f => Snapshot { t_ns, node, energy_j, queue, cache }),
+            "run_end" => decode!(f => RunEnd { t_ns, events, total_energy_j }),
+            other => {
+                return Err(DecodeError::Invalid(format!(
+                    "unknown record tag {other:?}"
+                )))
+            }
+        })
+    }
+}
+
+/// Why a line did not decode into a [`TraceRecord`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DecodeError {
+    /// Not a flat JSON object with an `ev` tag: a foreign line, which
+    /// reductions count as skipped.
+    NotARecord,
+    /// A tagged line that breaks the record schema; the message names the
+    /// tag and the offending field.
+    Invalid(String),
+}
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DecodeError::NotARecord => f.write_str("not a trace record"),
+            DecodeError::Invalid(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// The fields of one tagged line, decoded by the type each record field
+/// has; every error names the tag.
+struct Fields<'a> {
+    line: &'a ParsedLine<'a>,
+    tag: &'a str,
+}
+
+impl Fields<'_> {
+    fn invalid(&self, msg: impl fmt::Display) -> DecodeError {
+        DecodeError::Invalid(format!("{} record: {msg}", self.tag))
+    }
+
+    fn get<T: FieldValue>(&self, key: &str) -> Result<T, DecodeError> {
+        let raw = self.line.str_field(key);
+        T::decode(raw).ok_or_else(|| match raw {
+            None => self.invalid(format_args!("missing field {key:?}")),
+            Some(raw) => self.invalid(format_args!("field {key:?} cannot parse {raw:?}")),
+        })
+    }
+
+    /// The field's value as one of `labels` (records carry `'static` labels).
+    fn label(&self, key: &str, labels: &[&'static str]) -> Result<&'static str, DecodeError> {
+        let raw = self.line.str_field(key);
+        let known = labels.iter().find(|&&l| Some(l) == raw);
+        known.copied().ok_or_else(|| match raw {
+            None => self.invalid(format_args!("missing field {key:?}")),
+            Some(raw) => self.invalid(format_args!("unknown {key} {raw:?}")),
+        })
+    }
+}
+
+/// A record field's type, decoded from the field's raw text (`None` when
+/// the line lacks the field); `None` out means the field is invalid.
+trait FieldValue: Sized {
+    fn decode(raw: Option<&str>) -> Option<Self>;
+}
+
+/// An optional field: absent decodes to `None`, present must parse.
+impl<T: FromStr> FieldValue for Option<T> {
+    fn decode(raw: Option<&str>) -> Option<Self> {
+        raw.map_or(Some(None), |r| r.parse().ok().map(Some))
+    }
+}
+
+macro_rules! required_fields {
+    ($($t:ty),*) => {$(
+        impl FieldValue for $t {
+            fn decode(raw: Option<&str>) -> Option<Self> {
+                raw?.parse().ok()
+            }
+        }
+    )*};
+}
+required_fields!(u32, u64, f64, String);
+
+impl FieldValue for DropReason {
+    fn decode(raw: Option<&str>) -> Option<Self> {
+        DropReason::parse(raw?)
+    }
 }
 
 #[cfg(test)]
@@ -646,7 +823,52 @@ mod tests {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
             assert!(line.contains(&format!("\"ev\":\"{}\"", r.tag())), "{line}");
             assert!(!line.contains('\n'));
+            assert_eq!(TraceRecord::from_json(&line).as_ref(), Ok(r), "{line}");
         }
+    }
+
+    #[test]
+    fn decode_separates_foreign_lines_from_schema_breaks() {
+        for foreign in ["", "garbage", "{\"a\":{\"b\":1}}", "{\"node\":1}"] {
+            assert_eq!(
+                TraceRecord::from_json(foreign),
+                Err(DecodeError::NotARecord),
+                "{foreign}"
+            );
+        }
+        let invalid = |line: &str, needle: &str| match TraceRecord::from_json(line) {
+            Err(DecodeError::Invalid(msg)) => assert!(msg.contains(needle), "{line}: {msg}"),
+            other => panic!("{line}: expected Invalid, got {other:?}"),
+        };
+        invalid("{\"ev\":\"warp\",\"t_ns\":1}", "unknown record tag");
+        invalid(
+            "{\"ev\":\"tx\",\"t_ns\":1,\"node\":0,\"kind\":\"data\",\"bytes\":9}",
+            "\"tx\"",
+        );
+        invalid(
+            "{\"ev\":\"event_gen\",\"t_ns\":1,\"node\":0,\"seq\":-1}",
+            "\"seq\"",
+        );
+        invalid(
+            "{\"ev\":\"tx\",\"t_ns\":1,\"node\":0,\"tx\":1,\"kind\":\"beacon\",\"bytes\":9}",
+            "beacon",
+        );
+        invalid(
+            "{\"ev\":\"energy\",\"t_ns\":1,\"node\":0,\"state\":\"sleep\",\"joules\":1}",
+            "sleep",
+        );
+        invalid(
+            "{\"ev\":\"reinforce\",\"t_ns\":1,\"node\":0,\"from\":1,\"kind\":\"boost\"}",
+            "boost",
+        );
+        invalid(
+            "{\"ev\":\"drop\",\"t_ns\":1,\"node\":0,\"reason\":\"gremlins\"}",
+            "gremlins",
+        );
+        invalid(
+            "{\"ev\":\"run_start\",\"v\":1,\"seed\":1,\"nodes\":2}",
+            "schema version 1",
+        );
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Reducing a trace into per-node summaries and figure-style tables.
 //!
-//! [`TraceSummary`] accumulates one `.jsonl` trace (or any record stream)
-//! into per-node counters; [`TraceSummary::render`] prints the per-node
-//! energy histogram, the top-N hottest nodes, and a totals table — the
-//! artifact later perf/robustness PRs cite to prove their effect.
+//! [`TraceSummary`] is the one reduction of a trace: `trace_report`
+//! renders it, the [`crate::Auditor`] takes every count it reports from it,
+//! and the registry audit (`wsn_core::registry_mismatches`) reconciles the
+//! metrics registry against it. It folds typed records only
+//! ([`TraceSummary::add_record`]); text goes through
+//! [`TraceRecord::from_json`] first. [`TraceSummary::render`] prints the
+//! per-node energy histogram, the top-N hottest nodes, and a totals table.
 
 use std::collections::BTreeMap;
 
-use crate::parse::parse_line;
-use crate::record::{TraceRecord, ENERGY_STATES};
+use crate::record::{joules_to_nj, TraceRecord, ENERGY_STATES, FRAME_KINDS};
 
 /// One dispatch-profiler row reduced from `profile` records.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,6 +23,21 @@ pub struct ProfileRow {
     pub total_ns: u64,
     /// The single slowest dispatch, nanoseconds.
     pub max_ns: u64,
+}
+
+/// The metrics a run reported on its `metrics` record.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReportedMetrics {
+    /// Events generated across all sources.
+    pub generated: u64,
+    /// Distinct events delivered, summed over sinks.
+    pub distinct: u64,
+    /// Sum of per-event delivery delays over all sinks, seconds.
+    pub delay_sum_s: f64,
+    /// Number of sinks in the scenario.
+    pub sinks: u32,
+    /// Total energy as harvested into the run record, joules.
+    pub total_energy_j: f64,
 }
 
 /// Per-node counters reduced from one trace.
@@ -54,18 +71,22 @@ impl NodeTally {
 pub struct TraceSummary {
     /// Per-node tallies, indexed by node id.
     pub nodes: Vec<NodeTally>,
-    /// Records consumed (parsable lines only).
+    /// Records folded in.
     pub records: u64,
-    /// Lines that did not parse as trace records.
+    /// Non-blank lines that did not decode as trace records.
     pub skipped_lines: u64,
     /// Dispatch records seen.
     pub dispatches: u64,
+    /// Transmissions per frame kind, in [`FRAME_KINDS`] order.
+    pub tx_by_kind: [u64; 4],
     /// Gradient reinforcements seen.
     pub reinforcements: u64,
     /// Tree edges added.
     pub tree_edges: u64,
     /// Aggregation merges seen.
     pub merges: u64,
+    /// Buffered aggregates absorbed, summed over merges (`inputs` fields).
+    pub merge_inputs: u64,
     /// Snapshot records seen.
     pub snapshots: u64,
     /// MAC enqueue records seen.
@@ -74,19 +95,22 @@ pub struct TraceSummary {
     pub events_generated: u64,
     /// Sink deliveries (`deliver` records).
     pub delivered: u64,
+    /// Energy debits per radio state in [`ENERGY_STATES`] order, each
+    /// debit quantized with [`joules_to_nj`] before summing — the unit and
+    /// rounding the metrics registry uses.
+    pub energy_nj: [u64; 4],
     /// Frame drops per reason label (sorted by reason for stable tables).
-    pub drop_reasons: BTreeMap<String, u64>,
+    pub drop_reasons: BTreeMap<&'static str, u64>,
     /// Item drops/suppressions per reason label.
-    pub item_drop_reasons: BTreeMap<String, u64>,
+    pub item_drop_reasons: BTreeMap<&'static str, u64>,
     /// Dispatch-profiler rows, as recorded.
     pub profile: Vec<ProfileRow>,
     /// The `run_start` seed, if the trace carried one.
     pub seed: Option<u64>,
     /// The `run_start` schema version, if present.
     pub schema_version: Option<u64>,
-    /// The reported metrics line `(generated, distinct, delay_sum_s,
-    /// sinks)`, if the trace carried one.
-    pub metrics: Option<(u64, u64, f64, u32)>,
+    /// The reported `metrics` record, if the trace carried one.
+    pub metrics: Option<ReportedMetrics>,
     /// The `run_end` totals, if the trace carried them.
     pub run_end: Option<(u64, f64)>,
 }
@@ -105,7 +129,7 @@ impl TraceSummary {
         &mut self.nodes[i]
     }
 
-    /// Folds one in-memory record into the summary.
+    /// Folds one record into the summary.
     pub fn add_record(&mut self, rec: &TraceRecord) {
         self.records += 1;
         match rec {
@@ -118,14 +142,16 @@ impl TraceSummary {
             }
             TraceRecord::Dispatch { .. } => self.dispatches += 1,
             TraceRecord::MacEnqueue { .. } => self.enqueues += 1,
-            TraceRecord::PacketTx { node, .. } => self.node_mut(*node).tx += 1,
+            TraceRecord::PacketTx { node, kind, .. } => {
+                self.node_mut(*node).tx += 1;
+                if let Some(k) = FRAME_KINDS.iter().position(|k| k == kind) {
+                    self.tx_by_kind[k] += 1;
+                }
+            }
             TraceRecord::PacketRx { node, .. } => self.node_mut(*node).rx += 1,
             TraceRecord::PacketDrop { node, reason, .. } => {
                 self.node_mut(*node).drops += 1;
-                *self
-                    .drop_reasons
-                    .entry(reason.name().to_string())
-                    .or_insert(0) += 1;
+                *self.drop_reasons.entry(reason.name()).or_insert(0) += 1;
             }
             TraceRecord::Collision { node, .. } => self.node_mut(*node).collisions += 1,
             TraceRecord::EnergyDebit {
@@ -136,26 +162,36 @@ impl TraceSummary {
             } => {
                 if let Some(si) = ENERGY_STATES.iter().position(|s| s == state) {
                     self.node_mut(*node).energy_by_state[si] += joules;
+                    self.energy_nj[si] += joules_to_nj(*joules);
                 }
             }
             TraceRecord::GradientReinforce { .. } => self.reinforcements += 1,
             TraceRecord::TreeEdge { .. } => self.tree_edges += 1,
-            TraceRecord::AggMerge { .. } => self.merges += 1,
+            TraceRecord::AggMerge { inputs, .. } => {
+                self.merges += 1;
+                self.merge_inputs += u64::from(*inputs);
+            }
             TraceRecord::EventGen { .. } => self.events_generated += 1,
             TraceRecord::EventDeliver { .. } => self.delivered += 1,
             TraceRecord::ItemDrop { reason, .. } => {
-                *self
-                    .item_drop_reasons
-                    .entry(reason.name().to_string())
-                    .or_insert(0) += 1;
+                *self.item_drop_reasons.entry(reason.name()).or_insert(0) += 1;
             }
             TraceRecord::RunMetrics {
                 generated,
                 distinct,
                 delay_sum_s,
                 sinks,
+                total_energy_j,
                 ..
-            } => self.metrics = Some((*generated, *distinct, *delay_sum_s, *sinks)),
+            } => {
+                self.metrics = Some(ReportedMetrics {
+                    generated: *generated,
+                    distinct: *distinct,
+                    delay_sum_s: *delay_sum_s,
+                    sinks: *sinks,
+                    total_energy_j: *total_energy_j,
+                })
+            }
             TraceRecord::Profile {
                 label,
                 count,
@@ -179,124 +215,23 @@ impl TraceSummary {
         }
     }
 
-    /// Folds one NDJSON line into the summary (unparsable lines are counted
-    /// in [`TraceSummary::skipped_lines`] and otherwise ignored).
-    pub fn add_line(&mut self, line: &str) {
-        if line.trim().is_empty() {
-            return;
-        }
-        let Some(p) = parse_line(line) else {
-            self.skipped_lines += 1;
-            return;
-        };
-        let Some(tag) = p.tag() else {
-            self.skipped_lines += 1;
-            return;
-        };
-        self.records += 1;
-        match tag {
-            "run_start" => {
-                self.seed = p.u64_field("seed");
-                self.schema_version = p.u64_field("v");
-                if let Some(n) = p.u32_field("nodes") {
-                    if n > 0 {
-                        self.node_mut(n - 1);
-                    }
-                }
-            }
-            "dispatch" => self.dispatches += 1,
-            "enq" => self.enqueues += 1,
-            "tx" => {
-                if let Some(n) = p.u32_field("node") {
-                    self.node_mut(n).tx += 1;
-                }
-            }
-            "rx" => {
-                if let Some(n) = p.u32_field("node") {
-                    self.node_mut(n).rx += 1;
-                }
-            }
-            "drop" => {
-                if let Some(n) = p.u32_field("node") {
-                    self.node_mut(n).drops += 1;
-                }
-                if let Some(r) = p.str_field("reason") {
-                    *self.drop_reasons.entry(r.to_string()).or_insert(0) += 1;
-                }
-            }
-            "collision" => {
-                if let Some(n) = p.u32_field("node") {
-                    self.node_mut(n).collisions += 1;
-                }
-            }
-            "energy" => {
-                if let (Some(n), Some(state), Some(j)) = (
-                    p.u32_field("node"),
-                    p.str_field("state"),
-                    p.f64_field("joules"),
-                ) {
-                    if let Some(si) = ENERGY_STATES.iter().position(|&s| s == state) {
-                        self.node_mut(n).energy_by_state[si] += j;
-                    }
-                }
-            }
-            "reinforce" => self.reinforcements += 1,
-            "tree_edge" => self.tree_edges += 1,
-            "agg_merge" => self.merges += 1,
-            "event_gen" => self.events_generated += 1,
-            "deliver" => self.delivered += 1,
-            "item_drop" => {
-                if let Some(r) = p.str_field("reason") {
-                    *self.item_drop_reasons.entry(r.to_string()).or_insert(0) += 1;
-                }
-            }
-            "metrics" => {
-                if let (Some(g), Some(d), Some(s), Some(k)) = (
-                    p.u64_field("generated"),
-                    p.u64_field("distinct"),
-                    p.f64_field("delay_sum_s"),
-                    p.u32_field("sinks"),
-                ) {
-                    self.metrics = Some((g, d, s, k));
-                }
-            }
-            "profile" => {
-                if let (Some(label), Some(count), Some(total_ns), Some(max_ns)) = (
-                    p.str_field("label"),
-                    p.u64_field("count"),
-                    p.u64_field("total_ns"),
-                    p.u64_field("max_ns"),
-                ) {
-                    self.profile.push(ProfileRow {
-                        label: label.to_string(),
-                        count,
-                        total_ns,
-                        max_ns,
-                    });
-                }
-            }
-            "snapshot" => {
-                self.snapshots += 1;
-                if let (Some(n), Some(j)) = (p.u32_field("node"), p.f64_field("energy_j")) {
-                    self.node_mut(n).last_snapshot_energy_j = Some(j);
-                }
-            }
-            "run_end" => {
-                if let (Some(e), Some(j)) = (p.u64_field("events"), p.f64_field("total_energy_j")) {
-                    self.run_end = Some((e, j));
-                }
-            }
-            _ => self.skipped_lines += 1,
-        }
-    }
-
-    /// Reduces a whole NDJSON text.
+    /// Reduces a whole NDJSON text: each non-blank line is decoded with
+    /// [`TraceRecord::from_json`] and folded in, and lines that do not
+    /// decode are counted in [`TraceSummary::skipped_lines`].
     pub fn from_text(text: &str) -> Self {
         let mut s = TraceSummary::new();
-        for line in text.lines() {
-            s.add_line(line);
+        for line in text.lines().filter(|l| !l.trim().is_empty()) {
+            match TraceRecord::from_json(line) {
+                Ok(rec) => s.add_record(&rec),
+                Err(_) => s.skipped_lines += 1,
+            }
         }
         s
+    }
+
+    /// A per-node count summed over all nodes (e.g. `|t| t.rx`).
+    pub fn node_total(&self, count: impl Fn(&NodeTally) -> u64) -> u64 {
+        self.nodes.iter().map(count).sum()
     }
 
     /// Total debited energy across nodes, summed in node order (mirrors the
@@ -405,15 +340,11 @@ impl TraceSummary {
         let _ = writeln!(
             out,
             "tx/rx/drops    {}/{}/{}",
-            self.nodes.iter().map(|t| t.tx).sum::<u64>(),
-            self.nodes.iter().map(|t| t.rx).sum::<u64>(),
-            self.nodes.iter().map(|t| t.drops).sum::<u64>()
+            self.node_total(|t| t.tx),
+            self.node_total(|t| t.rx),
+            self.node_total(|t| t.drops)
         );
-        let _ = writeln!(
-            out,
-            "collisions     {}",
-            self.nodes.iter().map(|t| t.collisions).sum::<u64>()
-        );
+        let _ = writeln!(out, "collisions     {}", self.node_total(|t| t.collisions));
         let _ = writeln!(out, "reinforcements {}", self.reinforcements);
         let _ = writeln!(out, "tree_edges     {}", self.tree_edges);
         let _ = writeln!(out, "agg_merges     {}", self.merges);
@@ -424,10 +355,11 @@ impl TraceSummary {
             "events         generated={} delivered={}",
             self.events_generated, self.delivered
         );
-        if let Some((generated, distinct, delay_sum_s, sinks)) = self.metrics {
+        if let Some(m) = &self.metrics {
             let _ = writeln!(
                 out,
-                "metrics        generated={generated} distinct={distinct} delay_sum_s={delay_sum_s} sinks={sinks}"
+                "metrics        generated={} distinct={} delay_sum_s={} sinks={}",
+                m.generated, m.distinct, m.delay_sum_s, m.sinks
             );
         }
         if !self.drop_reasons.is_empty() || !self.item_drop_reasons.is_empty() {
@@ -435,10 +367,11 @@ impl TraceSummary {
             let _ = writeln!(out, "{:<18} {:>10} {:>10}", "reason", "frames", "items");
             // BTreeMap iteration is sorted by reason label, so the table is
             // byte-stable across runs and platforms.
-            let mut reasons: Vec<&String> = self
+            let mut reasons: Vec<&str> = self
                 .drop_reasons
                 .keys()
                 .chain(self.item_drop_reasons.keys())
+                .copied()
                 .collect();
             reasons.sort();
             reasons.dedup();
@@ -529,6 +462,14 @@ mod tests {
                 reason: crate::record::DropReason::NoRoute,
             },
             TraceRecord::Collision { t_ns: 2, node: 2 },
+            TraceRecord::AggMerge {
+                t_ns: 2,
+                node: 1,
+                inputs: 3,
+                items: 2,
+                cost: 4.5,
+                lineage: "0#1,2#1".into(),
+            },
             TraceRecord::RunEnd {
                 t_ns: 3,
                 events: 5,
@@ -557,6 +498,12 @@ mod tests {
         assert_eq!(from_records.item_drop_reasons, from_lines.item_drop_reasons);
         assert_eq!(from_lines.run_end, Some((5, 3.5)));
         assert_eq!(from_lines.seed, Some(9));
+        assert_eq!(from_lines.tx_by_kind, [1, 0, 0, 0]);
+        assert_eq!(
+            from_lines.energy_nj,
+            [0, 1_000_000_000, 500_000_000, 2_000_000_000]
+        );
+        assert_eq!((from_lines.merges, from_lines.merge_inputs), (1, 3));
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! Property tests for the NDJSON wire format: every [`TraceRecord`] kind
-//! survives `to_json()` → [`parse_line`] with every field intact (floats
-//! bit-exact, thanks to Rust's shortest-round-trip `Display`), optional
-//! fields are omitted rather than written as `null`, lineage sets survive
-//! the quoted-value scan, and malformed lines are rejected without panics.
+//! decodes back from its own line, `from_json(&r.to_json()) == Ok(r)`, with
+//! every field intact (floats bit-exact, thanks to Rust's
+//! shortest-round-trip `Display`), optional fields omitted rather than
+//! written as `null`, lineage sets surviving the quoted-value scan, and
+//! malformed lines rejected as foreign without panics.
 
 use proptest::prelude::*;
 use wsn_trace::{
-    join_lineage, parse_line, split_lineage, DropReason, LineageId, ParsedLine, TraceRecord,
-    ENERGY_STATES,
+    join_lineage, split_lineage, DecodeError, DropReason, LineageId, TraceRecord, ENERGY_STATES,
+    FRAME_KINDS, REINFORCE_KINDS,
 };
-
-const FRAME_KINDS: [&str; 4] = ["data", "ack", "rts", "cts"];
-const REINFORCE_KINDS: [&str; 3] = ["establish", "refresh", "repair"];
 
 /// A random lineage-id set already joined into its wire string.
 fn lineage_set() -> impl Strategy<Value = String> {
@@ -19,12 +17,9 @@ fn lineage_set() -> impl Strategy<Value = String> {
         .prop_map(|ids| join_lineage(ids.into_iter().map(|(src, seq)| LineageId::new(src, seq))))
 }
 
-/// Parses the record's JSON line, asserting it parses and carries the tag.
-fn parsed(rec: &TraceRecord) -> ParsedLine {
-    let line = rec.to_json();
-    let p = parse_line(&line).unwrap_or_else(|| panic!("unparsable line: {line}"));
-    assert_eq!(p.tag(), Some(rec.tag()), "{line}");
-    p
+/// Encodes `rec` and decodes the line back.
+fn decoded(rec: &TraceRecord) -> Result<TraceRecord, DecodeError> {
+    TraceRecord::from_json(&rec.to_json())
 }
 
 proptest! {
@@ -32,17 +27,15 @@ proptest! {
 
     #[test]
     fn run_start_roundtrips(seed in any::<u64>(), nodes in any::<u32>()) {
-        let p = parsed(&TraceRecord::RunStart { seed, nodes });
-        prop_assert_eq!(p.u64_field("seed"), Some(seed));
-        prop_assert_eq!(p.u32_field("nodes"), Some(nodes));
-        prop_assert!(p.u64_field("v").is_some(), "run_start carries the schema version");
+        let rec = TraceRecord::RunStart { seed, nodes };
+        prop_assert!(rec.to_json().contains("\"v\":"), "run_start carries the schema version");
+        prop_assert_eq!(decoded(&rec), Ok(rec));
     }
 
     #[test]
     fn dispatch_roundtrips(t_ns in any::<u64>(), seq in any::<u64>()) {
-        let p = parsed(&TraceRecord::Dispatch { t_ns, seq });
-        prop_assert_eq!(p.u64_field("t_ns"), Some(t_ns));
-        prop_assert_eq!(p.u64_field("seq"), Some(seq));
+        let rec = TraceRecord::Dispatch { t_ns, seq };
+        prop_assert_eq!(decoded(&rec), Ok(rec));
     }
 
     #[test]
@@ -53,14 +46,9 @@ proptest! {
         dst in prop::option::of(any::<u32>()),
         lineage in prop::option::of(lineage_set()),
     ) {
-        let rec = TraceRecord::MacEnqueue { t_ns, node, bytes, dst, lineage: lineage.clone() };
-        let p = parsed(&rec);
-        prop_assert_eq!(p.u64_field("t_ns"), Some(t_ns));
-        prop_assert_eq!(p.u32_field("node"), Some(node));
-        prop_assert_eq!(p.u32_field("bytes"), Some(bytes));
-        prop_assert_eq!(p.u32_field("dst"), dst, "None must be omitted, Some must survive");
-        prop_assert_eq!(p.str_field("lineage").map(str::to_string), lineage);
+        let rec = TraceRecord::MacEnqueue { t_ns, node, bytes, dst, lineage };
         prop_assert!(!rec.to_json().contains("null"), "optional fields are omitted, never null");
+        prop_assert_eq!(decoded(&rec), Ok(rec));
     }
 
     #[test]
@@ -74,15 +62,8 @@ proptest! {
         lineage in prop::option::of(lineage_set()),
     ) {
         let kind = FRAME_KINDS[kind_ix];
-        let rec = TraceRecord::PacketTx { t_ns, node, tx, kind, bytes, dst, lineage: lineage.clone() };
-        let p = parsed(&rec);
-        prop_assert_eq!(p.u64_field("t_ns"), Some(t_ns));
-        prop_assert_eq!(p.u32_field("node"), Some(node));
-        prop_assert_eq!(p.u64_field("tx"), Some(tx));
-        prop_assert_eq!(p.str_field("kind"), Some(kind));
-        prop_assert_eq!(p.u32_field("bytes"), Some(bytes));
-        prop_assert_eq!(p.u32_field("dst"), dst);
-        prop_assert_eq!(p.str_field("lineage").map(str::to_string), lineage);
+        let rec = TraceRecord::PacketTx { t_ns, node, tx, kind, bytes, dst, lineage };
+        prop_assert_eq!(decoded(&rec), Ok(rec));
     }
 
     #[test]
@@ -93,12 +74,8 @@ proptest! {
         tx in any::<u64>(),
         bytes in any::<u32>(),
     ) {
-        let p = parsed(&TraceRecord::PacketRx { t_ns, node, from, tx, bytes });
-        prop_assert_eq!(p.u64_field("t_ns"), Some(t_ns));
-        prop_assert_eq!(p.u32_field("node"), Some(node));
-        prop_assert_eq!(p.u32_field("from"), Some(from));
-        prop_assert_eq!(p.u64_field("tx"), Some(tx));
-        prop_assert_eq!(p.u32_field("bytes"), Some(bytes));
+        let rec = TraceRecord::PacketRx { t_ns, node, from, tx, bytes };
+        prop_assert_eq!(decoded(&rec), Ok(rec));
     }
 
     #[test]
@@ -109,19 +86,14 @@ proptest! {
         tx in prop::option::of(any::<u64>()),
     ) {
         let reason = DropReason::ALL[reason_ix];
-        let p = parsed(&TraceRecord::PacketDrop { t_ns, node, reason, tx });
-        prop_assert_eq!(p.u64_field("t_ns"), Some(t_ns));
-        prop_assert_eq!(p.u32_field("node"), Some(node));
-        prop_assert_eq!(p.str_field("reason"), Some(reason.name()));
-        prop_assert_eq!(p.str_field("reason").and_then(DropReason::parse), Some(reason));
-        prop_assert_eq!(p.u64_field("tx"), tx);
+        let rec = TraceRecord::PacketDrop { t_ns, node, reason, tx };
+        prop_assert_eq!(decoded(&rec), Ok(rec));
     }
 
     #[test]
     fn collision_roundtrips(t_ns in any::<u64>(), node in any::<u32>()) {
-        let p = parsed(&TraceRecord::Collision { t_ns, node });
-        prop_assert_eq!(p.u64_field("t_ns"), Some(t_ns));
-        prop_assert_eq!(p.u32_field("node"), Some(node));
+        let rec = TraceRecord::Collision { t_ns, node };
+        prop_assert_eq!(decoded(&rec), Ok(rec));
     }
 
     #[test]
@@ -132,14 +104,11 @@ proptest! {
         joules in 0.0f64..1e9,
     ) {
         let state = ENERGY_STATES[state_ix];
-        let p = parsed(&TraceRecord::EnergyDebit { t_ns, node, state, joules });
-        prop_assert_eq!(p.u64_field("t_ns"), Some(t_ns));
-        prop_assert_eq!(p.u32_field("node"), Some(node));
-        prop_assert_eq!(p.str_field("state"), Some(state));
         // Rust's shortest-round-trip Display guarantees parse-back equality
         // to the last bit — the property the trace auditor's exact energy
         // reconciliation rests on.
-        prop_assert_eq!(p.f64_field("joules"), Some(joules));
+        let rec = TraceRecord::EnergyDebit { t_ns, node, state, joules };
+        prop_assert_eq!(decoded(&rec), Ok(rec));
     }
 
     #[test]
@@ -150,19 +119,14 @@ proptest! {
         kind_ix in 0usize..REINFORCE_KINDS.len(),
     ) {
         let kind = REINFORCE_KINDS[kind_ix];
-        let p = parsed(&TraceRecord::GradientReinforce { t_ns, node, from, kind });
-        prop_assert_eq!(p.u64_field("t_ns"), Some(t_ns));
-        prop_assert_eq!(p.u32_field("node"), Some(node));
-        prop_assert_eq!(p.u32_field("from"), Some(from));
-        prop_assert_eq!(p.str_field("kind"), Some(kind));
+        let rec = TraceRecord::GradientReinforce { t_ns, node, from, kind };
+        prop_assert_eq!(decoded(&rec), Ok(rec));
     }
 
     #[test]
     fn tree_edge_roundtrips(t_ns in any::<u64>(), node in any::<u32>(), parent in any::<u32>()) {
-        let p = parsed(&TraceRecord::TreeEdge { t_ns, node, parent });
-        prop_assert_eq!(p.u64_field("t_ns"), Some(t_ns));
-        prop_assert_eq!(p.u32_field("node"), Some(node));
-        prop_assert_eq!(p.u32_field("parent"), Some(parent));
+        let rec = TraceRecord::TreeEdge { t_ns, node, parent };
+        prop_assert_eq!(decoded(&rec), Ok(rec));
     }
 
     #[test]
@@ -175,33 +139,28 @@ proptest! {
     ) {
         let lineage: Vec<LineageId> =
             ids.into_iter().map(|(src, seq)| LineageId::new(src, seq)).collect();
-        let wire = join_lineage(lineage.iter().copied());
         let rec = TraceRecord::AggMerge {
             t_ns,
             node,
             inputs,
             items: lineage.len() as u32,
             cost,
-            lineage: wire.clone(),
+            lineage: join_lineage(lineage.iter().copied()),
         };
-        let p = parsed(&rec);
-        prop_assert_eq!(p.u64_field("t_ns"), Some(t_ns));
-        prop_assert_eq!(p.u32_field("node"), Some(node));
-        prop_assert_eq!(p.u32_field("inputs"), Some(inputs));
-        prop_assert_eq!(p.u32_field("items"), Some(lineage.len() as u32));
-        prop_assert_eq!(p.f64_field("cost"), Some(cost));
+        let back = decoded(&rec);
+        prop_assert_eq!(&back, &Ok(rec));
         // The comma-joined set survives the quoted-value scan and splits
         // back into exactly the ids that were joined, in order.
-        prop_assert_eq!(p.str_field("lineage"), Some(wire.as_str()));
-        prop_assert_eq!(split_lineage(p.str_field("lineage").unwrap_or("")), lineage);
+        let Ok(TraceRecord::AggMerge { lineage: wire, .. }) = back else {
+            unreachable!("asserted above");
+        };
+        prop_assert_eq!(split_lineage(&wire), lineage);
     }
 
     #[test]
     fn event_gen_roundtrips(t_ns in any::<u64>(), node in any::<u32>(), seq in any::<u32>()) {
-        let p = parsed(&TraceRecord::EventGen { t_ns, node, seq });
-        prop_assert_eq!(p.u64_field("t_ns"), Some(t_ns));
-        prop_assert_eq!(p.u32_field("node"), Some(node));
-        prop_assert_eq!(p.u32_field("seq"), Some(seq));
+        let rec = TraceRecord::EventGen { t_ns, node, seq };
+        prop_assert_eq!(decoded(&rec), Ok(rec));
     }
 
     #[test]
@@ -212,12 +171,8 @@ proptest! {
         seq in any::<u32>(),
         gen_ns in any::<u64>(),
     ) {
-        let p = parsed(&TraceRecord::EventDeliver { t_ns, node, src, seq, gen_ns });
-        prop_assert_eq!(p.u64_field("t_ns"), Some(t_ns));
-        prop_assert_eq!(p.u32_field("node"), Some(node));
-        prop_assert_eq!(p.u32_field("src"), Some(src));
-        prop_assert_eq!(p.u32_field("seq"), Some(seq));
-        prop_assert_eq!(p.u64_field("gen_ns"), Some(gen_ns));
+        let rec = TraceRecord::EventDeliver { t_ns, node, src, seq, gen_ns };
+        prop_assert_eq!(decoded(&rec), Ok(rec));
     }
 
     #[test]
@@ -229,12 +184,8 @@ proptest! {
         reason_ix in 0usize..DropReason::ALL.len(),
     ) {
         let reason = DropReason::ALL[reason_ix];
-        let p = parsed(&TraceRecord::ItemDrop { t_ns, node, src, seq, reason });
-        prop_assert_eq!(p.u64_field("t_ns"), Some(t_ns));
-        prop_assert_eq!(p.u32_field("node"), Some(node));
-        prop_assert_eq!(p.u32_field("src"), Some(src));
-        prop_assert_eq!(p.u32_field("seq"), Some(seq));
-        prop_assert_eq!(p.str_field("reason").and_then(DropReason::parse), Some(reason));
+        let rec = TraceRecord::ItemDrop { t_ns, node, src, seq, reason };
+        prop_assert_eq!(decoded(&rec), Ok(rec));
     }
 
     #[test]
@@ -246,15 +197,10 @@ proptest! {
         sinks in any::<u32>(),
         total_energy_j in 0.0f64..1e9,
     ) {
-        let p = parsed(&TraceRecord::RunMetrics {
+        let rec = TraceRecord::RunMetrics {
             t_ns, generated, distinct, delay_sum_s, sinks, total_energy_j,
-        });
-        prop_assert_eq!(p.u64_field("t_ns"), Some(t_ns));
-        prop_assert_eq!(p.u64_field("generated"), Some(generated));
-        prop_assert_eq!(p.u64_field("distinct"), Some(distinct));
-        prop_assert_eq!(p.f64_field("delay_sum_s"), Some(delay_sum_s));
-        prop_assert_eq!(p.u32_field("sinks"), Some(sinks));
-        prop_assert_eq!(p.f64_field("total_energy_j"), Some(total_energy_j));
+        };
+        prop_assert_eq!(decoded(&rec), Ok(rec));
     }
 
     #[test]
@@ -266,11 +212,8 @@ proptest! {
     ) {
         // Labels are event-type names: plain identifiers, no escapes needed.
         let label = ["dispatch", "mac_timer", "proto_timer", "snapshot"][label_ix].to_string();
-        let p = parsed(&TraceRecord::Profile { label: label.clone(), count, total_ns, max_ns });
-        prop_assert_eq!(p.str_field("label").map(str::to_string), Some(label));
-        prop_assert_eq!(p.u64_field("count"), Some(count));
-        prop_assert_eq!(p.u64_field("total_ns"), Some(total_ns));
-        prop_assert_eq!(p.u64_field("max_ns"), Some(max_ns));
+        let rec = TraceRecord::Profile { label, count, total_ns, max_ns };
+        prop_assert_eq!(decoded(&rec), Ok(rec));
     }
 
     #[test]
@@ -281,12 +224,8 @@ proptest! {
         queue in any::<u32>(),
         cache in any::<u32>(),
     ) {
-        let p = parsed(&TraceRecord::Snapshot { t_ns, node, energy_j, queue, cache });
-        prop_assert_eq!(p.u64_field("t_ns"), Some(t_ns));
-        prop_assert_eq!(p.u32_field("node"), Some(node));
-        prop_assert_eq!(p.f64_field("energy_j"), Some(energy_j));
-        prop_assert_eq!(p.u32_field("queue"), Some(queue));
-        prop_assert_eq!(p.u32_field("cache"), Some(cache));
+        let rec = TraceRecord::Snapshot { t_ns, node, energy_j, queue, cache };
+        prop_assert_eq!(decoded(&rec), Ok(rec));
     }
 
     #[test]
@@ -295,21 +234,19 @@ proptest! {
         events in any::<u64>(),
         total_energy_j in 0.0f64..1e9,
     ) {
-        let p = parsed(&TraceRecord::RunEnd { t_ns, events, total_energy_j });
-        prop_assert_eq!(p.u64_field("t_ns"), Some(t_ns));
-        prop_assert_eq!(p.u64_field("events"), Some(events));
-        prop_assert_eq!(p.f64_field("total_energy_j"), Some(total_energy_j));
+        let rec = TraceRecord::RunEnd { t_ns, events, total_energy_j };
+        prop_assert_eq!(decoded(&rec), Ok(rec));
     }
 
     #[test]
     fn non_object_garbage_is_rejected(bytes in prop::collection::vec(0u32..95, 0..60)) {
-        // Anything that does not open with '{' can never parse; the parser
-        // must reject it with None, never a panic. The leading 'x' pins the
-        // first (trimmed) character away from '{'.
+        // Anything that does not open with '{' can never decode; the
+        // decoder must call it a foreign line, never panic. The leading 'x'
+        // pins the first (trimmed) character away from '{'.
         let garbage: String = std::iter::once('x')
             .chain(bytes.into_iter().map(|b| (b' ' + b as u8) as char))
             .collect();
-        prop_assert_eq!(parse_line(&garbage), None);
+        prop_assert_eq!(TraceRecord::from_json(&garbage), Err(DecodeError::NotARecord));
     }
 
     #[test]
@@ -319,10 +256,16 @@ proptest! {
         cut in any::<u64>(),
     ) {
         // Flat records contain exactly one '}', at the very end — so any
-        // proper prefix is malformed and must parse to None without panics.
+        // proper prefix is malformed and must decode as a foreign line
+        // without panics.
         let line = TraceRecord::Snapshot { t_ns, node, energy_j: 0.5, queue: 1, cache: 2 }
             .to_json();
         let cut = (cut as usize) % line.len();
-        prop_assert_eq!(parse_line(&line[..cut]), None, "prefix of len {}", cut);
+        prop_assert_eq!(
+            TraceRecord::from_json(&line[..cut]),
+            Err(DecodeError::NotARecord),
+            "prefix of len {}",
+            cut
+        );
     }
 }

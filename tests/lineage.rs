@@ -15,12 +15,18 @@ use wsn::diffusion::Scheme;
 use wsn::net::TraceOptions;
 use wsn::scenario::ScenarioSpec;
 use wsn::sim::SimDuration;
-use wsn::trace::{audit_text, parse_line, split_lineage, JsonlSink, SharedSink};
+use wsn::trace::{audit_text, split_lineage, JsonlSink, SharedSink, TraceRecord};
 
 fn experiment(nodes: usize, scheme: Scheme, seed: u64) -> Experiment {
     let mut spec = ScenarioSpec::paper(nodes, seed);
     spec.duration = SimDuration::from_secs(30);
     Experiment::new(spec, scheme)
+}
+
+/// The trace's records, decoded from its NDJSON text.
+fn records(text: &str) -> impl Iterator<Item = TraceRecord> + '_ {
+    text.lines()
+        .map(|l| TraceRecord::from_json(l).unwrap_or_else(|e| panic!("{e}: {l}")))
 }
 
 /// Runs `exp` traced into NDJSON text.
@@ -55,14 +61,12 @@ fn recompute(text: &str) -> (u64, u64, f64) {
     let mut generated = 0u64;
     let mut distinct = 0u64;
     let mut sink_delay: BTreeMap<u32, f64> = BTreeMap::new();
-    for line in text.lines() {
-        let Some(p) = parse_line(line) else { continue };
-        match p.tag() {
-            Some("event_gen") => generated += 1,
-            Some("deliver") => {
-                let t_ns = p.u64_field("t_ns").expect("deliver carries t_ns");
-                let gen_ns = p.u64_field("gen_ns").expect("deliver carries gen_ns");
-                let node = p.u32_field("node").expect("deliver carries node");
+    for rec in records(text) {
+        match rec {
+            TraceRecord::EventGen { .. } => generated += 1,
+            TraceRecord::EventDeliver {
+                t_ns, node, gen_ns, ..
+            } => {
                 distinct += 1;
                 *sink_delay.entry(node).or_insert(0.0) += t_ns.saturating_sub(gen_ns) as f64 / 1e9;
             }
@@ -146,19 +150,21 @@ fn payload_frames_carry_lineage_and_merges_list_absorbed_ids() {
     let (text, _) = traced_text(&exp);
     let mut stamped_tx = 0u64;
     let mut merged_ids = 0usize;
-    for line in text.lines() {
-        let Some(p) = parse_line(line) else { continue };
-        match p.tag() {
-            Some("tx") => {
-                if let Some(l) = p.str_field("lineage") {
-                    stamped_tx += 1;
-                    assert!(!split_lineage(l).is_empty(), "tx lineage must parse: {l:?}");
-                }
+    for rec in records(&text) {
+        match rec {
+            TraceRecord::PacketTx {
+                lineage: Some(l), ..
+            } => {
+                stamped_tx += 1;
+                assert!(
+                    !split_lineage(&l).is_empty(),
+                    "tx lineage must parse: {l:?}"
+                );
             }
-            Some("agg_merge") => {
-                let l = p.str_field("lineage").expect("merges list lineage");
-                let items = p.u32_field("items").expect("merges count items");
-                let ids = split_lineage(l);
+            TraceRecord::AggMerge {
+                lineage: l, items, ..
+            } => {
+                let ids = split_lineage(&l);
                 assert_eq!(
                     ids.len() as u32,
                     items,

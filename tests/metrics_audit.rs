@@ -2,9 +2,10 @@
 //! and the telemetry trace: every registry total is incremented beside the
 //! matching trace-emission site (unconditionally, not gated on the sink),
 //! so on a run with both attached the registry totals must equal the
-//! trace-derived totals with **zero tolerance** — frames by kind, drops by
+//! trace's reduction with **zero tolerance** — frames by kind, drops by
 //! reason, collisions, item drops, reinforcements, aggregation fan-in, and
-//! per-state energy in quantized nanojoules.
+//! per-state energy in quantized nanojoules ([`registry_mismatches`], the
+//! same check `metrics_report --audit` runs).
 //!
 //! The same runs pin the run's one harvest, [`RunOutcome`], against the
 //! registry and the scenario: counts incremented side by side must agree
@@ -18,80 +19,13 @@ use std::cell::RefCell;
 use std::io::Write;
 use std::rc::Rc;
 
-use wsn::core::{Experiment, MetricsSetup, RunOutcome};
+use wsn::core::{registry_mismatches, Experiment, MetricsSetup, RunOutcome};
 use wsn::diffusion::{MsgKind, Scheme};
-use wsn::metrics::{joules_to_nj, MetricsRegistry};
+use wsn::metrics::MetricsRegistry;
 use wsn::net::{NodeId, TraceOptions};
 use wsn::scenario::{FailureConfig, FailureEvent, ScenarioInstance, ScenarioSpec};
 use wsn::sim::{SimDuration, SimTime};
-use wsn::trace::{DropReason, JsonlSink, SharedSink, ENERGY_STATES};
-
-/// Frame-kind labels in `phy.frames_tx{kind=..}` registration order.
-const FRAME_KINDS: [&str; 4] = ["data", "ack", "rts", "cts"];
-
-/// Totals recomputed from a trace, in the units the registry counts them.
-#[derive(Default)]
-struct TraceTotals {
-    tx_by_kind: [u64; 4],
-    rx: u64,
-    collisions: u64,
-    drops: [u64; 6],
-    item_drops: [u64; 6],
-    energy_nj: [u64; 4],
-    reinforcements: u64,
-    tree_edges: u64,
-    agg_count: u64,
-    agg_inputs_sum: u64,
-}
-
-fn reason_slot(name: &str) -> usize {
-    let reason = DropReason::parse(name).expect("known drop reason");
-    DropReason::ALL
-        .iter()
-        .position(|&r| r == reason)
-        .expect("reason in ALL")
-}
-
-fn trace_totals(text: &str) -> TraceTotals {
-    let mut t = TraceTotals::default();
-    for line in text.lines() {
-        let p = wsn::trace::parse_line(line).expect("trace lines parse");
-        match p.tag().unwrap_or("") {
-            "tx" => {
-                let kind = p.str_field("kind").expect("tx has a kind");
-                let slot = FRAME_KINDS
-                    .iter()
-                    .position(|&k| k == kind)
-                    .expect("known frame kind");
-                t.tx_by_kind[slot] += 1;
-            }
-            "rx" => t.rx += 1,
-            "collision" => t.collisions += 1,
-            "drop" => t.drops[reason_slot(p.str_field("reason").expect("reason"))] += 1,
-            "item_drop" => {
-                t.item_drops[reason_slot(p.str_field("reason").expect("reason"))] += 1;
-            }
-            "energy" => {
-                let state = p.str_field("state").expect("energy has a state");
-                let slot = ENERGY_STATES
-                    .iter()
-                    .position(|&s| s == state)
-                    .expect("known radio state");
-                // Quantize per debit, exactly as the registry records it —
-                // summing the floats first would drift.
-                t.energy_nj[slot] += joules_to_nj(p.f64_field("joules").expect("joules"));
-            }
-            "reinforce" => t.reinforcements += 1,
-            "tree_edge" => t.tree_edges += 1,
-            "agg_merge" => {
-                t.agg_count += 1;
-                t.agg_inputs_sum += p.u64_field("inputs").expect("inputs");
-            }
-            _ => {}
-        }
-    }
-    t
-}
+use wsn::trace::{DropReason, JsonlSink, SharedSink, TraceSummary};
 
 /// Runs `spec` (instantiated as `instance`) with both a trace and metrics
 /// attached; returns the outcome, the final registry and the trace text.
@@ -129,54 +63,21 @@ fn counter(reg: &MetricsRegistry, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("registered counter {name}"))
 }
 
+/// Reduces the trace text, every line of which must decode.
+fn summary(text: &str) -> TraceSummary {
+    let summary = TraceSummary::from_text(text);
+    assert_eq!(summary.skipped_lines, 0, "every trace line decodes");
+    summary
+}
+
 /// Asserts every reconcilable registry total equals the trace total.
-fn assert_reconciles(reg: &MetricsRegistry, t: &TraceTotals) {
-    let counter = |name: &str| counter(reg, name);
-    for (slot, kind) in FRAME_KINDS.iter().enumerate() {
-        assert_eq!(
-            counter(&format!("phy.frames_tx{{kind={kind}}}")),
-            t.tx_by_kind[slot],
-            "frames_tx{{kind={kind}}}"
-        );
-    }
-    assert_eq!(counter("phy.frames_rx"), t.rx, "frames_rx");
-    assert_eq!(counter("phy.collisions"), t.collisions, "collisions");
-    for (slot, reason) in DropReason::ALL.iter().enumerate() {
-        assert_eq!(
-            counter(&format!("phy.drops{{reason={}}}", reason.name())),
-            t.drops[slot],
-            "drops{{{}}}",
-            reason.name()
-        );
-        assert_eq!(
-            counter(&format!("diffusion.item_drops{{reason={}}}", reason.name())),
-            t.item_drops[slot],
-            "item_drops{{{}}}",
-            reason.name()
-        );
-    }
-    for (slot, state) in ENERGY_STATES.iter().enumerate() {
-        assert_eq!(
-            counter(&format!("phy.energy_nj{{state={state}}}")),
-            t.energy_nj[slot],
-            "energy_nj{{state={state}}}"
-        );
-    }
-    assert_eq!(
-        counter("diffusion.reinforcements"),
-        t.reinforcements,
-        "reinforcements"
+fn assert_reconciles(reg: &MetricsRegistry, trace: &TraceSummary) {
+    let mismatches = registry_mismatches(
+        trace,
+        |name| reg.counter_by_name(name),
+        |name| reg.hist_by_name(name).map(|h| (h.count(), h.sum())),
     );
-    assert_eq!(
-        counter("diffusion.tree_edges_added"),
-        t.tree_edges,
-        "tree_edges_added"
-    );
-    let fanin = reg
-        .hist_by_name("diffusion.agg_fanin")
-        .expect("registered histogram");
-    assert_eq!(fanin.count(), t.agg_count, "agg_fanin count");
-    assert_eq!(fanin.sum(), t.agg_inputs_sum, "agg_fanin sum");
+    assert!(mismatches.is_empty(), "{mismatches:#?}");
 }
 
 /// Asserts the outcome's harvest agrees exactly with the registry and with
@@ -226,7 +127,7 @@ fn registry_totals_reconcile_exactly_with_the_trace_greedy() {
     spec.duration = SimDuration::from_secs(60);
     let instance = spec.instantiate();
     let (outcome, reg, text) = observed_run(spec, &instance, Scheme::Greedy);
-    let t = trace_totals(&text);
+    let t = summary(&text);
     assert!(t.tx_by_kind[0] > 0, "a 60 s run transmits data frames");
     assert!(t.energy_nj[1] > 0, "idle energy is always debited");
     assert_reconciles(&reg, &t);
@@ -240,8 +141,8 @@ fn registry_totals_reconcile_exactly_with_the_trace_opportunistic() {
     spec.duration = SimDuration::from_secs(60);
     let instance = spec.instantiate();
     let (outcome, reg, text) = observed_run(spec, &instance, Scheme::Opportunistic);
-    let t = trace_totals(&text);
-    assert!(t.agg_count > 0, "opportunistic runs merge at junctions");
+    let t = summary(&text);
+    assert!(t.merges > 0, "opportunistic runs merge at junctions");
     assert_reconciles(&reg, &t);
     assert_harvest_agrees(&instance, &outcome, &reg);
 }
@@ -254,8 +155,7 @@ fn reconciliation_holds_under_node_failures() {
     spec.failures = Some(FailureConfig::default());
     let instance = spec.instantiate();
     let (outcome, reg, text) = observed_run(spec, &instance, Scheme::Greedy);
-    let t = trace_totals(&text);
-    assert_reconciles(&reg, &t);
+    assert_reconciles(&reg, &summary(&text));
     assert_harvest_agrees(&instance, &outcome, &reg);
 }
 

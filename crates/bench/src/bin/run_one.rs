@@ -24,7 +24,7 @@
 
 use wsn_bench::{args_or_help, exit_usage_error, parse_scale, parse_value};
 use wsn_core::{Experiment, MetricsSetup};
-use wsn_diffusion::{MsgKind, Scheme, SinkStats};
+use wsn_diffusion::{MsgKind, Scheme, SinkStats, DEDUP_WINDOW};
 use wsn_net::MacKind;
 use wsn_scenario::{
     render_svg, Connectivity, FailureConfig, RenderOverlay, ScenarioSpec, SourcePlacement,
@@ -231,6 +231,10 @@ fn main() {
     for kind in MsgKind::ALL {
         println!("  {kind:?}: {}", outcome.sent[kind.index()]);
     }
+    println!(
+        "stale arrivals: {} (older than a {DEDUP_WINDOW}-wide dedup window)",
+        outcome.stale_arrivals
+    );
     println!(
         "\nsimulated {:.0} s ({} events) in {:.2} s wall time",
         record.duration_s,

@@ -98,6 +98,11 @@ pub struct RunOutcome {
     pub tree_edges: Vec<(NodeId, NodeId)>,
     /// The nodes down at the end of the run, in ascending order.
     pub down: Vec<NodeId>,
+    /// Interest and item arrivals over all nodes that a dedup window
+    /// answered "seen" only because they were older than the window (see
+    /// [`wsn_diffusion::DedupWindows`]). Zero means every dedup decision
+    /// equals an unbounded set's.
+    pub stale_arrivals: u64,
     /// Simulator run accounting (events dispatched, final clock, backlog).
     pub accounting: RunAccounting,
     /// Disconnected placements rejected while generating the run's field
@@ -244,6 +249,7 @@ impl Experiment {
         let mut sent = [0; 6];
         let mut delays_s = Vec::new();
         let mut tree_edges = Vec::new();
+        let mut stale_arrivals = 0;
         for (id, proto) in net.protocols() {
             if proto.role().is_sink {
                 distinct_events += proto.sink.distinct;
@@ -257,6 +263,7 @@ impl Experiment {
             for kind in MsgKind::ALL {
                 sent[kind.index()] += proto.counters.sent(kind);
             }
+            stale_arrivals += proto.stale_arrivals();
             let next_hops = proto.gradients().data_neighbors(now);
             tree_edges.extend(next_hops.into_iter().map(|hop| (id, hop)));
         }
@@ -290,6 +297,7 @@ impl Experiment {
             delays_s,
             tree_edges,
             down: nodes.filter(|&id| !net.is_up(id)).collect(),
+            stale_arrivals,
             accounting: net.accounting(),
             field_retries: instance.field.retries,
         };

@@ -16,12 +16,18 @@
 //! lowest-cost offer, preferring exploratory offers on cost ties and earlier
 //! arrivals on remaining ties (paper §4.1).
 //!
-//! Offers are dense over the node's neighbor list: offer slot `k` holds
-//! `neighbors[k]`'s offers, the position a delivery reports as
-//! [`Ctx::sender_index`](wsn_net::Ctx::sender_index), and one extra last
-//! slot holds the node's own offer (a source's cost-0 copy of its own
-//! event). Recording an offer is one indexed store; the upstream choice
-//! compares `NodeId`s, never slots, so storage order cannot reach it.
+//! Exploratory offers are dense over the node's neighbor list: slot `k`
+//! holds `neighbors[k]`'s best exploratory offer, the position a delivery
+//! reports as [`Ctx::sender_index`](wsn_net::Ctx::sender_index), and one
+//! extra last slot holds the node's own offer (a source's cost-0 copy of its
+//! own event). Each slot is 12 bytes, a cost and an arrival time, and
+//! recording one is one indexed store. Incremental offers come only from
+//! the few neighbors on the aggregation tree, so each entry keeps them
+//! sparse: a short list of each offering slot's best one, allocated on the
+//! entry's first incremental message together with the incremental-cost
+//! dedup, which therefore expires with the entry. The upstream choice
+//! compares `NodeId`s, never slots or list positions, so storage order
+//! cannot reach it.
 
 use std::collections::hash_map::Entry;
 
@@ -29,16 +35,17 @@ use wsn_net::NodeId;
 use wsn_sim::SimTime;
 
 use crate::config::Scheme;
-use crate::hash::{FastMap, FastSet};
+use crate::hash::FastMap;
 use crate::msg::{EventItem, MsgId};
 
-/// The "no such cost" sentinel: an absent offer, or an `own_energy` for an
-/// event this node never saw itself. Real costs count transmissions and
-/// never reach it.
+/// The "no such cost" sentinel: an exploratory slot no offer reached yet,
+/// or an `own_energy` for an event this node never saw itself. Real costs
+/// count transmissions and never reach it.
 const NONE: u32 = u32::MAX;
 
-/// Which kind of offer won the upstream choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which kind of offer won the upstream choice. Ordered by the paper's
+/// cost-tie rule: exploratory before incremental.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum UpstreamKind {
     /// Reinforce along the exploratory event's reverse path (builds a new
     /// path segment toward the source).
@@ -47,37 +54,52 @@ pub enum UpstreamKind {
     Incremental,
 }
 
-/// The best offers from one neighbor, 24 bytes: a cost of [`NONE`] marks
-/// an offer not yet made (its arrival time is then meaningless).
+/// One slot's best exploratory offer in 12 bytes: packed to 4-byte
+/// alignment, so it is only ever read and written by value. A cost of
+/// [`NONE`] marks an offer not yet made (its arrival time is then
+/// meaningless).
 #[derive(Debug, Clone, Copy)]
-struct Offer {
-    /// Best exploratory cost from this neighbor.
-    expl_cost: u32,
-    /// Best incremental cost from this neighbor.
-    incr_cost: u32,
-    /// Arrival of the best exploratory offer.
-    expl_at: SimTime,
-    /// Arrival of the best incremental offer.
-    incr_at: SimTime,
+#[repr(C, packed(4))]
+struct ExplOffer {
+    /// Best exploratory cost from this slot.
+    cost: u32,
+    /// Arrival of that offer.
+    at: SimTime,
 }
 
-impl Offer {
-    const EMPTY: Offer = Offer {
-        expl_cost: NONE,
-        incr_cost: NONE,
-        expl_at: SimTime::ZERO,
-        incr_at: SimTime::ZERO,
+impl ExplOffer {
+    const EMPTY: ExplOffer = ExplOffer {
+        cost: NONE,
+        at: SimTime::ZERO,
     };
 
-    /// Best exploratory (cost, arrival), if any.
-    fn expl(&self) -> Option<(u32, SimTime)> {
-        (self.expl_cost != NONE).then_some((self.expl_cost, self.expl_at))
+    /// The (cost, arrival) of the offer, if one was made.
+    fn get(self) -> Option<(u32, SimTime)> {
+        let ExplOffer { cost, at } = self;
+        (cost != NONE).then_some((cost, at))
     }
+}
 
-    /// Best incremental (cost, arrival), if any.
-    fn incr(&self) -> Option<(u32, SimTime)> {
-        (self.incr_cost != NONE).then_some((self.incr_cost, self.incr_at))
-    }
+/// One slot's best incremental offer.
+#[derive(Debug, Clone, Copy)]
+struct IncrOffer {
+    /// The offering slot.
+    slot: u32,
+    /// Best incremental cost from this slot.
+    cost: u32,
+    /// Arrival of that offer.
+    at: SimTime,
+}
+
+/// An entry's incremental-cost state, allocated on its first incremental
+/// message.
+#[derive(Debug, Clone, Default)]
+struct Incremental {
+    /// Each offering slot's best offer, one per slot.
+    offers: Vec<IncrOffer>,
+    /// Origins whose incremental cost message for this id was already
+    /// forwarded.
+    forwarded: Vec<NodeId>,
 }
 
 /// Cached state for one exploratory event.
@@ -88,14 +110,15 @@ pub struct ExplEntry {
     /// Offer slot of the sender of the first copy (the opportunistic
     /// choice).
     first_from: u32,
-    /// Arrival time of the first copy.
-    pub first_arrival: SimTime,
     /// Minimum energy cost at which this node received the event — the `E`
     /// looked up when forwarding incremental cost messages. `u32::MAX`
     /// when only incremental offers arrived.
     pub own_energy: u32,
-    /// One offer per neighbor slot, then the node's own.
-    offers: Vec<Offer>,
+    /// One exploratory offer per neighbor slot, then the node's own.
+    offers: Box<[ExplOffer]>,
+    /// Incremental offers and dedup, `None` until the first incremental
+    /// message for this id.
+    incremental: Option<Box<Incremental>>,
     /// Whether a reinforcement was already propagated for this id (one
     /// upstream reinforcement per id per node).
     pub reinforce_sent: bool,
@@ -104,23 +127,27 @@ pub struct ExplEntry {
 }
 
 impl ExplEntry {
-    /// A fresh entry with `slots` empty offers for the first message heard
-    /// about an event, from offer slot `from`; the caller records its
-    /// offer.
-    fn new(item: EventItem, from: usize, now: SimTime, slots: usize) -> Self {
+    /// A fresh entry with `slots` empty exploratory offers for the first
+    /// message heard about an event, from offer slot `from`; the caller
+    /// records its offer.
+    fn new(item: EventItem, from: usize, slots: usize) -> Self {
         ExplEntry {
             item,
             first_from: from as u32,
-            first_arrival: now,
             own_energy: NONE,
-            offers: vec![Offer::EMPTY; slots],
+            offers: vec![ExplOffer::EMPTY; slots].into_boxed_slice(),
+            incremental: None,
             reinforce_sent: false,
             timer_armed: false,
         }
     }
 }
 
-/// The per-node exploratory cache.
+/// The per-node exploratory cache: one [`ExplEntry`] per exploratory id
+/// heard, until [`expire_before`](Self::expire_before) drops it. An entry
+/// holds a 12-byte exploratory offer per offer slot (degree + 1) and, once
+/// incremental cost messages arrive, a short list of incremental offers
+/// and the origins already forwarded.
 ///
 /// # Examples
 ///
@@ -152,9 +179,6 @@ pub struct ExplCache {
     /// `neighbors[k]`.
     neighbors: Box<[NodeId]>,
     entries: FastMap<MsgId, ExplEntry>,
-    /// Dedup for incremental cost messages: `(id, origin)` pairs already
-    /// forwarded.
-    seen_incremental: FastSet<(MsgId, NodeId)>,
 }
 
 impl ExplCache {
@@ -169,7 +193,6 @@ impl ExplCache {
             me,
             neighbors: neighbors.into(),
             entries: FastMap::default(),
-            seen_incremental: FastSet::default(),
         }
     }
 
@@ -185,17 +208,11 @@ impl ExplCache {
 
     /// The entry for `id`, created for a first message from offer slot
     /// `from` if absent; `true` when it was created.
-    fn entry_or_new(
-        &mut self,
-        id: MsgId,
-        item: EventItem,
-        from: usize,
-        now: SimTime,
-    ) -> (&mut ExplEntry, bool) {
+    fn entry_or_new(&mut self, id: MsgId, item: EventItem, from: usize) -> (&mut ExplEntry, bool) {
         let slots = self.neighbors.len() + 1;
         match self.entries.entry(id) {
             Entry::Occupied(o) => (o.into_mut(), false),
-            Entry::Vacant(v) => (v.insert(ExplEntry::new(item, from, now, slots)), true),
+            Entry::Vacant(v) => (v.insert(ExplEntry::new(item, from, slots)), true),
         }
     }
 
@@ -215,12 +232,15 @@ impl ExplCache {
         energy: u32,
         now: SimTime,
     ) -> bool {
-        let (entry, first) = self.entry_or_new(id, item, from, now);
+        let (entry, first) = self.entry_or_new(id, item, from);
         entry.own_energy = entry.own_energy.min(energy);
         let offer = &mut entry.offers[from];
-        if energy < offer.expl_cost {
-            offer.expl_cost = energy;
-            offer.expl_at = now;
+        let best = offer.cost;
+        if energy < best {
+            *offer = ExplOffer {
+                cost: energy,
+                at: now,
+            };
         }
         first
     }
@@ -242,18 +262,44 @@ impl ExplCache {
         cost: u32,
         now: SimTime,
     ) {
-        let (entry, _) = self.entry_or_new(id, item, from, now);
-        let offer = &mut entry.offers[from];
-        if cost < offer.incr_cost {
-            offer.incr_cost = cost;
-            offer.incr_at = now;
+        assert!(
+            from <= self.own_slot(),
+            "offer slot {from} past the own slot"
+        );
+        let (entry, _) = self.entry_or_new(id, item, from);
+        let offers = &mut entry.incremental.get_or_insert_default().offers;
+        let slot = from as u32;
+        match offers.iter_mut().find(|o| o.slot == slot) {
+            Some(o) if cost < o.cost => {
+                o.cost = cost;
+                o.at = now;
+            }
+            Some(_) => {}
+            None => offers.push(IncrOffer {
+                slot,
+                cost,
+                at: now,
+            }),
         }
     }
 
     /// Dedup check for incremental cost messages: returns `true` the first
     /// time `(id, origin)` is seen (the caller then forwards it).
+    ///
+    /// The pairs seen are kept in `id`'s entry and expire with it, so an id
+    /// with no entry (never recorded, or expired) answers `true` and
+    /// remembers nothing. The protocol records an offer for `id` before it
+    /// asks.
     pub fn first_incremental(&mut self, id: MsgId, origin: NodeId) -> bool {
-        self.seen_incremental.insert((id, origin))
+        let Some(entry) = self.entries.get_mut(&id) else {
+            return true;
+        };
+        let forwarded = &mut entry.incremental.get_or_insert_default().forwarded;
+        if forwarded.contains(&origin) {
+            return false;
+        }
+        forwarded.push(origin);
+        true
     }
 
     /// The cached entry for `id`.
@@ -303,6 +349,12 @@ impl ExplCache {
         excluded: &[NodeId],
     ) -> Option<(NodeId, UpstreamKind)> {
         let entry = self.entries.get(&id)?;
+        // Every exploratory offer made, as (slot, cost, arrival).
+        let explored = entry
+            .offers
+            .iter()
+            .enumerate()
+            .filter_map(|(k, o)| o.get().map(|(c, t)| (k, c, t)));
         match scheme {
             Scheme::Opportunistic => {
                 let first = self.node_at(entry.first_from as usize);
@@ -311,46 +363,25 @@ impl ExplCache {
                 } else if !excluded.contains(&first) {
                     Some((first, UpstreamKind::Exploratory))
                 } else {
-                    entry
-                        .offers
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, o)| o.expl_cost != NONE)
-                        .map(|(k, o)| (o.expl_at, self.node_at(k)))
+                    explored
+                        .map(|(k, _, t)| (t, self.node_at(k)))
                         .filter(|(_, n)| !excluded.contains(n))
                         .min()
                         .map(|(_, n)| (n, UpstreamKind::Exploratory))
                 }
             }
             Scheme::Greedy => {
-                let mut best: Option<(u32, u8, SimTime, NodeId, UpstreamKind)> = None;
-                for (k, offer) in entry.offers.iter().enumerate() {
-                    if offer.expl_cost == NONE && offer.incr_cost == NONE {
-                        continue;
-                    }
-                    let n = self.node_at(k);
-                    if excluded.contains(&n) {
-                        continue;
-                    }
-                    let candidates = [
-                        offer
-                            .expl()
-                            .map(|(c, t)| (c, 0u8, t, n, UpstreamKind::Exploratory)),
-                        offer
-                            .incr()
-                            .map(|(c, t)| (c, 1u8, t, n, UpstreamKind::Incremental)),
-                    ];
-                    for cand in candidates.into_iter().flatten() {
-                        let better = match &best {
-                            None => true,
-                            Some(b) => (cand.0, cand.1, cand.2, cand.3) < (b.0, b.1, b.2, b.3),
-                        };
-                        if better {
-                            best = Some(cand);
-                        }
-                    }
-                }
-                best.map(|(_, _, _, n, k)| (n, k))
+                // The minimum over (cost, kind, arrival, node id).
+                let incremental = entry.incremental.iter().flat_map(|i| &i.offers).map(|o| {
+                    let n = self.node_at(o.slot as usize);
+                    (o.cost, UpstreamKind::Incremental, o.at, n)
+                });
+                explored
+                    .map(|(k, c, t)| (c, UpstreamKind::Exploratory, t, self.node_at(k)))
+                    .chain(incremental)
+                    .filter(|(_, _, _, n)| !excluded.contains(n))
+                    .min()
+                    .map(|(_, kind, _, n)| (n, kind))
             }
         }
     }
@@ -365,19 +396,25 @@ impl ExplCache {
         self.entries.is_empty()
     }
 
-    /// Drops entries for events generated before `horizon` (bounds memory on
-    /// long runs; two exploratory intervals of history are plenty).
+    /// The offers the cached entries hold: every entry's exploratory slots
+    /// (degree + 1 each) plus its incremental offers.
+    pub fn offer_slots(&self) -> usize {
+        self.entries
+            .values()
+            .map(|e| e.offers.len() + e.incremental.as_ref().map_or(0, |i| i.offers.len()))
+            .sum()
+    }
+
+    /// Drops entries for events generated before `horizon`, and with them
+    /// their incremental-cost dedup (bounds memory on long runs; two
+    /// exploratory intervals of history are plenty).
     pub fn expire_before(&mut self, horizon: SimTime) {
         self.entries.retain(|_, e| e.item.generated >= horizon);
-        let entries = &self.entries;
-        self.seen_incremental
-            .retain(|(id, _)| entries.contains_key(id));
     }
 
     /// Removes all state (node failure).
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.seen_incremental.clear();
     }
 }
 
@@ -554,11 +591,18 @@ mod tests {
 
     #[test]
     fn incremental_dedup_by_origin() {
+        // The dedup lives in the id's entry, which an offer creates.
         let mut c = cache();
+        c.record_incremental(id(0, 0), item(0, 0), slot(1), 4, t(10));
+        c.record_exploratory(id(0, 1), item(0, 1), slot(2), 3, t(20));
         assert!(c.first_incremental(id(0, 0), NodeId(5)));
         assert!(!c.first_incremental(id(0, 0), NodeId(5)));
         assert!(c.first_incremental(id(0, 0), NodeId(6)));
         assert!(c.first_incremental(id(0, 1), NodeId(5)));
+        // Without an entry there is nothing to remember the pair in.
+        assert!(c.first_incremental(id(9, 9), NodeId(5)));
+        assert!(c.first_incremental(id(9, 9), NodeId(5)));
+        assert_eq!(c.len(), 2);
     }
 
     #[test]
@@ -603,8 +647,29 @@ mod tests {
     }
 
     #[test]
-    fn offer_is_24_bytes() {
-        assert_eq!(std::mem::size_of::<Offer>(), 24);
+    fn expl_offer_is_12_bytes() {
+        assert_eq!(std::mem::size_of::<ExplOffer>(), 12);
+    }
+
+    #[test]
+    fn incremental_offers_are_sparse_and_counted() {
+        let mut c = cache();
+        let slots = NEIGHBORS.len() + 1;
+        c.record_exploratory(id(0, 0), item(0, 0), slot(1), 5, t(10));
+        assert_eq!(c.offer_slots(), slots);
+        c.record_incremental(id(0, 0), item(0, 0), slot(7), 6, t(20));
+        c.record_incremental(id(0, 0), item(0, 0), slot(7), 2, t(30));
+        c.record_incremental(id(0, 0), item(0, 0), slot(9), 3, t(40));
+        // One incremental offer per offering slot, each slot's best.
+        assert_eq!(c.offer_slots(), slots + 2);
+        assert_eq!(
+            c.choose_upstream(id(0, 0), Scheme::Greedy),
+            Some((NodeId(7), UpstreamKind::Incremental))
+        );
+        assert_eq!(
+            c.choose_upstream_excluding(id(0, 0), Scheme::Greedy, &[NodeId(7)]),
+            Some((NodeId(9), UpstreamKind::Incremental))
+        );
     }
 
     #[test]

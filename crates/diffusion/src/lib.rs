@@ -66,6 +66,7 @@ mod naming;
 mod node;
 mod stats;
 mod truncate;
+mod window;
 
 pub use aggregate::{AggregationBuffer, IncomingAgg, OutgoingAgg};
 pub use cache::{ExplCache, ExplEntry, UpstreamKind};
@@ -75,6 +76,7 @@ pub use gradient::GradientTable;
 pub use metrics::DiffusionMetricIds;
 pub use msg::{DiffMsg, EventItem, MsgId, MsgKind, ReinforceKind};
 pub use naming::{AttrValue, InterestSpec, Predicate, SensorDescription};
-pub use node::{DiffTimer, DiffusionNode, Role};
+pub use node::{DiffTimer, DiffusionNode, Role, StateSizes};
 pub use stats::{ProtoCounters, SinkStats};
 pub use truncate::{TruncationLog, WindowEntry};
+pub use window::{DedupWindows, DEDUP_WINDOW};

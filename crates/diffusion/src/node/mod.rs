@@ -30,11 +30,12 @@ use crate::aggregate::AggregationBuffer;
 use crate::cache::ExplCache;
 use crate::config::DiffusionConfig;
 use crate::gradient::GradientTable;
-use crate::hash::{FastMap, FastSet};
+use crate::hash::FastMap;
 use crate::metrics::DiffusionMetricIds;
 use crate::msg::{DiffMsg, MsgId};
 use crate::stats::{ProtoCounters, SinkStats};
 use crate::truncate::TruncationLog;
+use crate::window::DedupWindows;
 
 mod control;
 mod data;
@@ -102,6 +103,18 @@ struct SourceTrack {
     last_id: MsgId,
 }
 
+/// The sizes of one node's bounded protocol tables, from
+/// [`DiffusionNode::state_sizes`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StateSizes {
+    /// Dedup windows held, interests' and items' together: one per origin.
+    pub dedup_windows: usize,
+    /// Cached exploratory entries ([`ExplCache::len`]).
+    pub cached_entries: usize,
+    /// Offers those entries hold ([`ExplCache::offer_slots`]).
+    pub offer_slots: usize,
+}
+
 /// The diffusion protocol instance for one node.
 #[derive(Debug)]
 pub struct DiffusionNode {
@@ -110,14 +123,16 @@ pub struct DiffusionNode {
     me: NodeId,
     // Control plane.
     interest_seq: u32,
-    seen_interests: FastSet<(NodeId, u32)>,
+    /// Interests seen, as one dedup window per sink.
+    seen_interests: DedupWindows,
     /// Per-neighbor gradients and exploratory offers, both addressed by the
     /// neighbor's position in the topology's neighbor list (bound to it in
     /// `on_start`).
     gradients: GradientTable,
     expl: ExplCache,
     // Data plane.
-    seen_items: FastSet<(NodeId, u32)>,
+    /// Event items seen, as one dedup window per source.
+    seen_items: DedupWindows,
     buffer: AggregationBuffer,
     window: TruncationLog,
     flush_timer: Option<TimerHandle>,
@@ -162,10 +177,10 @@ impl DiffusionNode {
             role,
             me,
             interest_seq: 0,
-            seen_interests: FastSet::default(),
+            seen_interests: DedupWindows::default(),
             gradients: GradientTable::default(),
             expl: ExplCache::new(me, &[]),
-            seen_items: FastSet::default(),
+            seen_items: DedupWindows::default(),
             buffer: AggregationBuffer::new(),
             window,
             flush_timer: None,
@@ -204,6 +219,23 @@ impl DiffusionNode {
     /// The gradient table (inspection/testing).
     pub fn gradients(&self) -> &GradientTable {
         &self.gradients
+    }
+
+    /// The sizes of the node's protocol tables that could grow with
+    /// simulated time (inspection/testing).
+    pub fn state_sizes(&self) -> StateSizes {
+        StateSizes {
+            dedup_windows: self.seen_interests.len() + self.seen_items.len(),
+            cached_entries: self.expl.len(),
+            offer_slots: self.expl.offer_slots(),
+        }
+    }
+
+    /// Interest and item arrivals answered "seen" only because they were
+    /// older than their dedup window (see [`DedupWindows`]). Zero means
+    /// every dedup decision equals an unbounded set's.
+    pub fn stale_arrivals(&self) -> u64 {
+        self.seen_interests.stale() + self.seen_items.stale()
     }
 
     /// Runs `f` against the run's registry — a no-op unless this node holds

@@ -30,7 +30,6 @@ impl Protocol for DiffusionNode {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_, DiffMsg, DiffTimer>, packet: &Packet<DiffMsg>) {
-        self.counters.count_received(packet.payload.kind());
         let from = packet.from;
         let slot = ctx
             .sender_index()

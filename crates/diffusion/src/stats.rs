@@ -21,11 +21,10 @@ impl MsgKind {
     }
 }
 
-/// Message counters for one node, by kind.
+/// Messages one node sent, by kind.
 #[derive(Debug, Clone, Default)]
 pub struct ProtoCounters {
     sent: [u64; 6],
-    received: [u64; 6],
 }
 
 impl ProtoCounters {
@@ -34,19 +33,9 @@ impl ProtoCounters {
         self.sent[kind.index()] += 1;
     }
 
-    /// Records a received message of the given kind.
-    pub fn count_received(&mut self, kind: MsgKind) {
-        self.received[kind.index()] += 1;
-    }
-
     /// Messages sent of `kind`.
     pub fn sent(&self, kind: MsgKind) -> u64 {
         self.sent[kind.index()]
-    }
-
-    /// Messages received of `kind`.
-    pub fn received(&self, kind: MsgKind) -> u64 {
-        self.received[kind.index()]
     }
 
     /// Total messages sent.
@@ -129,11 +118,9 @@ mod tests {
         c.count_sent(MsgKind::Data);
         c.count_sent(MsgKind::Data);
         c.count_sent(MsgKind::Interest);
-        c.count_received(MsgKind::Reinforce);
         assert_eq!(c.sent(MsgKind::Data), 2);
         assert_eq!(c.sent(MsgKind::Interest), 1);
         assert_eq!(c.sent(MsgKind::Reinforce), 0);
-        assert_eq!(c.received(MsgKind::Reinforce), 1);
         assert_eq!(c.total_sent(), 3);
     }
 

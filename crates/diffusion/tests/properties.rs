@@ -1,11 +1,11 @@
 //! Property-based tests of the diffusion building blocks.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use proptest::prelude::*;
 use wsn_diffusion::{
-    AggregationBuffer, AggregationFn, EventItem, ExplCache, GradientTable, IncomingAgg, MsgId,
-    Scheme, TruncationLog, UpstreamKind, WindowEntry,
+    AggregationBuffer, AggregationFn, DedupWindows, EventItem, ExplCache, GradientTable,
+    IncomingAgg, MsgId, Scheme, TruncationLog, UpstreamKind, WindowEntry, DEDUP_WINDOW,
 };
 use wsn_net::NodeId;
 use wsn_sim::{SimDuration, SimTime};
@@ -124,6 +124,14 @@ fn brute_force_upstream(
             }
         }
     }
+}
+
+/// A dedup stream: (origin, step forward, lag behind the step). Steps are
+/// mostly 0–2, so repeats are common, and now and then jump past the whole
+/// window.
+fn dedup_stream() -> impl Strategy<Value = Vec<(u32, u32, u32)>> {
+    let step = (0u32..60).prop_map(|s| if s < 57 { s % 3 } else { DEDUP_WINDOW + s });
+    prop::collection::vec((0u32..4, step, 0u32..DEDUP_WINDOW), 1..200)
 }
 
 /// Applies gradient refreshes `(neighbor, data?, until ns)`. Both kinds only
@@ -438,6 +446,37 @@ proptest! {
                 table.on_tree(t),
                 model.values().any(|&du| du >= now)
             );
+        }
+    }
+
+    /// A dedup window answers like an unbounded set while every arrival
+    /// stays inside the window of its origin's highest number; an arrival
+    /// behind it answers "seen" and counts as stale.
+    #[test]
+    fn dedup_windows_answer_like_a_set_inside_their_width(stream in dedup_stream()) {
+        let mut windows = DedupWindows::default();
+        let mut set: HashSet<(NodeId, u32)> = HashSet::new();
+        // Each origin's highest number so far; numbers start at 1,000 so
+        // a lag never underflows.
+        let mut top: BTreeMap<u32, u32> = BTreeMap::new();
+        for &(origin, step, lag) in &stream {
+            // Up to `step` past the highest number so far, then back by a
+            // lag that stays inside the window below that highest number.
+            let seq = match top.get(&origin) {
+                Some(&t) => t + step - lag.min(step + DEDUP_WINDOW - 1),
+                None => 1_000,
+            };
+            let key = (NodeId(origin), seq);
+            prop_assert_eq!(windows.insert(key), set.insert(key), "{:?}", key);
+            let t = top.entry(origin).or_insert(seq);
+            *t = (*t).max(seq);
+        }
+        prop_assert_eq!(windows.stale(), 0);
+        prop_assert_eq!(windows.len(), top.len());
+        // Behind the window: "seen", whether it was or not, and counted.
+        for (k, (&origin, &t)) in top.iter().enumerate() {
+            prop_assert!(!windows.insert((NodeId(origin), t - DEDUP_WINDOW)));
+            prop_assert_eq!(windows.stale(), k as u64 + 1);
         }
     }
 

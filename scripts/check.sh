@@ -71,6 +71,29 @@ scale_out="$(cargo run --release -p wsn-bench --bin run_one -- \
 echo "$scale_out" | head -1
 echo "$scale_out" | grep -q "field: 10000 nodes"
 
+echo "==> memory smoke: peak RSS flat from 200 s to 2,000 s (run_one --scale 10)"
+# 2,000 nodes at the 200-node density. Per-node protocol state is bounded by
+# origins, degree and the cache horizon, not by simulated time, so ten times
+# the simulated time may cost at most 10% more peak RSS. A stale arrival
+# would mean a dedup window answered differently from an unbounded set.
+peak_rss_mib() {
+    local out
+    out="$(cargo run --release -p wsn-bench --bin run_one -- \
+        --nodes 200 --scale 10 --duration "$1")"
+    echo "$out" | grep -q "^stale arrivals: 0 " || {
+        echo "stale arrivals at $1 s" >&2
+        return 1
+    }
+    echo "$out" | sed -n 's/^peak RSS: \([0-9.]*\) MiB$/\1/p'
+}
+rss_short="$(peak_rss_mib 200)"
+rss_long="$(peak_rss_mib 2000)"
+echo "peak RSS ${rss_short} MiB at 200 s, ${rss_long} MiB at 2,000 s"
+if ! awk -v a="$rss_short" -v b="$rss_long" 'BEGIN { exit !(a > 0 && b <= 1.1 * a) }'; then
+    echo "peak RSS grew more than 10% with simulated time" >&2
+    exit 1
+fi
+
 echo "==> benchmark suite: perfbench's own tests"
 # perfbench is a workspace of its own, so tier-1 never builds its tests.
 cargo test --offline --release --manifest-path perfbench/Cargo.toml

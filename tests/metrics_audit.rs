@@ -103,6 +103,8 @@ fn assert_harvest_agrees(instance: &ScenarioInstance, outcome: &RunOutcome, reg:
         outcome.record.distinct_events,
         "one delay per distinct event"
     );
+    // Every dedup decision equals an unbounded set's.
+    assert_eq!(outcome.stale_arrivals, 0, "stale dedup arrivals");
     let topology = &instance.field.topology;
     for &(node, hop) in &outcome.tree_edges {
         assert!(

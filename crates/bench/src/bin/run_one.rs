@@ -14,13 +14,16 @@
 //! 200 m field side by `√FACTOR`, preserving node density while growing the
 //! field (`--nodes 200 --scale 50` is a 10,000-node run at the paper's
 //! 200-node density). `--metrics PATH` attaches the in-sim metrics registry
-//! and writes its snapshot stream (JSONL) to `PATH`; `--prometheus` prints
-//! the final registry in Prometheus exposition format on stdout (both may
-//! be combined).
+//! and writes its snapshot stream (JSONL) to `PATH`.
 //!
 //! `--help` prints the usage and exits 0. A malformed command line (an
-//! unknown flag, a missing or unparsable value) prints one `error:` line
-//! and the usage to stderr and exits with status 2.
+//! unknown flag, a missing or unparsable value), more sources and sinks
+//! than the scaled node count, or an output path that cannot be created
+//! prints one `error:` line and the usage to stderr and exits with status
+//! 2, before anything runs.
+
+use std::fs::File;
+use std::io::Write;
 
 use wsn_bench::{args_or_help, exit_usage_error, parse_scale, parse_value};
 use wsn_core::{Experiment, MetricsSetup};
@@ -45,7 +48,6 @@ struct Args {
     max_events: Option<u64>,
     scale: f64,
     metrics: Option<String>,
-    prometheus: bool,
 }
 
 const USAGE: &str = "\
@@ -64,7 +66,6 @@ usage: run_one [options]
   --max-events N     abort with status 2 past N simulator events
   --svg PATH         write the field and its aggregation tree as SVG
   --metrics PATH     write the metrics snapshot stream (JSONL)
-  --prometheus       print the final metrics registry (Prometheus format)
   --help             print this help
 ";
 
@@ -84,7 +85,6 @@ fn parse_args(argv: Vec<String>) -> Result<Args, String> {
         max_events: None,
         scale: 1.0,
         metrics: None,
-        prometheus: false,
     };
     let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
@@ -112,12 +112,18 @@ fn parse_args(argv: Vec<String>) -> Result<Args, String> {
             "--svg" => args.svg = Some(val()?),
             "--max-events" => args.max_events = Some(parse_value(&flag, &val()?)?),
             "--metrics" => args.metrics = Some(val()?),
-            "--prometheus" => args.prometheus = true,
             "--scale" => args.scale = parse_scale(&val()?)?,
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
     Ok(args)
+}
+
+/// Creates an output file before the run, so a bad path is a usage error
+/// instead of a failure after the simulation.
+fn create(path: &str) -> File {
+    File::create(path)
+        .unwrap_or_else(|e| exit_usage_error(&format!("cannot create {path}: {e}"), USAGE))
 }
 
 fn main() {
@@ -134,6 +140,15 @@ fn main() {
         field_side_m *= args.scale.sqrt();
         connectivity = Connectivity::GiantComponent { min_fraction: 0.9 };
     }
+    if args.sources + args.sinks > args.nodes {
+        let msg = format!(
+            "{} sources + {} sinks exceed {} nodes (--nodes x --scale)",
+            args.sources, args.sinks, args.nodes
+        );
+        exit_usage_error(&msg, USAGE);
+    }
+    let metrics_file = args.metrics.as_deref().map(create);
+    let svg_file = args.svg.as_deref().map(create);
     let spec = ScenarioSpec {
         node_count: args.nodes,
         field_side_m,
@@ -164,17 +179,13 @@ fn main() {
         args.scheme
     );
 
-    let metrics = (args.metrics.is_some() || args.prometheus).then(|| MetricsSetup {
-        out: args.metrics.as_ref().map(|path| {
-            let file = std::fs::File::create(path)
-                .unwrap_or_else(|e| panic!("cannot create metrics file {path}: {e}"));
-            Box::new(std::io::BufWriter::new(file)) as Box<dyn std::io::Write>
-        }),
+    let metrics = metrics_file.map(|file| MetricsSetup {
+        out: Some(Box::new(std::io::BufWriter::new(file))),
         ..MetricsSetup::in_memory()
     });
     let wall = std::time::Instant::now();
     let max_events = args.max_events.unwrap_or(u64::MAX);
-    let (outcome, registry) = Experiment::new(spec, args.scheme)
+    let (outcome, _) = Experiment::new(spec, args.scheme)
         .run_on_observed(&instance, max_events, None, None, metrics)
         .unwrap_or_else(|err| {
             eprintln!("error: {err}");
@@ -245,17 +256,11 @@ fn main() {
         println!("peak RSS: {:.1} MiB", kb as f64 / 1024.0);
     }
 
-    if let Some(reg) = registry {
-        if let Some(path) = &args.metrics {
-            println!("wrote {path}");
-        }
-        if args.prometheus {
-            println!("\nprometheus exposition:");
-            print!("{}", reg.render_prometheus());
-        }
+    if let Some(path) = &args.metrics {
+        println!("wrote {path}");
     }
 
-    if let Some(path) = args.svg {
+    if let (Some(path), Some(mut file)) = (args.svg, svg_file) {
         let overlay = RenderOverlay {
             sources: instance.sources.clone(),
             sinks: instance.sinks.clone(),
@@ -263,7 +268,10 @@ fn main() {
             down: outcome.down,
         };
         let svg = render_svg(&instance.field, &overlay);
-        std::fs::write(&path, svg).expect("write SVG");
+        file.write_all(svg.as_bytes()).unwrap_or_else(|e| {
+            eprintln!("error: cannot write {path}: {e}");
+            std::process::exit(2);
+        });
         println!("wrote {path}");
     }
 }

@@ -1,8 +1,10 @@
 //! Command-line behavior of the bench binaries: `--help` and usage errors
 //! exit cleanly with the usage text instead of panicking, for `run_one`,
 //! the figure binaries' shared harness (exercised through `fig5`), the
-//! trace and metrics readers, and `krishnamachari`; and the two audits
-//! pass a real run's artifacts and fail on a tampered copy.
+//! trace and metrics readers, and `krishnamachari`; `run_one` rejects
+//! impossible requests before it runs; a watchdog trip leaves a metrics
+//! stream the reader accepts; and the two audits pass a real run's
+//! artifacts and fail on a tampered copy.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -141,6 +143,28 @@ fn unparsable_value_is_a_usage_error() {
 }
 
 #[test]
+fn run_one_rejects_impossible_requests_before_running() {
+    assert_usage_error(
+        RUN_ONE,
+        &["--nodes", "3"],
+        "5 sources + 1 sinks exceed 3 nodes",
+    );
+    assert_usage_error(
+        RUN_ONE,
+        &["--nodes", "200", "--scale", "0.001"],
+        "exceed 1 nodes (--nodes x --scale)",
+    );
+    let short = ["--nodes", "40", "--duration", "5"];
+    for (flag, path) in [
+        ("--metrics", "/nonexistent/m.jsonl"),
+        ("--svg", "/nonexistent/f.svg"),
+    ] {
+        let args = [&short[..], &[flag, path]].concat();
+        assert_usage_error(RUN_ONE, &args, &format!("cannot create {path}"));
+    }
+}
+
+#[test]
 fn a_valid_command_line_still_runs() {
     let out = run_one(&["--nodes", "60", "--duration", "5", "--seed", "3"]);
     assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
@@ -162,18 +186,42 @@ fn run_one_writes_every_artifact() {
         svg.to_str().expect("UTF-8 temp path"),
         "--metrics",
         metrics.to_str().expect("UTF-8 temp path"),
-        "--prometheus",
     ]);
     assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
     let stdout = text(&out.stdout);
     assert!(stdout.contains("messages sent:"), "{stdout}");
-    assert!(stdout.contains("prometheus exposition:"), "{stdout}");
     let svg = std::fs::read_to_string(&svg).expect("the SVG was written");
     assert!(svg.starts_with("<svg"), "{}", &svg[..svg.len().min(80)]);
     let stream = std::fs::read_to_string(&metrics).expect("the metrics stream was written");
     let header = stream.lines().next().unwrap_or_default();
     assert!(header.starts_with("{\"ev\":\"mreg\""), "{header}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_tripped_run_leaves_a_readable_metrics_stream() {
+    let metrics =
+        std::env::temp_dir().join(format!("wsn_cli_tripped_{}.jsonl", std::process::id()));
+    let path = metrics.to_str().expect("UTF-8 temp path");
+    let out = run_one(&[
+        "--nodes",
+        "60",
+        "--duration",
+        "60",
+        "--max-events",
+        "10000",
+        "--metrics",
+        path,
+    ]);
+    assert_eq!(out.status.code(), Some(2), "the watchdog trips");
+    let err = text(&out.stderr);
+    assert!(
+        err.starts_with("error: event budget 10000 exhausted"),
+        "{err}"
+    );
+    let report = run(METRICS_REPORT, &[path]);
+    assert_eq!(report.status.code(), Some(0), "{}", text(&report.stderr));
+    let _ = std::fs::remove_file(&metrics);
 }
 
 #[test]

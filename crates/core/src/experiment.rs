@@ -43,7 +43,7 @@ pub struct Experiment {
 /// before engine construction, so recording anywhere in the hot path is an
 /// array index plus an integer add.
 pub struct MetricsSetup {
-    /// Snapshot cadence and flight-recorder ring size.
+    /// Snapshot cadence.
     pub opts: MetricsOptions,
     /// Snapshot-stream sink; `None` keeps the run's metrics purely
     /// in-memory (the final registry still comes back from the run).
@@ -176,9 +176,9 @@ impl Experiment {
     /// than `max_events` events to reach the scenario's end time; the run
     /// execution layer ([`crate::Runner`]) turns this into a reported job
     /// error instead of a hung sweep. The trace sink is flushed
-    /// (best-effort) and the metrics sink still receives its flight-ring
-    /// dump and final `mtotal` line on that path, so a watchdog trip leaves
-    /// usable post-mortem artifacts.
+    /// (best-effort) and the metrics sink still receives a final delta and
+    /// its `mtotal` line on that path, so a watchdog trip leaves a complete
+    /// stream up to the simulated time the run reached.
     pub fn run_on_observed(
         &self,
         instance: &ScenarioInstance,
@@ -234,8 +234,7 @@ impl Experiment {
         }
         let run_result = net.run_until_capped(instance.end, max_events);
         if let Err(cause) = run_result {
-            // Flush the partial artifacts so a watchdog trip is diagnosable
-            // (the engine already dumped the flight ring before erroring).
+            // Flush the partial artifacts so a watchdog trip is diagnosable.
             let _ = net.finish_metrics();
             let _ = net.finish_trace();
             return Err(cause);

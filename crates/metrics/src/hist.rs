@@ -11,7 +11,7 @@ pub const HIST_BUCKETS: usize = 48;
 /// A fixed-size log2 histogram of `u64` samples.
 ///
 /// Tracks per-bucket counts plus a total count and a saturating sum (the
-/// sum backs the Prometheus `_sum` series; counts are exact).
+/// sum backs the `mtotal` line's `hs` pairs; counts are exact).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Log2Histogram {
     buckets: [u64; HIST_BUCKETS],

@@ -8,8 +8,8 @@
 //!
 //! The crate also hosts the in-sim observability substrate: a fixed-slot,
 //! zero-allocation-in-steady-state [`MetricsRegistry`] of counters, gauges
-//! and [`Log2Histogram`]s, the [`SnapshotEncoder`] JSONL time-series codec
-//! ([`MetricsLine`] parses it back), and the [`FlightRecorder`] crash ring.
+//! and [`Log2Histogram`]s, and the [`SnapshotEncoder`] JSONL time-series
+//! codec ([`MetricsLine`] parses it back).
 //! Everything is std-only and float-free on the hot path; see DESIGN.md
 //! §17 for the layout and naming convention.
 //!
@@ -41,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod flight;
 mod hist;
 mod record;
 mod registry;
@@ -49,7 +48,6 @@ mod snapshot;
 mod stats;
 mod table;
 
-pub use flight::FlightRecorder;
 pub use hist::{Log2Histogram, HIST_BUCKETS};
 pub use record::{PaperMetrics, RunRecord};
 pub use registry::{CounterId, GaugeId, HistId, MetricDesc, MetricType, MetricsRegistry};

@@ -4,13 +4,11 @@
 //! registry never grows afterwards — recording is an array index plus an
 //! integer add, with no hashing, no floats, and no allocation, so it is
 //! safe inside the zero-allocation dispatch loop. Metric names follow the
-//! `layer.name{label=value}` convention (`phy.frames_tx{kind=data}`); every
-//! export iterates metrics in registration order, which makes the JSONL
-//! and Prometheus output byte-stable across identical runs.
+//! `layer.name{label=value}` convention (`phy.frames_tx{kind=data}`); the
+//! JSONL export iterates metrics in registration order, which makes it
+//! byte-stable across identical runs.
 
-use std::fmt::Write as _;
-
-use crate::hist::{Log2Histogram, HIST_BUCKETS};
+use crate::hist::Log2Histogram;
 
 /// What a registered metric is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -225,116 +223,6 @@ impl MetricsRegistry {
     pub(crate) fn hists(&self) -> &[Log2Histogram] {
         &self.hists
     }
-
-    // --- exposition -----------------------------------------------------
-
-    /// Renders the whole registry as Prometheus text exposition, in
-    /// registration order. `layer.name{kind=data}` becomes
-    /// `layer_name{kind="data"}`; histograms expand into cumulative
-    /// `_bucket{le="..."}` series plus `_sum` and `_count`.
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        let mut typed: Vec<&str> = Vec::new();
-        for d in &self.descs {
-            let (base, labels) = split_name(&d.name);
-            let prom = prom_base(base);
-            if !typed.contains(&base) {
-                typed.push(base);
-                let t = match d.kind {
-                    MetricType::Counter => "counter",
-                    MetricType::Gauge => "gauge",
-                    MetricType::Histogram => "histogram",
-                };
-                let _ = writeln!(out, "# TYPE {prom} {t}");
-            }
-            match d.kind {
-                MetricType::Counter => {
-                    let _ = write_sample(&mut out, &prom, labels, None, self.counters[d.slot]);
-                }
-                MetricType::Gauge => {
-                    let _ = write_sample(&mut out, &prom, labels, None, self.gauges[d.slot]);
-                }
-                MetricType::Histogram => {
-                    let h = &self.hists[d.slot];
-                    // A sparse `le` list keeps 48-bucket histograms readable:
-                    // only buckets that received samples appear (cumulative
-                    // values stay correct), then the mandatory +Inf.
-                    let mut cum = 0u64;
-                    for (k, &n) in h.buckets().iter().enumerate() {
-                        cum += n;
-                        if n == 0 || k == HIST_BUCKETS - 1 {
-                            continue; // +Inf written below
-                        }
-                        let (_, hi) = Log2Histogram::bucket_bounds(k);
-                        let le = hi.expect("interior bucket");
-                        let _ = write_sample(
-                            &mut out,
-                            &format!("{prom}_bucket"),
-                            labels,
-                            Some(&format!("{le}")),
-                            cum,
-                        );
-                    }
-                    let _ = write_sample(
-                        &mut out,
-                        &format!("{prom}_bucket"),
-                        labels,
-                        Some("+Inf"),
-                        h.count(),
-                    );
-                    let _ = write_sample(&mut out, &format!("{prom}_sum"), labels, None, h.sum());
-                    let _ =
-                        write_sample(&mut out, &format!("{prom}_count"), labels, None, h.count());
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Splits `layer.name{label=value,...}` into base and raw label text.
-fn split_name(name: &str) -> (&str, Option<&str>) {
-    match name.split_once('{') {
-        Some((base, rest)) => (base, Some(rest.trim_end_matches('}'))),
-        None => (name, None),
-    }
-}
-
-/// `layer.name` → `layer_name` (Prometheus names cannot contain dots).
-fn prom_base(base: &str) -> String {
-    base.replace('.', "_")
-}
-
-fn write_sample(
-    out: &mut String,
-    prom: &str,
-    labels: Option<&str>,
-    le: Option<&str>,
-    value: u64,
-) -> std::fmt::Result {
-    write!(out, "{prom}")?;
-    if labels.is_some() || le.is_some() {
-        write!(out, "{{")?;
-        let mut first = true;
-        if let Some(raw) = labels {
-            for pair in raw.split(',') {
-                let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-                if !first {
-                    write!(out, ",")?;
-                }
-                first = false;
-                write!(out, "{k}=\"{v}\"")?;
-            }
-        }
-        if let Some(le) = le {
-            if !first {
-                write!(out, ",")?;
-            }
-            write!(out, "le=\"{le}\"")?;
-        }
-        write!(out, "}}")?;
-    }
-    writeln!(out, " {value}")
 }
 
 #[cfg(test)]
@@ -368,38 +256,5 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.counter("a.b");
         r.gauge("a.b");
-    }
-
-    #[test]
-    fn prometheus_rendering() {
-        let mut r = MetricsRegistry::new();
-        let c = r.counter("phy.frames_tx{kind=data}");
-        r.counter("phy.frames_tx{kind=ack}");
-        let h = r.histogram("mac.retry_hist");
-        r.add(c, 7);
-        r.observe(h, 0);
-        r.observe(h, 3);
-        let text = r.render_prometheus();
-        assert!(text.contains("# TYPE phy_frames_tx counter"));
-        // One TYPE line per family, not per labeled series.
-        assert_eq!(text.matches("# TYPE phy_frames_tx").count(), 1);
-        assert!(text.contains("phy_frames_tx{kind=\"data\"} 7"));
-        assert!(text.contains("phy_frames_tx{kind=\"ack\"} 0"));
-        assert!(text.contains("mac_retry_hist_bucket{le=\"0\"} 1"));
-        assert!(text.contains("mac_retry_hist_bucket{le=\"3\"} 2"));
-        assert!(text.contains("mac_retry_hist_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("mac_retry_hist_sum 3"));
-        assert!(text.contains("mac_retry_hist_count 2"));
-    }
-
-    #[test]
-    fn prometheus_order_is_registration_order() {
-        let mut r = MetricsRegistry::new();
-        r.counter("z.last_first");
-        r.counter("a.first_last");
-        let text = r.render_prometheus();
-        let z = text.find("z_last_first").unwrap();
-        let a = text.find("a_first_last").unwrap();
-        assert!(z < a, "registration order, not name order");
     }
 }

@@ -65,7 +65,7 @@ impl SnapshotEncoder {
 
     /// Appends one `mdelta` line for everything that moved since the last
     /// call, then advances the baseline. Always writes a line (an empty
-    /// delta keeps the cadence visible in the stream and the flight ring).
+    /// delta keeps the cadence visible in the stream).
     pub fn encode_delta(&mut self, reg: &MetricsRegistry, t_ns: u64, out: &mut String) {
         out.push_str("{\"ev\":\"mdelta\",\"t_ns\":");
         let _ = write!(out, "{t_ns}");

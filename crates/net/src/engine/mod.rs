@@ -282,11 +282,6 @@ impl<P: Protocol> Network<P> {
             if self.core.sim.events_processed() >= max_events {
                 match self.core.sim.peek_time() {
                     Some(t) if t <= deadline => {
-                        // Post-mortem: the last N metric snapshots show what
-                        // the run was doing when the watchdog tripped.
-                        if let Some(m) = self.core.phy.metrics.as_deref_mut() {
-                            m.dump_flight("event budget exceeded");
-                        }
                         return Err(EventBudgetExceeded {
                             budget: max_events,
                             events_processed: self.core.sim.events_processed(),

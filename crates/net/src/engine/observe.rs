@@ -69,8 +69,8 @@ impl<P: Protocol> Network<P> {
     /// Installs an in-sim metrics registry: the engine samples a delta
     /// snapshot at the shared `Ev::Snapshot` cadence (the trace cadence
     /// wins while a traced cadence is armed, so enabling metrics adds no
-    /// simulator events to a traced run), feeds the flight-recorder ring,
-    /// and streams JSONL to `out` if given.
+    /// simulator events to a traced run) and streams it as JSONL to `out`
+    /// if given.
     ///
     /// The registry must already hold every layer's registrations —
     /// [`NetMetricIds::register`](crate::NetMetricIds::register) for the
@@ -116,15 +116,8 @@ impl<P: Protocol> Network<P> {
         Some(std::mem::take(&mut state.reg))
     }
 
-    /// The live metrics registry, if installed (Prometheus exposition for a
-    /// serving daemon, mid-run assertions in tests).
-    pub fn metrics_registry(&self) -> Option<&wsn_metrics::MetricsRegistry> {
-        self.core.phy.metrics.as_deref().map(|m| &m.reg)
-    }
-
-    /// Records the engine gauges and encodes one metrics delta snapshot
-    /// (into the flight ring, and to the sink if one is installed). A no-op
-    /// without installed metrics.
+    /// Records the engine gauges and encodes one metrics delta snapshot to
+    /// the sink, if one is installed. A no-op without installed metrics.
     pub(super) fn metrics_sample(&mut self, now: SimTime) {
         let pending = self.core.sim.pending() as u64;
         let processed = self.core.sim.events_processed();

@@ -1,5 +1,5 @@
 //! Engine-side metrics wiring: the fixed-slot registry ids every layer
-//! records against, the snapshot/flight state, and the options block.
+//! records against, the snapshot state, and the options block.
 //!
 //! The registry itself lives in `wsn-metrics` (std-only, float-free); this
 //! module owns the *engine's* metric set — [`NetMetricIds`] registers every
@@ -16,7 +16,7 @@
 
 use std::io::Write;
 
-use wsn_metrics::{CounterId, FlightRecorder, GaugeId, HistId, MetricsRegistry, SnapshotEncoder};
+use wsn_metrics::{CounterId, GaugeId, HistId, MetricsRegistry, SnapshotEncoder};
 use wsn_sim::SimDuration;
 use wsn_trace::{DropReason, ENERGY_STATES, FRAME_KINDS};
 
@@ -32,7 +32,6 @@ use crate::mac::MacKind;
 ///
 /// let opts = MetricsOptions::default();
 /// assert_eq!(opts.snapshot_every, Some(SimDuration::from_secs(10)));
-/// assert_eq!(opts.flight_slots, 32);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsOptions {
@@ -41,16 +40,12 @@ pub struct MetricsOptions {
     /// deltas ride the same `Ev::Snapshot` firings — so enabling metrics
     /// adds no simulator events to a traced run. `None` records totals only.
     pub snapshot_every: Option<SimDuration>,
-    /// Flight-recorder ring size: the last N delta lines kept for the
-    /// post-mortem dump on `EventBudgetExceeded` or panic.
-    pub flight_slots: usize,
 }
 
 impl Default for MetricsOptions {
     fn default() -> Self {
         MetricsOptions {
             snapshot_every: Some(SimDuration::from_secs(10)),
-            flight_slots: 32,
         }
     }
 }
@@ -73,7 +68,7 @@ pub fn drop_reason_index(reason: DropReason) -> usize {
 
 /// Dense ids for every PHY/MAC/engine metric, registered once per run.
 ///
-/// Registration order is export order (JSONL header, Prometheus text), so
+/// Registration order is export order (JSONL header, `mtotal` line), so
 /// the layout here is the wire layout: `phy.*`, then `mac.*`, then
 /// `engine.*`. Protocol layers (diffusion) register their own block after
 /// this one, before the registry is installed.
@@ -152,7 +147,7 @@ impl NetMetricIds {
 }
 
 /// Everything metrics-related the engine owns: the live registry, the layer
-/// ids, the delta encoder, the flight ring, and the (optional) JSONL sink.
+/// ids, the delta encoder, and the (optional) JSONL sink.
 ///
 /// Boxed behind `Option` on the PHY so the disabled case costs one pointer
 /// and one branch. The `line` scratch is reused across snapshots — after it
@@ -161,21 +156,16 @@ pub(crate) struct MetricsState {
     pub(crate) reg: MetricsRegistry,
     pub(crate) ids: NetMetricIds,
     enc: SnapshotEncoder,
-    flight: FlightRecorder,
     line: String,
     out: Option<Box<dyn Write>>,
     /// Metrics' own snapshot cadence (the trace cadence wins when armed).
     pub(crate) every: Option<SimDuration>,
-    /// Set once the flight ring has been dumped, so the watchdog path and
-    /// the panic hook never double-dump.
-    dumped: bool,
 }
 
 impl std::fmt::Debug for MetricsState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricsState")
             .field("metrics", &self.reg.descs().len())
-            .field("flight", &self.flight.len())
             .field("out", &self.out.is_some())
             .field("every", &self.every)
             .finish_non_exhaustive()
@@ -199,24 +189,21 @@ impl MetricsState {
         }
         MetricsState {
             enc,
-            flight: FlightRecorder::new(opts.flight_slots.max(1)),
             line,
             out,
             reg,
             ids,
             every: opts.snapshot_every,
-            dumped: false,
         }
     }
 
-    /// Encodes one delta snapshot: into the flight ring, and to the sink if
-    /// one is installed. Steady-state allocation-free once the scratch and
-    /// ring slots hit their high-water capacities.
+    /// Encodes one delta snapshot to the sink; a no-op without one.
+    /// Steady-state allocation-free once the scratch line hits its
+    /// high-water capacity.
     pub(crate) fn sample(&mut self, t_ns: u64) {
-        self.line.clear();
-        self.enc.encode_delta(&self.reg, t_ns, &mut self.line);
-        self.flight.record(&self.line);
         if let Some(out) = &mut self.out {
+            self.line.clear();
+            self.enc.encode_delta(&self.reg, t_ns, &mut self.line);
             let _ = out.write_all(self.line.as_bytes());
         }
     }
@@ -228,48 +215,6 @@ impl MetricsState {
             SnapshotEncoder::write_totals(&self.reg, t_ns, &mut self.line);
             let _ = out.write_all(self.line.as_bytes());
             let _ = out.flush();
-        }
-    }
-
-    /// Dumps the flight ring — to the metrics sink when one is installed,
-    /// to stderr otherwise — prefixed with a reason line. Idempotent.
-    pub(crate) fn dump_flight(&mut self, reason: &str) {
-        if self.dumped || self.flight.is_empty() {
-            return;
-        }
-        self.dumped = true;
-        let n = self.flight.len();
-        match &mut self.out {
-            Some(out) => {
-                let _ = writeln!(
-                    out,
-                    "{{\"ev\":\"mflight\",\"reason\":\"{reason}\",\"lines\":{n}}}"
-                );
-                for line in self.flight.iter() {
-                    let _ = out.write_all(line.as_bytes());
-                }
-                let _ = out.flush();
-            }
-            None => {
-                let stderr = std::io::stderr();
-                let mut err = stderr.lock();
-                let _ = writeln!(
-                    err,
-                    "metrics flight recorder ({reason}): last {n} snapshots"
-                );
-                for line in self.flight.iter() {
-                    let _ = err.write_all(line.as_bytes());
-                }
-            }
-        }
-    }
-}
-
-impl Drop for MetricsState {
-    fn drop(&mut self) {
-        // A panic unwinding through the engine still gets its post-mortem.
-        if std::thread::panicking() {
-            self.dump_flight("panic");
         }
     }
 }
@@ -296,42 +241,5 @@ mod tests {
         reg.inc(ids.frames_tx[0]);
         reg.inc(ids.collisions);
         assert_eq!(reg.counter_by_name("phy.frames_tx{kind=data}"), Some(1));
-    }
-
-    #[test]
-    fn flight_dump_goes_to_the_sink_once() {
-        // A Box<dyn Write> cannot be read back, so the sink shares a buffer.
-        let shared = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        struct SharedBuf(std::rc::Rc<std::cell::RefCell<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.borrow_mut().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut reg = MetricsRegistry::new();
-        let ids = NetMetricIds::register(&mut reg, MacKind::Csma);
-        let c = ids.collisions;
-        let mut st = MetricsState::new(
-            reg,
-            ids,
-            MetricsOptions::default(),
-            Some(Box::new(SharedBuf(std::rc::Rc::clone(&shared)))),
-        );
-        st.reg.inc(c);
-        st.sample(1_000);
-        st.dump_flight("event budget exceeded");
-        st.dump_flight("event budget exceeded"); // idempotent
-        let text = String::from_utf8(shared.borrow().clone()).unwrap();
-        assert!(text.starts_with("{\"ev\":\"mreg\""), "header first: {text}");
-        assert_eq!(
-            text.matches("\"ev\":\"mflight\"").count(),
-            1,
-            "one dump: {text}"
-        );
-        assert!(text.contains("\"reason\":\"event budget exceeded\""));
     }
 }

@@ -62,6 +62,23 @@ echo "$mreport" | grep -q "phy.frames_tx{kind=data}"   # non-empty tables
 echo "$mreport" | grep -q "diffusion.agg_fanin"
 echo "$mreport" | tail -1 | grep -q ", 0 violation(s)" # audit-clean
 
+echo "==> watchdog smoke: a tripped run leaves a stream metrics_report reads"
+# The event budget runs out at about 37 s of a 60 s run: run_one must exit 2
+# with the budget error, and the stream it leaves (header, each delta once,
+# final totals) must still reduce with exit 0.
+tripped="$(mktemp)"
+trap 'rm -rf "$tracedir" "$metricsdir" "$tripped"' EXIT
+trip_status=0
+trip_err="$(cargo run --release -q -p wsn-bench --bin run_one -- \
+    --nodes 60 --duration 60 --max-events 10000 --metrics "$tripped" 2>&1 >/dev/null)" ||
+    trip_status=$?
+echo "$trip_err" | tail -1
+if [ "$trip_status" -ne 2 ] || ! echo "$trip_err" | grep -q "^error: event budget"; then
+    echo "tripped run_one exited $trip_status, want 2 with the budget error" >&2
+    exit 1
+fi
+cargo run --release -q -p wsn-bench --bin metrics_report -- "$tripped" | tail -1
+
 echo "==> scale smoke: 10k-node field + capped sim (run_one --scale 50)"
 # Density-preserving scale-up: 200 nodes x50 in a 1414 m square. Builds
 # the field through the spatial grid and runs a short watchdog-capped sim

@@ -12,8 +12,9 @@
 //! exactly, and the harvested tree and down set must be consistent with the
 //! field and its failure schedule.
 //!
-//! Also pins the flight recorder's post-mortem: a run killed by the event
-//! budget watchdog dumps its last-N snapshot ring into the metrics sink.
+//! Also pins the watchdog post-mortem: a run killed by the event budget
+//! leaves a metrics stream that parses line by line, each delta once, and
+//! closes with its totals.
 
 use std::cell::RefCell;
 use std::io::Write;
@@ -21,8 +22,8 @@ use std::rc::Rc;
 
 use wsn::core::{registry_mismatches, Experiment, MetricsSetup, RunOutcome};
 use wsn::diffusion::{MsgKind, Scheme};
-use wsn::metrics::MetricsRegistry;
-use wsn::net::{NodeId, TraceOptions};
+use wsn::metrics::{MetricsLine, MetricsRegistry};
+use wsn::net::{MetricsOptions, NodeId, TraceOptions};
 use wsn::scenario::{FailureConfig, FailureEvent, ScenarioInstance, ScenarioSpec};
 use wsn::sim::{SimDuration, SimTime};
 use wsn::trace::{DropReason, JsonlSink, SharedSink, TraceSummary};
@@ -193,16 +194,15 @@ impl Write for SharedBuf {
 }
 
 #[test]
-fn flight_recorder_dumps_the_ring_on_budget_exhaustion() {
+fn budget_exhaustion_leaves_one_parsable_stream() {
     let mut spec = ScenarioSpec::paper(50, 3);
     spec.duration = SimDuration::from_secs(120);
     let exp = Experiment::new(spec, Scheme::Greedy);
     let buf = Rc::new(RefCell::new(Vec::new()));
     let setup = MetricsSetup {
-        // A 1 s cadence guarantees several ring entries before the trip.
-        opts: wsn::net::MetricsOptions {
+        // A 1 s cadence guarantees several deltas before the trip.
+        opts: MetricsOptions {
             snapshot_every: Some(SimDuration::from_secs(1)),
-            flight_slots: 8,
         },
         out: Some(Box::new(SharedBuf(Rc::clone(&buf)))),
     };
@@ -211,27 +211,35 @@ fn flight_recorder_dumps_the_ring_on_budget_exhaustion() {
         .expect_err("10k events cannot cover a 120 s, 50-node run");
     assert!(err.to_string().contains("budget"), "err: {err}");
     let text = String::from_utf8(buf.borrow().clone()).expect("metrics are ASCII JSON");
+    let lines: Vec<MetricsLine> = text
+        .lines()
+        .enumerate()
+        .map(|(i, l)| MetricsLine::parse(l).unwrap_or_else(|e| panic!("line {}: {e}", i + 1)))
+        .collect();
     assert!(
-        text.starts_with("{\"ev\":\"mreg\""),
-        "stream begins with the header: {}",
-        &text[..text.len().min(120)]
+        matches!(lines.first(), Some(MetricsLine::Header { .. })),
+        "the stream begins with its header"
     );
-    let dump_at = text
-        .find("\"ev\":\"mflight\"")
-        .expect("watchdog trip dumps the flight ring");
-    assert_eq!(
-        text.matches("\"ev\":\"mflight\"").count(),
-        1,
-        "the dump happens exactly once"
-    );
-    // The dump replays recent mdelta lines *after* the marker, and the
-    // stream still closes with the absolute totals for post-mortem reading.
-    assert!(
-        text[dump_at..].contains("\"ev\":\"mdelta\""),
-        "the dump replays ring entries"
-    );
-    assert!(
-        text[dump_at..].contains("\"ev\":\"mtotal\""),
-        "the error path still writes final totals"
-    );
+    let Some(MetricsLine::Total {
+        counters: totals, ..
+    }) = lines.last()
+    else {
+        panic!("the stream ends with its totals");
+    };
+    let mut last_t = 0;
+    let mut summed = vec![0; totals.len()];
+    for line in &lines[1..lines.len() - 1] {
+        let MetricsLine::Delta { t_ns, counters, .. } = line else {
+            panic!("only deltas sit between header and totals: {line:?}");
+        };
+        assert!(*t_ns >= last_t, "deltas run in time order");
+        last_t = *t_ns;
+        for &(i, d) in counters {
+            summed[i as usize] += d;
+        }
+    }
+    assert!(lines.len() > 4, "several deltas precede the trip");
+    // Each delta appears once, so the deltas add up to the totals exactly.
+    let totals: Vec<u64> = totals.iter().map(|&(_, v)| v).collect();
+    assert_eq!(summed, totals);
 }

@@ -199,11 +199,11 @@ fn main() {
 
     // ---- Phase 4: the broadcast path with the metrics registry installed
     // still allocates exactly once per packet. Recording is an array index
-    // plus an integer add; snapshot encoding reuses its scratch line and
-    // the flight ring reuses its 32 slots once each holds a line from the
-    // steady digit era (`t_ns` gains a digit at t=100 s, stretching every
-    // delta line by one byte) — so warm through two full ring revolutions
-    // (2 × 32 × 10 s cadence) before measuring. ----
+    // plus an integer add, and snapshot encoding reuses one scratch line.
+    // The `mreg` header written at install sizes that line (about 1 KB),
+    // and no delta line here comes near it (under 200 bytes, even after
+    // `t_ns` gains a digit at t=100 s), so sampling never grows it. The
+    // window is measured well past that digit change. ----
     let mut net = Network::new(grid_topology(), NetConfig::default(), 11, |_| {
         BroadcastStorm { sent: 0 }
     });

@@ -6,7 +6,5 @@ use wsn_core::Figure;
 
 fn main() {
     let opts = HarnessOptions::from_env();
-    for figure in Figure::ALL {
-        run_and_print(figure, &opts);
-    }
+    run_and_print(&Figure::ALL, &opts);
 }

@@ -5,5 +5,5 @@ use wsn_core::Figure;
 
 fn main() {
     let opts = HarnessOptions::from_env();
-    run_and_print(Figure::Fig9NumberOfSources, &opts);
+    run_and_print(&[Figure::Fig9NumberOfSources], &opts);
 }

@@ -36,7 +36,9 @@
 //!   `FACTOR`× the nodes in a `√FACTOR`× wider square, so the paper's
 //!   density axis is unchanged while the field grows (`fig5 --scale 100`
 //!   puts ≈5,000 nodes at the 50-node point's density). `1` (the default)
-//!   is exactly the paper's geometry;
+//!   is exactly the paper's geometry. A factor that leaves some sweep
+//!   point fewer nodes than its sources plus sinks is a usage error,
+//!   reported before any run;
 //! * `--help` — print the usage and exit 0.
 //!
 //! A malformed command line (an unknown flag, a missing or unparsable
@@ -53,7 +55,7 @@
 
 use std::path::{Path, PathBuf};
 
-use wsn_core::{run_figure_with, Figure, FigureData, FigureParams, MetricsSpec, Runner, TraceSpec};
+use wsn_core::{run_figure_with, Figure, FigureParams, MetricsSpec, Runner, TraceSpec};
 use wsn_sim::SimDuration;
 
 /// Command-line options shared by the figure binaries.
@@ -152,18 +154,23 @@ impl HarnessOptions {
     /// and exits 0; a malformed command line prints one `error:` line and
     /// the usage on stderr and exits with status 2.
     pub fn from_env() -> Self {
-        let program = std::env::args()
-            .next()
-            .as_deref()
-            .map(Path::new)
-            .and_then(|p| p.file_name())
-            .map_or_else(
-                || "wsn-bench".to_string(),
-                |n| n.to_string_lossy().into_owned(),
-            );
-        let usage = format!("usage: {program} [options]\n{OPTIONS}");
+        let usage = harness_usage();
         Self::parse(args_or_help(&usage)).unwrap_or_else(|msg| exit_usage_error(&msg, &usage))
     }
+}
+
+/// The harness usage text, under the running binary's name.
+fn harness_usage() -> String {
+    let program = std::env::args()
+        .next()
+        .as_deref()
+        .map(Path::new)
+        .and_then(|p| p.file_name())
+        .map_or_else(
+            || "wsn-bench".to_string(),
+            |n| n.to_string_lossy().into_owned(),
+        );
+    format!("usage: {program} [options]\n{OPTIONS}")
 }
 
 /// The process arguments after the program name. `--help` (or `-h`)
@@ -251,12 +258,28 @@ pub fn read_artifact(path: &Path) -> String {
     })
 }
 
-/// Runs `figure` on the options' runner and prints its panels (and CSV, if
-/// enabled).
+/// Runs each of `figures` in turn on the options' runner and prints its
+/// panels (and CSV, if enabled).
 ///
-/// Exits the process with status 2 if a run trips the watchdog budget
-/// (`--max-events`); the error names the offending `(point, field, scheme)`.
-pub fn run_and_print(figure: Figure, opts: &HarnessOptions) -> FigureData {
+/// Before any run, exits with a usage error (status 2) if `--scale` leaves
+/// a sweep point of some figure with fewer nodes than its sources plus
+/// sinks. Exits the process with status 2 if a run trips the watchdog
+/// budget (`--max-events`); the error names the offending `(point, field,
+/// scheme)`.
+pub fn run_and_print(figures: &[Figure], opts: &HarnessOptions) {
+    for &figure in figures {
+        if let Err(msg) = opts.params.check_roles(figure) {
+            let msg = format!("--scale {}: {msg}", opts.params.scale);
+            exit_usage_error(&msg, &harness_usage());
+        }
+    }
+    for &figure in figures {
+        run_and_print_one(figure, opts);
+    }
+}
+
+/// Runs `figure` and prints its panels, its CSV and the wall-time line.
+fn run_and_print_one(figure: Figure, opts: &HarnessOptions) {
     let start = std::time::Instant::now();
     let data = match run_figure_with(figure, &opts.params, &opts.runner) {
         Ok(data) => data,
@@ -281,7 +304,6 @@ pub fn run_and_print(figure: Figure, opts: &HarnessOptions) -> FigureData {
     if let Some(kb) = wsn_core::peak_rss_kb() {
         println!("# peak RSS: {:.1} MiB\n", kb as f64 / 1024.0);
     }
-    data
 }
 
 #[cfg(test)]

@@ -133,6 +133,21 @@ fn unparsable_value_is_a_usage_error() {
     assert_usage_error(RUN_ONE, &["--mac", "tdma"], "--mac");
     assert_usage_error(RUN_ONE, &["--scale", "0"], "--scale");
     assert_usage_error(FIG5, &["--scale", "0"], "--scale must be positive");
+    // A scale that leaves a sweep point fewer nodes than its roles is
+    // rejected before any run, not in a runner worker.
+    let tiny = [
+        "--quick",
+        "--scale",
+        "0.0001",
+        "--fields",
+        "1",
+        "--duration",
+        "5",
+        "--no-csv",
+    ];
+    for bin in [FIG5, FIG8] {
+        assert_usage_error(bin, &tiny, "5 sources + 1 sinks exceed 1 nodes");
+    }
     assert_usage_error(TRACE_REPORT, &["t/", "--top", "x"], "--top");
     assert_usage_error(
         TRACE_REPORT,

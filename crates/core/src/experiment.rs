@@ -1,5 +1,7 @@
 //! Running one experiment: a scenario, a scheme, a seed → a [`RunOutcome`].
 
+use std::sync::Arc;
+
 use wsn_diffusion::{DiffusionConfig, DiffusionMetricIds, DiffusionNode, MsgKind, Role, Scheme};
 use wsn_metrics::{MetricsRegistry, RunRecord};
 use wsn_net::{
@@ -198,7 +200,8 @@ impl Experiment {
             diff_ids = Some(DiffusionMetricIds::register(&mut reg));
             registered = Some((reg, net_ids));
         }
-        let diffusion = self.diffusion.clone();
+        // One config for the whole run: every node holds a handle to it.
+        let diffusion = Arc::new(self.diffusion.clone());
         let mut net = Network::new(
             instance.field.topology.clone(),
             self.net.clone(),
@@ -263,7 +266,9 @@ impl Experiment {
                 sent[kind.index()] += proto.counters.sent(kind);
             }
             stale_arrivals += proto.stale_arrivals();
-            let next_hops = proto.gradients().data_neighbors(now);
+            let next_hops = proto
+                .gradients()
+                .data_neighbors(net.topology().neighbors(id), now);
             tree_edges.extend(next_hops.into_iter().map(|hop| (id, hop)));
         }
         let nodes = (0..instance.field.positions.len()).map(NodeId::from_index);

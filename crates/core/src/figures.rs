@@ -140,6 +140,31 @@ impl FigureParams {
             scale: 1.0,
         }
     }
+
+    /// Checks that every sweep point of `figure` has at least as many
+    /// nodes as sources plus sinks. A small [`scale`](Self::scale) can
+    /// leave a point with fewer, which [`ScenarioSpec::instantiate`]
+    /// rejects, so a harness checks before it runs anything.
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message naming the first point that is too
+    /// small.
+    pub fn check_roles(&self, figure: Figure) -> Result<(), String> {
+        for (pi, &x) in sweep_values(figure, self).iter().enumerate() {
+            let spec = figure_spec(figure, self, x, pi, 0);
+            if spec.num_sources + spec.num_sinks > spec.node_count {
+                return Err(format!(
+                    "{} sources + {} sinks exceed {} nodes at the {} = {x} point",
+                    spec.num_sources,
+                    spec.num_sinks,
+                    spec.node_count,
+                    figure.x_label(),
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The three panels of a regenerated figure.
@@ -170,6 +195,15 @@ impl FigureData {
             self.delivery.render_text(),
             self.energy_total.render_text()
         )
+    }
+}
+
+/// The sweep variable's values for `figure`: node, sink or source counts.
+fn sweep_values(figure: Figure, params: &FigureParams) -> &[usize] {
+    match figure {
+        Figure::Fig8NumberOfSinks => &params.sink_counts,
+        Figure::Fig9NumberOfSources | Figure::Fig10LinearAggregation => &params.source_counts,
+        _ => &params.node_counts,
     }
 }
 
@@ -246,13 +280,7 @@ pub fn run_figure_with(
         Figure::Fig10LinearAggregation => AggregationFn::LINEAR_PAPER,
         _ => AggregationFn::Perfect,
     };
-    let xs: Vec<usize> = match figure {
-        Figure::Fig8NumberOfSinks => params.sink_counts.clone(),
-        Figure::Fig9NumberOfSources | Figure::Fig10LinearAggregation => {
-            params.source_counts.clone()
-        }
-        _ => params.node_counts.clone(),
-    };
+    let xs = sweep_values(figure, params);
     let xs_f64: Vec<f64> = xs.iter().map(|&x| x as f64).collect();
     let points = run_sweep(
         runner,
@@ -331,6 +359,25 @@ mod tests {
         assert_eq!(p.node_counts, vec![50, 100, 150, 200, 250, 300, 350]);
         assert_eq!(p.source_counts, vec![2, 5, 8, 11, 14]);
         assert_eq!(p.sink_counts, vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn roles_must_fit_every_scaled_point() {
+        let mut params = FigureParams::quick(1);
+        for figure in Figure::ALL {
+            assert_eq!(params.check_roles(figure), Ok(()), "{figure:?}");
+        }
+        // 150 × 0.04 = 6 nodes hold fig8's 5 sources + 1 sink, but not its
+        // 3-sink point; fig5's 50-node point rounds to 2 nodes.
+        params.scale = 0.04;
+        assert_eq!(
+            params.check_roles(Figure::Fig8NumberOfSinks),
+            Err("5 sources + 3 sinks exceed 6 nodes at the sinks = 3 point".to_string())
+        );
+        assert_eq!(
+            params.check_roles(Figure::Fig5Comparative),
+            Err("5 sources + 1 sinks exceed 2 nodes at the nodes = 50 point".to_string())
+        );
     }
 
     #[test]

@@ -9,8 +9,11 @@
 //! The table is dense over the node's neighbor list: slot `k` holds the
 //! gradients toward `neighbors[k]`, the position a delivery reports as
 //! [`Ctx::sender_index`](wsn_net::Ctx::sender_index). A reception updates
-//! its slot with one indexed store; queries by [`NodeId`] and neighbor
-//! lists come out in ascending id order, the neighbor list's own order.
+//! its slot with one indexed store. The table keeps no copy of the list:
+//! queries by [`NodeId`] take the topology's list
+//! ([`Ctx::neighbors`](wsn_net::Ctx::neighbors)) to map ids to slots, and
+//! neighbor lists come out in ascending id order, the list's own order.
+//! See `DESIGN.md` §19 and §21.
 
 use wsn_net::NodeId;
 use wsn_sim::SimTime;
@@ -59,6 +62,12 @@ fn extend(until: &mut SimTime, to: SimTime) {
 
 /// The gradients a node maintains, one slot per neighbor.
 ///
+/// Methods that take `neighbors` map slots to [`NodeId`]s through it: the
+/// node's neighbor list in ascending id order, as
+/// [`Ctx::neighbors`](wsn_net::Ctx::neighbors) and
+/// [`Topology::neighbors`](wsn_net::Topology::neighbors) give it, one id
+/// per slot.
+///
 /// # Examples
 ///
 /// ```
@@ -66,45 +75,45 @@ fn extend(until: &mut SimTime, to: SimTime) {
 /// use wsn_net::NodeId;
 /// use wsn_sim::SimTime;
 ///
-/// let mut g = GradientTable::new(&[NodeId(1), NodeId(4)]);
+/// let neighbors = [NodeId(1), NodeId(4)];
+/// let mut g = GradientTable::new(neighbors.len());
 /// let t0 = SimTime::ZERO;
-/// let slot = g.slot(NodeId(1)).unwrap();
+/// let slot = g.slot(&neighbors, NodeId(1)).unwrap();
 /// g.refresh_exploratory(slot, SimTime::from_secs(15));
 /// g.reinforce(slot, SimTime::from_secs(110));
-/// assert!(g.has_data(NodeId(1), t0));
+/// assert!(g.has_data(&neighbors, NodeId(1), t0));
 /// g.degrade(slot);
-/// assert!(!g.has_data(NodeId(1), t0));
-/// assert!(g.has_exploratory(NodeId(1), t0));
+/// assert!(!g.has_data(&neighbors, NodeId(1), t0));
+/// assert!(g.has_exploratory(&neighbors, NodeId(1), t0));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct GradientTable {
-    /// The node's neighbors, ascending: slot `k` belongs to `neighbors[k]`.
-    neighbors: Box<[NodeId]>,
+    /// Slot `k` holds the gradients toward the `k`-th neighbor.
     entries: Box<[Entry]>,
 }
 
 impl GradientTable {
-    /// An empty table over `neighbors`, which must be in ascending id
-    /// order (as [`Ctx::neighbors`](wsn_net::Ctx::neighbors) lists them).
-    pub fn new(neighbors: &[NodeId]) -> Self {
+    /// An empty table with one slot per neighbor of a node with `degree`
+    /// neighbors.
+    pub fn new(degree: usize) -> Self {
+        GradientTable {
+            entries: vec![Entry::EMPTY; degree].into(),
+        }
+    }
+
+    /// The slot of `neighbor` in `neighbors`, if it is one.
+    pub fn slot(&self, neighbors: &[NodeId], neighbor: NodeId) -> Option<usize> {
+        debug_assert_eq!(neighbors.len(), self.entries.len(), "not this node's list");
         debug_assert!(
             neighbors.windows(2).all(|w| w[0] < w[1]),
             "neighbor list not ascending"
         );
-        GradientTable {
-            neighbors: neighbors.into(),
-            entries: vec![Entry::EMPTY; neighbors.len()].into(),
-        }
-    }
-
-    /// The slot of `neighbor`, if it is one.
-    pub fn slot(&self, neighbor: NodeId) -> Option<usize> {
-        self.neighbors.binary_search(&neighbor).ok()
+        neighbors.binary_search(&neighbor).ok()
     }
 
     /// The entry of `neighbor`, if it is one.
-    fn entry(&self, neighbor: NodeId) -> Option<&Entry> {
-        self.slot(neighbor).map(|k| &self.entries[k])
+    fn entry(&self, neighbors: &[NodeId], neighbor: NodeId) -> Option<&Entry> {
+        self.slot(neighbors, neighbor).map(|k| &self.entries[k])
     }
 
     /// Sets or refreshes the exploratory gradient toward the neighbor in
@@ -142,29 +151,31 @@ impl GradientTable {
     /// Whether a live exploratory *or* data gradient toward `neighbor`
     /// exists at `now` (data implies the direction is still valid for
     /// exploratory traffic).
-    pub fn has_any(&self, neighbor: NodeId, now: SimTime) -> bool {
-        self.entry(neighbor).is_some_and(|e| e.live(now))
+    pub fn has_any(&self, neighbors: &[NodeId], neighbor: NodeId, now: SimTime) -> bool {
+        self.entry(neighbors, neighbor).is_some_and(|e| e.live(now))
     }
 
     /// Whether a live exploratory gradient toward `neighbor` exists at `now`.
-    pub fn has_exploratory(&self, neighbor: NodeId, now: SimTime) -> bool {
-        self.entry(neighbor).is_some_and(|e| e.expl_live(now))
+    pub fn has_exploratory(&self, neighbors: &[NodeId], neighbor: NodeId, now: SimTime) -> bool {
+        self.entry(neighbors, neighbor)
+            .is_some_and(|e| e.expl_live(now))
     }
 
     /// Whether a live data gradient toward `neighbor` exists at `now`.
-    pub fn has_data(&self, neighbor: NodeId, now: SimTime) -> bool {
-        self.entry(neighbor).is_some_and(|e| e.data_live(now))
+    pub fn has_data(&self, neighbors: &[NodeId], neighbor: NodeId, now: SimTime) -> bool {
+        self.entry(neighbors, neighbor)
+            .is_some_and(|e| e.data_live(now))
     }
 
     /// The neighbors with a live data gradient at `now`, in ascending id
     /// order.
-    pub fn data_neighbors(&self, now: SimTime) -> Vec<NodeId> {
-        self.neighbors_where(|e| e.data_live(now))
+    pub fn data_neighbors(&self, neighbors: &[NodeId], now: SimTime) -> Vec<NodeId> {
+        self.neighbors_where(neighbors, |e| e.data_live(now))
     }
 
     /// The neighbors with any live gradient at `now`, in ascending id order.
-    pub fn all_neighbors(&self, now: SimTime) -> Vec<NodeId> {
-        self.neighbors_where(|e| e.live(now))
+    pub fn all_neighbors(&self, neighbors: &[NodeId], now: SimTime) -> Vec<NodeId> {
+        self.neighbors_where(neighbors, |e| e.live(now))
     }
 
     /// Whether any live gradient exists at `now` — the same answer as
@@ -179,8 +190,9 @@ impl GradientTable {
         self.entries.iter().any(|e| e.data_live(now))
     }
 
-    fn neighbors_where(&self, keep: impl Fn(&Entry) -> bool) -> Vec<NodeId> {
-        self.neighbors
+    fn neighbors_where(&self, neighbors: &[NodeId], keep: impl Fn(&Entry) -> bool) -> Vec<NodeId> {
+        debug_assert_eq!(neighbors.len(), self.entries.len(), "not this node's list");
+        neighbors
             .iter()
             .zip(self.entries.iter())
             .filter(|(_, e)| keep(e))
@@ -225,13 +237,16 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    /// The neighbors of the table under test.
+    const NB: &[NodeId] = &[NodeId(1), NodeId(2), NodeId(3), NodeId(5), NodeId(9)];
+
     /// A table over neighbors 1, 2, 3, 5 and 9, and the slot of each.
     fn table() -> GradientTable {
-        GradientTable::new(&[NodeId(1), NodeId(2), NodeId(3), NodeId(5), NodeId(9)])
+        GradientTable::new(NB.len())
     }
 
     fn slot(g: &GradientTable, n: u32) -> usize {
-        g.slot(NodeId(n)).expect("a neighbor")
+        g.slot(NB, NodeId(n)).expect("a neighbor")
     }
 
     #[test]
@@ -240,15 +255,15 @@ mod tests {
         assert_eq!(slot(&g, 1), 0);
         assert_eq!(slot(&g, 9), 4);
         assert_eq!(slot(&g, 5), 3);
-        assert_eq!(g.slot(NodeId(4)), None);
+        assert_eq!(g.slot(NB, NodeId(4)), None);
     }
 
     #[test]
     fn exploratory_gradients_expire() {
         let mut g = table();
         g.refresh_exploratory(slot(&g, 1), t(15));
-        assert!(g.has_exploratory(NodeId(1), t(15)));
-        assert!(!g.has_exploratory(NodeId(1), t(16)));
+        assert!(g.has_exploratory(NB, NodeId(1), t(15)));
+        assert!(!g.has_exploratory(NB, NodeId(1), t(16)));
     }
 
     #[test]
@@ -256,14 +271,14 @@ mod tests {
         let mut g = table();
         g.refresh_exploratory(slot(&g, 1), t(20));
         g.refresh_exploratory(slot(&g, 1), t(10));
-        assert!(g.has_exploratory(NodeId(1), t(20)));
+        assert!(g.has_exploratory(NB, NodeId(1), t(20)));
     }
 
     #[test]
     fn reinforce_creates_data_gradient() {
         let mut g = table();
         g.reinforce(slot(&g, 2), t(100));
-        assert!(g.has_data(NodeId(2), t(0)));
+        assert!(g.has_data(NB, NodeId(2), t(0)));
         assert!(g.on_tree(t(0)));
         assert!(!g.on_tree(t(101)));
     }
@@ -274,8 +289,8 @@ mod tests {
         g.refresh_exploratory(slot(&g, 1), t(15));
         g.reinforce(slot(&g, 1), t(100));
         assert!(g.degrade(slot(&g, 1)));
-        assert!(!g.has_data(NodeId(1), t(0)));
-        assert!(g.has_exploratory(NodeId(1), t(0)));
+        assert!(!g.has_data(NB, NodeId(1), t(0)));
+        assert!(g.has_exploratory(NB, NodeId(1), t(0)));
         // Degrading again reports nothing removed.
         assert!(!g.degrade(slot(&g, 1)));
         assert!(!g.degrade(slot(&g, 9)));
@@ -287,10 +302,13 @@ mod tests {
         g.reinforce(slot(&g, 5), t(100));
         g.reinforce(slot(&g, 2), t(100));
         g.refresh_exploratory(slot(&g, 9), t(15));
-        assert_eq!(g.data_neighbors(t(0)), vec![NodeId(2), NodeId(5)]);
-        assert_eq!(g.all_neighbors(t(0)), vec![NodeId(2), NodeId(5), NodeId(9)]);
+        assert_eq!(g.data_neighbors(NB, t(0)), vec![NodeId(2), NodeId(5)]);
+        assert_eq!(
+            g.all_neighbors(NB, t(0)),
+            vec![NodeId(2), NodeId(5), NodeId(9)]
+        );
         // After exploratory expiry only the data gradients remain.
-        assert_eq!(g.all_neighbors(t(50)), vec![NodeId(2), NodeId(5)]);
+        assert_eq!(g.all_neighbors(NB, t(50)), vec![NodeId(2), NodeId(5)]);
     }
 
     #[test]
@@ -310,17 +328,17 @@ mod tests {
     fn has_any_covers_both_kinds() {
         let mut g = table();
         g.reinforce(slot(&g, 1), t(100));
-        assert!(g.has_any(NodeId(1), t(0)));
-        assert!(!g.has_any(NodeId(2), t(0)));
-        assert!(!g.has_any(NodeId(4), t(0)), "not a neighbor");
+        assert!(g.has_any(NB, NodeId(1), t(0)));
+        assert!(!g.has_any(NB, NodeId(2), t(0)));
+        assert!(!g.has_any(NB, NodeId(4), t(0)), "not a neighbor");
     }
 
     #[test]
     fn gradients_valid_until_time_zero_are_live_at_zero() {
         let mut g = table();
         g.refresh_exploratory(slot(&g, 3), SimTime::ZERO);
-        assert!(g.has_exploratory(NodeId(3), SimTime::ZERO));
-        assert!(!g.has_exploratory(NodeId(3), SimTime::from_nanos(1)));
+        assert!(g.has_exploratory(NB, NodeId(3), SimTime::ZERO));
+        assert!(!g.has_exploratory(NB, NodeId(3), SimTime::from_nanos(1)));
     }
 
     #[test]
@@ -331,7 +349,7 @@ mod tests {
         g.refresh_exploratory(slot(&g, 3), t(50));
         g.sweep(t(20));
         assert_eq!(g.len(), 1);
-        assert!(g.has_exploratory(NodeId(3), t(20)));
+        assert!(g.has_exploratory(NB, NodeId(3), t(20)));
     }
 
     #[test]
@@ -341,8 +359,8 @@ mod tests {
         g.reinforce(slot(&g, 1), t(100));
         g.sweep(t(20));
         assert_eq!(g.len(), 1);
-        assert!(!g.has_exploratory(NodeId(1), t(20)));
-        assert!(g.has_data(NodeId(1), t(20)));
+        assert!(!g.has_exploratory(NB, NodeId(1), t(20)));
+        assert!(g.has_data(NB, NodeId(1), t(20)));
     }
 
     #[test]
@@ -352,6 +370,6 @@ mod tests {
         g.clear();
         assert!(g.is_empty());
         assert!(!g.on_tree(t(0)));
-        assert_eq!(g.slot(NodeId(9)), Some(4), "the neighbor list survives");
+        assert_eq!(g.slot(NB, NodeId(9)), Some(4), "clearing keeps every slot");
     }
 }

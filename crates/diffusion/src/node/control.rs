@@ -70,7 +70,10 @@ impl DiffusionNode {
             return;
         }
         entry.reinforce_sent = true;
-        if let Some((up, _kind)) = self.expl.choose_upstream(id, self.cfg.scheme) {
+        if let Some((up, _kind)) = self
+            .expl
+            .choose_upstream(ctx.neighbors(), id, self.cfg.scheme)
+        {
             self.send_now(
                 ctx,
                 Some(up),
@@ -154,7 +157,7 @@ impl DiffusionNode {
             && self.gradients.on_tree(now)
             && self.expl.first_incremental(id, self.me)
         {
-            for n in self.gradients.data_neighbors(now) {
+            for n in self.gradients.data_neighbors(ctx.neighbors(), now) {
                 let msg = DiffMsg::IncrementalCost {
                     id,
                     origin: self.me,
@@ -201,7 +204,7 @@ impl DiffusionNode {
                 Some(e) => cost.min(e),
                 None => cost,
             };
-            for n in self.gradients.data_neighbors(now) {
+            for n in self.gradients.data_neighbors(ctx.neighbors(), now) {
                 if n == from {
                     continue; // never bounce it straight back
                 }

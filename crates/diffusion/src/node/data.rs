@@ -201,7 +201,7 @@ impl DiffusionNode {
             });
         }
         let now = ctx.now();
-        let downstream = self.gradients.data_neighbors(now);
+        let downstream = self.gradients.data_neighbors(ctx.neighbors(), now);
         if downstream.is_empty() {
             self.metric(ctx, |ids, reg| {
                 reg.add(

@@ -23,6 +23,8 @@
 //! * [`proto`] — the [`Protocol`](wsn_net::Protocol) impl that dispatches
 //!   packets and timers into the above.
 
+use std::sync::Arc;
+
 use wsn_net::{Ctx, NodeId, TimerHandle};
 use wsn_sim::SimTime;
 
@@ -118,7 +120,8 @@ pub struct StateSizes {
 /// The diffusion protocol instance for one node.
 #[derive(Debug)]
 pub struct DiffusionNode {
-    cfg: DiffusionConfig,
+    /// The run's protocol parameters, shared by all of its nodes.
+    cfg: Arc<DiffusionConfig>,
     role: Role,
     me: NodeId,
     // Control plane.
@@ -126,8 +129,9 @@ pub struct DiffusionNode {
     /// Interests seen, as one dedup window per sink.
     seen_interests: DedupWindows,
     /// Per-neighbor gradients and exploratory offers, both addressed by the
-    /// neighbor's position in the topology's neighbor list (bound to it in
-    /// `on_start`).
+    /// neighbor's position in the topology's neighbor list (sized to it in
+    /// `on_start`). Neither copies the list: queries by `NodeId` take
+    /// [`Ctx::neighbors`].
     gradients: GradientTable,
     expl: ExplCache,
     // Data plane.
@@ -170,7 +174,13 @@ pub struct DiffusionNode {
 
 impl DiffusionNode {
     /// Creates the protocol instance for node `me` with the given role.
-    pub fn new(cfg: DiffusionConfig, me: NodeId, role: Role) -> Self {
+    ///
+    /// `cfg` is a [`DiffusionConfig`] or an `Arc` of one. Pass clones of
+    /// one `Arc` to share a single config among a run's nodes, as
+    /// `wsn_core::Experiment` does; a plain config is moved into an `Arc`
+    /// of this node's own.
+    pub fn new(cfg: impl Into<Arc<DiffusionConfig>>, me: NodeId, role: Role) -> Self {
+        let cfg = cfg.into();
         let window = TruncationLog::new(cfg.truncation_window);
         DiffusionNode {
             cfg,
@@ -179,7 +189,7 @@ impl DiffusionNode {
             interest_seq: 0,
             seen_interests: DedupWindows::default(),
             gradients: GradientTable::default(),
-            expl: ExplCache::new(me, &[]),
+            expl: ExplCache::new(me, 0),
             seen_items: DedupWindows::default(),
             buffer: AggregationBuffer::new(),
             window,
@@ -216,7 +226,9 @@ impl DiffusionNode {
         &self.cfg
     }
 
-    /// The gradient table (inspection/testing).
+    /// The gradient table (inspection/testing). Its queries by `NodeId`
+    /// take this node's neighbor list,
+    /// [`Topology::neighbors`](wsn_net::Topology::neighbors).
     pub fn gradients(&self) -> &GradientTable {
         &self.gradients
     }

@@ -16,8 +16,8 @@ impl Protocol for DiffusionNode {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, DiffMsg, DiffTimer>) {
         debug_assert_eq!(self.me, ctx.node(), "protocol bound to the wrong node");
-        self.gradients = GradientTable::new(ctx.neighbors());
-        self.expl = ExplCache::new(self.me, ctx.neighbors());
+        self.gradients = GradientTable::new(ctx.neighbors().len());
+        self.expl = ExplCache::new(self.me, ctx.neighbors().len());
         if self.role.is_sink {
             self.originate_interest(ctx);
         }
@@ -161,7 +161,7 @@ impl Protocol for DiffusionNode {
         if matches!(msg, DiffMsg::Data { .. })
             && self
                 .gradients
-                .slot(to)
+                .slot(ctx.neighbors(), to)
                 .is_some_and(|k| self.gradients.degrade(k))
         {
             self.metric(ctx, |ids, reg| reg.inc(ids.tree_edges_dropped));

@@ -20,7 +20,7 @@ impl DiffusionNode {
         let now = ctx.now();
         // A reinforcement from a neighbor without a live data gradient grows
         // the aggregation tree by one edge (us → them, toward the sink).
-        let new_edge = !self.gradients.has_data(from, now);
+        let new_edge = !self.gradients.has_data(ctx.neighbors(), from, now);
         self.gradients
             .reinforce(slot, now + self.cfg.data_gradient_timeout);
         self.metric(ctx, |ids, reg| {
@@ -58,7 +58,10 @@ impl DiffusionNode {
                     return;
                 }
                 entry.reinforce_sent = true;
-                if let Some((up, _kind)) = self.expl.choose_upstream(id, self.cfg.scheme) {
+                if let Some((up, _kind)) =
+                    self.expl
+                        .choose_upstream(ctx.neighbors(), id, self.cfg.scheme)
+                {
                     if up != from && up != self.me {
                         self.send_now(
                             ctx,
@@ -126,10 +129,12 @@ impl DiffusionNode {
             .collect();
         excluded.push(self.me);
         excluded.extend(exclude);
-        if let Some((up, _)) =
-            self.expl
-                .choose_upstream_excluding(track.last_id, self.cfg.scheme, &excluded)
-        {
+        if let Some((up, _)) = self.expl.choose_upstream_excluding(
+            ctx.neighbors(),
+            track.last_id,
+            self.cfg.scheme,
+            &excluded,
+        ) {
             self.last_repair.insert(source, now);
             self.send_now(
                 ctx,

@@ -82,7 +82,11 @@ fn greedy_attaches_the_second_source_at_the_tree() {
             "seed {seed}: a source was lost"
         );
         assert!(
-            net.protocol(NodeId(4)).gradients().has_data(NodeId(0), now),
+            net.protocol(NodeId(4)).gradients().has_data(
+                net.topology().neighbors(NodeId(4)),
+                NodeId(0),
+                now
+            ),
             "seed {seed}: s2 does not feed s1 — not a greedy incremental tree"
         );
         // The bottom row stays off the tree.

@@ -67,7 +67,7 @@ fn offer_slot(cache: &ExplCache, neighbors: &[NodeId], me: NodeId, n: u32) -> us
 /// first exploratory copy from `first` (which fixes the first sender).
 fn cache_with(id: MsgId, first: (u32, u32), offers: &[((u32, bool), u32, u64)]) -> ExplCache {
     let (me, neighbors) = node_and_neighbors(99, 12);
-    let mut cache = ExplCache::new(me, &neighbors);
+    let mut cache = ExplCache::new(me, neighbors.len());
     let it = item(id.source.0, id.round);
     let slot = |cache: &ExplCache, n| offer_slot(cache, &neighbors, me, n);
     cache.record_exploratory(id, it, slot(&cache, first.0), first.1, SimTime::ZERO);
@@ -136,10 +136,10 @@ fn dedup_stream() -> impl Strategy<Value = Vec<(u32, u32, u32)>> {
 
 /// Applies gradient refreshes `(neighbor, data?, until ns)`. Both kinds only
 /// ever extend validity, so any order yields the same live state.
-fn apply_gradients(table: &mut GradientTable, ops: &[(u32, bool, u64)]) {
+fn apply_gradients(table: &mut GradientTable, neighbors: &[NodeId], ops: &[(u32, bool, u64)]) {
     for &(n, data, until) in ops {
         let until = SimTime::from_nanos(until);
-        let slot = table.slot(NodeId(n)).expect("a neighbor");
+        let slot = table.slot(neighbors, NodeId(n)).expect("a neighbor");
         if data {
             table.reinforce(slot, until);
         } else {
@@ -156,7 +156,7 @@ proptest! {
     fn greedy_choice_matches_brute_force(script in offers()) {
         let id = MsgId { source: NodeId(99), round: 0 };
         let (me, neighbors) = node_and_neighbors(50, 8);
-        let mut cache = ExplCache::new(me, &neighbors);
+        let mut cache = ExplCache::new(me, neighbors.len());
         // Brute force over *effective* offers: per (neighbor, kind) the best
         // cost with its earliest achieving time.
         let mut best: Option<(u32, u8, u64, u32)> = None; // cost, kind, time, neighbor
@@ -181,7 +181,7 @@ proptest! {
             }
         }
         let expected = best.map(|(_, _, _, n)| NodeId(n));
-        let chosen = cache.choose_upstream(id, Scheme::Greedy).map(|(n, _)| n);
+        let chosen = cache.choose_upstream(&neighbors, id, Scheme::Greedy).map(|(n, _)| n);
         prop_assert_eq!(chosen, expected);
     }
 
@@ -191,7 +191,7 @@ proptest! {
     fn opportunistic_choice_is_first_exploratory(script in offers()) {
         let id = MsgId { source: NodeId(99), round: 0 };
         let (me, neighbors) = node_and_neighbors(50, 8);
-        let mut cache = ExplCache::new(me, &neighbors);
+        let mut cache = ExplCache::new(me, neighbors.len());
         let mut first_expl: Option<u32> = None;
         for (t, &(n, cost, incremental)) in script.iter().enumerate() {
             let now = SimTime::from_nanos((t as u64 + 1) * 1000);
@@ -205,7 +205,7 @@ proptest! {
                 }
             }
         }
-        let chosen = cache.choose_upstream(id, Scheme::Opportunistic).map(|(n, _)| n);
+        let chosen = cache.choose_upstream(&neighbors, id, Scheme::Opportunistic).map(|(n, _)| n);
         // The cache's first_from is the neighbor of the first *recorded*
         // message; opportunistic only answers when an exploratory was seen.
         match first_expl {
@@ -233,14 +233,15 @@ proptest! {
         let id = MsgId { source: NodeId(99), round: 3 };
         let a = cache_with(id, first, &script);
         let b = cache_with(id, first, &shuffled(&script, seed));
+        let (_, nb) = node_and_neighbors(99, 12);
         let excluded: Vec<NodeId> = excluded.into_iter().map(NodeId).collect();
         let first_only = [NodeId(first.0)];
         for scheme in [Scheme::Greedy, Scheme::Opportunistic] {
-            prop_assert_eq!(a.choose_upstream(id, scheme), b.choose_upstream(id, scheme));
+            prop_assert_eq!(a.choose_upstream(&nb, id, scheme), b.choose_upstream(&nb, id, scheme));
             for ex in [&excluded[..], &first_only[..]] {
                 prop_assert_eq!(
-                    a.choose_upstream_excluding(id, scheme, ex),
-                    b.choose_upstream_excluding(id, scheme, ex)
+                    a.choose_upstream_excluding(&nb, id, scheme, ex),
+                    b.choose_upstream_excluding(&nb, id, scheme, ex)
                 );
             }
         }
@@ -259,7 +260,7 @@ proptest! {
     ) {
         let id = MsgId { source: NodeId(99), round: 1 };
         let (node, neighbors) = node_and_neighbors(me, 12);
-        let mut cache = ExplCache::new(node, &neighbors);
+        let mut cache = ExplCache::new(node, neighbors.len());
         let mut effective: BTreeMap<(u32, bool), (u32, u64)> = BTreeMap::new();
         for &((n, incremental), cost, t) in &script {
             let now = SimTime::from_nanos(t);
@@ -278,12 +279,12 @@ proptest! {
         let excluded: Vec<NodeId> = excluded.into_iter().map(NodeId).collect();
         for scheme in [Scheme::Greedy, Scheme::Opportunistic] {
             prop_assert_eq!(
-                cache.choose_upstream(id, scheme),
+                cache.choose_upstream(&neighbors, id, scheme),
                 brute_force_upstream(first, &effective, scheme, &[])
             );
             for ex in [&excluded[..], &[node][..]] {
                 prop_assert_eq!(
-                    cache.choose_upstream_excluding(id, scheme, ex),
+                    cache.choose_upstream_excluding(&neighbors, id, scheme, ex),
                     brute_force_upstream(first, &effective, scheme, ex)
                 );
             }
@@ -301,22 +302,22 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let neighbors: Vec<NodeId> = (0..16).map(NodeId).collect();
-        let mut a = GradientTable::new(&neighbors);
-        apply_gradients(&mut a, &ops);
+        let mut a = GradientTable::new(neighbors.len());
+        apply_gradients(&mut a, &neighbors, &ops);
         let wide: Vec<NodeId> = (0..16).chain(1000..1000 + decoys).map(NodeId).collect();
-        let mut b = GradientTable::new(&wide);
+        let mut b = GradientTable::new(wide.len());
         for d in 0..decoys {
-            let slot = b.slot(NodeId(1000 + d)).expect("a decoy neighbor");
+            let slot = b.slot(&wide, NodeId(1000 + d)).expect("a decoy neighbor");
             b.refresh_exploratory(slot, SimTime::ZERO);
         }
-        apply_gradients(&mut b, &shuffled(&ops, seed));
+        apply_gradients(&mut b, &wide, &shuffled(&ops, seed));
         b.sweep(SimTime::from_nanos(1)); // drops exactly the decoys
         for now in (1..=61).step_by(3).map(SimTime::from_nanos) {
-            prop_assert_eq!(a.data_neighbors(now), b.data_neighbors(now));
-            prop_assert_eq!(a.all_neighbors(now), b.all_neighbors(now));
+            prop_assert_eq!(a.data_neighbors(&neighbors, now), b.data_neighbors(&wide, now));
+            prop_assert_eq!(a.all_neighbors(&neighbors, now), b.all_neighbors(&wide, now));
             prop_assert_eq!(a.on_tree(now), b.on_tree(now));
             prop_assert_eq!(a.any_live(now), b.any_live(now));
-            prop_assert_eq!(a.any_live(now), !a.all_neighbors(now).is_empty());
+            prop_assert_eq!(a.any_live(now), !a.all_neighbors(&neighbors, now).is_empty());
         }
     }
 
@@ -418,12 +419,12 @@ proptest! {
     #[test]
     fn gradient_lifecycle(ops in prop::collection::vec((0u32..4, 0u8..3, 1u64..100), 1..40)) {
         let neighbors: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let mut table = GradientTable::new(&neighbors);
+        let mut table = GradientTable::new(neighbors.len());
         let mut model: std::collections::HashMap<u32, u64> = Default::default(); // data_until
         for (i, &(n, op, horizon)) in ops.iter().enumerate() {
             let now = i as u64;
             let until = now + horizon;
-            let slot = table.slot(NodeId(n)).expect("a neighbor");
+            let slot = table.slot(&neighbors, NodeId(n)).expect("a neighbor");
             match op {
                 0 => {
                     table.reinforce(slot, SimTime::from_nanos(until));
@@ -440,7 +441,7 @@ proptest! {
             }
             let t = SimTime::from_nanos(now);
             for (&m, &du) in &model {
-                prop_assert_eq!(table.has_data(NodeId(m), t), du >= now);
+                prop_assert_eq!(table.has_data(&neighbors, NodeId(m), t), du >= now);
             }
             prop_assert_eq!(
                 table.on_tree(t),

@@ -3,7 +3,10 @@
 //! The paper's radios have a fixed 40 m range in a 200 m × 200 m field; two
 //! nodes are neighbors iff they are within range (the unit-disc model, as in
 //! the ns-2 two-ray model with a fixed threshold). The [`Topology`] computes
-//! and caches the neighbor lists once per field.
+//! and caches the neighbor lists once per field, and its clones share them:
+//! the arrays sit behind one `Arc`, so a clone copies none of them and a
+//! scenario instance and the network built from it hold one adjacency
+//! (`DESIGN.md` §21).
 //!
 //! Construction goes through a [`SpatialGrid`]: positions are bucketed into
 //! uniform square cells of side `range_m`, so any node's neighbors lie in its
@@ -24,6 +27,8 @@
 //! state (the PHY's reception flags, a protocol's per-neighbor gradients)
 //! lives in flat arrays that both endpoints can address. See `DESIGN.md`
 //! §19.
+
+use std::sync::Arc;
 
 use crate::node::NodeId;
 use crate::position::Position;
@@ -302,12 +307,14 @@ impl SpatialGrid {
         next.fill(0);
         let reverse = reverse_index(&arena, &mut next);
         Topology {
-            positions: self.positions,
-            range_m: self.range_m,
-            range_sq: self.range_sq,
-            arena,
-            spans,
-            reverse,
+            arrays: Arc::new(Arrays {
+                positions: self.positions,
+                range_m: self.range_m,
+                range_sq: self.range_sq,
+                arena,
+                spans,
+                reverse,
+            }),
         }
     }
 }
@@ -353,6 +360,10 @@ fn cell_index(
 /// spans; [`Topology::neighbors`] returns the span as a slice. Lists are
 /// sorted ascending by [`NodeId`].
 ///
+/// Clones share one immutable storage: cloning bumps a reference count and
+/// copies no array, so a scenario instance and the network built from it
+/// hold one adjacency between them.
+///
 /// # Examples
 ///
 /// ```
@@ -372,6 +383,12 @@ fn cell_index(
 /// ```
 #[derive(Debug, Clone)]
 pub struct Topology {
+    arrays: Arc<Arrays>,
+}
+
+/// The arrays behind a [`Topology`], built once and shared by its clones.
+#[derive(Debug)]
+struct Arrays {
     positions: Vec<Position>,
     range_m: f64,
     /// `range_m * range_m`, cached once so range tests never recompute it.
@@ -397,17 +414,17 @@ impl Topology {
 
     /// The number of nodes.
     pub fn len(&self) -> usize {
-        self.positions.len()
+        self.arrays.positions.len()
     }
 
     /// Whether the field is empty.
     pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
+        self.arrays.positions.is_empty()
     }
 
     /// The radio range, meters.
     pub fn range_m(&self) -> f64 {
-        self.range_m
+        self.arrays.range_m
     }
 
     /// The position of a node.
@@ -416,12 +433,12 @@ impl Topology {
     ///
     /// Panics if `node` is out of bounds.
     pub fn position(&self, node: NodeId) -> Position {
-        self.positions[node.index()]
+        self.arrays.positions[node.index()]
     }
 
     /// All node positions, indexed by [`NodeId`].
     pub fn positions(&self) -> &[Position] {
-        &self.positions
+        &self.arrays.positions
     }
 
     /// The in-range neighbors of a node (excluding the node itself), in
@@ -431,7 +448,7 @@ impl Topology {
     ///
     /// Panics if `node` is out of bounds.
     pub fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        &self.arena[self.links(node)]
+        &self.arrays.arena[self.links(node)]
     }
 
     /// The reverse index of a node's span: for `v = neighbors(u)[k]`,
@@ -442,35 +459,35 @@ impl Topology {
     ///
     /// Panics if `node` is out of bounds.
     pub fn reverse(&self, node: NodeId) -> &[u32] {
-        &self.reverse[self.links(node)]
+        &self.arrays.reverse[self.links(node)]
     }
 
     /// The addresses of a node's outgoing links: the positions of its span
     /// in the flat neighbor arena, in neighbor order.
     pub(crate) fn links(&self, node: NodeId) -> std::ops::Range<usize> {
-        let (off, len) = self.spans[node.index()];
+        let (off, len) = self.arrays.spans[node.index()];
         off as usize..off as usize + len as usize
     }
 
     /// The total number of links (twice the number of neighbor pairs).
     pub(crate) fn link_count(&self) -> usize {
-        self.arena.len()
+        self.arrays.arena.len()
     }
 
     /// Whether two distinct nodes are within radio range.
     pub fn are_neighbors(&self, a: NodeId, b: NodeId) -> bool {
         a != b
-            && self.positions[a.index()].distance_squared(self.positions[b.index()])
-                <= self.range_sq
+            && self.arrays.positions[a.index()].distance_squared(self.arrays.positions[b.index()])
+                <= self.arrays.range_sq
     }
 
     /// The mean number of neighbors per node — the paper's "radio density"
     /// (6 to 43 neighbors across its seven field sizes).
     pub fn average_degree(&self) -> f64 {
-        if self.positions.is_empty() {
+        if self.arrays.positions.is_empty() {
             return 0.0;
         }
-        self.arena.len() as f64 / self.positions.len() as f64
+        self.arrays.arena.len() as f64 / self.arrays.positions.len() as f64
     }
 
     /// Whether the field is a single connected component (over all nodes).
@@ -482,7 +499,7 @@ impl Topology {
     /// component. Nodes for which `alive` returns `false` are ignored
     /// entirely (they neither need to be reached nor relay).
     pub fn is_connected_over(&self, alive: impl Fn(NodeId) -> bool) -> bool {
-        let n = self.positions.len();
+        let n = self.arrays.positions.len();
         let Some(start) = (0..n).map(|i| NodeId(i as u32)).find(|&id| alive(id)) else {
             return true; // vacuously connected
         };
@@ -509,7 +526,7 @@ impl Topology {
         if from == to {
             return Some(0);
         }
-        let n = self.positions.len();
+        let n = self.arrays.positions.len();
         let mut dist = vec![u32::MAX; n];
         dist[from.index()] = 0;
         let mut queue = std::collections::VecDeque::from([from]);

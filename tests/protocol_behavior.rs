@@ -51,7 +51,8 @@ fn reinforcement_builds_data_gradients_toward_the_sink() {
     for i in 0..4u32 {
         let p = net.protocol(NodeId(i));
         assert!(
-            p.gradients().has_data(NodeId(i + 1), now),
+            p.gradients()
+                .has_data(net.topology().neighbors(NodeId(i)), NodeId(i + 1), now),
             "node {i} lacks a data gradient toward {}",
             i + 1
         );

@@ -38,9 +38,12 @@ fn diamond(scheme: Scheme) -> Network<DiffusionNode> {
 /// sink).
 fn active_relay(net: &Network<DiffusionNode>) -> Option<NodeId> {
     let now = net.now();
-    [NodeId(1), NodeId(2)]
-        .into_iter()
-        .find(|&n| net.protocol(n).gradients().has_data(NodeId(3), now))
+    [NodeId(1), NodeId(2)].into_iter().find(|&n| {
+        let neighbors = net.topology().neighbors(n);
+        net.protocol(n)
+            .gradients()
+            .has_data(neighbors, NodeId(3), now)
+    })
 }
 
 #[test]
@@ -91,7 +94,11 @@ fn sender_stops_burning_retries_into_a_dead_link() {
     );
     let now = net.now();
     assert!(
-        !net.protocol(NodeId(0)).gradients().has_data(relay, now),
+        !net.protocol(NodeId(0)).gradients().has_data(
+            net.topology().neighbors(NodeId(0)),
+            relay,
+            now
+        ),
         "source still holds a data gradient toward the dead relay"
     );
 }
@@ -115,7 +122,12 @@ fn repaired_path_survives_the_original_relay_recovering() {
     let now = net.now();
     let active: Vec<NodeId> = [NodeId(1), NodeId(2)]
         .into_iter()
-        .filter(|&n| net.protocol(n).gradients().has_data(NodeId(3), now))
+        .filter(|&n| {
+            let neighbors = net.topology().neighbors(n);
+            net.protocol(n)
+                .gradients()
+                .has_data(neighbors, NodeId(3), now)
+        })
         .collect();
     assert_eq!(active.len(), 1, "active relays: {active:?}");
 }

@@ -8,6 +8,9 @@
 //! [`GlobalAlloc`] so a future PR that reintroduces a per-event `clone()`
 //! or hash insert fails loudly instead of silently costing 15% throughput.
 //!
+//! A last phase pins that cloning a `Topology` copies no array: a run's
+//! scenario instance and its network share one adjacency.
+//!
 //! The binary is harness-free (`harness = false` in `Cargo.toml`): the
 //! allocation counter is process-global, and libtest's harness threads
 //! allocate concurrently with a running test, so the measurements run in a
@@ -18,7 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use wsn::metrics::MetricsRegistry;
 use wsn::net::{
-    Ctx, MetricsOptions, NetConfig, NetMetricIds, Network, Packet, Position, Protocol, Topology,
+    Ctx, MetricsOptions, NetConfig, NetMetricIds, Network, NodeId, Packet, Position, Protocol,
+    Topology,
 };
 use wsn::sim::{EventQueue, SimDuration, SimTime};
 
@@ -227,6 +231,23 @@ fn main() {
         "metrics recording/snapshots must not allocate in steady state \
          ({sent} sends)"
     );
+
+    // ---- Phase 5: cloning a topology allocates nothing. Clones share one
+    // adjacency, so a scenario instance and the network built from it
+    // hold it once, however many nodes the field has. ----
+    let positions: Vec<Position> = (0..2_000)
+        .map(|i| Position::new(f64::from(i % 50) * 20.0, f64::from(i / 50) * 20.0))
+        .collect();
+    let topo = Topology::new(positions, 40.0);
+    let baseline = allocs();
+    let copy = topo.clone();
+    assert_eq!(
+        allocs() - baseline,
+        0,
+        "cloning a 2,000-node topology allocated"
+    );
+    assert_eq!(copy.len(), 2_000);
+    assert_eq!(copy.neighbors(NodeId(1_234)), topo.neighbors(NodeId(1_234)));
 
     println!("zero_alloc: all steady-state allocation invariants hold");
 }

@@ -15,8 +15,9 @@
 //!    dynamics but pay flood overhead on every round.
 //!
 //! Usage: `cargo run --release -p wsn-bench --bin ablations [-- --fields N]`.
+//! The field size is fixed, so `--scale` is a usage error.
 
-use wsn_bench::HarnessOptions;
+use wsn_bench::{sweep_or_exit, HarnessOptions};
 use wsn_core::{field_seed, run_sweep, MetricKind, Runner};
 use wsn_diffusion::{DiffusionConfig, Scheme};
 use wsn_metrics::FigureTable;
@@ -53,7 +54,7 @@ fn sweep(
     );
     // The whole ablation sweep is one job list: every (value, field,
     // scheme) run is exposed to the worker pool at once.
-    let points = run_sweep(
+    let points = sweep_or_exit(run_sweep(
         runner,
         values,
         fields,
@@ -63,8 +64,7 @@ fn sweep(
             spec
         },
         |pi, scheme| configure(scheme, values[pi]),
-    )
-    .expect("ablation sweeps run without a watchdog budget");
+    ));
     for point in &points {
         let v = point.x;
         for (table, metric) in [
@@ -87,7 +87,7 @@ fn sweep(
 }
 
 fn main() {
-    let opts = HarnessOptions::from_env();
+    let opts = HarnessOptions::from_env_except(&["--scale"]);
     let fields = opts.params.fields_per_point.min(5);
     let duration = opts.params.duration;
     let seed = opts.params.seed;

@@ -7,6 +7,10 @@
 //! ```sh
 //! cargo run --release -p wsn-bench --bin baselines [-- --fields N --duration SECS]
 //! ```
+//!
+//! The field size is fixed at 250 nodes, and the networks are run here by
+//! hand rather than through the job runner, so `--scale`, `--max-events`,
+//! `--progress`, `--metrics` and `--profile` are usage errors.
 
 use wsn_bench::HarnessOptions;
 use wsn_core::{field_seed, Experiment};
@@ -17,8 +21,17 @@ use wsn_scenario::ScenarioSpec;
 use wsn_trace::JsonlSink;
 use wsn_trees::{greedy_incremental_tree, Graph};
 
+/// The harness flags this binary would not honour.
+const IGNORED: [&str; 5] = [
+    "--scale",
+    "--max-events",
+    "--progress",
+    "--metrics",
+    "--profile",
+];
+
 fn main() {
-    let opts = HarnessOptions::from_env();
+    let opts = HarnessOptions::from_env_except(&IGNORED);
     let fields = opts.params.fields_per_point.min(6);
     let duration = opts.params.duration;
     let nodes = 250usize;

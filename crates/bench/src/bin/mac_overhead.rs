@@ -14,8 +14,10 @@
 //! ```sh
 //! cargo run --release -p wsn-bench --bin mac_overhead [-- --fields N --duration SECS]
 //! ```
+//!
+//! The field size is fixed at 250 nodes, so `--scale` is a usage error.
 
-use wsn_bench::HarnessOptions;
+use wsn_bench::{sweep_or_exit, HarnessOptions};
 use wsn_core::{collect_points, field_seed, sweep_jobs, MetricKind};
 use wsn_diffusion::{DiffusionConfig, Scheme};
 use wsn_metrics::{FigureTable, Summary};
@@ -23,7 +25,7 @@ use wsn_net::MacKind;
 use wsn_scenario::ScenarioSpec;
 
 fn main() {
-    let opts = HarnessOptions::from_env();
+    let opts = HarnessOptions::from_env_except(&["--scale"]);
     let fields = opts.params.fields_per_point.min(6);
     let duration = opts.params.duration;
 
@@ -48,8 +50,7 @@ fn main() {
         },
         |_, scheme| DiffusionConfig::for_scheme(scheme),
     );
-    let points = collect_points(&opts.runner, &xs, &jobs)
-        .expect("mac-overhead sweeps run without a watchdog budget");
+    let points = sweep_or_exit(collect_points(&opts.runner, &xs, &jobs));
 
     let mut per_mac: Vec<(Summary, Summary, f64)> = Vec::new();
     for (mi, point) in points.iter().enumerate() {

@@ -43,7 +43,11 @@
 //!
 //! A malformed command line (an unknown flag, a missing or unparsable
 //! value) prints one `error:` line and the usage on stderr and exits with
-//! status 2.
+//! status 2. So does a flag the binary would not honour: `ablations` and
+//! `mac_overhead` simulate a fixed 250-node field and reject `--scale`, and
+//! `baselines`, which runs its networks by hand, also rejects
+//! `--max-events`, `--progress`, `--metrics` and `--profile` (see
+//! [`HarnessOptions::from_env_except`]).
 //!
 //! Output is the three metric panels of the figure as aligned text tables
 //! (mean ± standard deviation over fields) followed by CSV blocks, suitable
@@ -55,7 +59,7 @@
 
 use std::path::{Path, PathBuf};
 
-use wsn_core::{run_figure_with, Figure, FigureParams, MetricsSpec, Runner, TraceSpec};
+use wsn_core::{run_figure_with, Figure, FigureParams, JobError, MetricsSpec, Runner, TraceSpec};
 use wsn_sim::SimDuration;
 
 /// Command-line options shared by the figure binaries.
@@ -87,14 +91,20 @@ const OPTIONS: &str = "
 ";
 
 impl HarnessOptions {
-    /// Parses options from an argument list (without the program name).
+    /// Parses options from an argument list (without the program name) for
+    /// a binary that does not honour the flags in `unsupported`.
     ///
     /// # Errors
     ///
-    /// Returns a one-line message on an unknown flag, a missing or
-    /// unparsable value, a non-positive `--scale`, or a `--trace` or
-    /// `--metrics` directory that cannot be created.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+    /// Returns a one-line message on an unknown flag, a flag in
+    /// `unsupported` (before its value is read or acted on, so a rejected
+    /// `--metrics DIR` creates no directory), a missing or unparsable
+    /// value, a non-positive `--scale`, or a `--trace` or `--metrics`
+    /// directory that cannot be created.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        unsupported: &[&str],
+    ) -> Result<Self, String> {
         let mut seed = 2002u64;
         let mut quick = false;
         let mut fields: Option<usize> = None;
@@ -104,6 +114,9 @@ impl HarnessOptions {
         let mut runner = Runner::from_env();
         let mut it = args.into_iter();
         while let Some(flag) = it.next() {
+            if unsupported.contains(&flag.as_str()) {
+                return Err(format!("{flag} is not supported by this binary"));
+            }
             let mut val = || it.next().ok_or_else(|| format!("{flag} needs a value"));
             match flag.as_str() {
                 "--quick" => quick = true,
@@ -154,13 +167,22 @@ impl HarnessOptions {
     /// and exits 0; a malformed command line prints one `error:` line and
     /// the usage on stderr and exits with status 2.
     pub fn from_env() -> Self {
-        let usage = harness_usage();
-        Self::parse(args_or_help(&usage)).unwrap_or_else(|msg| exit_usage_error(&msg, &usage))
+        Self::from_env_except(&[])
+    }
+
+    /// Like [`from_env`](Self::from_env), for a binary that does not honour
+    /// the flags in `unsupported`: its usage omits them, and any of them on
+    /// the command line is a usage error (status 2) before any run.
+    pub fn from_env_except(unsupported: &[&str]) -> Self {
+        let usage = harness_usage(unsupported);
+        Self::parse(args_or_help(&usage), unsupported)
+            .unwrap_or_else(|msg| exit_usage_error(&msg, &usage))
     }
 }
 
-/// The harness usage text, under the running binary's name.
-fn harness_usage() -> String {
+/// The harness usage text, under the running binary's name, without the
+/// lines of the `unsupported` flags.
+fn harness_usage(unsupported: &[&str]) -> String {
     let program = std::env::args()
         .next()
         .as_deref()
@@ -170,7 +192,15 @@ fn harness_usage() -> String {
             || "wsn-bench".to_string(),
             |n| n.to_string_lossy().into_owned(),
         );
-    format!("usage: {program} [options]\n{OPTIONS}")
+    let options: String = OPTIONS
+        .lines()
+        .filter(|line| {
+            let flag = line.split_whitespace().next().unwrap_or_default();
+            !unsupported.contains(&flag)
+        })
+        .map(|line| format!("{line}\n"))
+        .collect();
+    format!("usage: {program} [options]\n{options}")
 }
 
 /// The process arguments after the program name. `--help` (or `-h`)
@@ -270,7 +300,7 @@ pub fn run_and_print(figures: &[Figure], opts: &HarnessOptions) {
     for &figure in figures {
         if let Err(msg) = opts.params.check_roles(figure) {
             let msg = format!("--scale {}: {msg}", opts.params.scale);
-            exit_usage_error(&msg, &harness_usage());
+            exit_usage_error(&msg, &harness_usage(&[]));
         }
     }
     for &figure in figures {
@@ -278,16 +308,20 @@ pub fn run_and_print(figures: &[Figure], opts: &HarnessOptions) {
     }
 }
 
+/// Unwraps a sweep's result. A run that tripped the watchdog budget
+/// (`--max-events`) prints one `error: job (point …)` line naming its
+/// `(point, field, scheme)` on stderr and exits with status 2.
+pub fn sweep_or_exit<T>(result: Result<T, JobError>) -> T {
+    result.unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        std::process::exit(2)
+    })
+}
+
 /// Runs `figure` and prints its panels, its CSV and the wall-time line.
 fn run_and_print_one(figure: Figure, opts: &HarnessOptions) {
     let start = std::time::Instant::now();
-    let data = match run_figure_with(figure, &opts.params, &opts.runner) {
-        Ok(data) => data,
-        Err(err) => {
-            eprintln!("error: {err}");
-            std::process::exit(2);
-        }
-    };
+    let data = sweep_or_exit(run_figure_with(figure, &opts.params, &opts.runner));
     println!("{}", data.render_text());
     if opts.csv {
         println!("## CSV: energy\n{}", data.energy.render_csv());
@@ -315,7 +349,7 @@ mod tests {
     }
 
     fn parse(v: &[&str]) -> HarnessOptions {
-        HarnessOptions::parse(s(v)).expect("a valid command line")
+        HarnessOptions::parse(s(v), &[]).expect("a valid command line")
     }
 
     #[test]
@@ -376,7 +410,8 @@ mod tests {
 
     #[test]
     fn non_positive_scale_is_an_error() {
-        let err = HarnessOptions::parse(s(&["--scale", "0"])).expect_err("--scale 0 is rejected");
+        let err =
+            HarnessOptions::parse(s(&["--scale", "0"]), &[]).expect_err("--scale 0 is rejected");
         assert!(err.contains("--scale must be positive"), "{err}");
     }
 
@@ -402,7 +437,7 @@ mod tests {
 
     #[test]
     fn unknown_argument_is_an_error() {
-        let err = HarnessOptions::parse(s(&["--bogus"])).expect_err("--bogus is rejected");
+        let err = HarnessOptions::parse(s(&["--bogus"]), &[]).expect_err("--bogus is rejected");
         assert!(err.contains("unknown argument"), "{err}");
     }
 }

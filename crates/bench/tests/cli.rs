@@ -2,9 +2,10 @@
 //! exit cleanly with the usage text instead of panicking, for `run_one`,
 //! the figure binaries' shared harness (exercised through `fig5`), the
 //! trace and metrics readers, and `krishnamachari`; `run_one` rejects
-//! impossible requests before it runs; a watchdog trip leaves a metrics
-//! stream the reader accepts; and the two audits pass a real run's
-//! artifacts and fail on a tampered copy.
+//! impossible requests before it runs; the fixed-field harnesses reject the
+//! flags they would ignore; a watchdog trip in any sweep is an error line,
+//! not a panic, and leaves a metrics stream the reader accepts; and the two
+//! audits pass a real run's artifacts and fail on a tampered copy.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -19,6 +20,9 @@ const TRACE_REPORT: Bin = ("trace_report", env!("CARGO_BIN_EXE_trace_report"));
 const TRACE_AUDIT: Bin = ("trace_audit", env!("CARGO_BIN_EXE_trace_audit"));
 const METRICS_REPORT: Bin = ("metrics_report", env!("CARGO_BIN_EXE_metrics_report"));
 const KRISHNAMACHARI: Bin = ("krishnamachari", env!("CARGO_BIN_EXE_krishnamachari"));
+const ABLATIONS: Bin = ("ablations", env!("CARGO_BIN_EXE_ablations"));
+const BASELINES: Bin = ("baselines", env!("CARGO_BIN_EXE_baselines"));
+const MAC_OVERHEAD: Bin = ("mac_overhead", env!("CARGO_BIN_EXE_mac_overhead"));
 
 fn run((name, path): Bin, args: &[&str]) -> Output {
     Command::new(path)
@@ -176,6 +180,68 @@ fn run_one_rejects_impossible_requests_before_running() {
     ] {
         let args = [&short[..], &[flag, path]].concat();
         assert_usage_error(RUN_ONE, &args, &format!("cannot create {path}"));
+    }
+}
+
+#[test]
+fn flags_a_fixed_field_harness_would_ignore_are_usage_errors() {
+    // Each of these simulates a fixed 250-node field, so a --scale would
+    // change nothing; mac_overhead used to print a "250 nodes" table for it.
+    let tiny = ["--quick", "--fields", "1", "--scale", "0.0001"];
+    for bin in [ABLATIONS, BASELINES, MAC_OVERHEAD] {
+        assert_usage_error(bin, &tiny, "--scale is not supported by this binary");
+    }
+    // baselines runs its networks by hand, outside the job runner.
+    let dir = std::env::temp_dir().join(format!("wsn_cli_baselines_{}", std::process::id()));
+    let path = dir.to_str().expect("UTF-8 temp path");
+    let ignored: [&[&str]; 4] = [
+        &["--max-events", "1000"],
+        &["--progress"],
+        &["--metrics", path],
+        &["--profile"],
+    ];
+    for args in ignored {
+        let needle = format!("{} is not supported by this binary", args[0]);
+        assert_usage_error(BASELINES, &[&["--quick"], args].concat(), &needle);
+    }
+    assert!(!dir.exists(), "a rejected --metrics created its directory");
+    let out = run(BASELINES, &["--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    let usage = text(&out.stdout);
+    assert!(usage.contains("--trace DIR"), "{usage}");
+    for flag in [
+        "--scale",
+        "--max-events",
+        "--progress",
+        "--metrics",
+        "--profile",
+    ] {
+        assert!(!usage.contains(flag), "usage lists {flag}: {usage}");
+    }
+}
+
+#[test]
+fn a_tripped_sweep_is_an_error_line_not_a_panic() {
+    let args = [
+        "--quick",
+        "--fields",
+        "1",
+        "--duration",
+        "20",
+        "--max-events",
+        "1000",
+    ];
+    for bin in [FIG5, ABLATIONS, MAC_OVERHEAD] {
+        let out = run(bin, &args);
+        assert_eq!(out.status.code(), Some(2), "{} trips its watchdog", bin.0);
+        let err = text(&out.stderr);
+        assert!(err.starts_with("error: job (point "), "{}: {err}", bin.0);
+        assert!(
+            err.contains("event budget 1000 exhausted"),
+            "{}: {err}",
+            bin.0
+        );
+        assert_eq!(err.lines().count(), 1, "{}: {err}", bin.0);
     }
 }
 

@@ -20,9 +20,10 @@ pub struct RunRecord {
     pub delay_sum_s: f64,
     /// Events generated, summed over sources.
     pub events_generated: u64,
-    /// Frames put on the air (all nodes, all message kinds).
+    /// Payload frames put on the air (all nodes, all message kinds),
+    /// without MAC ACK/RTS/CTS frames.
     pub tx_frames: u64,
-    /// Bytes put on the air.
+    /// Bytes of those payload frames, without MAC ACK/RTS/CTS frames.
     pub tx_bytes: u64,
     /// Receptions lost to collisions.
     pub collisions: u64,
@@ -56,14 +57,14 @@ impl RunRecord {
     /// metric's denominator is zero) and zero delay — callers filter or
     /// surface these explicitly rather than silently averaging them.
     pub fn metrics(&self) -> PaperMetrics {
-        let per_node = self.total_energy_j / self.node_count.max(1) as f64;
-        let per_node_activity = self.activity_energy_j / self.node_count.max(1) as f64;
+        let mean_energy = self.total_energy_j / self.node_count.max(1) as f64;
+        let mean_activity = self.activity_energy_j / self.node_count.max(1) as f64;
         let (avg_dissipated_energy, avg_activity_energy) = if self.distinct_events == 0 {
             (f64::INFINITY, f64::INFINITY)
         } else {
             (
-                per_node / self.distinct_events as f64,
-                per_node_activity / self.distinct_events as f64,
+                mean_energy / self.distinct_events as f64,
+                mean_activity / self.distinct_events as f64,
             )
         };
         let avg_delay_s = if self.distinct_events == 0 {

@@ -148,19 +148,6 @@ impl MetricsRegistry {
         self.gauges[id.0 as usize] = v;
     }
 
-    /// Moves a gauge up by one (queue push).
-    #[inline]
-    pub fn gauge_inc(&mut self, id: GaugeId) {
-        self.gauges[id.0 as usize] += 1;
-    }
-
-    /// Moves a gauge down (queue pop / drain); saturates at zero.
-    #[inline]
-    pub fn gauge_sub(&mut self, id: GaugeId, by: u64) {
-        let g = &mut self.gauges[id.0 as usize];
-        *g = g.saturating_sub(by);
-    }
-
     /// Records one histogram sample.
     #[inline]
     pub fn observe(&mut self, id: HistId, v: u64) {
@@ -238,13 +225,11 @@ mod tests {
         let h = r.histogram("mac.retry_hist");
         r.inc(a);
         r.add(b, 5);
-        r.gauge_inc(g);
-        r.gauge_inc(g);
-        r.gauge_sub(g, 3); // saturates
+        r.set_gauge(g, 2);
         r.observe(h, 2);
         assert_eq!(r.counter_value(a), 1);
         assert_eq!(r.counter_value(b), 5);
-        assert_eq!(r.gauge_value(g), 0);
+        assert_eq!(r.gauge_value(g), 2);
         assert_eq!(r.hist(h).count(), 1);
         assert_eq!(r.descs().len(), 4);
         assert_eq!(r.counter_by_name("phy.frames_rx"), Some(5));

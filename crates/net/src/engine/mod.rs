@@ -151,7 +151,8 @@ impl<P: Protocol> Network<P> {
         &self.core.phy.topo
     }
 
-    /// Physical-layer statistics accumulated so far.
+    /// The run's count block so far: frames by kind, payload bytes,
+    /// collisions, retries and frame drops by reason.
     pub fn stats(&self) -> &crate::NetStats {
         &self.core.phy.stats
     }

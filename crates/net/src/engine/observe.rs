@@ -6,6 +6,7 @@
 //! only); the profiler reads the wall clock and must therefore stay out of
 //! byte-stable artifacts (see [`wsn_sim::ProfileSink`]).
 
+use wsn_metrics::{CounterId, MetricsRegistry};
 use wsn_sim::{EventId, ProfileEntry, SharedProfile, SimTime};
 use wsn_trace::{SharedSink, TraceRecord};
 
@@ -15,6 +16,11 @@ use crate::trace::TraceOptions;
 
 use super::events::{Ev, EV_LABELS, PROFILE_SAMPLE};
 use super::Network;
+
+/// Raises counter `id` to `total`, a count the engine keeps itself.
+fn sync(reg: &mut MetricsRegistry, id: CounterId, total: u64) {
+    reg.add(id, total.saturating_sub(reg.counter_value(id)));
+}
 
 impl<P: Protocol> Network<P> {
     /// Installs a dispatch profiler: every subsequent event dispatch is
@@ -116,25 +122,38 @@ impl<P: Protocol> Network<P> {
         Some(std::mem::take(&mut state.reg))
     }
 
-    /// Records the engine gauges and encodes one metrics delta snapshot to
-    /// the sink, if one is installed. A no-op without installed metrics.
+    /// Fills the registry from the engine's own counts and encodes one
+    /// metrics delta snapshot to the sink, if one is installed. A no-op
+    /// without installed metrics.
+    ///
+    /// The registry counts none of these events itself: dispatches come
+    /// from the simulator, frames, collisions and frame drops from the
+    /// PHY's count block, queue depths from the MAC's queues and the event
+    /// heap. Nothing reads the registry between samples, and
+    /// [`finish_metrics`](Network::finish_metrics) samples before it hands
+    /// the registry out.
     pub(super) fn metrics_sample(&mut self, now: SimTime) {
-        let pending = self.core.sim.pending() as u64;
-        let processed = self.core.sim.events_processed();
-        let budget = self.budget;
-        if let Some(m) = self.core.phy.metrics.as_deref_mut() {
-            // Sync the dispatch counter from the simulator's own count —
-            // dispatch() deliberately does no metrics work per event.
-            let counted = m.reg.counter_value(m.ids.events_dispatched);
-            m.reg
-                .add(m.ids.events_dispatched, processed.saturating_sub(counted));
-            m.reg.set_gauge(m.ids.queue_depth_engine, pending);
-            if let Some(b) = budget {
-                m.reg
-                    .set_gauge(m.ids.watchdog_headroom, b.saturating_sub(processed));
-            }
-            m.sample(now.as_nanos());
+        let core = &mut self.core;
+        let Some(m) = core.phy.metrics.as_deref_mut() else {
+            return;
+        };
+        let (reg, ids, stats) = (&mut m.reg, &m.ids, &core.phy.stats);
+        let processed = core.sim.events_processed();
+        sync(reg, ids.events_dispatched, processed);
+        for (&id, n) in ids.frames_tx.iter().zip(stats.frames_tx) {
+            sync(reg, id, n);
         }
+        sync(reg, ids.collisions, stats.collisions);
+        for (&id, n) in ids.drops.iter().zip(stats.drops) {
+            sync(reg, id, n);
+        }
+        let queued = (0..self.protocols.len()).map(|i| core.mac.queue_len(i) as u64);
+        reg.set_gauge(ids.queue_depth, queued.sum());
+        reg.set_gauge(ids.queue_depth_engine, core.sim.pending() as u64);
+        if let Some(b) = self.budget {
+            reg.set_gauge(ids.watchdog_headroom, b.saturating_sub(processed));
+        }
+        m.sample(now.as_nanos());
     }
 
     /// Closes out an installed trace: debits every node's partial energy
@@ -190,7 +209,8 @@ impl<P: Protocol> Network<P> {
         // `engine.events_dispatched` is NOT bumped here: the simulator
         // already counts dispatches, so the counter is synced from
         // `events_processed()` at each snapshot (`metrics_sample`) instead
-        // of paying a branch + pointer chase on every event.
+        // of paying a branch + pointer chase on every event. The PHY's
+        // frame counts reach the registry the same way.
         // One branch and zero clock reads when profiling is off. When it is
         // on, every dispatch pays one array add for its exact per-label
         // count, but only one in PROFILE_SAMPLE opens a wall-clock span.

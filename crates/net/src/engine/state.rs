@@ -12,6 +12,7 @@ use wsn_trace::{DropReason, TraceRecord};
 
 use crate::config::NetConfig;
 use crate::mac::{Mac, MacCtx, MacImpl, MacKind};
+use crate::metrics::drop_reason_index;
 use crate::node::NodeId;
 use crate::packet::Packet;
 use crate::phy::Phy;
@@ -142,11 +143,7 @@ impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> EngineCore<M, T> {
     pub(crate) fn enqueue(&mut self, node: NodeId, packet: Packet<M>) {
         let i = node.index();
         if !self.phy.is_up(i) {
-            self.phy.stats.per_node[i].dropped_down += 1;
-            if let Some(m) = self.phy.metrics.as_deref_mut() {
-                m.reg
-                    .inc(m.ids.drops[crate::metrics::drop_reason_index(DropReason::NodeDown)]);
-            }
+            self.phy.stats.drops[drop_reason_index(DropReason::NodeDown)] += 1;
             self.emit(TraceRecord::PacketDrop {
                 t_ns: self.sim.now().as_nanos(),
                 node: node.0,

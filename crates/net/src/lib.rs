@@ -57,7 +57,7 @@ pub use mac::MacKind;
 pub use metrics::{drop_reason_index, MetricsOptions, NetMetricIds};
 pub use node::NodeId;
 pub use packet::{Packet, TxId};
-pub use phy::{NetStats, NodeStats};
+pub use phy::NetStats;
 pub use position::{Position, Rect};
 pub use protocol::{Ctx, Protocol, TimerHandle};
 pub use topology::{SpatialGrid, Topology};

@@ -144,16 +144,11 @@ impl<M: Clone + std::fmt::Debug> CsmaCa<M> {
         let mut failed = None;
         if queued.retries < ctx.cfg.retry_limit {
             queued.retries += 1;
-            ctx.phy.stats.per_node[i].tx_retries += 1;
-            if let Some(m) = ctx.phy.metrics.as_deref_mut() {
-                m.reg.gauge_inc(m.ids.queue_depth);
-            }
+            ctx.phy.stats.retries += 1;
             self.nodes[i].queue.push_front(queued);
         } else {
-            ctx.phy.stats.per_node[i].tx_failed += 1;
+            ctx.phy.stats.drops[drop_reason_index(DropReason::RetryLimit)] += 1;
             if let Some(m) = ctx.phy.metrics.as_deref_mut() {
-                m.reg
-                    .inc(m.ids.drops[drop_reason_index(DropReason::RetryLimit)]);
                 m.reg.observe(m.ids.retry_hist, u64::from(queued.retries));
             }
             ctx.phy.emit(TraceRecord::PacketDrop {
@@ -171,9 +166,6 @@ impl<M: Clone + std::fmt::Debug> CsmaCa<M> {
 
 impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> Mac<M, T> for CsmaCa<M> {
     fn enqueue(&mut self, ctx: &mut MacCtx<'_, M, T>, i: usize, packet: Packet<M>) {
-        if let Some(m) = ctx.phy.metrics.as_deref_mut() {
-            m.reg.gauge_inc(m.ids.queue_depth);
-        }
         self.nodes[i].queue.push_back(QueuedFrame {
             packet: Rc::new(packet),
             retries: 0,
@@ -206,9 +198,6 @@ impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> Mac<M, T> for CsmaC
         let Some(queued) = self.nodes[i].queue.pop_front() else {
             return;
         };
-        if let Some(m) = ctx.phy.metrics.as_deref_mut() {
-            m.reg.gauge_sub(m.ids.queue_depth, 1);
-        }
         let me = NodeId::from_index(i);
         match queued.packet.dst {
             Some(dst) if self.rts_cts => {
@@ -220,7 +209,6 @@ impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> Mac<M, T> for CsmaC
                     Frame::Rts { to: dst },
                     ctx.cfg.rts_bytes,
                 );
-                ctx.phy.stats.per_node[i].rts_sent += 1;
                 let timer = ctx.sim.schedule_after(
                     ctx.cfg.tx_duration(ctx.cfg.rts_bytes) + ctx.cfg.cts_timeout(),
                     Ev::AckTimeout { node: me, tx },
@@ -236,8 +224,6 @@ impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> Mac<M, T> for CsmaC
                 let bytes = queued.packet.bytes;
                 let frame = Frame::Payload(Rc::clone(&queued.packet));
                 let tx = ctx.phy.start_frame(ctx.sim, ctx.cfg, i, frame, bytes);
-                ctx.phy.stats.per_node[i].tx_frames += 1;
-                ctx.phy.stats.per_node[i].tx_bytes += u64::from(bytes);
                 let timer = ctx.sim.schedule_after(
                     ctx.cfg.tx_duration(bytes) + ctx.cfg.ack_timeout(),
                     Ev::AckTimeout { node: me, tx },
@@ -253,8 +239,6 @@ impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> Mac<M, T> for CsmaC
                 let bytes = queued.packet.bytes;
                 let frame = Frame::Payload(Rc::clone(&queued.packet));
                 ctx.phy.start_frame(ctx.sim, ctx.cfg, i, frame, bytes);
-                ctx.phy.stats.per_node[i].tx_frames += 1;
-                ctx.phy.stats.per_node[i].tx_bytes += u64::from(bytes);
             }
         }
     }
@@ -346,7 +330,6 @@ impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> Mac<M, T> for CsmaC
             Frame::Ack { acked, to },
             ctx.cfg.ack_bytes,
         );
-        ctx.phy.stats.per_node[i].acks_sent += 1;
     }
 
     fn on_cts_due(&mut self, ctx: &mut MacCtx<'_, M, T>, i: usize, to: NodeId) {
@@ -355,7 +338,6 @@ impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> Mac<M, T> for CsmaC
         }
         ctx.phy
             .start_frame(ctx.sim, ctx.cfg, i, Frame::Cts { to }, ctx.cfg.cts_bytes);
-        ctx.phy.stats.per_node[i].cts_sent += 1;
     }
 
     /// The CTS arrived: transmit the queued data frame (SIFS turnaround has
@@ -382,8 +364,6 @@ impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> Mac<M, T> for CsmaC
         let bytes = a.queued.packet.bytes;
         let frame = Frame::Payload(Rc::clone(&a.queued.packet));
         let tx = ctx.phy.start_frame(ctx.sim, ctx.cfg, i, frame, bytes);
-        ctx.phy.stats.per_node[i].tx_frames += 1;
-        ctx.phy.stats.per_node[i].tx_bytes += u64::from(bytes);
         a.tx = tx;
         a.phase = AwaitPhase::Ack;
         a.timer = ctx.sim.schedule_after(
@@ -420,9 +400,6 @@ impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> Mac<M, T> for CsmaC
 
     fn on_node_down(&mut self, ctx: &mut MacCtx<'_, M, T>, i: usize) {
         let node = &mut self.nodes[i];
-        if let Some(m) = ctx.phy.metrics.as_deref_mut() {
-            m.reg.gauge_sub(m.ids.queue_depth, node.queue.len() as u64);
-        }
         node.queue.clear();
         if let Some(ev) = node.backoff_ev.take() {
             ctx.sim.cancel(ev);

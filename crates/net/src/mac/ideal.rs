@@ -48,8 +48,6 @@ impl<M: Clone + std::fmt::Debug> IdealMac<M> {
         let bytes = packet.bytes;
         let frame = Frame::Payload(packet);
         ctx.phy.start_frame(ctx.sim, ctx.cfg, i, frame, bytes);
-        ctx.phy.stats.per_node[i].tx_frames += 1;
-        ctx.phy.stats.per_node[i].tx_bytes += u64::from(bytes);
     }
 }
 
@@ -57,9 +55,6 @@ impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> Mac<M, T> for Ideal
     fn enqueue(&mut self, ctx: &mut MacCtx<'_, M, T>, i: usize, packet: Packet<M>) {
         let packet = Rc::new(packet);
         if ctx.phy.is_transmitting(i) {
-            if let Some(m) = ctx.phy.metrics.as_deref_mut() {
-                m.reg.gauge_inc(m.ids.queue_depth);
-            }
             self.queues[i].push_back(packet);
             return;
         }
@@ -82,9 +77,6 @@ impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> Mac<M, T> for Ideal
             return;
         }
         if let Some(packet) = self.queues[i].pop_front() {
-            if let Some(m) = ctx.phy.metrics.as_deref_mut() {
-                m.reg.gauge_sub(m.ids.queue_depth, 1);
-            }
             self.transmit(ctx, i, packet);
         }
     }
@@ -110,11 +102,7 @@ impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> Mac<M, T> for Ideal
         None // never scheduled: nothing is awaited, nothing ever fails
     }
 
-    fn on_node_down(&mut self, ctx: &mut MacCtx<'_, M, T>, i: usize) {
-        if let Some(m) = ctx.phy.metrics.as_deref_mut() {
-            m.reg
-                .gauge_sub(m.ids.queue_depth, self.queues[i].len() as u64);
-        }
+    fn on_node_down(&mut self, _ctx: &mut MacCtx<'_, M, T>, i: usize) {
         self.queues[i].clear();
     }
 }

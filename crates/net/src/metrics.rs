@@ -4,10 +4,18 @@
 //! The registry itself lives in `wsn-metrics` (std-only, float-free); this
 //! module owns the *engine's* metric set — [`NetMetricIds`] registers every
 //! PHY/MAC/engine series once, at construction, so recording anywhere in
-//! the hot path is an array index plus an integer add. Increments sit
-//! directly beside the matching trace-emission sites but are *not* gated on
-//! a trace sink, which is what lets the `metrics_audit` test reconcile
-//! registry totals against trace-derived totals with zero tolerance.
+//! the hot path is an array index plus an integer add.
+//!
+//! A series whose count the engine keeps anyway is sampled from that count
+//! at each snapshot and at close-out, not recorded per event:
+//! `engine.events_dispatched` from the simulator, `phy.frames_tx{kind}`,
+//! `phy.collisions` and `phy.drops{reason}` from the PHY's count block
+//! ([`NetStats`](crate::NetStats)), and `engine.queue_depth` and
+//! `mac.queue_depth{mac}` from the event heap and the MAC queues. The other
+//! series are recorded where they happen, beside the matching
+//! trace-emission site and not gated on a trace sink. Either way, the
+//! `metrics_audit` test reconciles registry totals against trace-derived
+//! totals with zero tolerance.
 //!
 //! [`MetricsState`] is boxed behind an `Option` on the PHY (one pointer in
 //! the struct, one branch per emission site when disabled), joining the
@@ -75,18 +83,20 @@ pub fn drop_reason_index(reason: DropReason) -> usize {
 #[derive(Debug, Clone, Copy)]
 pub struct NetMetricIds {
     /// `phy.frames_tx{kind=..}` — indexed by [`Frame::kind_index`]
-    /// (data, ack, rts, cts).
+    /// (data, ack, rts, cts); sampled from the count block.
     pub(crate) frames_tx: [CounterId; 4],
     /// `phy.frames_rx` — payload frames decoded and passed the logical
     /// destination filter (one per `PacketRx` trace record).
     pub(crate) frames_rx: CounterId,
     /// `phy.collisions` — one per `Collision` trace record (a collision at
-    /// k hearers counts k times, plus one for the incoming frame).
+    /// k hearers counts k times, plus one for the incoming frame); sampled
+    /// from the count block.
     pub(crate) collisions: CounterId,
     /// `phy.busy_samples` — MAC carrier-sense polls that found the medium
     /// busy.
     pub(crate) busy_samples: CounterId,
-    /// `phy.drops{reason=..}` — indexed by [`drop_reason_index`].
+    /// `phy.drops{reason=..}` — indexed by [`drop_reason_index`]; sampled
+    /// from the count block.
     pub(crate) drops: [CounterId; 6],
     /// `phy.energy_nj{state=..}` — integer nanojoules debited per radio
     /// state, indexed like the meter's buckets (off, idle, rx, tx).
@@ -99,7 +109,8 @@ pub struct NetMetricIds {
     /// `mac.retry_hist` — retries consumed per unicast attempt, observed at
     /// ACK success and at retry-limit abandonment.
     pub(crate) retry_hist: HistId,
-    /// `mac.queue_depth{mac=..}` — frames queued across all nodes.
+    /// `mac.queue_depth{mac=..}` — frames queued across all nodes, sampled
+    /// from the MAC queues.
     pub(crate) queue_depth: GaugeId,
     /// `engine.events_dispatched` — kernel dispatches.
     pub(crate) events_dispatched: CounterId,

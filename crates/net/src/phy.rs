@@ -4,7 +4,8 @@
 //! [`Phy`] owns everything below the MAC — the topology (disc propagation),
 //! the per-node radio state (power, energy meter, the frame on the air,
 //! carrier sense and reception state), one reception flag per link, and the
-//! aggregate [`NetStats`]. Its contract with the MAC layer is two calls:
+//! run's one count block, [`NetStats`]. Its contract with the MAC layer is
+//! two calls:
 //!
 //! * [`Phy::start_frame`] puts a frame on the air: it charges carrier sense
 //!   at every hearer, corrupts overlapping receptions (receiver-side
@@ -167,19 +168,10 @@ fn update_meter_at(
     }
 }
 
-/// Counts one corrupted reception at `node`: the stats total, the metrics
-/// counter and the trace record.
-fn record_collision(
-    stats: &mut NetStats,
-    metrics: &mut Option<Box<MetricsState>>,
-    trace: &Option<SharedSink>,
-    t_ns: u64,
-    node: u32,
-) {
+/// Counts one corrupted reception at `node`: the count block's total and
+/// the trace record.
+fn record_collision(stats: &mut NetStats, trace: &Option<SharedSink>, t_ns: u64, node: u32) {
     stats.collisions += 1;
-    if let Some(m) = metrics {
-        m.reg.inc(m.ids.collisions);
-    }
     emit_to(trace, TraceRecord::Collision { t_ns, node });
 }
 
@@ -198,74 +190,52 @@ struct Radio {
     clean: bool,
 }
 
-/// Per-node transmit/receive counters.
+/// The run's count block: every frame, payload byte, collision, retry and
+/// frame drop, each counted once, at one increment site.
+///
+/// Always on and per run, not per node. The metrics registry samples it
+/// (`phy.frames_tx{kind}`, `phy.collisions`, `phy.drops{reason}`) instead of
+/// counting the same events again, and the run's harvest reads it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeStats {
-    /// Frames this node put on the air (payload frames; ACKs are counted in
-    /// [`NodeStats::acks_sent`]).
-    pub tx_frames: u64,
-    /// Payload bytes this node put on the air.
-    pub tx_bytes: u64,
-    /// Payload frames decoded successfully (before logical-destination
-    /// filtering).
-    pub rx_ok: u64,
-    /// Receptions lost to collisions.
-    pub rx_corrupted: u64,
-    /// Frames dropped because the node was down when they were queued.
-    pub dropped_down: u64,
-    /// Unicast retransmissions performed.
-    pub tx_retries: u64,
-    /// Unicast frames abandoned after the retry limit.
-    pub tx_failed: u64,
-    /// MAC acknowledgements transmitted.
-    pub acks_sent: u64,
-    /// RTS frames transmitted (only with
-    /// [`MacKind::RtsCts`](crate::MacKind::RtsCts)).
-    pub rts_sent: u64,
-    /// CTS frames transmitted.
-    pub cts_sent: u64,
-}
-
-/// Aggregate physical-layer statistics for a run.
-#[derive(Debug, Clone, Default)]
 pub struct NetStats {
-    pub(crate) per_node: Vec<NodeStats>,
-    /// Total corrupted receptions (a collision at k hearers counts k times).
+    /// Frames put on the air, by kind in [`wsn_trace::FRAME_KINDS`] order
+    /// (data, ack, rts, cts). Counted in `Phy::start_frame`.
+    pub frames_tx: [u64; 4],
+    /// Payload bytes put on the air: the bytes of the data frames, without
+    /// MAC ACK/RTS/CTS frames. Counted in `Phy::start_frame`.
+    pub bytes_tx: u64,
+    /// Corrupted receptions (a collision at k hearers counts k times, plus
+    /// one for the incoming frame). Counted in `record_collision`.
     pub collisions: u64,
+    /// Unicast retransmissions. Counted in `CsmaCa::requeue_or_fail`.
+    pub retries: u64,
+    /// Frames lost, by reason in [`DropReason::ALL`] order (index with
+    /// [`drop_reason_index`]): `collision` in `Phy::finish_frame`,
+    /// `retry_limit` in `CsmaCa::requeue_or_fail`, `node_down` in
+    /// `EngineCore::enqueue`. The other reasons drop protocol items, not
+    /// frames, and stay zero here.
+    pub drops: [u64; 6],
 }
 
 impl NetStats {
-    /// Counters for one node.
-    pub fn node(&self, node: NodeId) -> &NodeStats {
-        &self.per_node[node.index()]
-    }
-
-    /// Iterates over all per-node counters.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &NodeStats)> {
-        self.per_node
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (NodeId::from_index(i), s))
-    }
-
-    /// Total payload frames transmitted across all nodes (excludes ACKs).
+    /// Payload frames transmitted (excludes ACK/RTS/CTS).
     pub fn total_tx_frames(&self) -> u64 {
-        self.per_node.iter().map(|s| s.tx_frames).sum()
+        self.frames_tx[0]
     }
 
-    /// Total payload bytes transmitted across all nodes.
+    /// Payload bytes transmitted.
     pub fn total_tx_bytes(&self) -> u64 {
-        self.per_node.iter().map(|s| s.tx_bytes).sum()
+        self.bytes_tx
     }
 
-    /// Total unicast retransmissions.
+    /// Unicast retransmissions.
     pub fn total_retries(&self) -> u64 {
-        self.per_node.iter().map(|s| s.tx_retries).sum()
+        self.retries
     }
 
-    /// Total unicast frames abandoned after the retry limit.
+    /// Unicast frames abandoned after the retry limit.
     pub fn total_failed(&self) -> u64 {
-        self.per_node.iter().map(|s| s.tx_failed).sum()
+        self.drops[drop_reason_index(DropReason::RetryLimit)]
     }
 }
 
@@ -399,10 +369,7 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
             receiving: Bits::new_all_clear(topo.link_count()),
             in_flight: (0..n).map(|_| None).collect(),
             topo,
-            stats: NetStats {
-                per_node: vec![NodeStats::default(); n],
-                collisions: 0,
-            },
+            stats: NetStats::default(),
             next_tx: 0,
             trace: None,
             lineage: LineageTable::new(),
@@ -498,8 +465,9 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
             ..
         } = self;
         let capture = *capture;
-        if let Some(m) = metrics {
-            m.reg.inc(m.ids.frames_tx[frame.kind_index()]);
+        stats.frames_tx[frame.kind_index()] += 1;
+        if let Frame::Payload(_) = frame {
+            stats.bytes_tx += u64::from(bytes);
         }
         if trace.is_some() {
             emit_to(
@@ -521,7 +489,7 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
         // Half-duplex: the reception we were decoding, if any, is lost.
         if radio[i].clean {
             radio[i].clean = false;
-            record_collision(stats, metrics, trace, t_ns, i as u32);
+            record_collision(stats, trace, t_ns, i as u32);
         }
         update_meter_at(meters, up, transmitting, radio, trace, metrics, i, now);
 
@@ -544,9 +512,9 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
                 if r.rx > 0 {
                     if r.clean {
                         r.clean = false;
-                        record_collision(stats, metrics, trace, t_ns, v.0);
+                        record_collision(stats, trace, t_ns, v.0);
                     }
-                    record_collision(stats, metrics, trace, t_ns, v.0);
+                    record_collision(stats, trace, t_ns, v.0);
                 } else {
                     r.clean = true;
                 }
@@ -606,11 +574,7 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
                 r.rx -= 1;
                 r.clean = false;
                 if corrupted {
-                    stats.per_node[vi].rx_corrupted += 1;
-                    if let Some(m) = metrics {
-                        m.reg
-                            .inc(m.ids.drops[drop_reason_index(DropReason::Collision)]);
-                    }
+                    stats.drops[drop_reason_index(DropReason::Collision)] += 1;
                     emit_to(
                         trace,
                         TraceRecord::PacketDrop {
@@ -623,7 +587,6 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
                 } else if up.get(vi) {
                     match &frame {
                         Frame::Payload(pkt) => {
-                            stats.per_node[vi].rx_ok += 1;
                             // Addressed unicasts and broadcasts deliver;
                             // an addressed unicast may owe an ACK, which
                             // the MAC decides.
@@ -690,7 +653,6 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
             receiving,
             stats,
             trace,
-            metrics,
             capture,
             ..
         } = self;
@@ -703,7 +665,7 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
             } else if r.clean && receiving.get(link) {
                 // A clean hearer's one reception is this frame.
                 r.clean = false;
-                record_collision(stats, metrics, trace, now.as_nanos(), v.0);
+                record_collision(stats, trace, now.as_nanos(), v.0);
             }
         }
     }

@@ -10,6 +10,11 @@ use wsn_net::{
 use wsn_sim::{SimDuration, SimTime};
 use wsn_trace::{DropReason, MemSink, SharedSink, TraceRecord};
 
+/// Indices into the count block's `frames_tx` (data, ack, rts, cts).
+const ACK: usize = 1;
+const RTS: usize = 2;
+const CTS: usize = 3;
+
 /// Minimal scripted protocol (see `engine_properties.rs` for the generic
 /// one); here each instance also records failure callbacks.
 #[derive(Debug, Default)]
@@ -116,13 +121,13 @@ fn node_down_mid_transmission_still_clears_the_air() {
     // aborts the in-flight frame or clears it from the queue unsent —
     // in no case may it be delivered.
     net.schedule_down(SimTime::from_nanos(10_300_000), NodeId(0));
-    net.run_until(SimTime::from_secs(1));
+    let recs = run_recorded(&mut net, SimTime::from_secs(1));
     // Node 1 heard nothing decodable from node 0...
     assert!(net.protocol(NodeId(1)).received.is_empty());
     // ...but node 0 (down) also heard nothing from node 1's later broadcast.
     assert!(net.protocol(NodeId(0)).received.is_empty());
     // Node 1 did transmit (the medium was not stuck busy).
-    assert_eq!(net.stats().node(NodeId(1)).tx_frames, 1);
+    assert_eq!(data_frames_from(&recs, 1), 1);
 }
 
 #[test]
@@ -139,7 +144,8 @@ fn timers_do_not_survive_failure() {
     net.schedule_down(SimTime::from_secs(1), NodeId(0));
     net.schedule_up(SimTime::from_secs(3), NodeId(0));
     net.run_until(SimTime::from_secs(5));
-    assert_eq!(net.stats().node(NodeId(0)).tx_frames, 0);
+    // Node 1 is silent, so any data frame would be node 0's.
+    assert_eq!(net.stats().total_tx_frames(), 0);
     assert!(net.protocol(NodeId(1)).received.is_empty());
 }
 
@@ -164,8 +170,9 @@ fn back_to_back_unicasts_all_deliver_in_order() {
         .collect();
     // A clean channel: every frame ACKed first try, FIFO order preserved.
     assert_eq!(received, (0..n).collect::<Vec<u32>>());
-    assert_eq!(net.stats().node(NodeId(0)).tx_retries, 0);
-    assert_eq!(net.stats().node(NodeId(1)).acks_sent, u64::from(n));
+    // Node 0 sends every data frame, node 1 every ACK.
+    assert_eq!(net.stats().total_retries(), 0);
+    assert_eq!(net.stats().frames_tx[ACK], u64::from(n));
 }
 
 #[test]
@@ -211,9 +218,13 @@ fn zero_neighbor_node_sends_into_the_void() {
         p
     });
     net.run_until(SimTime::from_secs(3));
-    let s = net.stats().node(NodeId(0));
-    assert_eq!(s.tx_frames, 2 + u64::from(NetConfig::default().retry_limit));
-    assert_eq!(s.tx_failed, 1);
+    // Node 1 is silent and out of range: every frame and loss is node 0's.
+    let s = net.stats();
+    assert_eq!(
+        s.total_tx_frames(),
+        2 + u64::from(NetConfig::default().retry_limit)
+    );
+    assert_eq!(s.total_failed(), 1);
     assert_eq!(net.protocol(NodeId(0)).failed_unicasts.len(), 1);
     assert!(net.protocol(NodeId(1)).received.is_empty());
 }
@@ -236,13 +247,13 @@ fn rts_cts_handshake_delivers_unicast() {
     });
     net.run_until(SimTime::from_secs(1));
     assert_eq!(net.protocol(NodeId(1)).received, vec![(NodeId(0), 42)]);
-    let s0 = net.stats().node(NodeId(0));
-    let s1 = net.stats().node(NodeId(1));
-    assert_eq!(s0.rts_sent, 1);
-    assert_eq!(s1.cts_sent, 1);
-    assert_eq!(s0.tx_frames, 1, "one data frame");
-    assert_eq!(s1.acks_sent, 1);
-    assert_eq!(s0.tx_retries, 0);
+    // Node 0 sends the RTS and the data frame, node 1 the CTS and the ACK.
+    let s = net.stats();
+    assert_eq!(s.frames_tx[RTS], 1);
+    assert_eq!(s.frames_tx[CTS], 1);
+    assert_eq!(s.total_tx_frames(), 1, "one data frame");
+    assert_eq!(s.frames_tx[ACK], 1);
+    assert_eq!(s.total_retries(), 0);
 }
 
 #[test]
@@ -256,8 +267,8 @@ fn rts_cts_broadcasts_skip_the_handshake() {
     });
     net.run_until(SimTime::from_secs(1));
     assert_eq!(net.protocol(NodeId(1)).received.len(), 1);
-    assert_eq!(net.stats().node(NodeId(0)).rts_sent, 0);
-    assert_eq!(net.stats().node(NodeId(1)).cts_sent, 0);
+    assert_eq!(net.stats().frames_tx[RTS], 0);
+    assert_eq!(net.stats().frames_tx[CTS], 0);
 }
 
 #[test]
@@ -271,11 +282,12 @@ fn rts_to_dead_node_retries_and_reports_failure() {
     });
     net.schedule_down(SimTime::from_nanos(1), NodeId(1));
     net.run_until(SimTime::from_secs(3));
-    let s = net.stats().node(NodeId(0));
-    // Every attempt is an RTS that goes unanswered; no data frame ever flies.
-    assert_eq!(s.rts_sent, 1 + u64::from(rts_config().retry_limit));
-    assert_eq!(s.tx_frames, 0);
-    assert_eq!(s.tx_failed, 1);
+    // Node 1 is down, so every frame and loss is node 0's. Every attempt is
+    // an RTS that goes unanswered; no data frame ever flies.
+    let s = net.stats();
+    assert_eq!(s.frames_tx[RTS], 1 + u64::from(rts_config().retry_limit));
+    assert_eq!(s.total_tx_frames(), 0);
+    assert_eq!(s.total_failed(), 1);
     assert_eq!(
         net.protocol(NodeId(0)).failed_unicasts,
         vec![(NodeId(1), 5)]
@@ -351,7 +363,7 @@ impl Protocol for Air {
 }
 
 /// Runs `net` to `end` with an in-memory trace and returns the records.
-fn run_recorded(net: &mut Network<Air>, end: SimTime) -> Vec<TraceRecord> {
+fn run_recorded<P: Protocol>(net: &mut Network<P>, end: SimTime) -> Vec<TraceRecord> {
     let sink = Rc::new(RefCell::new(MemSink::new()));
     let handle: SharedSink = sink.clone();
     net.set_trace(handle, TraceOptions::default());
@@ -376,6 +388,13 @@ fn frame_on_air(recs: &[TraceRecord], node: u32, nth: usize, cfg: &NetConfig) ->
         })
         .nth(nth)
         .expect("the frame was sent")
+}
+
+/// How many data frames `node` put on the air.
+fn data_frames_from(recs: &[TraceRecord], node: u32) -> usize {
+    recs.iter()
+        .filter(|r| matches!(r, TraceRecord::PacketTx { node: n, kind: "data", .. } if *n == node))
+        .count()
 }
 
 fn collisions_at(recs: &[TraceRecord], node: u32) -> Vec<u64> {
@@ -453,8 +472,12 @@ fn hearer_down_and_up_mid_frame_gets_nothing_and_carrier_releases_at_tx_end() {
     assert!(!recs
         .iter()
         .any(|r| matches!(r, TraceRecord::PacketDrop { node: 1, .. })));
-    let stats = net.stats().node(NodeId(1));
-    assert_eq!((stats.rx_ok, stats.rx_corrupted), (1, 0));
+    // Node 1 decoded exactly one frame and lost none to a collision.
+    let rx_at_1 = recs
+        .iter()
+        .filter(|r| matches!(r, TraceRecord::PacketRx { node: 1, .. }))
+        .count();
+    assert_eq!((rx_at_1, collision_drops_at(&recs, 1).len()), (1, 0));
     assert_eq!(net.stats().collisions, 0);
     // Back up, node 1 senses the frame until its TxEnd (it receives, in
     // energy terms) and then idles...

@@ -86,6 +86,16 @@ fn drops(text: &str, reason: DropReason) -> Vec<u32> {
         .collect()
 }
 
+/// How many data frames the trace shows `node` putting on the air.
+fn data_frames_from(text: &str, node: u32) -> u32 {
+    let decode = |l: &str| TraceRecord::from_json(l).unwrap_or_else(|e| panic!("{e}: {l}"));
+    text.lines()
+        .filter(|l| {
+            matches!(decode(l), TraceRecord::PacketTx { node: n, kind: "data", .. } if n == node)
+        })
+        .count() as u32
+}
+
 #[test]
 fn retry_exhaustion_drop_is_attributed_in_the_trace() {
     // Unicast into a dead (but in-range) node: the ARQ exhausts its retries
@@ -109,8 +119,9 @@ fn retry_exhaustion_drop_is_attributed_in_the_trace() {
         net.protocol(NodeId(0)).failed_unicasts,
         vec![(NodeId(1), 5)]
     );
+    // Node 1 is down, so every data frame is node 0's.
     assert_eq!(
-        net.stats().node(NodeId(0)).tx_frames,
+        net.stats().total_tx_frames(),
         1 + u64::from(NetConfig::default().retry_limit)
     );
 }
@@ -167,15 +178,14 @@ fn ideal_mac_is_collision_free_and_lossless_on_an_uncontended_link() {
         "ideal MAC traced a collision:\n{text}"
     );
 
-    // Zero contention machinery: no retries, no failures, no control frames.
-    for id in [NodeId(0), NodeId(1)] {
-        let s = net.stats().node(id);
-        assert_eq!(s.tx_retries, 0);
-        assert_eq!(s.tx_failed, 0);
-        assert_eq!(s.acks_sent, 0);
-        assert_eq!(s.rts_sent, 0);
-        assert_eq!(s.cts_sent, 0);
-        assert_eq!(s.tx_frames, u64::from(n), "payload frames only");
+    // Zero contention machinery: no retries, no failures, no control frames
+    // from either node.
+    let s = net.stats();
+    assert_eq!(s.total_retries(), 0);
+    assert_eq!(s.total_failed(), 0);
+    assert_eq!(s.frames_tx[1..], [0, 0, 0], "no ACK, RTS or CTS");
+    for node in [0, 1] {
+        assert_eq!(data_frames_from(&text, node), n, "payload frames only");
     }
 }
 

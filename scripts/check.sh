@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, rustdoc links, the tier-1 test suite, smoke
-# sweeps through the run-execution, trace and metrics layers, and the
-# benchmark's own tests and output check. Run from anywhere.
+# Repo gate: formatting, lints, rustdoc links, the tier-1 test suite, the
+# paper figures against their committed output, smoke sweeps through the
+# run-execution, trace and metrics layers, and the benchmark's own tests and
+# output check. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,6 +19,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
+
+echo "==> figure fixture: all_figures reproduces bench_output_figures.txt"
+# Every paper figure at the paper's scale, compared with the committed output
+# less its wall-time lines, peak-RSS lines and blank lines. About 70-90 s on
+# two workers; the output is the same at any worker count.
+strip_timing() { grep -v -e '^# regenerated in' -e '^# peak RSS:' -e '^$'; }
+figures="$(cargo run --release -q -p wsn-bench --bin all_figures -- --jobs 2 | strip_timing)"
+if ! diff <(strip_timing <bench_output_figures.txt) <(echo "$figures"); then
+    echo "paper figures differ from bench_output_figures.txt" >&2
+    exit 1
+fi
 
 echo "==> smoke sweep: 2 points x 2 fields through the job runner"
 # fig8 --quick sweeps exactly two points (1 and 3 sinks); --fields 2 makes

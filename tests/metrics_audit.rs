@@ -8,9 +8,14 @@
 //! same check `metrics_report --audit` runs).
 //!
 //! The same runs pin the run's one harvest, [`RunOutcome`], against the
-//! registry and the scenario: counts incremented side by side must agree
-//! exactly, and the harvested tree and down set must be consistent with the
-//! field and its failure schedule.
+//! registry, the trace and the scenario: counts read from one source must
+//! agree exactly, and the harvested tree and down set must be consistent
+//! with the field and its failure schedule.
+//!
+//! The registry samples the PHY's frame, collision and drop counts and the
+//! MAC queues instead of counting those events itself, so one run per MAC
+//! also pins every sample of its stream against the trace's records up to
+//! the same instant.
 //!
 //! Also pins the watchdog post-mortem: a run killed by the event budget
 //! leaves a metrics stream that parses line by line, each delta once, and
@@ -22,11 +27,13 @@ use std::rc::Rc;
 
 use wsn::core::{registry_mismatches, Experiment, MetricsSetup, RunOutcome};
 use wsn::diffusion::{MsgKind, Scheme};
-use wsn::metrics::{MetricsLine, MetricsRegistry};
-use wsn::net::{MetricsOptions, NodeId, TraceOptions};
+use wsn::metrics::{MetricType, MetricsLine, MetricsRegistry};
+use wsn::net::{drop_reason_index, MacKind, MetricsOptions, NodeId, TraceOptions};
 use wsn::scenario::{FailureConfig, FailureEvent, ScenarioInstance, ScenarioSpec};
 use wsn::sim::{SimDuration, SimTime};
-use wsn::trace::{DropReason, JsonlSink, SharedSink, TraceSummary};
+use wsn::trace::{
+    DropReason, JsonlSink, SharedSink, TraceRecord, TraceSink, TraceSummary, FRAME_KINDS,
+};
 
 /// Runs `spec` (instantiated as `instance`) with both a trace and metrics
 /// attached; returns the outcome, the final registry and the trace text.
@@ -81,16 +88,47 @@ fn assert_reconciles(reg: &MetricsRegistry, trace: &TraceSummary) {
     assert!(mismatches.is_empty(), "{mismatches:#?}");
 }
 
-/// Asserts the outcome's harvest agrees exactly with the registry and with
-/// the scenario the run was instantiated from.
-fn assert_harvest_agrees(instance: &ScenarioInstance, outcome: &RunOutcome, reg: &MetricsRegistry) {
+/// The summed bytes of the trace's data `tx` records.
+fn data_bytes(text: &str) -> u64 {
+    text.lines()
+        .map(|l| match TraceRecord::from_json(l) {
+            Ok(TraceRecord::PacketTx {
+                kind: "data",
+                bytes,
+                ..
+            }) => u64::from(bytes),
+            _ => 0,
+        })
+        .sum()
+}
+
+/// Asserts the outcome's harvest agrees exactly with the registry, with the
+/// trace `text` and with the scenario the run was instantiated from.
+fn assert_harvest_agrees(
+    instance: &ScenarioInstance,
+    outcome: &RunOutcome,
+    reg: &MetricsRegistry,
+    text: &str,
+) {
     // Both incremented side by side in the protocol's `send_now`.
     assert_eq!(
         outcome.sent[MsgKind::Interest.index()],
         counter(reg, "diffusion.interests_sent"),
         "interests sent"
     );
-    // Both incremented together when the MAC gives up at its retry limit.
+    // The harvest and the registry both read the PHY's count block.
+    assert_eq!(
+        outcome.record.tx_frames,
+        counter(reg, "phy.frames_tx{kind=data}"),
+        "payload frames"
+    );
+    assert_eq!(
+        outcome.record.collisions,
+        counter(reg, "phy.collisions"),
+        "collisions"
+    );
+    assert_eq!(outcome.record.tx_bytes, data_bytes(text), "payload bytes");
+    // Both read the retry-limit losses in the count block.
     assert_eq!(
         outcome.failed_unicasts,
         counter(
@@ -135,7 +173,7 @@ fn registry_totals_reconcile_exactly_with_the_trace_greedy() {
     assert!(t.energy_nj[1] > 0, "idle energy is always debited");
     assert_reconciles(&reg, &t);
     assert!(!outcome.tree_edges.is_empty(), "a 60 s run grows a tree");
-    assert_harvest_agrees(&instance, &outcome, &reg);
+    assert_harvest_agrees(&instance, &outcome, &reg, &text);
 }
 
 #[test]
@@ -147,7 +185,7 @@ fn registry_totals_reconcile_exactly_with_the_trace_opportunistic() {
     let t = summary(&text);
     assert!(t.merges > 0, "opportunistic runs merge at junctions");
     assert_reconciles(&reg, &t);
-    assert_harvest_agrees(&instance, &outcome, &reg);
+    assert_harvest_agrees(&instance, &outcome, &reg, &text);
 }
 
 #[test]
@@ -159,7 +197,7 @@ fn reconciliation_holds_under_node_failures() {
     let instance = spec.instantiate();
     let (outcome, reg, text) = observed_run(spec, &instance, Scheme::Greedy);
     assert_reconciles(&reg, &summary(&text));
-    assert_harvest_agrees(&instance, &outcome, &reg);
+    assert_harvest_agrees(&instance, &outcome, &reg, &text);
 }
 
 #[test]
@@ -175,9 +213,9 @@ fn a_node_left_down_is_harvested_as_down() {
         node: victim,
         down: true,
     });
-    let (outcome, reg, _) = observed_run(spec, &instance, Scheme::Greedy);
+    let (outcome, reg, text) = observed_run(spec, &instance, Scheme::Greedy);
     assert_eq!(outcome.down, vec![victim]);
-    assert_harvest_agrees(&instance, &outcome, &reg);
+    assert_harvest_agrees(&instance, &outcome, &reg, &text);
 }
 
 /// A `Box<dyn Write>` sink the test can read back after the run.
@@ -242,4 +280,156 @@ fn budget_exhaustion_leaves_one_parsable_stream() {
     // Each delta appears once, so the deltas add up to the totals exactly.
     let totals: Vec<u64> = totals.iter().map(|&(_, v)| v).collect();
     assert_eq!(summed, totals);
+}
+
+/// The PHY's counts and the MAC queues' total at one instant.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Counts {
+    t_ns: u64,
+    /// By kind, in [`FRAME_KINDS`] order.
+    frames_tx: [u64; 4],
+    collisions: u64,
+    /// By reason, in [`DropReason::ALL`] order.
+    drops: [u64; 6],
+    queued: u64,
+}
+
+/// A trace sink that folds records as they arrive: running counts of
+/// `tx`, `collision` and `drop` records and, at each snapshot instant,
+/// those counts as they stood before the instant's first snapshot record,
+/// with the summed `queue` of its snapshot records.
+#[derive(Debug, Default)]
+struct SnapshotCounts {
+    running: Counts,
+    instants: Vec<Counts>,
+}
+
+impl TraceSink for SnapshotCounts {
+    fn record(&mut self, rec: &TraceRecord) {
+        let running = &mut self.running;
+        match *rec {
+            TraceRecord::PacketTx { kind, .. } => {
+                let k = FRAME_KINDS.iter().position(|&known| known == kind);
+                running.frames_tx[k.expect("a known frame kind")] += 1;
+            }
+            TraceRecord::Collision { .. } => running.collisions += 1,
+            TraceRecord::PacketDrop { reason, .. } => running.drops[drop_reason_index(reason)] += 1,
+            TraceRecord::Snapshot { t_ns, queue, .. } => {
+                if self.instants.last().map(|c| c.t_ns) != Some(t_ns) {
+                    self.instants.push(Counts {
+                        t_ns,
+                        queued: 0,
+                        ..*running
+                    });
+                }
+                let instant = self.instants.last_mut().expect("pushed above");
+                instant.queued += u64::from(queue);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The same counts at every sample of a metrics stream: counter deltas
+/// summed up to the sample, and the `mac.queue_depth` gauge's level.
+fn sampled_counts(stream: &str, mac: MacKind) -> Vec<Counts> {
+    let mut lines = stream
+        .lines()
+        .map(|l| MetricsLine::parse(l).unwrap_or_else(|e| panic!("{e}: {l}")));
+    let Some(MetricsLine::Header { metrics, .. }) = lines.next() else {
+        panic!("the stream begins with its header");
+    };
+    // A metric's wire index is its position among the metrics of its type.
+    let slot = |name: &str, kind: MetricType| {
+        metrics
+            .iter()
+            .filter(|(_, k)| *k == kind)
+            .position(|(n, _)| n == name)
+            .unwrap_or_else(|| panic!("{name} is registered"))
+    };
+    let frames =
+        FRAME_KINDS.map(|k| slot(&format!("phy.frames_tx{{kind={k}}}"), MetricType::Counter));
+    let collisions = slot("phy.collisions", MetricType::Counter);
+    let drops = DropReason::ALL.map(|r| {
+        slot(
+            &format!("phy.drops{{reason={}}}", r.name()),
+            MetricType::Counter,
+        )
+    });
+    let queue_depth = slot(&format!("mac.queue_depth{{mac={mac}}}"), MetricType::Gauge);
+    let mut totals = vec![0; metrics.len()];
+    let mut queued = 0;
+    let mut samples = Vec::new();
+    for line in lines {
+        let MetricsLine::Delta {
+            t_ns,
+            counters,
+            gauges,
+            ..
+        } = line
+        else {
+            continue; // the closing totals
+        };
+        for (i, d) in counters {
+            totals[i as usize] += d;
+        }
+        for (i, level) in gauges {
+            if i as usize == queue_depth {
+                queued = level;
+            }
+        }
+        samples.push(Counts {
+            t_ns,
+            frames_tx: frames.map(|i| totals[i]),
+            collisions: totals[collisions],
+            drops: drops.map(|i| totals[i]),
+            queued,
+        });
+    }
+    samples
+}
+
+#[test]
+fn every_sample_equals_the_traced_counts_at_its_instant() {
+    let every = Some(SimDuration::from_millis(13));
+    for mac in [MacKind::Csma, MacKind::RtsCts, MacKind::Ideal] {
+        let mut spec = ScenarioSpec::paper(150, 11);
+        spec.duration = SimDuration::from_secs(60);
+        spec.failures = Some(FailureConfig::default());
+        spec.mac = mac;
+        let exp = Experiment::new(spec, Scheme::Greedy);
+        let sink = Rc::new(RefCell::new(SnapshotCounts::default()));
+        let handle: SharedSink = sink.clone();
+        let trace = TraceOptions {
+            snapshot_every: every,
+            dispatch: false,
+        };
+        let stream = Rc::new(RefCell::new(Vec::new()));
+        let metrics = MetricsSetup {
+            opts: MetricsOptions {
+                snapshot_every: every,
+            },
+            out: Some(Box::new(SharedBuf(Rc::clone(&stream)))),
+        };
+        exp.run_on_observed(
+            &exp.scenario.instantiate(),
+            u64::MAX,
+            Some((handle, trace)),
+            None,
+            Some(metrics),
+        )
+        .expect("u64::MAX budget cannot trip");
+        let text = String::from_utf8(stream.borrow().clone()).expect("metrics are ASCII JSON");
+        let sampled = sampled_counts(&text, mac);
+        let traced = &sink.borrow().instants;
+        assert_eq!(sampled.len(), traced.len(), "{mac}: one sample per instant");
+        assert!(sampled.len() > 4_000, "{mac}: {} samples", sampled.len());
+        for (s, t) in sampled.iter().zip(traced) {
+            assert_eq!(s, t, "{mac}: registry sample vs trace");
+        }
+        let busy = sampled.iter().filter(|c| c.queued > 0).count();
+        if mac != MacKind::Ideal {
+            assert!(busy > 0, "{mac}: no sample holds a queued frame");
+        }
+    }
 }

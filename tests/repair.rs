@@ -1,9 +1,13 @@
 //! Integration tests of failure handling: MAC link-failure detection and
 //! sink-initiated local path repair.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use wsn::diffusion::{DiffusionConfig, DiffusionNode, Role, Scheme};
-use wsn::net::{NetConfig, Network, NodeId, Position, Topology};
+use wsn::net::{NetConfig, Network, NodeId, Position, Topology, TraceOptions};
 use wsn::sim::SimTime;
+use wsn::trace::{DropReason, MemSink, SharedSink, TraceRecord};
 
 /// A diamond with a long exploratory interval, so any recovery inside the
 /// run must come from *local repair*, not from the next exploratory round.
@@ -80,6 +84,9 @@ fn local_repair_reroutes_around_a_dead_relay() {
 #[test]
 fn sender_stops_burning_retries_into_a_dead_link() {
     let mut net = diamond(Scheme::Greedy);
+    let sink = Rc::new(RefCell::new(MemSink::new()));
+    let handle: SharedSink = sink.clone();
+    net.set_trace(handle, TraceOptions::default());
     net.run_until(SimTime::from_secs(20));
     let relay = active_relay(&net).expect("a path formed");
     net.schedule_down(SimTime::from_secs(20), relay);
@@ -87,7 +94,21 @@ fn sender_stops_burning_retries_into_a_dead_link() {
     // The source must have degraded its gradient toward the dead relay:
     // failed unicasts stay bounded (a few ARQ exhaustions, not 40 s worth
     // of 2/s events each retried 8 times).
-    let failed = net.stats().node(NodeId(0)).tx_failed;
+    let failed = sink
+        .borrow()
+        .events
+        .iter()
+        .filter(|r| {
+            matches!(
+                r,
+                TraceRecord::PacketDrop {
+                    node: 0,
+                    reason: DropReason::RetryLimit,
+                    ..
+                }
+            )
+        })
+        .count();
     assert!(
         (1..20).contains(&failed),
         "expected a handful of failed unicasts at the source, got {failed}"

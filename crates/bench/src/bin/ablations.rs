@@ -17,7 +17,7 @@
 //! Usage: `cargo run --release -p wsn-bench --bin ablations [-- --fields N]`.
 //! The field size is fixed, so `--scale` is a usage error.
 
-use wsn_bench::{sweep_or_exit, HarnessOptions};
+use wsn_bench::{outln, sweep_or_exit, HarnessOptions};
 use wsn_core::{field_seed, run_sweep, MetricKind, Runner};
 use wsn_diffusion::{DiffusionConfig, Scheme};
 use wsn_metrics::FigureTable;
@@ -81,19 +81,19 @@ fn sweep(
             );
         }
     }
-    println!("{}", energy.render_text());
-    println!("{}", delay.render_text());
-    println!("{}", delivery.render_text());
+    outln!("{}", energy.render_text());
+    outln!("{}", delay.render_text());
+    outln!("{}", delivery.render_text());
 }
 
 fn main() {
     let opts = HarnessOptions::from_env_except(&["--scale"]);
-    let fields = opts.params.fields_per_point.min(5);
+    let fields = opts.params.fields_per_point;
     let duration = opts.params.duration;
     let seed = opts.params.seed;
     let runner = &opts.runner;
 
-    println!(
+    outln!(
         "# Ablations at {NODES} nodes, {fields} fields/point, {} workers\n",
         runner.effective_workers()
     );

@@ -12,11 +12,11 @@
 //! hand rather than through the job runner, so `--scale`, `--max-events`,
 //! `--progress`, `--metrics` and `--profile` are usage errors.
 
-use wsn_bench::HarnessOptions;
+use wsn_bench::{outln, HarnessOptions};
 use wsn_core::{field_seed, Experiment};
-use wsn_diffusion::{FloodingConfig, FloodingNode, Role, Scheme};
+use wsn_diffusion::{FloodingNode, Role, Scheme};
 use wsn_metrics::{FigureTable, Summary};
-use wsn_net::{NetConfig, Network};
+use wsn_net::{tx_duration, EnergyModel, NetConfig, Network};
 use wsn_scenario::ScenarioSpec;
 use wsn_trace::JsonlSink;
 use wsn_trees::{greedy_incremental_tree, Graph};
@@ -32,7 +32,7 @@ const IGNORED: [&str; 5] = [
 
 fn main() {
     let opts = HarnessOptions::from_env_except(&IGNORED);
-    let fields = opts.params.fields_per_point.min(6);
+    let fields = opts.params.fields_per_point;
     let duration = opts.params.duration;
     let nodes = 250usize;
 
@@ -73,7 +73,7 @@ fn main() {
             spec.seed,
             |id| {
                 let (is_source, is_sink) = instance.role_of(id);
-                FloodingNode::new(FloodingConfig::default(), id, Role { is_source, is_sink })
+                FloodingNode::new(id, Role { is_source, is_sink })
             },
         );
         flood_net.run_until(instance.end);
@@ -124,10 +124,10 @@ fn main() {
         let sink = instance.sinks[0].index();
         let sources: Vec<usize> = instance.sources.iter().map(|s| s.index()).collect();
         let git = greedy_incremental_tree(&g, sink, &sources);
-        let cfg = NetConfig::default();
-        let frame_s = cfg.tx_duration(64).as_secs_f64();
+        let power = EnergyModel::PAPER;
+        let frame_s = tx_duration(64).as_secs_f64();
         let avg_degree = instance.field.topology.average_degree();
-        let per_frame_j = frame_s * (cfg.energy.tx_w + avg_degree * cfg.energy.rx_w);
+        let per_frame_j = frame_s * (power.tx_w + avg_degree * power.rx_w);
         // Per round, `git.cost` frames deliver all 5 sources' events; the
         // sink counts 5 distinct events per round.
         let omniscient_energy = git.cost * per_frame_j / nodes as f64 / sources.len() as f64;
@@ -154,9 +154,9 @@ fn main() {
         );
     }
 
-    println!("{}", energy.render_text());
-    println!("{}", delivery.render_text());
-    println!(
+    outln!("{}", energy.render_text());
+    outln!("{}", delivery.render_text());
+    outln!(
         "# Expected ordering per field: omniscient ≤ greedy ≤ opportunistic ≤ flooding\n\
          # (energy); flooding matches or beats the rest on delivery."
     );

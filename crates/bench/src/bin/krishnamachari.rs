@@ -16,7 +16,7 @@
 //! `--help` prints the usage and exits 0. A malformed command line prints
 //! one `error:` line and the usage on stderr and exits with status 2.
 
-use wsn_bench::{args_or_help, exit_usage_error, parse_value};
+use wsn_bench::{args_or_help, exit_usage_error, outln, parse_value};
 use wsn_core::Runner;
 use wsn_metrics::{FigureTable, Summary};
 use wsn_net::{Position, Rect};
@@ -96,9 +96,9 @@ fn main() {
     for (&n, savings) in node_counts.iter().zip(per_point) {
         table.push_row(n as f64, savings.into_iter().map(Summary::of).collect());
     }
-    println!("{}", table.render_text());
-    println!("## CSV\n{}", table.render_csv());
-    println!(
+    outln!("{}", table.render_text());
+    outln!("## CSV\n{}", table.render_csv());
+    outln!(
         "# Expectation: event-radius and random-sources savings stay modest\n\
          # (≲20%, the Krishnamachari result); the corner placement's savings\n\
          # grow with density (the ICDCS paper's argument)."

@@ -17,7 +17,7 @@
 //!
 //! The field size is fixed at 250 nodes, so `--scale` is a usage error.
 
-use wsn_bench::{sweep_or_exit, HarnessOptions};
+use wsn_bench::{outln, sweep_or_exit, HarnessOptions};
 use wsn_core::{collect_points, field_seed, sweep_jobs, MetricKind};
 use wsn_diffusion::{DiffusionConfig, Scheme};
 use wsn_metrics::{FigureTable, Summary};
@@ -26,7 +26,7 @@ use wsn_scenario::ScenarioSpec;
 
 fn main() {
     let opts = HarnessOptions::from_env_except(&["--scale"]);
-    let fields = opts.params.fields_per_point.min(6);
+    let fields = opts.params.fields_per_point;
     let duration = opts.params.duration;
 
     // The three MACs are the sweep points; identical fields under all of
@@ -57,9 +57,12 @@ fn main() {
         let g = point.summary(Scheme::Greedy, MetricKind::ActivityEnergy);
         let o = point.summary(Scheme::Opportunistic, MetricKind::ActivityEnergy);
         let ratio = if o.mean > 0.0 { g.mean / o.mean } else { 1.0 };
-        println!(
+        outln!(
             "# {}: greedy {:.6}, opportunistic {:.6}, ratio {:.3}",
-            macs[mi].0, g.mean, o.mean, ratio
+            macs[mi].0,
+            g.mean,
+            o.mean,
+            ratio
         );
         per_mac.push((g, o, ratio));
     }
@@ -77,9 +80,9 @@ fn main() {
         2.0,
         per_mac.iter().map(|(_, _, r)| Summary::of([*r])).collect(),
     );
-    println!("\n{}", table.render_text());
-    println!("# columns: csma+ack (this repo's default), rts/cts (ns-2 default), ideal (contention-free lower bound)");
-    println!("# rows: metric 0 = greedy energy, 1 = opportunistic energy, 2 = ratio g/o");
+    outln!("\n{}", table.render_text());
+    outln!("# columns: csma+ack (this repo's default), rts/cts (ns-2 default), ideal (contention-free lower bound)");
+    outln!("# rows: metric 0 = greedy energy, 1 = opportunistic energy, 2 = ratio g/o");
 
     // How much of the greedy-vs-opportunistic savings is MAC amplification?
     let (_, _, csma_ratio) = per_mac[0];
@@ -87,7 +90,7 @@ fn main() {
     let csma_savings = 1.0 - csma_ratio;
     let ideal_savings = 1.0 - ideal_ratio;
     if csma_savings.abs() > f64::EPSILON {
-        println!(
+        outln!(
             "# contention-free fraction: {:.1}% of greedy's csma+ack savings survive under the \
              ideal MAC (savings {:.3} -> {:.3})",
             100.0 * ideal_savings / csma_savings,

@@ -29,7 +29,7 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-use wsn_bench::{args_or_help, artifact_files, exit_usage_error, read_artifact};
+use wsn_bench::{args_or_help, artifact_files, exit_usage_error, outln, read_artifact};
 use wsn_core::registry_mismatches;
 use wsn_metrics::{MetricType, MetricsLine, HIST_BUCKETS};
 use wsn_trace::TraceSummary;
@@ -176,22 +176,22 @@ fn sparkline(buckets: &[u64; HIST_BUCKETS]) -> String {
 
 /// Prints one stream's per-layer tables.
 fn report(stream: &Stream) {
-    println!("  ({} snapshot deltas)", stream.snapshots);
+    outln!("  ({} snapshot deltas)", stream.snapshots);
     let mut layer: &str = "";
     for (name, kind, i) in &stream.metrics {
         let this_layer = name.split('.').next().unwrap_or(name);
         if this_layer != layer {
             layer = this_layer;
-            println!("  [{layer}]");
+            outln!("  [{layer}]");
         }
         match kind {
             MetricType::Counter => {
                 let v = stream.counters.get(i).copied().unwrap_or(0);
-                println!("    {name:<42} {v:>12}");
+                outln!("    {name:<42} {v:>12}");
             }
             MetricType::Gauge => {
                 let v = stream.gauges.get(i).copied().unwrap_or(0);
-                println!("    {name:<42} {v:>12}  (final level)");
+                outln!("    {name:<42} {v:>12}  (final level)");
             }
             MetricType::Histogram => {
                 let (count, sum) = stream.hist_stats.get(i).copied().unwrap_or((0, 0));
@@ -202,7 +202,7 @@ fn report(stream: &Stream) {
                 };
                 let empty = [0u64; HIST_BUCKETS];
                 let buckets = stream.hist_buckets.get(i).unwrap_or(&empty);
-                println!(
+                outln!(
                     "    {name:<42} {count:>12}  sum {sum}  mean {mean}  {}",
                     sparkline(buckets)
                 );
@@ -235,7 +235,7 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        println!("=== {} ===", file.display());
+        outln!("=== {} ===", file.display());
         report(&stream);
         if let Some(trace_dir) = &args.audit {
             let trace_file = trace_path_for(file, trace_dir);
@@ -245,18 +245,18 @@ fn main() {
                 |name| stream.hist(name),
             );
             for m in &mismatches {
-                println!("  VIOLATION: {m}");
+                outln!("  VIOLATION: {m}");
             }
-            println!(
+            outln!(
                 "  audit vs {}: {} violation(s)",
                 trace_file.display(),
                 mismatches.len()
             );
             total_violations += mismatches.len();
         }
-        println!();
+        outln!();
     }
-    println!(
+    outln!(
         "# {} metrics file(s) reported, {} violation(s)",
         files.len(),
         total_violations

@@ -25,7 +25,7 @@
 use std::fs::File;
 use std::io::Write;
 
-use wsn_bench::{args_or_help, exit_usage_error, parse_scale, parse_value};
+use wsn_bench::{args_or_help, exit_usage_error, outln, parse_scale, parse_value};
 use wsn_core::{Experiment, MetricsSetup};
 use wsn_diffusion::{MsgKind, Scheme, SinkStats, DEDUP_WINDOW};
 use wsn_net::MacKind;
@@ -158,7 +158,7 @@ fn main() {
         source_placement: if args.random_sources {
             SourcePlacement::Uniform
         } else {
-            SourcePlacement::PAPER_CORNER
+            SourcePlacement::Corner
         },
         failures: args.failures.then(FailureConfig::default),
         mac: args.mac,
@@ -167,7 +167,7 @@ fn main() {
         ..defaults
     };
     let instance = spec.instantiate();
-    println!(
+    outln!(
         "field: {} nodes in {:.0} m square, degree {:.1}, {} placements rejected, \
          sources {:?}, sinks {:?}, scheme {}",
         args.nodes,
@@ -195,31 +195,31 @@ fn main() {
 
     let record = &outcome.record;
     let m = record.metrics();
-    println!("\nmetrics:");
-    println!(
+    outln!("\nmetrics:");
+    outln!(
         "  avg dissipated energy (total): {:.6} J/node/event",
         m.avg_dissipated_energy
     );
-    println!(
+    outln!(
         "  avg dissipated energy (tx+rx): {:.6} J/node/event",
         m.avg_activity_energy
     );
-    println!("  avg delay:                     {:.3} s", m.avg_delay_s);
-    println!("  distinct-event delivery ratio: {:.3}", m.delivery_ratio);
+    outln!("  avg delay:                     {:.3} s", m.avg_delay_s);
+    outln!("  distinct-event delivery ratio: {:.3}", m.delivery_ratio);
     if !outcome.delays_s.is_empty() {
         let all_delays = SinkStats {
             delays_s: outcome.delays_s,
             ..SinkStats::default()
         };
-        println!(
+        outln!(
             "  delay percentiles:             p50 {:.3} s / p95 {:.3} s / p99 {:.3} s",
             all_delays.delay_percentile_s(50.0),
             all_delays.delay_percentile_s(95.0),
             all_delays.delay_percentile_s(99.0)
         );
     }
-    println!("\nphysical layer:");
-    println!(
+    outln!("\nphysical layer:");
+    outln!(
         "  frames {} ({} bytes), collisions {}, retries {}, failed unicasts {}",
         record.tx_frames,
         record.tx_bytes,
@@ -227,37 +227,38 @@ fn main() {
         outcome.retries,
         outcome.failed_unicasts
     );
-    println!(
+    outln!(
         "  energy {:.1} J total / {:.1} J communication",
-        record.total_energy_j, record.activity_energy_j
+        record.total_energy_j,
+        record.activity_energy_j
     );
     let hotspot = outcome.hotspot;
-    println!(
+    outln!(
         "  hotspot: {} at {:.2} J ({:.1}% of network communication energy)",
         hotspot.0,
         hotspot.1,
         100.0 * hotspot.1 / record.activity_energy_j.max(1e-12)
     );
-    println!("\nmessages sent:");
+    outln!("\nmessages sent:");
     for kind in MsgKind::ALL {
-        println!("  {kind:?}: {}", outcome.sent[kind.index()]);
+        outln!("  {kind:?}: {}", outcome.sent[kind.index()]);
     }
-    println!(
+    outln!(
         "stale arrivals: {} (older than a {DEDUP_WINDOW}-wide dedup window)",
         outcome.stale_arrivals
     );
-    println!(
+    outln!(
         "\nsimulated {:.0} s ({} events) in {:.2} s wall time",
         record.duration_s,
         outcome.accounting.events_processed,
         wall.as_secs_f64()
     );
     if let Some(kb) = wsn_core::peak_rss_kb() {
-        println!("peak RSS: {:.1} MiB", kb as f64 / 1024.0);
+        outln!("peak RSS: {:.1} MiB", kb as f64 / 1024.0);
     }
 
     if let Some(path) = &args.metrics {
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
 
     if let (Some(path), Some(mut file)) = (args.svg, svg_file) {
@@ -272,6 +273,6 @@ fn main() {
             eprintln!("error: cannot write {path}: {e}");
             std::process::exit(2);
         });
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
 }

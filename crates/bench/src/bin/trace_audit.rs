@@ -17,7 +17,9 @@
 
 use std::path::PathBuf;
 
-use wsn_bench::{args_or_help, artifact_files, exit_usage_error, read_artifact};
+use wsn_bench::{
+    args_or_help, artifact_files, exit_usage_error, outln, read_artifact, write_stdout,
+};
 use wsn_trace::audit_text;
 
 const USAGE: &str = "\
@@ -47,12 +49,12 @@ fn main() {
     let mut total_violations = 0usize;
     for file in &files {
         let report = audit_text(&read_artifact(file));
-        println!("=== {} ===", file.display());
-        print!("{}", report.render());
-        println!();
+        outln!("=== {} ===", file.display());
+        write_stdout(format_args!("{}", report.render()));
+        outln!();
         total_violations += report.violations.len();
     }
-    println!(
+    outln!(
         "# {} trace file(s) audited, {} violation(s)",
         files.len(),
         total_violations

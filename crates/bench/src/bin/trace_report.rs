@@ -17,7 +17,9 @@
 
 use std::path::PathBuf;
 
-use wsn_bench::{args_or_help, artifact_files, exit_usage_error, parse_value, read_artifact};
+use wsn_bench::{
+    args_or_help, artifact_files, exit_usage_error, outln, parse_value, read_artifact, write_stdout,
+};
 use wsn_trace::TraceSummary;
 
 const USAGE: &str = "\
@@ -75,21 +77,21 @@ fn main() {
     let mut grand_records = 0u64;
     for file in &files {
         let summary = TraceSummary::from_text(&read_artifact(file));
-        println!("=== {} ===", file.display());
-        print!("{}", summary.render(args.top, args.buckets));
+        outln!("=== {} ===", file.display());
+        write_stdout(format_args!("{}", summary.render(args.top, args.buckets)));
         if args.profile {
             let section = summary.render_profile();
             if section.is_empty() {
-                println!("# no profile records (re-run with --profile on the figure binary)");
+                outln!("# no profile records (re-run with --profile on the figure binary)");
             } else {
-                print!("{section}");
+                write_stdout(format_args!("{section}"));
             }
         }
-        println!();
+        outln!();
         grand_energy += summary.total_energy_j();
         grand_records += summary.records;
     }
-    println!(
+    outln!(
         "# {} trace file(s), {} records, {:.9} J total debited energy",
         files.len(),
         grand_records,

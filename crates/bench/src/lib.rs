@@ -57,10 +57,38 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use wsn_core::{run_figure_with, Figure, FigureParams, JobError, MetricsSpec, Runner, TraceSpec};
 use wsn_sim::SimDuration;
+
+/// Writes `args` to stdout: the one path by which every bench binary prints
+/// its tables, reports and usage (directly or through [`outln!`]).
+///
+/// A closed stdout (the reader of a pipe went away, as in `fig5 | head`)
+/// ends the process with status 0, where `print!` would panic. Any other
+/// write error prints one `error:` line on stderr and exits with status 1.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// Prints a line to stdout through [`write_stdout`], like `println!`.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::write_stdout(::std::format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(::std::format_args!("{}\n", ::std::format_args!($($arg)*)))
+    };
+}
 
 /// Command-line options shared by the figure binaries.
 #[derive(Debug, Clone, PartialEq)]
@@ -208,7 +236,7 @@ fn harness_usage(unsupported: &[&str]) -> String {
 pub fn args_or_help(usage: &str) -> Vec<String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{usage}");
+        write_stdout(format_args!("{usage}"));
         std::process::exit(0);
     }
     args
@@ -322,13 +350,13 @@ pub fn sweep_or_exit<T>(result: Result<T, JobError>) -> T {
 fn run_and_print_one(figure: Figure, opts: &HarnessOptions) {
     let start = std::time::Instant::now();
     let data = sweep_or_exit(run_figure_with(figure, &opts.params, &opts.runner));
-    println!("{}", data.render_text());
+    outln!("{}", data.render_text());
     if opts.csv {
-        println!("## CSV: energy\n{}", data.energy.render_csv());
-        println!("## CSV: delay\n{}", data.delay.render_csv());
-        println!("## CSV: delivery\n{}", data.delivery.render_csv());
+        outln!("## CSV: energy\n{}", data.energy.render_csv());
+        outln!("## CSV: delay\n{}", data.delay.render_csv());
+        outln!("## CSV: delivery\n{}", data.delivery.render_csv());
     }
-    println!(
+    outln!(
         "# regenerated in {:.1}s wall time ({} fields/point, {} runs/point, {} workers)\n",
         start.elapsed().as_secs_f64(),
         opts.params.fields_per_point,
@@ -336,7 +364,7 @@ fn run_and_print_one(figure: Figure, opts: &HarnessOptions) {
         opts.runner.effective_workers(),
     );
     if let Some(kb) = wsn_core::peak_rss_kb() {
-        println!("# peak RSS: {:.1} MiB\n", kb as f64 / 1024.0);
+        outln!("# peak RSS: {:.1} MiB\n", kb as f64 / 1024.0);
     }
 }
 

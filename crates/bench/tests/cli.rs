@@ -3,10 +3,13 @@
 //! the figure binaries' shared harness (exercised through `fig5`), the
 //! trace and metrics readers, and `krishnamachari`; `run_one` rejects
 //! impossible requests before it runs; the fixed-field harnesses reject the
-//! flags they would ignore; a watchdog trip in any sweep is an error line,
-//! not a panic, and leaves a metrics stream the reader accepts; and the two
-//! audits pass a real run's artifacts and fail on a tampered copy.
+//! flags they would ignore but run every field asked for; a watchdog trip
+//! in any sweep is an error line, not a panic, and leaves a metrics stream
+//! the reader accepts; a closed stdout ends a binary quietly with status 0;
+//! and the two audits pass a real run's artifacts and fail on a tampered
+//! copy.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::process::{Command, Output};
 
@@ -217,6 +220,80 @@ fn flags_a_fixed_field_harness_would_ignore_are_usage_errors() {
         "--profile",
     ] {
         assert!(!usage.contains(flag), "usage lists {flag}: {usage}");
+    }
+}
+
+/// The number of rows of each `# `-titled table in `stdout`: the lines
+/// after its title and column header, up to the next blank line.
+fn table_rows(stdout: &str) -> Vec<usize> {
+    stdout
+        .split("\n\n")
+        .map(|block| block.trim_start_matches('\n'))
+        .filter(|block| {
+            block.starts_with("# ") && block.lines().nth(1).is_some_and(|l| !l.starts_with('#'))
+        })
+        .map(|table| table.lines().count() - 2)
+        .collect()
+}
+
+#[test]
+fn fixed_field_harnesses_run_every_requested_field() {
+    let args = ["--quick", "--fields", "7", "--duration", "1"];
+    // baselines: one row per field in each of its two tables.
+    let out = run(BASELINES, &args);
+    assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
+    assert_eq!(
+        table_rows(text(&out.stdout)),
+        [7, 7],
+        "{}",
+        text(&out.stdout)
+    );
+    // ablations: a row per knob value, each a mean over 7 fields; the
+    // header and the per-job progress lines name the fields that ran.
+    let out = run(ABLATIONS, &[&args[..], &["--progress"]].concat());
+    assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
+    let stdout = text(&out.stdout);
+    assert!(
+        stdout.starts_with("# Ablations at 250 nodes, 7 fields/point"),
+        "{stdout}"
+    );
+    let fields: BTreeSet<&str> = text(&out.stderr)
+        .lines()
+        .filter_map(|line| line.split("\"field\":").nth(1)?.split(',').next())
+        .collect();
+    assert_eq!(
+        fields,
+        ["0", "1", "2", "3", "4", "5", "6"].into(),
+        "fields that ran"
+    );
+}
+
+/// Runs `bin` with the read end of its stdout pipe closed before it starts.
+fn run_into_closed_stdout((name, path): Bin, args: &[&str]) -> Output {
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    Command::new(path)
+        .args(args)
+        .stdout(writer)
+        .output()
+        .unwrap_or_else(|e| panic!("{name} starts: {e}"))
+}
+
+#[test]
+fn a_closed_stdout_ends_the_binary_quietly() {
+    let cases: [(Bin, &[&str]); 2] = [
+        (FIG5, &["--quick", "--fields", "1", "--duration", "5"]),
+        (TRACE_REPORT, &["--help"]),
+    ];
+    for (bin, args) in cases {
+        let out = run_into_closed_stdout(bin, args);
+        let err = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{} {args:?}: {err}", bin.0);
+        assert!(
+            !err.contains("panicked"),
+            "{} {args:?} panicked: {err}",
+            bin.0
+        );
     }
 }
 

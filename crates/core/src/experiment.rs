@@ -30,9 +30,9 @@ use wsn_trace::{SharedSink, TraceRecord};
 pub struct Experiment {
     /// The scenario (field, roles, failures, duration, seed).
     pub scenario: ScenarioSpec,
-    /// Protocol parameters (scheme, aggregation function, timers).
+    /// Protocol parameters (scheme, aggregation function, swept timers).
     pub diffusion: DiffusionConfig,
-    /// Physical/MAC parameters.
+    /// The MAC the run uses.
     pub net: NetConfig,
 }
 
@@ -116,10 +116,7 @@ impl Experiment {
     /// An experiment over `scenario` with `scheme` and all other parameters
     /// at the paper's defaults.
     pub fn new(scenario: ScenarioSpec, scheme: Scheme) -> Self {
-        let net = NetConfig {
-            mac: scenario.mac,
-            ..NetConfig::default()
-        };
+        let net = NetConfig { mac: scenario.mac };
         Experiment {
             scenario,
             diffusion: DiffusionConfig::for_scheme(scheme),

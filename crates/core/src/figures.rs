@@ -277,7 +277,7 @@ pub fn run_figure_with(
     runner: &Runner,
 ) -> Result<FigureData, JobError> {
     let aggregation = match figure {
-        Figure::Fig10LinearAggregation => AggregationFn::LINEAR_PAPER,
+        Figure::Fig10LinearAggregation => AggregationFn::Linear,
         _ => AggregationFn::Perfect,
     };
     let xs = sweep_values(figure, params);

@@ -62,9 +62,9 @@ pub struct RunJob {
     pub scheme: Scheme,
     /// The scenario, including the per-field seed.
     pub spec: ScenarioSpec,
-    /// Protocol parameters (timers, aggregation function, ...).
+    /// Protocol parameters (scheme, aggregation function, swept timers).
     pub config: DiffusionConfig,
-    /// Physical/MAC parameters.
+    /// The MAC the run uses.
     pub net: NetConfig,
     /// Per-job watchdog override; `None` defers to [`Runner::max_events`].
     pub max_events: Option<u64>,
@@ -100,11 +100,10 @@ impl TraceSpec {
     }
 
     /// The engine-side options every job trace uses: a 10-second snapshot
-    /// cadence and no dispatch records.
+    /// cadence.
     pub fn options(&self) -> TraceOptions {
         TraceOptions {
             snapshot_every: Some(SimDuration::from_secs(10)),
-            dispatch: false,
         }
     }
 

@@ -122,10 +122,7 @@ pub fn sweep_jobs(
             let spec = make_spec(pi, f);
             // The spec's MAC choice rides into the run's radio config, so
             // MAC ablations are plain scenario sweeps.
-            let net = NetConfig {
-                mac: spec.mac,
-                ..NetConfig::default()
-            };
+            let net = NetConfig { mac: spec.mac };
             for scheme in [Scheme::Greedy, Scheme::Opportunistic] {
                 let mut config = configure(pi, scheme);
                 config.scheme = scheme;

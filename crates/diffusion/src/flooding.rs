@@ -4,40 +4,17 @@
 //! *flooding* — every source floods every event through the whole network,
 //! sinks deduplicate — as the maximally robust, maximally expensive
 //! dissemination scheme. No gradients, no reinforcement, no aggregation.
-//! Useful here as the upper bracket against both aggregation schemes.
+//! Useful here as the upper bracket against both aggregation schemes. It
+//! runs on diffusion's own event schedule, event size and flood jitter, so
+//! the comparison stays apples-to-apples.
 
 use wsn_net::{Ctx, NodeId, Packet, Protocol};
-use wsn_sim::{SimDuration, SimTime};
 
+use crate::config::{next_generate_delay, round_at, EVENT_BYTES, FLOOD_JITTER};
 use crate::hash::FastSet;
 use crate::msg::EventItem;
 use crate::node::Role;
 use crate::stats::SinkStats;
-
-/// Configuration for the flooding baseline (a subset of the diffusion
-/// parameters so comparisons stay apples-to-apples).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FloodingConfig {
-    /// Interval between events at each source (paper: 0.5 s).
-    pub event_period: SimDuration,
-    /// When sources begin (paper methodology: 5 s).
-    pub source_start: SimDuration,
-    /// Event packet size (64 B).
-    pub event_bytes: u32,
-    /// Maximum rebroadcast jitter.
-    pub forward_jitter: SimDuration,
-}
-
-impl Default for FloodingConfig {
-    fn default() -> Self {
-        FloodingConfig {
-            event_period: SimDuration::from_millis(500),
-            source_start: SimDuration::from_secs(5),
-            event_bytes: 64,
-            forward_jitter: SimDuration::from_millis(300),
-        }
-    }
-}
 
 /// Timers of the flooding protocol.
 #[derive(Debug, Clone)]
@@ -54,7 +31,6 @@ pub enum FloodTimer {
 /// One node of the flooding baseline.
 #[derive(Debug)]
 pub struct FloodingNode {
-    cfg: FloodingConfig,
     role: Role,
     me: NodeId,
     seen: FastSet<(NodeId, u32)>,
@@ -68,9 +44,8 @@ pub struct FloodingNode {
 
 impl FloodingNode {
     /// Creates the flooding instance for node `me`.
-    pub fn new(cfg: FloodingConfig, me: NodeId, role: Role) -> Self {
+    pub fn new(me: NodeId, role: Role) -> Self {
         FloodingNode {
-            cfg,
             role,
             me,
             seen: FastSet::default(),
@@ -84,24 +59,6 @@ impl FloodingNode {
     pub fn role(&self) -> Role {
         self.role
     }
-
-    fn next_generate_delay(&self, now: SimTime) -> SimDuration {
-        let period = self.cfg.event_period.as_nanos().max(1);
-        let start = self.cfg.source_start.as_nanos();
-        let now_ns = now.as_nanos();
-        let next = if now_ns < start {
-            start
-        } else {
-            start + ((now_ns - start) / period + 1) * period
-        };
-        SimDuration::from_nanos(next - now_ns)
-    }
-
-    fn round_at(&self, now: SimTime) -> u32 {
-        let elapsed = now.saturating_duration_since(SimTime::ZERO + self.cfg.source_start);
-        u32::try_from(elapsed.as_nanos() / self.cfg.event_period.as_nanos().max(1))
-            .expect("round exceeds u32")
-    }
 }
 
 impl Protocol for FloodingNode {
@@ -110,7 +67,7 @@ impl Protocol for FloodingNode {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, EventItem, FloodTimer>) {
         if self.role.is_source {
-            ctx.set_timer(self.next_generate_delay(ctx.now()), FloodTimer::Generate);
+            ctx.set_timer(next_generate_delay(ctx.now()), FloodTimer::Generate);
         }
     }
 
@@ -125,7 +82,7 @@ impl Protocol for FloodingNode {
         if self.role.is_sink {
             self.sink.record_distinct(&item, ctx.now());
         }
-        let jitter = ctx.jitter(self.cfg.forward_jitter);
+        let jitter = ctx.jitter(FLOOD_JITTER);
         ctx.set_timer(jitter, FloodTimer::Forward { item });
     }
 
@@ -135,17 +92,17 @@ impl Protocol for FloodingNode {
                 let now = ctx.now();
                 let item = EventItem {
                     source: self.me,
-                    round: self.round_at(now),
+                    round: round_at(now),
                     generated: now,
                 };
                 self.events_generated += 1;
                 self.seen.insert(item.key());
-                ctx.broadcast(self.cfg.event_bytes, item);
-                ctx.set_timer(self.next_generate_delay(now), FloodTimer::Generate);
+                ctx.broadcast(EVENT_BYTES, item);
+                ctx.set_timer(next_generate_delay(now), FloodTimer::Generate);
             }
             FloodTimer::Forward { item } => {
                 self.forwards += 1;
-                ctx.broadcast(self.cfg.event_bytes, item);
+                ctx.broadcast(EVENT_BYTES, item);
             }
         }
     }
@@ -156,7 +113,7 @@ impl Protocol for FloodingNode {
 
     fn on_up(&mut self, ctx: &mut Ctx<'_, EventItem, FloodTimer>) {
         if self.role.is_source {
-            ctx.set_timer(self.next_generate_delay(ctx.now()), FloodTimer::Generate);
+            ctx.set_timer(next_generate_delay(ctx.now()), FloodTimer::Generate);
         }
     }
 }
@@ -165,6 +122,7 @@ impl Protocol for FloodingNode {
 mod tests {
     use super::*;
     use wsn_net::{NetConfig, Network, Position, Topology};
+    use wsn_sim::SimTime;
 
     fn line(n: usize) -> Topology {
         Topology::new(
@@ -185,7 +143,7 @@ mod tests {
             } else {
                 Role::RELAY
             };
-            FloodingNode::new(FloodingConfig::default(), id, role)
+            FloodingNode::new(id, role)
         })
     }
 
@@ -227,7 +185,7 @@ mod tests {
                 7 => Role::SINK,
                 _ => Role::RELAY,
             };
-            FloodingNode::new(FloodingConfig::default(), id, role)
+            FloodingNode::new(id, role)
         });
         net.schedule_down(SimTime::from_secs(8), NodeId(2));
         net.run_until(SimTime::from_secs(30));

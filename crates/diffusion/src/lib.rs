@@ -18,7 +18,9 @@
 //!
 //! The protocol runs on the `wsn-net` packet-level substrate; each node is a
 //! [`DiffusionNode`] created with a [`Role`] (source, sink, or relay) and a
-//! [`DiffusionConfig`] (all timers default to the paper's §5.1 methodology).
+//! [`DiffusionConfig`] (the scheme, the aggregation function and the timers
+//! the ablations sweep, defaulting to the paper's §5.1 methodology; every
+//! other timer, size and jitter is a constant).
 //!
 //! # Examples
 //!
@@ -71,7 +73,7 @@ mod window;
 pub use aggregate::{AggregationBuffer, IncomingAgg, OutgoingAgg};
 pub use cache::{ExplCache, ExplEntry, UpstreamKind};
 pub use config::{AggregationFn, DiffusionConfig, Scheme};
-pub use flooding::{FloodTimer, FloodingConfig, FloodingNode};
+pub use flooding::{FloodTimer, FloodingNode};
 pub use gradient::GradientTable;
 pub use metrics::DiffusionMetricIds;
 pub use msg::{DiffMsg, EventItem, MsgId, MsgKind, ReinforceKind};

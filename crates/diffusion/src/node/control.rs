@@ -8,7 +8,7 @@
 use wsn_net::{Ctx, NodeId};
 use wsn_trace::{DropReason, TraceRecord};
 
-use crate::config::Scheme;
+use crate::config::{Scheme, FLOOD_JITTER, INTEREST_PERIOD, SEND_JITTER};
 use crate::msg::{DiffMsg, EventItem, MsgId, ReinforceKind};
 
 use super::{DiffTimer, DiffusionNode, SourceTrack};
@@ -19,9 +19,8 @@ impl DiffusionNode {
         self.interest_seq += 1;
         self.seen_interests.insert((self.me, seq));
         let msg = DiffMsg::Interest { sink: self.me, seq };
-        let jitter = self.cfg.send_jitter;
-        self.send_jittered(ctx, jitter, None, msg);
-        ctx.set_timer(self.cfg.interest_period, DiffTimer::Interest);
+        self.send_jittered(ctx, SEND_JITTER, None, msg);
+        ctx.set_timer(INTEREST_PERIOD, DiffTimer::Interest);
     }
 
     fn sink_consider_reinforce(
@@ -145,8 +144,7 @@ impl DiffusionNode {
                 item,
                 energy: energy + 1,
             };
-            let jitter = self.cfg.exploratory_jitter;
-            self.send_jittered(ctx, jitter, None, msg);
+            self.send_jittered(ctx, FLOOD_JITTER, None, msg);
         }
         // An on-tree *source* hearing another source's exploratory event
         // advertises the tree's proximity with an incremental cost message
@@ -163,8 +161,7 @@ impl DiffusionNode {
                     origin: self.me,
                     cost: energy,
                 };
-                let jitter = self.cfg.send_jitter;
-                self.send_jittered(ctx, jitter, Some(n), msg);
+                self.send_jittered(ctx, SEND_JITTER, Some(n), msg);
             }
         }
     }
@@ -213,8 +210,7 @@ impl DiffusionNode {
                     origin,
                     cost: new_cost,
                 };
-                let jitter = self.cfg.send_jitter;
-                self.send_jittered(ctx, jitter, Some(n), msg);
+                self.send_jittered(ctx, SEND_JITTER, Some(n), msg);
             }
         }
     }

@@ -6,6 +6,7 @@ use wsn_sim::{SimDuration, SimTime};
 use wsn_trace::{join_lineage, DropReason, LineageId, TraceRecord};
 
 use crate::aggregate::IncomingAgg;
+use crate::config::{next_generate_delay, round_at, SEND_JITTER};
 use crate::msg::{DiffMsg, EventItem, MsgId};
 use crate::truncate::WindowEntry;
 
@@ -40,7 +41,7 @@ impl DiffusionNode {
         dst: Option<NodeId>,
         msg: DiffMsg,
     ) {
-        let bytes = msg.wire_bytes(&self.cfg);
+        let bytes = msg.wire_bytes(self.cfg.aggregation);
         self.counters.count_sent(msg.kind());
         if matches!(msg, DiffMsg::Interest { .. }) {
             self.metric(ctx, |ids, reg| reg.inc(ids.interests_sent));
@@ -63,26 +64,13 @@ impl DiffusionNode {
         dst: Option<NodeId>,
         msg: DiffMsg,
     ) {
-        if max_jitter.is_zero() {
-            self.send_now(ctx, dst, msg);
-        } else {
-            let delay = ctx.jitter(max_jitter);
-            ctx.set_timer(delay, DiffTimer::SendJittered { msg, dst });
-        }
-    }
-
-    /// The event round at time `now` — derived from time, not a counter, so
-    /// that sources stay synchronized across failures ("sources can be
-    /// synchronized if they are triggered by the same phenomena").
-    fn round_at(&self, now: SimTime) -> u32 {
-        let elapsed = now.saturating_duration_since(SimTime::ZERO + self.cfg.source_start);
-        u32::try_from(elapsed.as_nanos() / self.cfg.event_period.as_nanos().max(1))
-            .expect("round exceeds u32")
+        let delay = ctx.jitter(max_jitter);
+        ctx.set_timer(delay, DiffTimer::SendJittered { msg, dst });
     }
 
     pub(super) fn generate_event(&mut self, ctx: &mut Ctx<'_, DiffMsg, DiffTimer>) {
         let now = ctx.now();
-        let round = self.round_at(now);
+        let round = round_at(now);
         let item = EventItem {
             source: self.me,
             round,
@@ -118,8 +106,7 @@ impl DiffusionNode {
                     item,
                     energy: 1,
                 };
-                let jitter = self.cfg.send_jitter;
-                self.send_jittered(ctx, jitter, None, msg);
+                self.send_jittered(ctx, SEND_JITTER, None, msg);
             }
         } else {
             self.seen_items.insert(item.key());
@@ -134,20 +121,7 @@ impl DiffusionNode {
             );
             self.maybe_flush(ctx);
         }
-        ctx.set_timer(self.next_generate_delay(now), DiffTimer::Generate);
-    }
-
-    /// Delay until the next round boundary (exact, so rounds stay aligned).
-    pub(super) fn next_generate_delay(&self, now: SimTime) -> SimDuration {
-        let period = self.cfg.event_period.as_nanos().max(1);
-        let start = self.cfg.source_start.as_nanos();
-        let now_ns = now.as_nanos();
-        let next = if now_ns < start {
-            start
-        } else {
-            start + ((now_ns - start) / period + 1) * period
-        };
-        SimDuration::from_nanos(next - now_ns)
+        ctx.set_timer(next_generate_delay(now), DiffTimer::Generate);
     }
 
     /// The sources whose data passed through here within the truncation
@@ -227,8 +201,7 @@ impl DiffusionNode {
                 items: out.items.clone(),
                 cost: out.cost,
             };
-            let jitter = self.cfg.send_jitter;
-            self.send_jittered(ctx, jitter, Some(n), msg);
+            self.send_jittered(ctx, SEND_JITTER, Some(n), msg);
         }
     }
 
@@ -313,31 +286,29 @@ mod tests {
 
     #[test]
     fn round_is_derived_from_time() {
-        let node = DiffusionNode::new(DiffusionConfig::default(), NodeId(0), Role::SOURCE);
         // source_start = 5 s, period = 0.5 s.
-        assert_eq!(node.round_at(SimTime::from_secs(5)), 0);
-        assert_eq!(node.round_at(SimTime::from_secs_f64(5.5)), 1);
-        assert_eq!(node.round_at(SimTime::from_secs(55)), 100);
+        assert_eq!(round_at(SimTime::from_secs(5)), 0);
+        assert_eq!(round_at(SimTime::from_secs_f64(5.5)), 1);
+        assert_eq!(round_at(SimTime::from_secs(55)), 100);
         // Before the start: round 0.
-        assert_eq!(node.round_at(SimTime::from_secs(1)), 0);
+        assert_eq!(round_at(SimTime::from_secs(1)), 0);
     }
 
     #[test]
     fn next_generate_delay_aligns_to_round_boundaries() {
-        let node = DiffusionNode::new(DiffusionConfig::default(), NodeId(0), Role::SOURCE);
         // At t = 0 the first event is at source_start.
         assert_eq!(
-            node.next_generate_delay(SimTime::ZERO),
+            next_generate_delay(SimTime::ZERO),
             SimDuration::from_secs(5)
         );
         // Exactly on a boundary: next boundary is one full period later.
         assert_eq!(
-            node.next_generate_delay(SimTime::from_secs(5)),
+            next_generate_delay(SimTime::from_secs(5)),
             SimDuration::from_millis(500)
         );
         // Mid-period: the remainder.
         assert_eq!(
-            node.next_generate_delay(SimTime::from_secs_f64(5.2)),
+            next_generate_delay(SimTime::from_secs_f64(5.2)),
             SimDuration::from_millis(300)
         );
     }

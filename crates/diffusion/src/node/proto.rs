@@ -5,6 +5,7 @@ use wsn_net::{Ctx, NodeId, Packet, Protocol};
 use wsn_trace::{DropReason, TraceRecord};
 
 use crate::cache::ExplCache;
+use crate::config::{next_generate_delay, FLOOD_JITTER, GRADIENT_TIMEOUT};
 use crate::gradient::GradientTable;
 use crate::msg::DiffMsg;
 
@@ -22,7 +23,7 @@ impl Protocol for DiffusionNode {
             self.originate_interest(ctx);
         }
         if self.role.is_source {
-            ctx.set_timer(self.next_generate_delay(ctx.now()), DiffTimer::Generate);
+            ctx.set_timer(next_generate_delay(ctx.now()), DiffTimer::Generate);
         }
         // Stagger truncation ticks across nodes.
         let stagger = ctx.jitter(self.cfg.truncation_window);
@@ -46,10 +47,9 @@ impl Protocol for DiffusionNode {
             DiffMsg::Interest { sink, seq } => {
                 let now = ctx.now();
                 self.gradients
-                    .refresh_exploratory(slot, now + self.cfg.gradient_timeout);
+                    .refresh_exploratory(slot, now + GRADIENT_TIMEOUT);
                 if self.seen_interests.insert((sink, seq)) {
-                    let jitter = self.cfg.interest_jitter;
-                    self.send_jittered(ctx, jitter, None, DiffMsg::Interest { sink, seq });
+                    self.send_jittered(ctx, FLOOD_JITTER, None, DiffMsg::Interest { sink, seq });
                 }
             }
             DiffMsg::Exploratory { id, item, energy } => {
@@ -107,7 +107,7 @@ impl Protocol for DiffusionNode {
             self.originate_interest(ctx);
         }
         if self.role.is_source {
-            ctx.set_timer(self.next_generate_delay(ctx.now()), DiffTimer::Generate);
+            ctx.set_timer(next_generate_delay(ctx.now()), DiffTimer::Generate);
         }
         let stagger = ctx.jitter(self.cfg.truncation_window);
         ctx.set_timer(self.cfg.truncation_window + stagger, DiffTimer::Truncate);

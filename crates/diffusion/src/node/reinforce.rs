@@ -4,6 +4,7 @@
 use wsn_net::{Ctx, NodeId};
 use wsn_sim::SimDuration;
 
+use crate::config::SEND_JITTER;
 use crate::msg::{DiffMsg, MsgId, ReinforceKind};
 
 use super::{DiffTimer, DiffusionNode};
@@ -109,8 +110,7 @@ impl DiffusionNode {
         };
         // Stale knowledge: past one exploratory interval the cached offers
         // no longer describe the network; wait for the next round instead.
-        if now.saturating_duration_since(track.last_id.round_time(&self.cfg))
-            > self.cfg.exploratory_interval
+        if now.saturating_duration_since(track.last_id.round_time()) > self.cfg.exploratory_interval
         {
             return;
         }
@@ -162,12 +162,7 @@ impl DiffusionNode {
             // data senders (the cascade of §4.3).
             self.window.evict(now);
             for u in self.window.senders() {
-                self.send_jittered(
-                    ctx,
-                    self.cfg.send_jitter,
-                    Some(u),
-                    DiffMsg::NegativeReinforce,
-                );
+                self.send_jittered(ctx, SEND_JITTER, Some(u), DiffMsg::NegativeReinforce);
             }
         }
     }
@@ -177,12 +172,7 @@ impl DiffusionNode {
         // Truncation applies to nodes pulling data from several neighbors.
         let truncated = self.window.decide(self.cfg.scheme, now);
         for &n in &truncated {
-            self.send_jittered(
-                ctx,
-                self.cfg.send_jitter,
-                Some(n),
-                DiffMsg::NegativeReinforce,
-            );
+            self.send_jittered(ctx, SEND_JITTER, Some(n), DiffMsg::NegativeReinforce);
         }
         // Data-driven re-reinforcement: diffusion's reinforcement is a
         // repeated interest, so neighbors actively delivering new data have
@@ -199,7 +189,7 @@ impl DiffusionNode {
                     if !truncated.contains(&u) {
                         self.send_jittered(
                             ctx,
-                            self.cfg.send_jitter,
+                            SEND_JITTER,
                             Some(u),
                             DiffMsg::Reinforce {
                                 id,
@@ -212,12 +202,7 @@ impl DiffusionNode {
         } else {
             for u in self.window.senders() {
                 if !truncated.contains(&u) {
-                    self.send_jittered(
-                        ctx,
-                        self.cfg.send_jitter,
-                        Some(u),
-                        DiffMsg::NegativeReinforce,
-                    );
+                    self.send_jittered(ctx, SEND_JITTER, Some(u), DiffMsg::NegativeReinforce);
                 }
             }
         }

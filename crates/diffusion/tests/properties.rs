@@ -485,8 +485,8 @@ proptest! {
     /// the paper's coefficients.
     #[test]
     fn aggregation_fn_sizes(d in 1usize..50) {
-        prop_assert_eq!(AggregationFn::Perfect.aggregate_bytes(d, 64), 64);
-        let lin = AggregationFn::LINEAR_PAPER.aggregate_bytes(d, 64);
+        prop_assert_eq!(AggregationFn::Perfect.aggregate_bytes(d), 64);
+        let lin = AggregationFn::Linear.aggregate_bytes(d);
         prop_assert_eq!(lin, 28 * d as u32 + 36);
     }
 }

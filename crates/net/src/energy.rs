@@ -50,7 +50,8 @@ pub struct EnergyModel {
 }
 
 impl EnergyModel {
-    /// The paper's model: idle 35 mW, receive 395 mW, transmit 660 mW.
+    /// The paper's model (DESIGN §3 "Energy"): idle 35 mW, receive
+    /// 395 mW, transmit 660 mW. Every [`EnergyMeter`] runs on it.
     pub const PAPER: EnergyModel = EnergyModel {
         idle_w: 0.035,
         rx_w: 0.395,
@@ -68,13 +69,8 @@ impl EnergyModel {
     }
 }
 
-impl Default for EnergyModel {
-    fn default() -> Self {
-        EnergyModel::PAPER
-    }
-}
-
-/// Integrates a node's dissipated energy over its radio-state timeline.
+/// Integrates a node's dissipated energy over its radio-state timeline,
+/// at the power of [`EnergyModel::PAPER`].
 ///
 /// Call [`EnergyMeter::set_state`] at every state transition; the meter
 /// accumulates `power(previous state) × elapsed`. Call
@@ -84,10 +80,10 @@ impl Default for EnergyModel {
 /// # Examples
 ///
 /// ```
-/// use wsn_net::{EnergyMeter, EnergyModel, RadioState};
+/// use wsn_net::{EnergyMeter, RadioState};
 /// use wsn_sim::SimTime;
 ///
-/// let mut meter = EnergyMeter::new(EnergyModel::PAPER, SimTime::ZERO);
+/// let mut meter = EnergyMeter::new(SimTime::ZERO);
 /// meter.set_state(RadioState::Transmitting, SimTime::from_secs(10));
 /// // 10 s idle, then 1 s transmitting:
 /// let j = meter.dissipated_at(SimTime::from_secs(11));
@@ -95,7 +91,6 @@ impl Default for EnergyModel {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EnergyMeter {
-    model: EnergyModel,
     state: RadioState,
     since: SimTime,
     /// Joules accumulated per state: [off, idle, rx, tx].
@@ -113,9 +108,8 @@ pub(crate) fn state_index(state: RadioState) -> usize {
 
 impl EnergyMeter {
     /// Creates a meter starting in [`RadioState::Idle`] at `now`.
-    pub fn new(model: EnergyModel, now: SimTime) -> Self {
+    pub fn new(now: SimTime) -> Self {
         EnergyMeter {
-            model,
             state: RadioState::Idle,
             since: now,
             joules: [0.0; 4],
@@ -148,7 +142,8 @@ impl EnergyMeter {
     /// Total energy dissipated up to `now`, in joules, including the
     /// partially elapsed current state. Does not change the meter's state.
     pub fn dissipated_at(&self, now: SimTime) -> f64 {
-        let pending = now.duration_since(self.since).as_secs_f64() * self.model.power(self.state);
+        let pending =
+            now.duration_since(self.since).as_secs_f64() * EnergyModel::PAPER.power(self.state);
         self.joules.iter().sum::<f64>() + pending
     }
 
@@ -156,7 +151,7 @@ impl EnergyMeter {
     pub fn dissipated_in_state_at(&self, state: RadioState, now: SimTime) -> f64 {
         let mut j = self.joules[state_index(state)];
         if state == self.state {
-            j += now.duration_since(self.since).as_secs_f64() * self.model.power(state);
+            j += now.duration_since(self.since).as_secs_f64() * EnergyModel::PAPER.power(state);
         }
         j
     }
@@ -171,7 +166,7 @@ impl EnergyMeter {
 
     fn accumulate(&mut self, now: SimTime) -> f64 {
         let dt = now.duration_since(self.since).as_secs_f64();
-        let joules = dt * self.model.power(self.state);
+        let joules = dt * EnergyModel::PAPER.power(self.state);
         self.joules[state_index(self.state)] += joules;
         self.since = now;
         joules
@@ -198,14 +193,14 @@ mod tests {
 
     #[test]
     fn off_draws_nothing() {
-        let mut meter = EnergyMeter::new(EnergyModel::PAPER, t(0));
+        let mut meter = EnergyMeter::new(t(0));
         meter.set_state(RadioState::Off, t(0));
         assert_eq!(meter.dissipated_at(t(100)), 0.0);
     }
 
     #[test]
     fn integrates_each_state() {
-        let mut meter = EnergyMeter::new(EnergyModel::PAPER, t(0));
+        let mut meter = EnergyMeter::new(t(0));
         meter.set_state(RadioState::Receiving, t(2)); // 2 s idle
         meter.set_state(RadioState::Transmitting, t(5)); // 3 s rx
         meter.set_state(RadioState::Idle, t(6)); // 1 s tx
@@ -215,14 +210,14 @@ mod tests {
 
     #[test]
     fn dissipated_at_includes_partial_interval() {
-        let meter = EnergyMeter::new(EnergyModel::PAPER, t(0));
+        let meter = EnergyMeter::new(t(0));
         let j = meter.dissipated_at(t(10));
         assert!((j - 0.35).abs() < 1e-9);
     }
 
     #[test]
     fn redundant_transitions_are_harmless() {
-        let mut meter = EnergyMeter::new(EnergyModel::PAPER, t(0));
+        let mut meter = EnergyMeter::new(t(0));
         for s in 1..=10 {
             meter.set_state(RadioState::Idle, t(s));
         }
@@ -232,13 +227,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "duration_since")]
     fn time_reversal_panics() {
-        let mut meter = EnergyMeter::new(EnergyModel::PAPER, t(5));
+        let mut meter = EnergyMeter::new(t(5));
         meter.set_state(RadioState::Idle, t(1));
     }
 
     #[test]
     fn per_state_breakdown_sums_to_total() {
-        let mut meter = EnergyMeter::new(EnergyModel::PAPER, t(0));
+        let mut meter = EnergyMeter::new(t(0));
         meter.set_state(RadioState::Receiving, t(2));
         meter.set_state(RadioState::Transmitting, t(5));
         meter.set_state(RadioState::Idle, t(6));
@@ -260,7 +255,7 @@ mod tests {
 
     #[test]
     fn set_state_reports_the_closed_interval() {
-        let mut meter = EnergyMeter::new(EnergyModel::PAPER, t(0));
+        let mut meter = EnergyMeter::new(t(0));
         let (prev, j) = meter.set_state(RadioState::Transmitting, t(10));
         assert_eq!(prev, RadioState::Idle);
         assert!((j - 0.35).abs() < 1e-12);
@@ -282,17 +277,5 @@ mod tests {
             ],
             wsn_trace::ENERGY_STATES
         );
-    }
-
-    #[test]
-    fn custom_model_is_respected() {
-        let model = EnergyModel {
-            idle_w: 1.0,
-            rx_w: 2.0,
-            tx_w: 4.0,
-        };
-        let mut meter = EnergyMeter::new(model, t(0));
-        meter.set_state(RadioState::Transmitting, t(1));
-        assert!((meter.dissipated_at(t(2)) - 5.0).abs() < 1e-12);
     }
 }

@@ -36,9 +36,8 @@ impl<P: Protocol> Network<P> {
         self.profile = Some(sink);
     }
 
-    /// Installs a trace sink: emits the `run_start` header, optionally taps
-    /// every kernel dispatch, and arms the periodic per-node snapshot if a
-    /// cadence is configured.
+    /// Installs a trace sink: emits the `run_start` header and arms the
+    /// periodic per-node snapshot if a cadence is configured.
     ///
     /// Call before the first [`run_until`](Network::run_until) so the trace
     /// covers the whole run. With [`TraceOptions::snapshot_every`] set, the
@@ -52,15 +51,6 @@ impl<P: Protocol> Network<P> {
             seed: self.core.seed,
             nodes: self.core.phy.len() as u32,
         });
-        if opts.dispatch {
-            let tap = self.core.phy.trace.clone().expect("sink just installed");
-            self.core.sim.set_dispatch_hook(move |seq, now| {
-                tap.borrow_mut().record(&TraceRecord::Dispatch {
-                    t_ns: now.as_nanos(),
-                    seq,
-                });
-            });
-        }
         if let Some(every) = opts.snapshot_every {
             // Metrics may already have a snapshot stream in flight; the
             // shared `Ev::Snapshot` re-arms at the trace cadence from its
@@ -180,7 +170,6 @@ impl<P: Protocol> Network<P> {
             events: self.core.sim.events_processed(),
             total_energy_j: self.total_energy(),
         });
-        self.core.sim.clear_dispatch_hook();
         self.core.phy.trace = None;
         let flushed = sink.borrow_mut().flush();
         flushed

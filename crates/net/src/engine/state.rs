@@ -10,7 +10,6 @@
 use wsn_sim::{EventId, RunAccounting, SimDuration, SimRng, SimTime, Simulator};
 use wsn_trace::{DropReason, TraceRecord};
 
-use crate::config::NetConfig;
 use crate::mac::{Mac, MacCtx, MacImpl, MacKind};
 use crate::metrics::drop_reason_index;
 use crate::node::NodeId;
@@ -35,7 +34,6 @@ const STREAM_PROTO: u64 = 0x0050_524F_544F;
 /// a `MacCtx` split-borrowed from the core's other fields.
 pub struct EngineCore<M, T> {
     pub(crate) sim: Simulator<Ev<T>>,
-    cfg: NetConfig,
     pub(crate) phy: Phy<M>,
     pub(super) mac: MacImpl<M>,
     proto_rngs: Vec<SimRng>,
@@ -54,7 +52,6 @@ impl<M: std::fmt::Debug, T: std::fmt::Debug> std::fmt::Debug for EngineCore<M, T
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineCore")
             .field("sim", &self.sim)
-            .field("cfg", &self.cfg)
             .field("phy", &self.phy)
             .field("mac", &self.mac)
             .field("seed", &self.seed)
@@ -64,16 +61,15 @@ impl<M: std::fmt::Debug, T: std::fmt::Debug> std::fmt::Debug for EngineCore<M, T
 }
 
 impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> EngineCore<M, T> {
-    pub(super) fn new(topo: Topology, cfg: NetConfig, seed: u64) -> Self {
+    pub(super) fn new(topo: Topology, mac: MacKind, seed: u64) -> Self {
         let n = topo.len();
-        let phy = Phy::new(topo, &cfg, matches!(cfg.mac, MacKind::Ideal));
-        let mac = MacImpl::new(cfg.mac, n, seed);
+        let phy = Phy::new(topo, mac == MacKind::Ideal);
+        let mac = MacImpl::new(mac, n, seed);
         let proto_rngs = (0..n)
             .map(|i| SimRng::derive(seed, STREAM_PROTO, i as u64))
             .collect();
         EngineCore {
             sim: Simulator::new(),
-            cfg,
             phy,
             mac,
             proto_rngs,
@@ -133,10 +129,8 @@ impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> EngineCore<M, T> {
     /// Splits the core into the installed MAC and the [`MacCtx`] window it
     /// drives the other layers through.
     pub(crate) fn mac_split(&mut self) -> (&mut MacImpl<M>, MacCtx<'_, M, T>) {
-        let EngineCore {
-            sim, cfg, phy, mac, ..
-        } = self;
-        (mac, MacCtx { sim, phy, cfg })
+        let EngineCore { sim, phy, mac, .. } = self;
+        (mac, MacCtx { sim, phy })
     }
 
     /// Queues a frame at `node`'s MAC.

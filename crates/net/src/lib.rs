@@ -17,7 +17,7 @@
 //! # Examples
 //!
 //! ```
-//! use wsn_net::{NetConfig, Position, Topology};
+//! use wsn_net::{tx_duration, Position, Topology};
 //!
 //! // The paper's physical layer: 40 m radios in a 200 m field.
 //! let topo = Topology::new(
@@ -28,8 +28,7 @@
 //!
 //! // A 64-byte event occupies the channel for 512 µs (320 µs payload at
 //! // 1.6 Mbps plus the 192 µs PHY preamble).
-//! let cfg = NetConfig::default();
-//! assert_eq!(cfg.tx_duration(64).as_nanos(), 512_000);
+//! assert_eq!(tx_duration(64).as_nanos(), 512_000);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -50,7 +49,7 @@ mod soa;
 mod topology;
 mod trace;
 
-pub use config::NetConfig;
+pub use config::{tx_duration, NetConfig, RETRY_LIMIT};
 pub use energy::{EnergyMeter, EnergyModel, RadioState};
 pub use engine::{EngineCore, EventBudgetExceeded, Network};
 pub use mac::MacKind;

@@ -15,7 +15,10 @@ use std::rc::Rc;
 use wsn_sim::{EventId, SimRng};
 use wsn_trace::{DropReason, TraceRecord};
 
-use crate::config::NetConfig;
+use crate::config::{
+    ack_timeout, cts_timeout, tx_duration, ACK_BYTES, CTS_BYTES, CW_MAX_SLOTS, CW_MIN_SLOTS, DIFS,
+    RETRY_LIMIT, RTS_BYTES, SIFS, SLOT,
+};
 use crate::engine::Ev;
 use crate::mac::{Mac, MacCtx};
 use crate::metrics::drop_reason_index;
@@ -30,10 +33,8 @@ const STREAM_MAC: u64 = 0x004D_4143;
 /// `retries`-th retransmission: the window doubles per retry, capped at
 /// CWmax — this is what decorrelates hidden terminals whose attempts keep
 /// colliding.
-pub(crate) fn contention_window(cfg: &NetConfig, retries: u32) -> u64 {
-    (cfg.cw_slots << retries.min(16))
-        .min(cfg.cw_max_slots)
-        .max(1)
+pub(crate) fn contention_window(retries: u32) -> u64 {
+    (CW_MIN_SLOTS << retries.min(16)).min(CW_MAX_SLOTS)
 }
 
 /// A queued payload frame with its retransmission count. The packet is
@@ -115,12 +116,12 @@ impl<M: Clone + std::fmt::Debug> CsmaCa<M> {
             return;
         }
         let retries = node.queue.front().map_or(0, |q| q.retries);
-        let cw = contention_window(ctx.cfg, retries);
+        let cw = contention_window(retries);
         let slots = node.rng.below(cw);
         if let Some(m) = ctx.phy.metrics.as_deref_mut() {
             m.reg.inc(m.ids.backoff_draws);
         }
-        let delay = ctx.cfg.difs + ctx.cfg.slot.saturating_mul(slots);
+        let delay = DIFS + SLOT.saturating_mul(slots);
         let id = ctx.sim.schedule_after(
             delay,
             Ev::BackoffDone {
@@ -142,7 +143,7 @@ impl<M: Clone + std::fmt::Debug> CsmaCa<M> {
         last_tx: Option<TxId>,
     ) -> Option<Rc<Packet<M>>> {
         let mut failed = None;
-        if queued.retries < ctx.cfg.retry_limit {
+        if queued.retries < RETRY_LIMIT {
             queued.retries += 1;
             ctx.phy.stats.retries += 1;
             self.nodes[i].queue.push_front(queued);
@@ -202,15 +203,11 @@ impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> Mac<M, T> for CsmaC
         match queued.packet.dst {
             Some(dst) if self.rts_cts => {
                 // Unicast with handshake: RTS first, data after the CTS.
-                let tx = ctx.phy.start_frame(
-                    ctx.sim,
-                    ctx.cfg,
-                    i,
-                    Frame::Rts { to: dst },
-                    ctx.cfg.rts_bytes,
-                );
+                let tx = ctx
+                    .phy
+                    .start_frame(ctx.sim, i, Frame::Rts { to: dst }, RTS_BYTES);
                 let timer = ctx.sim.schedule_after(
-                    ctx.cfg.tx_duration(ctx.cfg.rts_bytes) + ctx.cfg.cts_timeout(),
+                    tx_duration(RTS_BYTES) + cts_timeout(),
                     Ev::AckTimeout { node: me, tx },
                 );
                 self.nodes[i].awaiting = Some(Awaiting {
@@ -223,9 +220,9 @@ impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> Mac<M, T> for CsmaC
             Some(_) => {
                 let bytes = queued.packet.bytes;
                 let frame = Frame::Payload(Rc::clone(&queued.packet));
-                let tx = ctx.phy.start_frame(ctx.sim, ctx.cfg, i, frame, bytes);
+                let tx = ctx.phy.start_frame(ctx.sim, i, frame, bytes);
                 let timer = ctx.sim.schedule_after(
-                    ctx.cfg.tx_duration(bytes) + ctx.cfg.ack_timeout(),
+                    tx_duration(bytes) + ack_timeout(),
                     Ev::AckTimeout { node: me, tx },
                 );
                 self.nodes[i].awaiting = Some(Awaiting {
@@ -238,7 +235,7 @@ impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> Mac<M, T> for CsmaC
             None => {
                 let bytes = queued.packet.bytes;
                 let frame = Frame::Payload(Rc::clone(&queued.packet));
-                ctx.phy.start_frame(ctx.sim, ctx.cfg, i, frame, bytes);
+                ctx.phy.start_frame(ctx.sim, i, frame, bytes);
             }
         }
     }
@@ -254,7 +251,7 @@ impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> Mac<M, T> for CsmaC
         // The addressed receiver of a clean unicast payload owes an ACK.
         if let Some(v) = outcome.unicast_decoded {
             ctx.sim.schedule_after(
-                ctx.cfg.sifs,
+                SIFS,
                 Ev::AckDue {
                     node: v,
                     acked: tx,
@@ -280,7 +277,7 @@ impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> Mac<M, T> for CsmaC
                 }
                 Control::Rts => {
                     ctx.sim
-                        .schedule_after(ctx.cfg.sifs, Ev::CtsDue { node: *v, to: me });
+                        .schedule_after(SIFS, Ev::CtsDue { node: *v, to: me });
                 }
                 Control::Cts => {
                     if self.nodes[vi]
@@ -308,7 +305,7 @@ impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> Mac<M, T> for CsmaC
             ctx.sim.cancel(a.timer);
             a.phase = AwaitPhase::DataTurnaround;
             ctx.sim.schedule_after(
-                ctx.cfg.sifs,
+                SIFS,
                 Ev::DataDue {
                     node: NodeId::from_index(vi),
                 },
@@ -323,13 +320,8 @@ impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> Mac<M, T> for CsmaC
         if !ctx.phy.is_up(i) || ctx.phy.is_transmitting(i) {
             return; // cannot ACK right now; the sender will retry
         }
-        ctx.phy.start_frame(
-            ctx.sim,
-            ctx.cfg,
-            i,
-            Frame::Ack { acked, to },
-            ctx.cfg.ack_bytes,
-        );
+        ctx.phy
+            .start_frame(ctx.sim, i, Frame::Ack { acked, to }, ACK_BYTES);
     }
 
     fn on_cts_due(&mut self, ctx: &mut MacCtx<'_, M, T>, i: usize, to: NodeId) {
@@ -337,7 +329,7 @@ impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> Mac<M, T> for CsmaC
             return; // cannot answer; the RTS sender times out and retries
         }
         ctx.phy
-            .start_frame(ctx.sim, ctx.cfg, i, Frame::Cts { to }, ctx.cfg.cts_bytes);
+            .start_frame(ctx.sim, i, Frame::Cts { to }, CTS_BYTES);
     }
 
     /// The CTS arrived: transmit the queued data frame (SIFS turnaround has
@@ -363,11 +355,11 @@ impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> Mac<M, T> for CsmaC
         let mut a = self.nodes[i].awaiting.take().expect("checked above");
         let bytes = a.queued.packet.bytes;
         let frame = Frame::Payload(Rc::clone(&a.queued.packet));
-        let tx = ctx.phy.start_frame(ctx.sim, ctx.cfg, i, frame, bytes);
+        let tx = ctx.phy.start_frame(ctx.sim, i, frame, bytes);
         a.tx = tx;
         a.phase = AwaitPhase::Ack;
         a.timer = ctx.sim.schedule_after(
-            ctx.cfg.tx_duration(bytes) + ctx.cfg.ack_timeout(),
+            tx_duration(bytes) + ack_timeout(),
             Ev::AckTimeout {
                 node: NodeId::from_index(i),
                 tx,
@@ -416,25 +408,15 @@ mod tests {
 
     #[test]
     fn backoff_window_doubles_per_retry_and_caps() {
-        let cfg = NetConfig::default();
-        assert_eq!(contention_window(&cfg, 0), 32);
-        assert_eq!(contention_window(&cfg, 1), 64);
-        assert_eq!(contention_window(&cfg, 2), 128);
-        assert_eq!(contention_window(&cfg, 3), 256);
-        assert_eq!(contention_window(&cfg, 4), 512);
+        assert_eq!(contention_window(0), 32);
+        assert_eq!(contention_window(1), 64);
+        assert_eq!(contention_window(2), 128);
+        assert_eq!(contention_window(3), 256);
+        assert_eq!(contention_window(4), 512);
         // Doubling stops at CWmax …
-        assert_eq!(contention_window(&cfg, 5), cfg.cw_max_slots);
-        assert_eq!(contention_window(&cfg, 12), cfg.cw_max_slots);
+        assert_eq!(contention_window(5), CW_MAX_SLOTS);
+        assert_eq!(contention_window(12), CW_MAX_SLOTS);
         // … and huge retry counts don't overflow the shift.
-        assert_eq!(contention_window(&cfg, u32::MAX), cfg.cw_max_slots);
-    }
-
-    #[test]
-    fn backoff_window_never_collapses_to_zero() {
-        let cfg = NetConfig {
-            cw_slots: 0,
-            ..NetConfig::default()
-        };
-        assert_eq!(contention_window(&cfg, 0), 1, "below(0) would panic");
+        assert_eq!(contention_window(u32::MAX), CW_MAX_SLOTS);
     }
 }

@@ -47,7 +47,7 @@ impl<M: Clone + std::fmt::Debug> IdealMac<M> {
     ) {
         let bytes = packet.bytes;
         let frame = Frame::Payload(packet);
-        ctx.phy.start_frame(ctx.sim, ctx.cfg, i, frame, bytes);
+        ctx.phy.start_frame(ctx.sim, i, frame, bytes);
     }
 }
 

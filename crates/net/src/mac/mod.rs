@@ -33,7 +33,6 @@ use std::rc::Rc;
 
 use wsn_sim::Simulator;
 
-use crate::config::NetConfig;
 use crate::engine::Ev;
 use crate::node::NodeId;
 use crate::packet::{Packet, TxId};
@@ -92,13 +91,12 @@ impl std::fmt::Display for MacKind {
 }
 
 /// The MAC's window into the layers it may drive: the simulator (to schedule
-/// its own events), the PHY (to start frames and read radio/carrier state),
-/// and the radio configuration. Built by the engine as a split borrow of its
-/// disjoint fields, so the MAC itself can stay `&mut self` alongside.
+/// its own events) and the PHY (to start frames and read radio/carrier
+/// state). Built by the engine as a split borrow of its disjoint fields, so
+/// the MAC itself can stay `&mut self` alongside.
 pub(crate) struct MacCtx<'a, M, T> {
     pub(crate) sim: &'a mut Simulator<Ev<T>>,
     pub(crate) phy: &'a mut Phy<M>,
-    pub(crate) cfg: &'a NetConfig,
 }
 
 /// One medium-access policy.

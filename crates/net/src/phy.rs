@@ -49,7 +49,7 @@ use std::rc::Rc;
 use wsn_sim::{SimTime, Simulator};
 use wsn_trace::{DropReason, LineageTable, SharedSink, TraceRecord};
 
-use crate::config::NetConfig;
+use crate::config::tx_duration;
 use crate::energy::{state_index, EnergyMeter, RadioState};
 use crate::engine::Ev;
 use crate::metrics::{drop_reason_index, MetricsState};
@@ -358,12 +358,11 @@ impl<M: std::fmt::Debug> std::fmt::Debug for Phy<M> {
 }
 
 impl<M: Clone + std::fmt::Debug> Phy<M> {
-    pub(crate) fn new(topo: Topology, cfg: &NetConfig, capture: bool) -> Self {
+    pub(crate) fn new(topo: Topology, capture: bool) -> Self {
         let n = topo.len();
-        let now = SimTime::ZERO;
         Phy {
             up: Bits::new_all_set(n),
-            meters: (0..n).map(|_| EnergyMeter::new(cfg.energy, now)).collect(),
+            meters: vec![EnergyMeter::new(SimTime::ZERO); n],
             transmitting: vec![None; n],
             radio: vec![Radio::default(); n],
             receiving: Bits::new_all_clear(topo.link_count()),
@@ -435,7 +434,6 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
     pub(crate) fn start_frame<T: Clone + std::fmt::Debug>(
         &mut self,
         sim: &mut Simulator<Ev<T>>,
-        cfg: &NetConfig,
         i: usize,
         frame: Frame<M>,
         bytes: u32,
@@ -523,7 +521,7 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
             }
             update_meter_at(meters, up, transmitting, radio, trace, metrics, vi, now);
         }
-        let duration = cfg.tx_duration(bytes);
+        let duration = tx_duration(bytes);
         sim.schedule_after(duration, Ev::TxEnd { node: sender, tx });
         tx
     }

@@ -1,16 +1,16 @@
 //! Engine-side tracing configuration.
 //!
 //! Installing a sink (via [`Network::set_trace`](crate::Network::set_trace))
-//! turns on record emission; [`TraceOptions`] selects which of the optional,
-//! high-volume record families the engine also emits.
+//! turns on record emission; [`TraceOptions`] selects whether the engine
+//! also emits the optional, high-volume snapshot family.
 
 use wsn_sim::SimDuration;
 
 /// What the engine records when a trace sink is installed.
 ///
 /// The always-on families (packet tx/rx/drop, collisions, energy debits,
-/// run start/end) are cheap — a few fields per MAC event. The options here
-/// gate the families whose volume scales differently:
+/// run start/end) are cheap — a few fields per MAC event. The one option
+/// here gates the family whose volume scales with node count:
 ///
 /// # Examples
 ///
@@ -20,9 +20,9 @@ use wsn_sim::SimDuration;
 ///
 /// let opts = TraceOptions {
 ///     snapshot_every: Some(SimDuration::from_secs(10)),
-///     ..TraceOptions::default()
 /// };
-/// assert!(!opts.dispatch); // kernel dispatch records stay off by default
+/// assert_eq!(TraceOptions::default().snapshot_every, None); // off by default
+/// assert_ne!(opts, TraceOptions::default());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceOptions {
@@ -30,7 +30,4 @@ pub struct TraceOptions {
     /// size). `None` disables snapshots. Each firing costs one engine event
     /// plus one record per node, so the cadence multiplies by node count.
     pub snapshot_every: Option<SimDuration>,
-    /// Whether to record every kernel dispatch (one record per simulation
-    /// event — by far the highest-volume family; off by default).
-    pub dispatch: bool,
 }

@@ -5,7 +5,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use wsn_net::{
-    Ctx, MacKind, NetConfig, Network, NodeId, Packet, Position, Protocol, Topology, TraceOptions,
+    tx_duration, Ctx, MacKind, NetConfig, Network, NodeId, Packet, Position, Protocol, Topology,
+    TraceOptions, RETRY_LIMIT,
 };
 use wsn_sim::{SimDuration, SimTime};
 use wsn_trace::{DropReason, MemSink, SharedSink, TraceRecord};
@@ -220,10 +221,7 @@ fn zero_neighbor_node_sends_into_the_void() {
     net.run_until(SimTime::from_secs(3));
     // Node 1 is silent and out of range: every frame and loss is node 0's.
     let s = net.stats();
-    assert_eq!(
-        s.total_tx_frames(),
-        2 + u64::from(NetConfig::default().retry_limit)
-    );
+    assert_eq!(s.total_tx_frames(), 2 + u64::from(RETRY_LIMIT));
     assert_eq!(s.total_failed(), 1);
     assert_eq!(net.protocol(NodeId(0)).failed_unicasts.len(), 1);
     assert!(net.protocol(NodeId(1)).received.is_empty());
@@ -232,7 +230,6 @@ fn zero_neighbor_node_sends_into_the_void() {
 fn rts_config() -> NetConfig {
     NetConfig {
         mac: MacKind::RtsCts,
-        ..NetConfig::default()
     }
 }
 
@@ -285,7 +282,7 @@ fn rts_to_dead_node_retries_and_reports_failure() {
     // Node 1 is down, so every frame and loss is node 0's. Every attempt is
     // an RTS that goes unanswered; no data frame ever flies.
     let s = net.stats();
-    assert_eq!(s.frames_tx[RTS], 1 + u64::from(rts_config().retry_limit));
+    assert_eq!(s.frames_tx[RTS], 1 + u64::from(RETRY_LIMIT));
     assert_eq!(s.total_tx_frames(), 0);
     assert_eq!(s.total_failed(), 1);
     assert_eq!(
@@ -374,7 +371,7 @@ fn run_recorded<P: Protocol>(net: &mut Network<P>, end: SimTime) -> Vec<TraceRec
 }
 
 /// Node `node`'s `nth` frame on the air: `(start ns, tx id, end ns)`.
-fn frame_on_air(recs: &[TraceRecord], node: u32, nth: usize, cfg: &NetConfig) -> (u64, u64, u64) {
+fn frame_on_air(recs: &[TraceRecord], node: u32, nth: usize) -> (u64, u64, u64) {
     recs.iter()
         .filter_map(|r| match *r {
             TraceRecord::PacketTx {
@@ -383,7 +380,7 @@ fn frame_on_air(recs: &[TraceRecord], node: u32, nth: usize, cfg: &NetConfig) ->
                 tx,
                 bytes,
                 ..
-            } if n == node => Some((t_ns, tx, t_ns + cfg.tx_duration(bytes).as_nanos())),
+            } if n == node => Some((t_ns, tx, t_ns + tx_duration(bytes).as_nanos())),
             _ => None,
         })
         .nth(nth)
@@ -437,9 +434,8 @@ fn air_network(
 
 #[test]
 fn hearer_down_and_up_mid_frame_gets_nothing_and_carrier_releases_at_tx_end() {
-    let cfg = NetConfig::default();
     let build = || {
-        air_network(pair(), cfg.clone(), 41, |id, p| {
+        air_network(pair(), NetConfig::default(), 41, |id, p| {
             if id == NodeId(0) {
                 p.at_start.push((ms(10), 1000, 7));
                 p.at_start.push((ms(200), 64, 8));
@@ -452,14 +448,14 @@ fn hearer_down_and_up_mid_frame_gets_nothing_and_carrier_releases_at_tx_end() {
         })
     };
     let dry = run_recorded(&mut build(), SimTime::from_secs(1));
-    let (start, tx, end) = frame_on_air(&dry, 0, 0, &cfg);
+    let (start, tx, end) = frame_on_air(&dry, 0, 0);
 
     let mut net = build();
     let third = (end - start) / 3;
     net.schedule_down(SimTime::from_nanos(start + third), NodeId(1));
     net.schedule_up(SimTime::from_nanos(start + 2 * third), NodeId(1));
     let recs = run_recorded(&mut net, SimTime::from_secs(1));
-    assert_eq!(frame_on_air(&recs, 0, 0, &cfg), (start, tx, end));
+    assert_eq!(frame_on_air(&recs, 0, 0), (start, tx, end));
 
     // Neither a delivery nor a drop record for the interrupted reception;
     // node 0's next frame then arrives clean.
@@ -487,7 +483,7 @@ fn hearer_down_and_up_mid_frame_gets_nothing_and_carrier_releases_at_tx_end() {
     )));
     // ...and its own frame, queued before that TxEnd, waits for it and then
     // goes out and delivers.
-    let (tx1_start, _, _) = frame_on_air(&recs, 1, 0, &cfg);
+    let (tx1_start, _, _) = frame_on_air(&recs, 1, 0);
     assert!(
         tx1_start > end,
         "node 1 sent at {tx1_start} before TxEnd {end}"
@@ -511,25 +507,26 @@ fn sender_between_two_hearers() -> Topology {
 /// frame's TxEnd, then sends a second frame. Returns the run's records,
 /// the first frame's `(tx, end)` and the network.
 fn transmitter_death(mac: MacKind) -> (Vec<TraceRecord>, (u64, u64), Network<Air>) {
-    let cfg = NetConfig {
-        mac,
-        ..NetConfig::default()
-    };
     let build = || {
-        air_network(sender_between_two_hearers(), cfg.clone(), 43, |id, p| {
-            if id == NodeId(0) {
-                p.at_start.push((ms(10), 1000, 1));
-                p.at_up.push((ms(1), 1000, 2));
-            }
-        })
+        air_network(
+            sender_between_two_hearers(),
+            NetConfig { mac },
+            43,
+            |id, p| {
+                if id == NodeId(0) {
+                    p.at_start.push((ms(10), 1000, 1));
+                    p.at_up.push((ms(1), 1000, 2));
+                }
+            },
+        )
     };
     let dry = run_recorded(&mut build(), SimTime::from_secs(1));
-    let (start, tx, end) = frame_on_air(&dry, 0, 0, &cfg);
+    let (start, tx, end) = frame_on_air(&dry, 0, 0);
     let mut net = build();
     net.schedule_down(SimTime::from_nanos(start + (end - start) / 3), NodeId(0));
     net.schedule_up(SimTime::from_nanos(end + 1_000_000), NodeId(0));
     let recs = run_recorded(&mut net, SimTime::from_secs(1));
-    assert_eq!(frame_on_air(&recs, 0, 0, &cfg), (start, tx, end));
+    assert_eq!(frame_on_air(&recs, 0, 0), (start, tx, end));
     (recs, (tx, end), net)
 }
 
@@ -572,16 +569,15 @@ fn third_frame_onto_a_corrupted_reception_adds_exactly_one_collision() {
         ],
         40.0,
     );
-    let cfg = NetConfig::default();
-    let mut net = air_network(topo, cfg.clone(), 47, |id, p| {
+    let mut net = air_network(topo, NetConfig::default(), 47, |id, p| {
         if id != NodeId(0) {
             p.at_start.push((ms(9 + u64::from(id.0)), 1000, id.0));
         }
     });
     let recs = run_recorded(&mut net, SimTime::from_secs(1));
-    let (a, ta, a_end) = frame_on_air(&recs, 1, 0, &cfg);
-    let (b, tb, _) = frame_on_air(&recs, 2, 0, &cfg);
-    let (c, tc, _) = frame_on_air(&recs, 3, 0, &cfg);
+    let (a, ta, a_end) = frame_on_air(&recs, 1, 0);
+    let (b, tb, _) = frame_on_air(&recs, 2, 0);
+    let (c, tc, _) = frame_on_air(&recs, 3, 0);
     assert!(a < b && b < c && c < a_end, "frames do not overlap");
     // The second frame corrupts the first and itself; the third adds only
     // its own.

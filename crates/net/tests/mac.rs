@@ -9,6 +9,7 @@ use std::rc::Rc;
 
 use wsn_net::{
     Ctx, MacKind, NetConfig, Network, NodeId, Packet, Position, Protocol, Topology, TraceOptions,
+    RETRY_LIMIT,
 };
 use wsn_sim::{SimDuration, SimTime};
 use wsn_trace::{DropReason, JsonlSink, SharedSink, TraceRecord};
@@ -120,16 +121,12 @@ fn retry_exhaustion_drop_is_attributed_in_the_trace() {
         vec![(NodeId(1), 5)]
     );
     // Node 1 is down, so every data frame is node 0's.
-    assert_eq!(
-        net.stats().total_tx_frames(),
-        1 + u64::from(NetConfig::default().retry_limit)
-    );
+    assert_eq!(net.stats().total_tx_frames(), 1 + u64::from(RETRY_LIMIT));
 }
 
 fn ideal_config() -> NetConfig {
     NetConfig {
         mac: MacKind::Ideal,
-        ..NetConfig::default()
     }
 }
 

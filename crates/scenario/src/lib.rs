@@ -1,8 +1,8 @@
 //! # wsn-scenario — reproducible experiment scenarios
 //!
 //! Generates everything around the protocol: connected random sensor fields
-//! ([`generate_field`]), the paper's source/sink placement schemes
-//! ([`SourcePlacement`], [`SinkPlacement`]), the rolling 20%-down failure
+//! ([`generate_field`]), the paper's source and sink placement
+//! ([`SourcePlacement`], [`place_sinks`]), the rolling 20%-down failure
 //! model ([`rolling_failures`]), and the [`ScenarioSpec`] that ties a full
 //! run to a single seed.
 //!
@@ -29,8 +29,7 @@ mod spec;
 pub use failures::{downtime_fraction, rolling_failures, FailureConfig, FailureEvent};
 pub use field::{generate_field, generate_field_with, Connectivity, Field};
 pub use placement::{
-    pick_nodes_in_region, pick_nodes_uniform, place_sinks, place_sources, SinkPlacement,
-    SourcePlacement,
+    pick_nodes_in_region, pick_nodes_uniform, place_sinks, place_sources, SourcePlacement,
 };
 pub use render::{render_svg, RenderOverlay};
 pub use spec::{ScenarioInstance, ScenarioSpec};

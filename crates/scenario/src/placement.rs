@@ -7,54 +7,22 @@ use wsn_sim::SimRng;
 
 use crate::field::Field;
 
+/// Side of the bottom-left square the corner sources are drawn from, meters
+/// (DESIGN §3 "Source square": 80 m).
+const SOURCE_SQUARE_M: f64 = 80.0;
+
+/// Side of the top-right square the first sink is drawn from, meters
+/// (DESIGN §3 "Sink square": 36 m).
+const SINK_SQUARE_M: f64 = 36.0;
+
 /// How sources are chosen.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SourcePlacement {
     /// "All sources are randomly selected from nodes in a 80 m by 80 m
     /// square at the bottom left corner of the sensor field." (§5.1)
-    Corner {
-        /// Side of the corner square, meters (paper: 80).
-        side: f64,
-    },
+    Corner,
     /// "We randomly placed 5 sources in the sensor field" (§5.4, Figure 7).
     Uniform,
-    /// The *event-radius model* from the abstract analysis the paper cites
-    /// (Krishnamachari et al.): a single event occurs at a point and every
-    /// node within the sensing radius becomes a source. The paper notes its
-    /// own corner scheme "differs from the event-radius model ... because
-    /// sources may not be triggered by the same phenomena and may not be
-    /// within one hop from one another".
-    EventRadius {
-        /// Event x coordinate, meters.
-        x: f64,
-        /// Event y coordinate, meters.
-        y: f64,
-        /// Sensing radius, meters.
-        radius: f64,
-    },
-}
-
-impl SourcePlacement {
-    /// The paper's default corner placement.
-    pub const PAPER_CORNER: SourcePlacement = SourcePlacement::Corner { side: 80.0 };
-}
-
-/// How sinks are chosen.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SinkPlacement {
-    /// "The sink is randomly selected from nodes in a 36 m by 36 m square at
-    /// the top right corner of the field." (§5.1) For multi-sink runs
-    /// (Figure 8): "The first sink is placed at the top right corner whereas
-    /// the other sinks are uniformly scattered across the sensor field."
-    CornerThenUniform {
-        /// Side of the corner square, meters (paper: 36).
-        side: f64,
-    },
-}
-
-impl SinkPlacement {
-    /// The paper's default sink placement.
-    pub const PAPER: SinkPlacement = SinkPlacement::CornerThenUniform { side: 36.0 };
 }
 
 /// Picks `count` distinct nodes inside `region`, excluding `exclude`.
@@ -143,20 +111,18 @@ fn off_core(field: &Field) -> impl Iterator<Item = NodeId> + '_ {
         .filter(|&id| !field.in_core(id))
 }
 
-/// Selects the sinks for a field per the placement scheme.
-pub fn place_sinks(
-    field: &Field,
-    placement: SinkPlacement,
-    count: usize,
-    rng: &mut SimRng,
-) -> Vec<NodeId> {
-    let SinkPlacement::CornerThenUniform { side } = placement;
+/// Selects the sinks for a field: "The sink is randomly selected from nodes
+/// in a 36 m by 36 m square at the top right corner of the field." (§5.1)
+/// For multi-sink runs (Figure 8): "The first sink is placed at the top
+/// right corner whereas the other sinks are uniformly scattered across the
+/// sensor field."
+pub fn place_sinks(field: &Field, count: usize, rng: &mut SimRng) -> Vec<NodeId> {
     let mut exclude: HashSet<NodeId> = off_core(field).collect();
     let mut sinks = Vec::with_capacity(count);
     if count == 0 {
         return sinks;
     }
-    let corner = field.area.top_right(side, side);
+    let corner = field.area.top_right(SINK_SQUARE_M, SINK_SQUARE_M);
     let first = pick_nodes_in_region(&field.positions, corner, 1, &exclude, rng);
     sinks.extend(first.iter().copied());
     exclude.extend(first);
@@ -183,34 +149,11 @@ pub fn place_sources(
     let mut exclude: HashSet<NodeId> = sinks.iter().copied().collect();
     exclude.extend(off_core(field));
     match placement {
-        SourcePlacement::Corner { side } => {
-            let region = field.area.bottom_left(side, side);
+        SourcePlacement::Corner => {
+            let region = field.area.bottom_left(SOURCE_SQUARE_M, SOURCE_SQUARE_M);
             pick_nodes_in_region(&field.positions, region, count, &exclude, rng)
         }
         SourcePlacement::Uniform => pick_nodes_uniform(&field.positions, count, &exclude, rng),
-        SourcePlacement::EventRadius { x, y, radius } => {
-            let event = Position::new(x, y);
-            // All nodes within the sensing radius detect the event; `count`
-            // caps the detection set (nearest first) so the workload stays
-            // comparable across placements.
-            let mut sensing: Vec<NodeId> = field
-                .positions
-                .iter()
-                .enumerate()
-                .map(|(i, _)| NodeId::from_index(i))
-                .filter(|id| !exclude.contains(id))
-                .filter(|id| field.positions[id.index()].distance(event) <= radius)
-                .collect();
-            sensing.sort_by(|a, b| {
-                field.positions[a.index()]
-                    .distance(event)
-                    .partial_cmp(&field.positions[b.index()].distance(event))
-                    .expect("finite distances")
-                    .then(a.cmp(b))
-            });
-            sensing.truncate(count);
-            sensing
-        }
     }
 }
 
@@ -228,8 +171,8 @@ mod tests {
     fn corner_sources_live_in_the_corner() {
         let f = field(200, 1);
         let mut rng = SimRng::from_seed_stream(1, 1);
-        let sinks = place_sinks(&f, SinkPlacement::PAPER, 1, &mut rng);
-        let sources = place_sources(&f, SourcePlacement::PAPER_CORNER, 5, &sinks, &mut rng);
+        let sinks = place_sinks(&f, 1, &mut rng);
+        let sources = place_sources(&f, SourcePlacement::Corner, 5, &sinks, &mut rng);
         assert_eq!(sources.len(), 5);
         let region = f.area.bottom_left(80.0, 80.0);
         for s in &sources {
@@ -241,7 +184,7 @@ mod tests {
     fn first_sink_is_top_right() {
         let f = field(200, 2);
         let mut rng = SimRng::from_seed_stream(2, 1);
-        let sinks = place_sinks(&f, SinkPlacement::PAPER, 1, &mut rng);
+        let sinks = place_sinks(&f, 1, &mut rng);
         assert_eq!(sinks.len(), 1);
         let region = f.area.top_right(36.0, 36.0);
         assert!(region.contains(f.positions[sinks[0].index()]));
@@ -251,7 +194,7 @@ mod tests {
     fn multi_sink_yields_distinct_nodes() {
         let f = field(350, 3);
         let mut rng = SimRng::from_seed_stream(3, 1);
-        let sinks = place_sinks(&f, SinkPlacement::PAPER, 5, &mut rng);
+        let sinks = place_sinks(&f, 5, &mut rng);
         assert_eq!(sinks.len(), 5);
         let set: HashSet<_> = sinks.iter().collect();
         assert_eq!(set.len(), 5);
@@ -262,57 +205,13 @@ mod tests {
         let f = field(100, 4);
         for round in 0..10 {
             let mut rng = SimRng::from_seed_stream(4, round);
-            let sinks = place_sinks(&f, SinkPlacement::PAPER, 3, &mut rng);
+            let sinks = place_sinks(&f, 3, &mut rng);
             let sources = place_sources(&f, SourcePlacement::Uniform, 14, &sinks, &mut rng);
             let sink_set: HashSet<_> = sinks.iter().collect();
             assert!(sources.iter().all(|s| !sink_set.contains(s)));
             let distinct: HashSet<_> = sources.iter().collect();
             assert_eq!(distinct.len(), sources.len());
         }
-    }
-
-    #[test]
-    fn event_radius_picks_nearest_detectors() {
-        let f = field(200, 8);
-        let mut rng = SimRng::from_seed_stream(8, 1);
-        let sinks = place_sinks(&f, SinkPlacement::PAPER, 1, &mut rng);
-        let placement = SourcePlacement::EventRadius {
-            x: 50.0,
-            y: 50.0,
-            radius: 40.0,
-        };
-        let sources = place_sources(&f, placement, 5, &sinks, &mut rng);
-        assert!(!sources.is_empty());
-        assert!(sources.len() <= 5);
-        let event = Position::new(50.0, 50.0);
-        for s in &sources {
-            assert!(f.positions[s.index()].distance(event) <= 40.0);
-        }
-        // Deterministic: nearest-first ordering.
-        let again = place_sources(
-            &f,
-            placement,
-            5,
-            &sinks,
-            &mut SimRng::from_seed_stream(9, 9),
-        );
-        assert_eq!(
-            sources, again,
-            "event-radius placement should not depend on the rng"
-        );
-    }
-
-    #[test]
-    fn event_radius_with_no_detectors_is_empty() {
-        let f = field(50, 9);
-        let placement = SourcePlacement::EventRadius {
-            x: 100.0,
-            y: 100.0,
-            radius: 0.001,
-        };
-        let mut rng = SimRng::from_seed_stream(10, 0);
-        let sources = place_sources(&f, placement, 5, &[], &mut rng);
-        assert!(sources.is_empty());
     }
 
     #[test]
@@ -332,7 +231,7 @@ mod tests {
     fn zero_sinks_is_empty() {
         let f = field(50, 6);
         let mut rng = SimRng::from_seed_stream(6, 1);
-        assert!(place_sinks(&f, SinkPlacement::PAPER, 0, &mut rng).is_empty());
+        assert!(place_sinks(&f, 0, &mut rng).is_empty());
     }
 
     #[test]

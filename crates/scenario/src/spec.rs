@@ -12,7 +12,7 @@ use wsn_sim::{SimDuration, SimRng, SimTime};
 
 use crate::failures::{rolling_failures, FailureConfig, FailureEvent};
 use crate::field::{generate_field_with, Connectivity, Field};
-use crate::placement::{place_sinks, place_sources, SinkPlacement, SourcePlacement};
+use crate::placement::{place_sinks, place_sources, SourcePlacement};
 
 /// RNG stream labels.
 const STREAM_FIELD: u64 = 0xF1E1D;
@@ -38,10 +38,9 @@ pub struct ScenarioSpec {
     pub num_sources: usize,
     /// Number of sinks (paper default: 1).
     pub num_sinks: usize,
-    /// Source placement scheme.
+    /// Source placement scheme. Sinks are always placed the paper's way
+    /// (see [`place_sinks`](crate::place_sinks)).
     pub source_placement: SourcePlacement,
-    /// Sink placement scheme.
-    pub sink_placement: SinkPlacement,
     /// Node-failure model, if any.
     pub failures: Option<FailureConfig>,
     /// Which MAC the run uses (default: plain CSMA/CA+ACK). Pure
@@ -64,8 +63,7 @@ impl Default for ScenarioSpec {
             connectivity: Connectivity::Full,
             num_sources: 5,
             num_sinks: 1,
-            source_placement: SourcePlacement::PAPER_CORNER,
-            sink_placement: SinkPlacement::PAPER,
+            source_placement: SourcePlacement::Corner,
             failures: None,
             mac: MacKind::default(),
             duration: SimDuration::from_secs(200),
@@ -122,7 +120,7 @@ impl ScenarioSpec {
             &mut field_rng,
         );
         let mut place_rng = SimRng::from_seed_stream(self.seed, STREAM_PLACE);
-        let sinks = place_sinks(&field, self.sink_placement, self.num_sinks, &mut place_rng);
+        let sinks = place_sinks(&field, self.num_sinks, &mut place_rng);
         let sources = place_sources(
             &field,
             self.source_placement,

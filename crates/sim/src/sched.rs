@@ -60,25 +60,11 @@ pub struct RunAccounting {
 /// assert_eq!(seen, ["tick", "tock"]);
 /// assert_eq!(sim.now().as_secs_f64(), 2.0);
 /// ```
+#[derive(Debug)]
 pub struct Simulator<E> {
     queue: EventQueue<E>,
     now: SimTime,
     processed: u64,
-    /// Observability tap: called after every dispatched event with the
-    /// post-dispatch `(events_processed, now)`. `None` (the default) keeps
-    /// [`Simulator::step`] free of any per-event overhead beyond one branch.
-    dispatch_hook: Option<Box<dyn FnMut(u64, SimTime)>>,
-}
-
-impl<E: std::fmt::Debug> std::fmt::Debug for Simulator<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Simulator")
-            .field("queue", &self.queue)
-            .field("now", &self.now)
-            .field("processed", &self.processed)
-            .field("dispatch_hook", &self.dispatch_hook.is_some())
-            .finish()
-    }
 }
 
 impl<E> Simulator<E> {
@@ -88,20 +74,7 @@ impl<E> Simulator<E> {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             processed: 0,
-            dispatch_hook: None,
         }
-    }
-
-    /// Installs an observer called after every dispatched event with the
-    /// post-dispatch `(events_processed, now)`. The hook observes only; it
-    /// cannot touch the queue, so it cannot perturb the simulation.
-    pub fn set_dispatch_hook(&mut self, hook: impl FnMut(u64, SimTime) + 'static) {
-        self.dispatch_hook = Some(Box::new(hook));
-    }
-
-    /// Removes the dispatch observer, restoring the un-instrumented path.
-    pub fn clear_dispatch_hook(&mut self) {
-        self.dispatch_hook = None;
     }
 
     /// The current simulated time.
@@ -169,9 +142,6 @@ impl<E> Simulator<E> {
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
         self.processed += 1;
-        if let Some(hook) = self.dispatch_hook.as_mut() {
-            hook(self.processed, self.now);
-        }
         Some((id, event))
     }
 
@@ -262,34 +232,6 @@ mod tests {
         assert!(sim.cancel(id));
         assert_eq!(sim.step().map(|(_, e)| e), Some("b"));
         assert_eq!(sim.events_processed(), 1);
-    }
-
-    #[test]
-    fn dispatch_hook_sees_every_event_in_order() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        let mut sim = Simulator::new();
-        for i in 0..4u64 {
-            sim.schedule_after(SimDuration::from_secs(i), i);
-        }
-        let seen: Rc<RefCell<Vec<(u64, SimTime)>>> = Rc::new(RefCell::new(Vec::new()));
-        let tap = Rc::clone(&seen);
-        sim.set_dispatch_hook(move |seq, now| tap.borrow_mut().push((seq, now)));
-        while sim.step().is_some() {}
-        assert_eq!(
-            *seen.borrow(),
-            (0..4)
-                .map(|i| (i + 1, SimTime::from_secs(i)))
-                .collect::<Vec<_>>()
-        );
-        // Clearing the hook restores the silent path.
-        sim.clear_dispatch_hook();
-        sim.schedule_after(SimDuration::from_secs(1), 99);
-        sim.step();
-        assert_eq!(seen.borrow().len(), 4);
-        // Manual Debug impl reports hook presence, not the closure.
-        assert!(format!("{sim:?}").contains("dispatch_hook: false"));
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //!    (last), every record line decodes (a line tagged as a record that
 //!    breaks the schema — a missing field, an unknown label, a `run_start`
 //!    of another [`crate::SCHEMA_VERSION`] — is a violation, while foreign
-//!    lines are skipped), and — when dispatch records were enabled — a
-//!    dispatch count equal to the `run_end` event count.
+//!    lines are skipped).
 //! 2. **Rx ⇔ tx pairing** — every reception (and every collision /
 //!    retry-limit drop that names a transmission) refers to a transmission
 //!    already on the air, from the sender the record claims, with the same
@@ -387,7 +386,7 @@ impl Auditor {
         if s.seed.is_none() {
             out.push(Violation::Framing("no run_start".into()));
         }
-        let Some((events, reported_total)) = s.run_end else {
+        let Some((_, reported_total)) = s.run_end else {
             out.push(Violation::Framing("missing run_end".into()));
             return out;
         };
@@ -396,13 +395,6 @@ impl Auditor {
                 "{} record(s) after run_end",
                 self.records_after_end
             )));
-        }
-        if s.dispatches > 0 && s.dispatches != events {
-            out.push(Violation::Count {
-                what: "dispatched events",
-                recomputed: s.dispatches,
-                reported: events,
-            });
         }
         // Energy conservation: per node, states summed in ENERGY_STATES
         // order; nodes summed in node order — the meter's own association
@@ -713,7 +705,7 @@ mod tests {
     fn missing_framing_is_flagged() {
         let report = audit_text("");
         assert!(!report.ok());
-        let report = audit_text("{\"ev\":\"dispatch\",\"t_ns\":1,\"seq\":1}\n");
+        let report = audit_text("{\"ev\":\"enq\",\"t_ns\":1,\"node\":0,\"bytes\":64}\n");
         assert!(report
             .violations
             .iter()

@@ -137,14 +137,6 @@ pub enum TraceRecord {
         /// Number of nodes in the field.
         nodes: u32,
     },
-    /// A simulator event was dispatched (sampled only when the trace options
-    /// ask for dispatch records — one per event is the highest-volume signal).
-    Dispatch {
-        /// Simulated time, nanoseconds.
-        t_ns: u64,
-        /// Running dispatch count (1-based, matches `events_processed`).
-        seq: u64,
-    },
     /// A payload frame entered a node's MAC queue. Together with the `tx`
     /// line that later carries the same lineage from the same node, this
     /// bounds the frame's queue-plus-backoff wait.
@@ -351,7 +343,6 @@ impl TraceRecord {
     pub fn tag(&self) -> &'static str {
         match self {
             TraceRecord::RunStart { .. } => "run_start",
-            TraceRecord::Dispatch { .. } => "dispatch",
             TraceRecord::MacEnqueue { .. } => "enq",
             TraceRecord::PacketTx { .. } => "tx",
             TraceRecord::PacketRx { .. } => "rx",
@@ -382,9 +373,6 @@ impl TraceRecord {
                 out,
                 "{{\"ev\":\"run_start\",\"v\":{SCHEMA_VERSION},\"seed\":{seed},\"nodes\":{nodes}}}"
             ),
-            TraceRecord::Dispatch { t_ns, seq } => {
-                writeln!(out, "{{\"ev\":\"dispatch\",\"t_ns\":{t_ns},\"seq\":{seq}}}")
-            }
             TraceRecord::MacEnqueue {
                 t_ns,
                 node,
@@ -584,7 +572,6 @@ impl TraceRecord {
                     )))
                 }
             },
-            "dispatch" => decode!(f => Dispatch { t_ns, seq }),
             "enq" => decode!(f => MacEnqueue { t_ns, node, bytes, dst, lineage }),
             "tx" => {
                 decode!(f => PacketTx { t_ns, node, tx, bytes, dst, lineage; kind in FRAME_KINDS })
@@ -707,7 +694,6 @@ mod tests {
     fn lines_are_flat_json_objects() {
         let recs = [
             TraceRecord::RunStart { seed: 7, nodes: 3 },
-            TraceRecord::Dispatch { t_ns: 10, seq: 1 },
             TraceRecord::MacEnqueue {
                 t_ns: 10,
                 node: 0,

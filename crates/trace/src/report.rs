@@ -75,8 +75,6 @@ pub struct TraceSummary {
     pub records: u64,
     /// Non-blank lines that did not decode as trace records.
     pub skipped_lines: u64,
-    /// Dispatch records seen.
-    pub dispatches: u64,
     /// Transmissions per frame kind, in [`FRAME_KINDS`] order.
     pub tx_by_kind: [u64; 4],
     /// Gradient reinforcements seen.
@@ -140,7 +138,6 @@ impl TraceSummary {
                     self.node_mut(*nodes - 1);
                 }
             }
-            TraceRecord::Dispatch { .. } => self.dispatches += 1,
             TraceRecord::MacEnqueue { .. } => self.enqueues += 1,
             TraceRecord::PacketTx { node, kind, .. } => {
                 self.node_mut(*node).tx += 1;
@@ -336,7 +333,6 @@ impl TraceSummary {
             let _ = writeln!(out, "skipped_lines  {}", self.skipped_lines);
         }
         let _ = writeln!(out, "nodes          {}", self.nodes.len());
-        let _ = writeln!(out, "dispatches     {}", self.dispatches);
         let _ = writeln!(
             out,
             "tx/rx/drops    {}/{}/{}",
@@ -560,8 +556,10 @@ mod tests {
 
     #[test]
     fn unparsable_lines_are_counted_not_fatal() {
-        let s = TraceSummary::from_text("garbage\n{\"ev\":\"dispatch\",\"t_ns\":1,\"seq\":1}\n");
+        let s = TraceSummary::from_text(
+            "garbage\n{\"ev\":\"enq\",\"t_ns\":1,\"node\":0,\"bytes\":64}\n",
+        );
         assert_eq!(s.skipped_lines, 1);
-        assert_eq!(s.dispatches, 1);
+        assert_eq!(s.enqueues, 1);
     }
 }

@@ -68,12 +68,12 @@ impl TraceSink for NullSink {
 /// use wsn_trace::{JsonlSink, TraceRecord, TraceSink};
 ///
 /// let mut sink = JsonlSink::new(Vec::new());
-/// sink.record(&TraceRecord::Dispatch { t_ns: 5, seq: 1 });
+/// sink.record(&TraceRecord::Collision { t_ns: 5, node: 1 });
 /// assert_eq!(sink.records(), 1);
 /// let bytes = sink.into_inner().unwrap();
 /// assert_eq!(
 ///     String::from_utf8(bytes).unwrap(),
-///     "{\"ev\":\"dispatch\",\"t_ns\":5,\"seq\":1}\n"
+///     "{\"ev\":\"collision\",\"t_ns\":5,\"node\":1}\n"
 /// );
 /// ```
 #[derive(Debug)]
@@ -157,7 +157,7 @@ mod tests {
     fn null_sink_reports_disabled() {
         let mut s = NullSink;
         assert!(!s.enabled());
-        s.record(&TraceRecord::Dispatch { t_ns: 0, seq: 0 });
+        s.record(&TraceRecord::Collision { t_ns: 0, node: 0 });
     }
 
     #[test]
@@ -174,8 +174,8 @@ mod tests {
     #[test]
     fn mem_sink_keeps_order() {
         let mut s = MemSink::new();
-        let a = TraceRecord::Dispatch { t_ns: 1, seq: 1 };
-        let b = TraceRecord::Dispatch { t_ns: 2, seq: 2 };
+        let a = TraceRecord::Collision { t_ns: 1, node: 1 };
+        let b = TraceRecord::Collision { t_ns: 2, node: 2 };
         s.record(&a);
         s.record(&b);
         assert_eq!(s.events, vec![a, b]);
@@ -186,7 +186,7 @@ mod tests {
         let sink = shared(MemSink::new());
         assert!(sink.borrow().enabled());
         sink.borrow_mut()
-            .record(&TraceRecord::Dispatch { t_ns: 0, seq: 1 });
+            .record(&TraceRecord::Collision { t_ns: 0, node: 1 });
         sink.borrow_mut().flush().unwrap();
     }
 }

@@ -33,12 +33,6 @@ proptest! {
     }
 
     #[test]
-    fn dispatch_roundtrips(t_ns in any::<u64>(), seq in any::<u64>()) {
-        let rec = TraceRecord::Dispatch { t_ns, seq };
-        prop_assert_eq!(decoded(&rec), Ok(rec));
-    }
-
-    #[test]
     fn mac_enqueue_roundtrips(
         t_ns in any::<u64>(),
         node in any::<u32>(),

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Repo gate: formatting, lints, rustdoc links, the tier-1 test suite, the
-# paper figures against their committed output, smoke sweeps through the
-# run-execution, trace and metrics layers, and the benchmark's own tests and
-# output check. Run from anywhere.
+# paper figures and the other committed bench outputs against their
+# fixtures, smoke sweeps through the run-execution, trace and metrics
+# layers, and the benchmark's own tests and output check. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,6 +30,24 @@ if ! diff <(strip_timing <bench_output_figures.txt) <(echo "$figures"); then
     echo "paper figures differ from bench_output_figures.txt" >&2
     exit 1
 fi
+
+echo "==> output fixtures: krishnamachari, baselines, ablations, mac_overhead"
+# The abstract tree contrast, the flooding and omniscient brackets, the MAC
+# comparison and the swept protocol timings, each compared byte for byte
+# with its committed output. About 20 s on two workers; --jobs is pinned
+# because the ablations header names the worker count.
+fixture() {
+    local file="$1"
+    shift
+    if ! diff "$file" <(cargo run --release -q -p wsn-bench --bin "$@"); then
+        echo "$1 output differs from $file" >&2
+        exit 1
+    fi
+}
+fixture bench_output_krishnamachari.txt krishnamachari
+fixture bench_output_baselines.txt baselines -- --fields 5 --jobs 2
+fixture bench_output_ablations.txt ablations -- --fields 4 --jobs 2
+fixture bench_output_mac_overhead.txt mac_overhead -- --fields 6 --jobs 2
 
 echo "==> smoke sweep: 2 points x 2 fields through the job runner"
 # fig8 --quick sweeps exactly two points (1 and 3 sinks); --fields 2 makes

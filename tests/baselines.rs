@@ -2,8 +2,8 @@
 //! diffusion instantiations in between.
 
 use wsn::core::Experiment;
-use wsn::diffusion::{FloodingConfig, FloodingNode, Role, Scheme};
-use wsn::net::{NetConfig, Network};
+use wsn::diffusion::{FloodingNode, Role, Scheme};
+use wsn::net::{tx_duration, EnergyModel, NetConfig, Network};
 use wsn::scenario::ScenarioSpec;
 use wsn::sim::SimDuration;
 use wsn::trees::{greedy_incremental_tree, Graph};
@@ -21,7 +21,7 @@ fn energy_brackets_hold() {
         spec.seed,
         |id| {
             let (is_source, is_sink) = instance.role_of(id);
-            FloodingNode::new(FloodingConfig::default(), id, Role { is_source, is_sink })
+            FloodingNode::new(id, Role { is_source, is_sink })
         },
     );
     flood.run_until(instance.end);
@@ -54,10 +54,9 @@ fn energy_brackets_hold() {
             .map(|s| s.index())
             .collect::<Vec<_>>(),
     );
-    let cfg = NetConfig::default();
-    let frame_s = cfg.tx_duration(64).as_secs_f64();
-    let per_frame =
-        frame_s * (cfg.energy.tx_w + instance.field.topology.average_degree() * cfg.energy.rx_w);
+    let power = EnergyModel::PAPER;
+    let frame_s = tx_duration(64).as_secs_f64();
+    let per_frame = frame_s * (power.tx_w + instance.field.topology.average_degree() * power.rx_w);
     let oracle = git.cost * per_frame / 150.0 / 5.0;
 
     assert!(

@@ -139,7 +139,7 @@ fn linear_aggregation_sends_more_bytes_than_perfect() {
     let spec = short_spec(150, 9);
     let instance = spec.instantiate();
     let mut per_fn = Vec::new();
-    for aggregation in [AggregationFn::Perfect, AggregationFn::LINEAR_PAPER] {
+    for aggregation in [AggregationFn::Perfect, AggregationFn::Linear] {
         let mut exp = Experiment::new(spec.clone(), Scheme::Greedy);
         exp.diffusion.aggregation = aggregation;
         per_fn.push(exp.run_on(&instance).record);

@@ -402,7 +402,6 @@ fn every_sample_equals_the_traced_counts_at_its_instant() {
         let handle: SharedSink = sink.clone();
         let trace = TraceOptions {
             snapshot_every: every,
-            dispatch: false,
         };
         let stream = Rc::new(RefCell::new(Vec::new()));
         let metrics = MetricsSetup {

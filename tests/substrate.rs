@@ -3,6 +3,7 @@
 
 use wsn::net::{
     drop_reason_index, Ctx, NetConfig, Network, NodeId, Packet, Position, Protocol, Topology,
+    RETRY_LIMIT,
 };
 use wsn::sim::{SimDuration, SimTime};
 use wsn::trace::DropReason;
@@ -120,9 +121,7 @@ fn acks_confirm_unicast_and_stop_retries() {
 
 #[test]
 fn unicast_to_failed_node_exhausts_retries() {
-    let cfg = NetConfig::default();
-    let retry_limit = cfg.retry_limit;
-    let mut net = Network::new(line(2), cfg, 3, |id| {
+    let mut net = Network::new(line(2), NetConfig::default(), 3, |id| {
         let mut p = Scripted::silent();
         if id == NodeId(0) {
             p.script.push((ms(100), Some(NodeId(1)), 1));
@@ -133,7 +132,7 @@ fn unicast_to_failed_node_exhausts_retries() {
     net.run_until(SimTime::from_secs(2));
     // Node 1 is down, so every retry and loss is node 0's.
     let s = net.stats();
-    assert_eq!(s.total_retries(), u64::from(retry_limit));
+    assert_eq!(s.total_retries(), u64::from(RETRY_LIMIT));
     assert_eq!(s.total_failed(), 1);
     assert!(net.protocol(NodeId(1)).received.is_empty());
 }

@@ -22,7 +22,6 @@ fn experiment(nodes: usize, seed: u64) -> Experiment {
 fn full_options() -> TraceOptions {
     TraceOptions {
         snapshot_every: Some(SimDuration::from_secs(10)),
-        dispatch: true,
     }
 }
 
@@ -76,9 +75,6 @@ fn trace_lines_all_parse_and_carry_run_framing() {
     let (events, total) = summary.run_end.expect("run_end record");
     assert_eq!(events, outcome.accounting.events_processed);
     assert_eq!(total, outcome.record.total_energy_j);
-    // Dispatch records cover every dispatched event (the hook fires per
-    // event, including the snapshot events themselves).
-    assert_eq!(summary.dispatches, outcome.accounting.events_processed);
     // 30 s at a 10 s cadence: snapshots at 10/20/30 s plus the final
     // snapshot_all at close-out — at least 3 per node.
     assert!(

@@ -93,10 +93,7 @@ fn main() {
     let seed = opts.params.seed;
     let runner = &opts.runner;
 
-    outln!(
-        "# Ablations at {NODES} nodes, {fields} fields/point, {} workers\n",
-        runner.effective_workers()
-    );
+    outln!("# Ablations at {NODES} nodes, {fields} fields/point\n");
 
     // 1. The sink's reinforcement timer T_p (seconds). T_p = 0 makes greedy
     //    reinforce immediately, before incremental cost offers arrive.

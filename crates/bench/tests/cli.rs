@@ -3,7 +3,8 @@
 //! the figure binaries' shared harness (exercised through `fig5`), the
 //! trace and metrics readers, and `krishnamachari`; `run_one` rejects
 //! impossible requests before it runs; the fixed-field harnesses reject the
-//! flags they would ignore but run every field asked for; a watchdog trip
+//! flags they would ignore but run every field asked for, and `ablations`
+//! prints the same stdout at any worker count; a watchdog trip
 //! in any sweep is an error line, not a panic, and leaves a metrics stream
 //! the reader accepts; a closed stdout ends a binary quietly with status 0;
 //! and the two audits pass a real run's artifacts and fail on a tampered
@@ -266,6 +267,25 @@ fn fixed_field_harnesses_run_every_requested_field() {
         ["0", "1", "2", "3", "4", "5", "6"].into(),
         "fields that ran"
     );
+}
+
+#[test]
+fn ablations_prints_the_same_at_any_worker_count() {
+    let stdout_at = |jobs: &str| {
+        let args = [
+            "--quick",
+            "--fields",
+            "1",
+            "--duration",
+            "1",
+            "--jobs",
+            jobs,
+        ];
+        let out = run(ABLATIONS, &args);
+        assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
+        out.stdout
+    };
+    assert_eq!(text(&stdout_at("1")), text(&stdout_at("2")));
 }
 
 /// Runs `bin` with the read end of its stdout pipe closed before it starts.

@@ -23,26 +23,30 @@
 //! own event). The cache keeps no copy of the neighbor list: the upstream
 //! choice takes the topology's list
 //! ([`Ctx::neighbors`](wsn_net::Ctx::neighbors)) to map slots to
-//! `NodeId`s. Each slot is 8 bytes, a cost and the arrival as a
+//! `NodeId`s. Each slot is 6 bytes, a 16-bit cost and the arrival as a
 //! nanosecond offset from the entry's creation instant, and recording one
 //! is one indexed store. An entry that receives an offer before its
-//! creation instant, or 2³² ns (4.29 s) or more after it, converts its row
-//! once to 12-byte slots holding absolute arrivals, so every arrival the
-//! upstream choice compares is exact. Incremental offers come only from
-//! the few neighbors on the aggregation tree, so each entry keeps them
-//! sparse: a short list of each offering slot's best one, allocated on the
-//! entry's first incremental message together with the incremental-cost
-//! dedup, which therefore expires with the entry. The upstream choice
+//! creation instant, or 2³² ns (4.29 s) or more after it, or an offer whose
+//! cost does not fit in 16 bits, converts its row once to 12-byte slots
+//! holding 32-bit costs and absolute arrivals, so every offer the upstream
+//! choice compares is exact. Incremental offers come only from the few
+//! neighbors on the aggregation tree, so each entry keeps them sparse: a
+//! short list of each offering slot's best one, allocated on the entry's
+//! first incremental message together with the incremental-cost dedup,
+//! which therefore expires with the entry.
+//!
+//! The entries are one exact-size list, and their ids a second one beside
+//! it, so a lookup scans a few contiguous 8-byte ids, newest first. The
+//! node expires an entry two exploratory intervals after its event, so it
+//! holds at most three rounds per source. The upstream choice
 //! compares `NodeId`s, never slots or list positions, so storage order
-//! cannot reach it. See `DESIGN.md` §20 and §21.
-
-use std::collections::hash_map::Entry;
+//! cannot reach it. See `DESIGN.md` §20, §21 and §23.
 
 use wsn_net::NodeId;
 use wsn_sim::SimTime;
 
 use crate::config::Scheme;
-use crate::hash::FastMap;
+use crate::exact::{self, HeapBytes};
 use crate::msg::{EventItem, MsgId};
 
 /// The "no such cost" sentinel: an exploratory slot no offer reached yet.
@@ -60,14 +64,20 @@ pub enum UpstreamKind {
     Incremental,
 }
 
-/// One slot's best exploratory offer in 8 bytes: its arrival is a
-/// nanosecond offset from the row's base, the entry's creation instant. A
-/// cost of [`NONE`] marks an offer not yet made (its offset is then
-/// meaningless).
+/// The narrow row's "no such cost" sentinel. Costs from 0 to
+/// `NARROW_NONE - 1` fit a narrow row; a larger one converts it.
+const NARROW_NONE: u16 = u16::MAX;
+
+/// One slot's best exploratory offer in 6 bytes: its arrival is a
+/// nanosecond offset from the row's base, the entry's creation instant.
+/// Packed to 2-byte alignment, so it is only ever read and written by
+/// value. A cost of [`NARROW_NONE`] marks an offer not yet made (its offset
+/// is then meaningless).
 #[derive(Debug, Clone, Copy)]
+#[repr(C, packed(2))]
 struct NarrowOffer {
     /// Best exploratory cost from this slot.
-    cost: u32,
+    cost: u16,
     /// Arrival of that offer, nanoseconds after the base.
     after: u32,
 }
@@ -88,14 +98,16 @@ struct ExplOffer {
 /// An entry's exploratory offers, one per offer slot.
 #[derive(Debug, Clone)]
 enum OfferRow {
-    /// Arrivals as offsets from `base`, the entry's creation instant: the
-    /// row of every entry whose offers all arrive within 2³² ns after it.
+    /// 16-bit costs, and arrivals as offsets from `base`, the entry's
+    /// creation instant: the row of every entry whose offers all cost less
+    /// than [`NARROW_NONE`] and arrive within 2³² ns after it.
     Narrow {
         base: SimTime,
         offers: Box<[NarrowOffer]>,
     },
-    /// Absolute arrivals: the row of an entry that received an offer before
-    /// its creation instant, or 2³² ns or more after it.
+    /// 32-bit costs and absolute arrivals: the row of an entry that
+    /// received an offer before its creation instant, 2³² ns or more after
+    /// it, or at a cost of [`NARROW_NONE`] or more.
     Wide(Box<[ExplOffer]>),
 }
 
@@ -103,7 +115,7 @@ impl OfferRow {
     /// `slots` offers not yet made, in a narrow row based at `base`.
     fn new(slots: usize, base: SimTime) -> Self {
         let empty = NarrowOffer {
-            cost: NONE,
+            cost: NARROW_NONE,
             after: 0,
         };
         OfferRow::Narrow {
@@ -123,7 +135,7 @@ impl OfferRow {
     /// The cost of slot `k`'s offer, [`NONE`] if none was made.
     fn cost(&self, k: usize) -> u32 {
         match self {
-            OfferRow::Narrow { offers, .. } => offers[k].cost,
+            OfferRow::Narrow { offers, .. } => widen_cost(offers[k].cost),
             OfferRow::Wide(offers) => offers[k].cost,
         }
     }
@@ -133,7 +145,7 @@ impl OfferRow {
         let (cost, at) = match self {
             OfferRow::Narrow { base, offers } => {
                 let o = offers[k];
-                (o.cost, widen(*base, o.after))
+                (widen_cost(o.cost), widen(*base, o.after))
             }
             OfferRow::Wide(offers) => {
                 let ExplOffer { cost, at } = offers[k];
@@ -149,16 +161,17 @@ impl OfferRow {
     }
 
     /// Makes `(cost, at)` slot `k`'s offer. A narrow row that cannot hold
-    /// `at` as an offset from its base first converts, once, to a wide one.
+    /// `cost` in 16 bits, or `at` as an offset from its base, first
+    /// converts, once, to a wide one.
     fn set(&mut self, k: usize, cost: u32, at: SimTime) {
         if let OfferRow::Narrow { base, offers } = self {
-            if let Some(after) = narrow(*base, at) {
+            if let (Some(cost), Some(after)) = (narrow_cost(cost), narrow(*base, at)) {
                 offers[k] = NarrowOffer { cost, after };
                 return;
             }
             let base = *base;
-            let wide = offers.iter().map(|o| ExplOffer {
-                cost: o.cost,
+            let wide = offers.iter().map(|&o| ExplOffer {
+                cost: widen_cost(o.cost),
                 at: widen(base, o.after),
             });
             *self = OfferRow::Wide(wide.collect());
@@ -166,6 +179,28 @@ impl OfferRow {
         if let OfferRow::Wide(offers) = self {
             offers[k] = ExplOffer { cost, at };
         }
+    }
+
+    /// The heap bytes of the row's slots.
+    fn heap_bytes(&self) -> HeapBytes {
+        HeapBytes::exact(match self {
+            OfferRow::Narrow { offers, .. } => std::mem::size_of_val(&**offers),
+            OfferRow::Wide(offers) => std::mem::size_of_val(&**offers),
+        })
+    }
+}
+
+/// `cost` as a narrow row's 16-bit cost, if it is below [`NARROW_NONE`].
+fn narrow_cost(cost: u32) -> Option<u16> {
+    u16::try_from(cost).ok().filter(|&c| c != NARROW_NONE)
+}
+
+/// A narrow row's cost as a 32-bit one, [`NARROW_NONE`] as [`NONE`].
+fn widen_cost(cost: u16) -> u32 {
+    if cost == NARROW_NONE {
+        NONE
+    } else {
+        u32::from(cost)
     }
 }
 
@@ -193,7 +228,7 @@ struct IncrOffer {
 }
 
 /// An entry's incremental-cost state, allocated on its first incremental
-/// message.
+/// message. Both lists are exact-size.
 #[derive(Debug, Clone, Default)]
 struct Incremental {
     /// Each offering slot's best offer, one per slot.
@@ -245,13 +280,24 @@ impl ExplEntry {
     fn own_energy(&self) -> Option<u32> {
         self.offers.offers().map(|(_, c, _)| c).min()
     }
+
+    /// The heap bytes the entry's row and incremental state hold and need.
+    fn heap_bytes(&self) -> HeapBytes {
+        let incremental = self.incremental.as_ref().map_or(HeapBytes::default(), |i| {
+            HeapBytes::exact(std::mem::size_of::<Incremental>())
+                + HeapBytes::of(&i.offers)
+                + HeapBytes::of(&i.forwarded)
+        });
+        self.offers.heap_bytes() + incremental
+    }
 }
 
 /// The per-node exploratory cache: one [`ExplEntry`] per exploratory id
 /// heard, until [`expire_before`](Self::expire_before) drops it. An entry
-/// holds an 8-byte exploratory offer per offer slot (degree + 1) and, once
+/// holds a 6-byte exploratory offer per offer slot (degree + 1) and, once
 /// incremental cost messages arrive, a short list of incremental offers
-/// and the origins already forwarded.
+/// and the origins already forwarded. The entries and their ids are two
+/// exact-size lists.
 ///
 /// Methods that take `neighbors` map offer slots to [`NodeId`]s through
 /// it: the node's neighbor list in ascending id order, as
@@ -288,7 +334,10 @@ pub struct ExplCache {
     /// The node's neighbor count: slots `0..degree` belong to its
     /// neighbors, slot `degree` to the node itself.
     degree: u32,
-    entries: FastMap<MsgId, ExplEntry>,
+    /// The cached ids, oldest first.
+    ids: Vec<MsgId>,
+    /// `entries[i]` is the entry of `ids[i]`.
+    entries: Vec<ExplEntry>,
 }
 
 impl ExplCache {
@@ -297,8 +346,14 @@ impl ExplCache {
         ExplCache {
             me,
             degree: u32::try_from(degree).expect("degree fits u32"),
-            entries: FastMap::default(),
+            ids: Vec::new(),
+            entries: Vec::new(),
         }
+    }
+
+    /// The position of `id`'s entry, scanning from the newest.
+    fn find(&self, id: MsgId) -> Option<usize> {
+        self.ids.iter().rposition(|&i| i == id)
     }
 
     /// The offer slot of the node's own offer: one past the last neighbor.
@@ -320,11 +375,13 @@ impl ExplCache {
         from: usize,
         now: SimTime,
     ) -> (&mut ExplEntry, bool) {
-        let slots = self.own_slot() + 1;
-        match self.entries.entry(id) {
-            Entry::Occupied(o) => (o.into_mut(), false),
-            Entry::Vacant(v) => (v.insert(ExplEntry::new(item, from, slots, now)), true),
+        if let Some(i) = self.find(id) {
+            return (&mut self.entries[i], false);
         }
+        let slots = self.own_slot() + 1;
+        exact::push(&mut self.ids, id);
+        exact::push(&mut self.entries, ExplEntry::new(item, from, slots, now));
+        (self.entries.last_mut().expect("just pushed"), true)
     }
 
     /// Records a received exploratory event from offer slot `from` (a
@@ -380,11 +437,14 @@ impl ExplCache {
                 o.at = now;
             }
             Some(_) => {}
-            None => offers.push(IncrOffer {
-                slot,
-                cost,
-                at: now,
-            }),
+            None => exact::push(
+                offers,
+                IncrOffer {
+                    slot,
+                    cost,
+                    at: now,
+                },
+            ),
         }
     }
 
@@ -396,32 +456,32 @@ impl ExplCache {
     /// remembers nothing. The protocol records an offer for `id` before it
     /// asks.
     pub fn first_incremental(&mut self, id: MsgId, origin: NodeId) -> bool {
-        let Some(entry) = self.entries.get_mut(&id) else {
+        let Some(entry) = self.entry_mut(id) else {
             return true;
         };
         let forwarded = &mut entry.incremental.get_or_insert_default().forwarded;
         if forwarded.contains(&origin) {
             return false;
         }
-        forwarded.push(origin);
+        exact::push(forwarded, origin);
         true
     }
 
     /// The cached entry for `id`.
     pub fn entry(&self, id: MsgId) -> Option<&ExplEntry> {
-        self.entries.get(&id)
+        self.find(id).map(|i| &self.entries[i])
     }
 
     /// Mutable access to the cached entry for `id`.
     pub fn entry_mut(&mut self, id: MsgId) -> Option<&mut ExplEntry> {
-        self.entries.get_mut(&id)
+        self.find(id).map(|i| &mut self.entries[i])
     }
 
     /// This node's own energy cost `E` for `id`, if it saw the exploratory
     /// event itself (used when forwarding incremental cost messages:
     /// `C' = min(C, E)`).
     pub fn own_energy(&self, id: MsgId) -> Option<u32> {
-        self.entries.get(&id)?.own_energy()
+        self.entry(id)?.own_energy()
     }
 
     /// The upstream neighbor to reinforce for `id` under `scheme`, with
@@ -458,7 +518,7 @@ impl ExplCache {
         excluded: &[NodeId],
     ) -> Option<(NodeId, UpstreamKind)> {
         debug_assert_eq!(neighbors.len(), self.own_slot(), "not this node's list");
-        let entry = self.entries.get(&id)?;
+        let entry = self.entry(id)?;
         let node_at = |slot: usize| self.node_at(neighbors, slot);
         // Every exploratory offer made, as (slot, cost, arrival).
         let mut explored = entry.offers.offers().peekable();
@@ -507,7 +567,7 @@ impl ExplCache {
     /// (degree + 1 each) plus its incremental offers.
     pub fn offer_slots(&self) -> usize {
         self.entries
-            .values()
+            .iter()
             .map(|e| e.offers.len() + e.incremental.as_ref().map_or(0, |i| i.offers.len()))
             .sum()
     }
@@ -516,12 +576,25 @@ impl ExplCache {
     /// their incremental-cost dedup (bounds memory on long runs; two
     /// exploratory intervals of history are plenty).
     pub fn expire_before(&mut self, horizon: SimTime) {
-        self.entries.retain(|_, e| e.item.generated >= horizon);
+        let live = |e: &ExplEntry| e.item.generated >= horizon;
+        // Both lists are visited in order, once each, so `ids` keeps
+        // exactly the ids of the entries kept.
+        let mut kept = self.entries.iter().map(live);
+        exact::retain(&mut self.ids, |_| kept.next() == Some(true));
+        exact::retain(&mut self.entries, live);
     }
 
     /// Removes all state (node failure).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        exact::clear(&mut self.ids);
+        exact::clear(&mut self.entries);
+    }
+
+    /// The heap bytes the cache holds and needs: the two lists, and each
+    /// entry's row and incremental state.
+    pub(crate) fn heap_bytes(&self) -> HeapBytes {
+        let rows: HeapBytes = self.entries.iter().map(ExplEntry::heap_bytes).sum();
+        HeapBytes::of(&self.ids) + HeapBytes::of(&self.entries) + rows
     }
 }
 
@@ -763,8 +836,8 @@ mod tests {
     }
 
     #[test]
-    fn narrow_offer_is_8_bytes() {
-        assert_eq!(std::mem::size_of::<NarrowOffer>(), 8);
+    fn narrow_offer_is_6_bytes() {
+        assert_eq!(std::mem::size_of::<NarrowOffer>(), 6);
     }
 
     /// The wide row's slot.
@@ -773,21 +846,21 @@ mod tests {
         assert_eq!(std::mem::size_of::<ExplOffer>(), 12);
     }
 
-    /// With its 8-byte key, an entry fills one 64-byte bucket of the map.
     /// The row takes 24 bytes in either form, its base instant included,
     /// and the lowest cost the node saw is read off the row, not stored.
+    /// The entry's 8-byte id sits in the list beside it.
     #[test]
     fn expl_entry_is_56_bytes() {
         assert_eq!(std::mem::size_of::<ExplEntry>(), 56);
         assert_eq!(std::mem::size_of::<OfferRow>(), 24);
     }
 
-    /// Offers recorded before an entry's creation instant, or 2³² ns or
-    /// more after it, turn its row wide, and every upstream choice stays
-    /// exact: it is the answer worked out by hand from the arrivals, and
-    /// the choice over the same offers recorded in time order. Equal costs
-    /// make the arrivals decide, 1 ns apart, so a clamped, wrapped or
-    /// coarsened arrival changes an answer.
+    /// Offers recorded before an entry's creation instant, 2³² ns or more
+    /// after it, or at a cost of 65,535 or more, turn its row wide, and
+    /// every upstream choice stays exact: it is the answer worked out by
+    /// hand from the arrivals, and the choice over the same offers recorded
+    /// in time order. Equal costs make the arrivals decide, 1 ns apart, so
+    /// a clamped, wrapped or coarsened arrival or cost changes an answer.
     #[test]
     fn offers_beyond_a_narrow_rows_reach_stay_exact() {
         const SPAN: i64 = 1 << 32;
@@ -804,6 +877,17 @@ mod tests {
             (4, 3, SPAN + 1),
             (3, 3, SPAN - 1),
         ];
+        // `narrowest` records the largest cost a narrow row holds; `costly`
+        // records the two smallest it cannot hold, each tied with another
+        // offer, and a cheaper offer last.
+        let narrowest = [(3, 65_534, 0), (9, 65_534, 2), (7, 65_534, 1)];
+        let costly = [
+            (4, 65_535, 0),
+            (2, 65_535, 1),
+            (9, 65_536, 2),
+            (1, 65_536, 3),
+            (3, 65_534, 4),
+        ];
         let record = |c: &mut ExplCache, round: u32, offers: &[(u32, u32, i64)]| {
             for &(n, cost, dt) in offers {
                 let ns = created.as_nanos().checked_add_signed(dt).expect("in range");
@@ -817,20 +901,27 @@ mod tests {
             sorted
         };
         let (mut recorded, mut by_time) = (cache(), cache());
-        record(&mut recorded, 0, &early);
-        record(&mut recorded, 1, &late);
-        record(&mut by_time, 0, &in_time_order(&early));
-        record(&mut by_time, 1, &in_time_order(&late));
+        let rounds = [&early[..], &late, &narrowest, &costly];
+        for (round, offers) in (0..).zip(rounds) {
+            record(&mut recorded, round, offers);
+            record(&mut by_time, round, &in_time_order(offers));
+        }
         let wide = |c: &ExplCache, round| {
             let entry = c.entry(id(0, round)).expect("recorded");
             matches!(entry.offers, OfferRow::Wide(_))
         };
         assert!(wide(&recorded, 0) && wide(&recorded, 1));
         assert!(!wide(&by_time, 0), "in time order, `early` stays narrow");
+        assert!(!wide(&recorded, 2) && !wide(&by_time, 2), "65,534 fits");
+        assert!(wide(&recorded, 3) && wide(&by_time, 3), "65,535 does not");
+        let mut only_65_536 = cache();
+        record(&mut only_65_536, 0, &[(1, 65_536, 0)]);
+        assert!(wide(&only_65_536, 0), "65,536 does not");
+        assert_eq!(only_65_536.own_energy(id(0, 0)), Some(65_536));
 
         // (round, scheme, excluded, expected choice).
         let (g, o) = (Scheme::Greedy, Scheme::Opportunistic);
-        let cases: [(u32, Scheme, &[u32], u32); 16] = [
+        let cases: [(u32, Scheme, &[u32], u32); 30] = [
             (0, g, &[], 9),
             (0, g, &[9], 7),
             (0, g, &[9, 7], 1),
@@ -847,6 +938,20 @@ mod tests {
             (1, o, &[1], 2),
             (1, o, &[1, 2], 3),
             (1, o, &[1, 2, 3], 9),
+            (2, g, &[], 3),
+            (2, g, &[3], 7),
+            (2, g, &[3, 7], 9),
+            (2, o, &[], 3),
+            (2, o, &[3], 7),
+            (2, o, &[3, 7], 9),
+            (3, g, &[], 3),
+            (3, g, &[3], 4),
+            (3, g, &[3, 4], 2),
+            (3, g, &[3, 4, 2], 9),
+            (3, g, &[3, 4, 2, 9], 1),
+            (3, o, &[], 4),
+            (3, o, &[4], 2),
+            (3, o, &[4, 2], 9),
         ];
         for (round, scheme, excluded, expected) in cases {
             let excluded: Vec<NodeId> = excluded.iter().map(|&n| NodeId(n)).collect();
@@ -864,10 +969,10 @@ mod tests {
             }
             // The opportunistic choice is the first copy's sender unless it
             // is excluded; the two orders record different first copies of
-            // `early` (neighbors 1 and 3).
-            let first_copies = [NodeId(1), NodeId(if round == 0 { 3 } else { 1 })];
-            let order_free = first_copies.iter().all(|n| excluded.contains(n));
-            if scheme == Scheme::Greedy || order_free || round == 1 {
+            // `early` (neighbors 1 and 3), and the same one of every other
+            // round.
+            let order_free = [NodeId(1), NodeId(3)].iter().all(|n| excluded.contains(n));
+            if scheme == Scheme::Greedy || order_free || round != 0 {
                 assert_eq!(choose(&by_time), choose(&recorded), "{case:?}");
             }
         }
@@ -877,6 +982,8 @@ mod tests {
         );
         assert_eq!(recorded.own_energy(id(0, 0)), Some(5));
         assert_eq!(recorded.own_energy(id(0, 1)), Some(3));
+        assert_eq!(recorded.own_energy(id(0, 2)), Some(65_534));
+        assert_eq!(recorded.own_energy(id(0, 3)), Some(65_534));
     }
 
     #[test]
@@ -921,5 +1028,42 @@ mod tests {
         assert!(c.entry(id(0, 100)).is_some());
         // The dedup entry for the expired id is gone too.
         assert!(c.first_incremental(id(0, 0), NodeId(5)));
+    }
+
+    #[test]
+    fn the_lists_stay_at_exact_size() {
+        let mut c = cache();
+        let slots = NEIGHBORS.len() + 1;
+        let at = |ms| EventItem {
+            generated: t(ms),
+            ..item(0, 0)
+        };
+        for round in 0..4 {
+            let ms = u64::from(round) * 1_000;
+            c.record_exploratory(id(0, round), at(ms), slot(1), 2, t(ms));
+        }
+        c.record_incremental(id(0, 3), at(3_000), slot(7), 1, t(3_100));
+        c.first_incremental(id(0, 3), NodeId(8));
+        let row = slots * 6;
+        let incremental = std::mem::size_of::<Incremental>() + 16 + 4;
+        let entry = 8 + std::mem::size_of::<ExplEntry>();
+        assert_eq!(
+            c.heap_bytes(),
+            HeapBytes::exact(4 * (entry + row) + incremental)
+        );
+        // Expiry keeps the newer entries, each under its own id.
+        c.expire_before(t(2_000));
+        assert_eq!(
+            c.heap_bytes(),
+            HeapBytes::exact(2 * (entry + row) + incremental)
+        );
+        assert!(c.entry(id(0, 1)).is_none());
+        assert_eq!(
+            c.choose_upstream(&NEIGHBORS, id(0, 3), Scheme::Greedy),
+            Some((NodeId(7), UpstreamKind::Incremental))
+        );
+        assert_eq!(c.entry(id(0, 2)).map(|e| e.item.generated), Some(t(2_000)));
+        c.clear();
+        assert_eq!(c.heap_bytes(), HeapBytes::default());
     }
 }

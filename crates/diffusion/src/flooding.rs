@@ -6,15 +6,17 @@
 //! dissemination scheme. No gradients, no reinforcement, no aggregation.
 //! Useful here as the upper bracket against both aggregation schemes. It
 //! runs on diffusion's own event schedule, event size and flood jitter, so
-//! the comparison stays apples-to-apples.
+//! the comparison stays apples-to-apples. It suppresses duplicates with
+//! diffusion's per-source dedup windows, so its memory is bounded by the
+//! number of sources, not by simulated time.
 
 use wsn_net::{Ctx, NodeId, Packet, Protocol};
 
 use crate::config::{next_generate_delay, round_at, EVENT_BYTES, FLOOD_JITTER};
-use crate::hash::FastSet;
 use crate::msg::EventItem;
 use crate::node::Role;
 use crate::stats::SinkStats;
+use crate::window::DedupWindows;
 
 /// Timers of the flooding protocol.
 #[derive(Debug, Clone)]
@@ -33,7 +35,8 @@ pub enum FloodTimer {
 pub struct FloodingNode {
     role: Role,
     me: NodeId,
-    seen: FastSet<(NodeId, u32)>,
+    /// Events seen, as one dedup window per source.
+    seen: DedupWindows,
     /// Delivery records (meaningful for sinks).
     pub sink: SinkStats,
     /// Events generated (meaningful for sources).
@@ -48,7 +51,7 @@ impl FloodingNode {
         FloodingNode {
             role,
             me,
-            seen: FastSet::default(),
+            seen: DedupWindows::default(),
             sink: SinkStats::default(),
             events_generated: 0,
             forwards: 0,
@@ -58,6 +61,13 @@ impl FloodingNode {
     /// This node's role.
     pub fn role(&self) -> Role {
         self.role
+    }
+
+    /// Event arrivals answered "seen" only because they were older than
+    /// their dedup window (see [`DedupWindows`]). Zero means every dedup
+    /// decision equals an unbounded set's.
+    pub fn stale_arrivals(&self) -> u64 {
+        self.seen.stale()
     }
 }
 

@@ -6,51 +6,31 @@
 //! *data* gradient (high-rate data flows along it); negative reinforcement
 //! degrades it back.
 //!
-//! The table is dense over the node's neighbor list: slot `k` holds the
-//! gradients toward `neighbors[k]`, the position a delivery reports as
-//! [`Ctx::sender_index`](wsn_net::Ctx::sender_index). A reception updates
-//! its slot with one indexed store. The table keeps no copy of the list:
-//! queries by [`NodeId`] take the topology's list
+//! Exploratory gradients are dense over the node's neighbor list: slot `k`
+//! holds the exploratory expiry toward `neighbors[k]`, the position a
+//! delivery reports as [`Ctx::sender_index`](wsn_net::Ctx::sender_index),
+//! and an interest reception refreshes its slot with one indexed store.
+//! Data gradients exist only on the aggregation tree's edges, so they are
+//! sparse: a short exact-size list sorted by slot, which
+//! [`on_tree`](GradientTable::on_tree) scans without touching the dense
+//! slots. The table keeps no copy of the neighbor list: queries by
+//! [`NodeId`] take the topology's list
 //! ([`Ctx::neighbors`](wsn_net::Ctx::neighbors)) to map ids to slots, and
 //! neighbor lists come out in ascending id order, the list's own order.
-//! See `DESIGN.md` §19 and §21.
+//! See `DESIGN.md` §19, §21 and §23.
 
 use wsn_net::NodeId;
 use wsn_sim::SimTime;
+
+use crate::exact::{self, HeapBytes};
 
 /// The "no gradient" sentinel. Real expiries are a finite time plus a
 /// timeout and never reach it.
 const NONE: SimTime = SimTime::MAX;
 
-/// Per-neighbor gradient state. A neighbor can hold an exploratory gradient
-/// and a data gradient simultaneously; each expires independently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Entry {
-    expl_until: SimTime,
-    data_until: SimTime,
-}
-
-impl Entry {
-    const EMPTY: Entry = Entry {
-        expl_until: NONE,
-        data_until: NONE,
-    };
-
-    fn expl_live(&self, now: SimTime) -> bool {
-        self.expl_until != NONE && self.expl_until >= now
-    }
-
-    fn data_live(&self, now: SimTime) -> bool {
-        self.data_until != NONE && self.data_until >= now
-    }
-
-    fn live(&self, now: SimTime) -> bool {
-        self.expl_live(now) || self.data_live(now)
-    }
-
-    fn is_empty(&self) -> bool {
-        *self == Entry::EMPTY
-    }
+/// Whether a gradient valid until `until` is live at `now`.
+fn live(until: SimTime, now: SimTime) -> bool {
+    until != NONE && until >= now
 }
 
 /// Extends `until` to at least `to`; an absent gradient becomes `to`.
@@ -60,7 +40,16 @@ fn extend(until: &mut SimTime, to: SimTime) {
     }
 }
 
-/// The gradients a node maintains, one slot per neighbor.
+/// A data gradient toward the neighbor in `slot`, valid until `until`.
+#[derive(Debug, Clone, Copy)]
+struct DataGradient {
+    slot: u32,
+    until: SimTime,
+}
+
+/// The gradients a node maintains toward its neighbors. A neighbor can hold
+/// an exploratory gradient and a data gradient simultaneously; each expires
+/// independently.
 ///
 /// Methods that take `neighbors` map slots to [`NodeId`]s through it: the
 /// node's neighbor list in ascending id order, as
@@ -88,8 +77,11 @@ fn extend(until: &mut SimTime, to: SimTime) {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct GradientTable {
-    /// Slot `k` holds the gradients toward the `k`-th neighbor.
-    entries: Box<[Entry]>,
+    /// Slot `k` holds the exploratory expiry toward the `k`-th neighbor,
+    /// [`NONE`] without a gradient.
+    expl: Box<[SimTime]>,
+    /// The data gradients, sorted by slot, one per slot at most.
+    data: Vec<DataGradient>,
 }
 
 impl GradientTable {
@@ -97,13 +89,14 @@ impl GradientTable {
     /// neighbors.
     pub fn new(degree: usize) -> Self {
         GradientTable {
-            entries: vec![Entry::EMPTY; degree].into(),
+            expl: vec![NONE; degree].into(),
+            data: Vec::new(),
         }
     }
 
     /// The slot of `neighbor` in `neighbors`, if it is one.
     pub fn slot(&self, neighbors: &[NodeId], neighbor: NodeId) -> Option<usize> {
-        debug_assert_eq!(neighbors.len(), self.entries.len(), "not this node's list");
+        debug_assert_eq!(neighbors.len(), self.expl.len(), "not this node's list");
         debug_assert!(
             neighbors.windows(2).all(|w| w[0] < w[1]),
             "neighbor list not ascending"
@@ -111,9 +104,25 @@ impl GradientTable {
         neighbors.binary_search(&neighbor).ok()
     }
 
-    /// The entry of `neighbor`, if it is one.
-    fn entry(&self, neighbors: &[NodeId], neighbor: NodeId) -> Option<&Entry> {
-        self.slot(neighbors, neighbor).map(|k| &self.entries[k])
+    /// The position of `slot`'s data gradient in the list, or where it
+    /// would go.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is not a neighbor slot.
+    fn find_data(&self, slot: usize) -> Result<usize, usize> {
+        assert!(slot < self.expl.len(), "slot {slot} is not a neighbor slot");
+        self.data.binary_search_by_key(&(slot as u32), |d| d.slot)
+    }
+
+    /// The expiry of `slot`'s data gradient, [`NONE`] without one.
+    fn data_until(&self, slot: usize) -> SimTime {
+        self.find_data(slot).map_or(NONE, |i| self.data[i].until)
+    }
+
+    /// Whether `slot` holds a live gradient of either kind at `now`.
+    fn any_live_at(&self, slot: usize, now: SimTime) -> bool {
+        live(self.expl[slot], now) || live(self.data_until(slot), now)
     }
 
     /// Sets or refreshes the exploratory gradient toward the neighbor in
@@ -123,7 +132,7 @@ impl GradientTable {
     ///
     /// Panics if `slot` is not a neighbor slot.
     pub fn refresh_exploratory(&mut self, slot: usize, until: SimTime) {
-        extend(&mut self.entries[slot].expl_until, until);
+        extend(&mut self.expl[slot], until);
     }
 
     /// Upgrades the neighbor in `slot` to a data gradient valid until
@@ -134,98 +143,125 @@ impl GradientTable {
     ///
     /// Panics if `slot` is not a neighbor slot.
     pub fn reinforce(&mut self, slot: usize, until: SimTime) {
-        extend(&mut self.entries[slot].data_until, until);
+        if until == NONE {
+            // An expiry equal to the sentinel stores "no gradient", the
+            // same answer the exploratory side gives for it.
+            self.degrade(slot);
+            return;
+        }
+        match self.find_data(slot) {
+            Ok(i) => extend(&mut self.data[i].until, until),
+            Err(i) => {
+                let slot = slot as u32;
+                exact::insert(&mut self.data, i, DataGradient { slot, until });
+            }
+        }
     }
 
     /// Degrades the neighbor in `slot`'s data gradient to exploratory only
     /// (negative reinforcement). Returns `true` if a data gradient was
-    /// removed.
+    /// removed, expired or not.
     ///
     /// # Panics
     ///
     /// Panics if `slot` is not a neighbor slot.
     pub fn degrade(&mut self, slot: usize) -> bool {
-        std::mem::replace(&mut self.entries[slot].data_until, NONE) != NONE
+        let Ok(i) = self.find_data(slot) else {
+            return false;
+        };
+        exact::remove(&mut self.data, i);
+        true
     }
 
     /// Whether a live exploratory *or* data gradient toward `neighbor`
     /// exists at `now` (data implies the direction is still valid for
     /// exploratory traffic).
     pub fn has_any(&self, neighbors: &[NodeId], neighbor: NodeId, now: SimTime) -> bool {
-        self.entry(neighbors, neighbor).is_some_and(|e| e.live(now))
+        self.slot(neighbors, neighbor)
+            .is_some_and(|k| self.any_live_at(k, now))
     }
 
     /// Whether a live exploratory gradient toward `neighbor` exists at `now`.
     pub fn has_exploratory(&self, neighbors: &[NodeId], neighbor: NodeId, now: SimTime) -> bool {
-        self.entry(neighbors, neighbor)
-            .is_some_and(|e| e.expl_live(now))
+        self.slot(neighbors, neighbor)
+            .is_some_and(|k| live(self.expl[k], now))
     }
 
     /// Whether a live data gradient toward `neighbor` exists at `now`.
     pub fn has_data(&self, neighbors: &[NodeId], neighbor: NodeId, now: SimTime) -> bool {
-        self.entry(neighbors, neighbor)
-            .is_some_and(|e| e.data_live(now))
+        self.slot(neighbors, neighbor)
+            .is_some_and(|k| live(self.data_until(k), now))
     }
 
     /// The neighbors with a live data gradient at `now`, in ascending id
     /// order.
     pub fn data_neighbors(&self, neighbors: &[NodeId], now: SimTime) -> Vec<NodeId> {
-        self.neighbors_where(neighbors, |e| e.data_live(now))
+        debug_assert_eq!(neighbors.len(), self.expl.len(), "not this node's list");
+        self.data
+            .iter()
+            .filter(|d| live(d.until, now))
+            .map(|d| neighbors[d.slot as usize])
+            .collect()
     }
 
     /// The neighbors with any live gradient at `now`, in ascending id order.
     pub fn all_neighbors(&self, neighbors: &[NodeId], now: SimTime) -> Vec<NodeId> {
-        self.neighbors_where(neighbors, |e| e.live(now))
+        debug_assert_eq!(neighbors.len(), self.expl.len(), "not this node's list");
+        (0..self.expl.len())
+            .filter(|&k| self.any_live_at(k, now))
+            .map(|k| neighbors[k])
+            .collect()
     }
 
     /// Whether any live gradient exists at `now` — the same answer as
     /// `!all_neighbors(now).is_empty()` without building the list.
     pub fn any_live(&self, now: SimTime) -> bool {
-        self.entries.iter().any(|e| e.live(now))
+        self.on_tree(now) || self.expl.iter().any(|&u| live(u, now))
     }
 
     /// Whether the node is "on the existing tree": it has at least one live
     /// data gradient (someone downstream wants its data).
     pub fn on_tree(&self, now: SimTime) -> bool {
-        self.entries.iter().any(|e| e.data_live(now))
-    }
-
-    fn neighbors_where(&self, neighbors: &[NodeId], keep: impl Fn(&Entry) -> bool) -> Vec<NodeId> {
-        debug_assert_eq!(neighbors.len(), self.entries.len(), "not this node's list");
-        neighbors
-            .iter()
-            .zip(self.entries.iter())
-            .filter(|(_, e)| keep(e))
-            .map(|(&n, _)| n)
-            .collect()
+        self.data.iter().any(|d| live(d.until, now))
     }
 
     /// Drops gradients that have expired by `now`.
     pub fn sweep(&mut self, now: SimTime) {
-        for e in self.entries.iter_mut() {
-            if e.expl_until < now {
-                e.expl_until = NONE;
-            }
-            if e.data_until < now {
-                e.data_until = NONE;
+        for until in self.expl.iter_mut() {
+            if *until < now {
+                *until = NONE;
             }
         }
+        exact::retain(&mut self.data, |d| d.until >= now);
     }
 
     /// Removes all gradients (node failure wipes protocol state).
     pub fn clear(&mut self) {
-        self.entries.fill(Entry::EMPTY);
+        self.expl.fill(NONE);
+        exact::clear(&mut self.data);
     }
 
     /// Number of neighbors holding any (possibly expired, not yet swept)
     /// gradient.
     pub fn len(&self) -> usize {
-        self.entries.iter().filter(|e| !e.is_empty()).count()
+        let explored = self.expl.iter().filter(|&&u| u != NONE).count();
+        let data_only = self
+            .data
+            .iter()
+            .filter(|d| self.expl[d.slot as usize] == NONE)
+            .count();
+        explored + data_only
     }
 
     /// Whether no neighbor holds a gradient.
     pub fn is_empty(&self) -> bool {
-        self.entries.iter().all(Entry::is_empty)
+        self.data.is_empty() && self.expl.iter().all(|&u| u == NONE)
+    }
+
+    /// The heap bytes the table holds and needs: 8 per neighbor slot, 16
+    /// per data gradient.
+    pub(crate) fn heap_bytes(&self) -> HeapBytes {
+        HeapBytes::exact(std::mem::size_of_val(&*self.expl)) + HeapBytes::of(&self.data)
     }
 }
 

@@ -59,9 +59,9 @@
 mod aggregate;
 mod cache;
 mod config;
+mod exact;
 mod flooding;
 mod gradient;
-mod hash;
 mod metrics;
 mod msg;
 mod naming;

@@ -9,6 +9,7 @@ use wsn_net::{Ctx, NodeId};
 use wsn_trace::{DropReason, TraceRecord};
 
 use crate::config::{Scheme, FLOOD_JITTER, INTEREST_PERIOD, SEND_JITTER};
+use crate::exact;
 use crate::msg::{DiffMsg, EventItem, MsgId, ReinforceKind};
 
 use super::{DiffTimer, DiffusionNode, SourceTrack};
@@ -112,12 +113,21 @@ impl DiffusionNode {
             return;
         }
         self.last_expl = Some(id);
-        let track = self.source_tracks.entry(id.source).or_insert(SourceTrack {
-            last_item: now,
-            last_id: id,
-        });
-        if id.round >= track.last_id.round {
-            track.last_id = id;
+        match self
+            .source_tracks
+            .iter_mut()
+            .find(|t| t.source == id.source)
+        {
+            Some(track) if id.round >= track.last_id.round => track.last_id = id,
+            Some(_) => {}
+            None => {
+                let track = SourceTrack {
+                    source: id.source,
+                    last_item: now,
+                    last_id: id,
+                };
+                exact::push(&mut self.source_tracks, track);
+            }
         }
         // Sinks consume the event (exploratory events are real events).
         if self.role.is_sink {

@@ -7,6 +7,7 @@ use wsn_trace::{join_lineage, DropReason, LineageId, TraceRecord};
 
 use crate::aggregate::IncomingAgg;
 use crate::config::{next_generate_delay, round_at, SEND_JITTER};
+use crate::exact;
 use crate::msg::{DiffMsg, EventItem, MsgId};
 use crate::truncate::WindowEntry;
 
@@ -76,7 +77,7 @@ impl DiffusionNode {
             round,
             generated: now,
         };
-        self.last_seen_source.insert(self.me, now);
+        exact::set(&mut self.last_seen_source, self.me, now);
         self.events_generated += 1;
         if ctx.trace_enabled() {
             ctx.trace(TraceRecord::EventGen {
@@ -130,8 +131,8 @@ impl DiffusionNode {
         let mut v: Vec<NodeId> = self
             .last_seen_source
             .iter()
-            .filter(|(_, &t)| now.saturating_duration_since(t) <= self.cfg.truncation_window)
-            .map(|(&s, _)| s)
+            .filter(|&&(_, t)| now.saturating_duration_since(t) <= self.cfg.truncation_window)
+            .map(|&(s, _)| s)
             .collect();
         v.sort_unstable();
         v
@@ -215,8 +216,12 @@ impl DiffusionNode {
         let now = ctx.now();
         let mut new_items = Vec::new();
         for item in items {
-            self.last_seen_source.insert(item.source, now);
-            if let Some(track) = self.source_tracks.get_mut(&item.source) {
+            exact::set(&mut self.last_seen_source, item.source, now);
+            if let Some(track) = self
+                .source_tracks
+                .iter_mut()
+                .find(|t| t.source == item.source)
+            {
                 track.last_item = now;
             }
             if self.seen_items.insert(item.key()) {
@@ -316,10 +321,12 @@ mod tests {
     #[test]
     fn expected_sources_respects_window() {
         let mut node = DiffusionNode::new(DiffusionConfig::default(), NodeId(0), Role::RELAY);
-        node.last_seen_source
-            .insert(NodeId(1), SimTime::from_secs(10));
-        node.last_seen_source
-            .insert(NodeId(2), SimTime::from_secs(5));
+        exact::set(
+            &mut node.last_seen_source,
+            NodeId(1),
+            SimTime::from_secs(10),
+        );
+        exact::set(&mut node.last_seen_source, NodeId(2), SimTime::from_secs(5));
         // Window T_n = 2 s: at t = 11 only source 1 is fresh.
         assert_eq!(
             node.expected_sources(SimTime::from_secs(11)),

@@ -22,6 +22,11 @@
 //!   local repair;
 //! * [`proto`] — the [`Protocol`](wsn_net::Protocol) impl that dispatches
 //!   packets and timers into the above.
+//!
+//! Every table holds exactly what the node knows: the per-origin and
+//! per-neighbor state are exact-size lists scanned linearly, since a node
+//! hears from a few sources and sinks and has trouble with few neighbors
+//! (`DESIGN.md` §23).
 
 use std::sync::Arc;
 
@@ -31,8 +36,8 @@ use wsn_sim::SimTime;
 use crate::aggregate::AggregationBuffer;
 use crate::cache::ExplCache;
 use crate::config::DiffusionConfig;
+use crate::exact::HeapBytes;
 use crate::gradient::GradientTable;
-use crate::hash::FastMap;
 use crate::metrics::DiffusionMetricIds;
 use crate::msg::{DiffMsg, MsgId};
 use crate::stats::{ProtoCounters, SinkStats};
@@ -99,10 +104,31 @@ impl Role {
 /// Freshness bookkeeping for one source, for local path repair.
 #[derive(Debug, Clone, Copy)]
 struct SourceTrack {
+    /// The source tracked.
+    source: NodeId,
     /// Last time a data item from this source arrived here.
     last_item: SimTime,
     /// The most recent exploratory id seen from this source.
     last_id: MsgId,
+}
+
+/// A neighbor the MAC failed to reach: consecutive unicast failures since
+/// anything was last heard from it. One exhausted ARQ can be collision bad
+/// luck; from the second one in a row the neighbor is a suspect (a dead
+/// link) until `suspect_until`.
+#[derive(Debug, Clone, Copy)]
+struct FailingLink {
+    neighbor: NodeId,
+    failures: u32,
+    /// Meaningful once `failures` reaches 2.
+    suspect_until: SimTime,
+}
+
+impl FailingLink {
+    /// Whether the neighbor is a suspect at `now`.
+    fn suspect(&self, now: SimTime) -> bool {
+        self.failures >= 2 && self.suspect_until >= now
+    }
 }
 
 /// The sizes of one node's bounded protocol tables, from
@@ -115,6 +141,15 @@ pub struct StateSizes {
     pub cached_entries: usize,
     /// Offers those entries hold ([`ExplCache::offer_slots`]).
     pub offer_slots: usize,
+    /// Heap bytes the node's protocol tables hold, counted from
+    /// capacities: the dedup windows, the gradient table, the exploratory
+    /// cache, and the per-origin and per-neighbor lists. The aggregation
+    /// buffer and the truncation log, which hold the last `T_a` and `T_n`
+    /// of traffic, are not counted.
+    pub held_bytes: usize,
+    /// Heap bytes the live entries of those tables need, counted from
+    /// lengths. Equal to `held_bytes` while every table is at exact size.
+    pub live_bytes: usize,
 }
 
 /// The diffusion protocol instance for one node.
@@ -141,22 +176,18 @@ pub struct DiffusionNode {
     window: TruncationLog,
     flush_timer: Option<TimerHandle>,
     /// Most recent time each source's data was seen here (drives the
-    /// aggregation-point and early-flush decisions).
-    last_seen_source: FastMap<NodeId, SimTime>,
+    /// aggregation-point and early-flush decisions), one per source.
+    last_seen_source: Vec<(NodeId, SimTime)>,
     /// The most recent exploratory event seen, used to label data-driven
     /// gradient refreshes (re-reinforcement of active upstream providers).
     last_expl: Option<MsgId>,
     /// Per-source freshness for local repair: last data-item arrival and the
-    /// most recent exploratory id from that source.
-    source_tracks: FastMap<NodeId, SourceTrack>,
-    /// Neighbors the MAC reported unreachable, with suspicion expiry.
-    suspects: FastMap<NodeId, SimTime>,
-    /// Rate limiter: last repair reinforcement sent per source.
-    last_repair: FastMap<NodeId, SimTime>,
-    /// Consecutive MAC-level unicast failures per neighbor (reset by any
-    /// reception from that neighbor). One exhausted ARQ can be collision
-    /// bad luck; two in a row without hearing anything means a dead link.
-    link_failures: FastMap<NodeId, u32>,
+    /// most recent exploratory id from that source, one per source.
+    source_tracks: Vec<SourceTrack>,
+    /// Rate limiter: last repair reinforcement sent, one per source.
+    last_repair: Vec<(NodeId, SimTime)>,
+    /// Neighbors the MAC failed to reach since last heard from, one each.
+    failing_links: Vec<FailingLink>,
     // Measurement.
     /// Delivery records (meaningful for sinks).
     pub sink: SinkStats,
@@ -194,12 +225,11 @@ impl DiffusionNode {
             buffer: AggregationBuffer::new(),
             window,
             flush_timer: None,
-            last_seen_source: FastMap::default(),
+            last_seen_source: Vec::new(),
             last_expl: None,
-            source_tracks: FastMap::default(),
-            suspects: FastMap::default(),
-            last_repair: FastMap::default(),
-            link_failures: FastMap::default(),
+            source_tracks: Vec::new(),
+            last_repair: Vec::new(),
+            failing_links: Vec::new(),
             sink: SinkStats::default(),
             events_generated: 0,
             counters: ProtoCounters::default(),
@@ -236,11 +266,26 @@ impl DiffusionNode {
     /// The sizes of the node's protocol tables that could grow with
     /// simulated time (inspection/testing).
     pub fn state_sizes(&self) -> StateSizes {
+        let bytes = self.seen_interests.heap_bytes()
+            + self.seen_items.heap_bytes()
+            + self.gradients.heap_bytes()
+            + self.expl.heap_bytes()
+            + HeapBytes::of(&self.last_seen_source)
+            + HeapBytes::of(&self.source_tracks)
+            + HeapBytes::of(&self.last_repair)
+            + HeapBytes::of(&self.failing_links);
         StateSizes {
             dedup_windows: self.seen_interests.len() + self.seen_items.len(),
             cached_entries: self.expl.len(),
             offer_slots: self.expl.offer_slots(),
+            held_bytes: bytes.held,
+            live_bytes: bytes.live,
         }
+    }
+
+    /// The freshness track of `source`, if the node holds one.
+    fn track(&self, source: NodeId) -> Option<&SourceTrack> {
+        self.source_tracks.iter().find(|t| t.source == source)
     }
 
     /// Interest and item arrivals answered "seen" only because they were

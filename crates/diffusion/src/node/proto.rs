@@ -6,10 +6,11 @@ use wsn_trace::{DropReason, TraceRecord};
 
 use crate::cache::ExplCache;
 use crate::config::{next_generate_delay, FLOOD_JITTER, GRADIENT_TIMEOUT};
+use crate::exact;
 use crate::gradient::GradientTable;
 use crate::msg::DiffMsg;
 
-use super::{DiffTimer, DiffusionNode};
+use super::{DiffTimer, DiffusionNode, FailingLink};
 
 impl Protocol for DiffusionNode {
     type Msg = DiffMsg;
@@ -35,13 +36,10 @@ impl Protocol for DiffusionNode {
         let slot = ctx
             .sender_index()
             .expect("packets are delivered from a neighbor");
-        // Hearing anything from a neighbor clears link-failure suspicion.
-        // Both maps are almost always empty: skip the probe then.
-        if !self.link_failures.is_empty() {
-            self.link_failures.remove(&from);
-        }
-        if !self.suspects.is_empty() {
-            self.suspects.remove(&from);
+        // Hearing anything from a neighbor clears its failures and any
+        // suspicion. The list is almost always empty: skip the scan then.
+        if !self.failing_links.is_empty() {
+            exact::retain(&mut self.failing_links, |l| l.neighbor != from);
         }
         match packet.payload {
             DiffMsg::Interest { sink, seq } => {
@@ -94,11 +92,10 @@ impl Protocol for DiffusionNode {
         self.buffer.clear();
         self.window.clear();
         self.flush_timer = None;
-        self.last_seen_source.clear();
-        self.source_tracks.clear();
-        self.suspects.clear();
-        self.last_repair.clear();
-        self.link_failures.clear();
+        exact::clear(&mut self.last_seen_source);
+        exact::clear(&mut self.source_tracks);
+        exact::clear(&mut self.last_repair);
+        exact::clear(&mut self.failing_links);
         self.last_expl = None;
     }
 
@@ -147,14 +144,24 @@ impl Protocol for DiffusionNode {
         // The MAC exhausted its retries. One exhausted ARQ can be collision
         // bad luck under a flood burst; a *second* consecutive failure with
         // nothing heard from the neighbor in between means the link is dead.
-        let failures = self.link_failures.entry(to).or_insert(0);
-        *failures += 1;
-        if *failures < 2 {
+        let now = ctx.now();
+        let link = match self.failing_links.iter().position(|l| l.neighbor == to) {
+            Some(i) => &mut self.failing_links[i],
+            None => {
+                let link = FailingLink {
+                    neighbor: to,
+                    failures: 0,
+                    suspect_until: now,
+                };
+                exact::push(&mut self.failing_links, link);
+                self.failing_links.last_mut().expect("just pushed")
+            }
+        };
+        link.failures += 1;
+        if link.failures < 2 {
             return;
         }
-        let now = ctx.now();
-        self.suspects
-            .insert(to, now + self.cfg.truncation_window.saturating_mul(4));
+        link.suspect_until = now + self.cfg.truncation_window.saturating_mul(4);
         // A failed *data* transmission breaks the tree below us — degrade
         // the gradient so we stop burning retries into the void; the next
         // refresh, reinforcement, repair, or exploratory round rebuilds it.

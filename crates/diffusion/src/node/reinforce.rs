@@ -5,6 +5,7 @@ use wsn_net::{Ctx, NodeId};
 use wsn_sim::SimDuration;
 
 use crate::config::SEND_JITTER;
+use crate::exact;
 use crate::msg::{DiffMsg, MsgId, ReinforceKind};
 
 use super::{DiffTimer, DiffusionNode};
@@ -79,7 +80,7 @@ impl DiffusionNode {
                 // Continue the repair walk only while we are ourselves
                 // starved for this source — a node with fresh data is the
                 // working part of the tree and data will now flow down.
-                let starved = self.source_tracks.get(&id.source).is_none_or(|t| {
+                let starved = self.track(id.source).is_none_or(|t| {
                     now.saturating_duration_since(t.last_item) > self.repair_silence()
                 });
                 if starved {
@@ -105,7 +106,7 @@ impl DiffusionNode {
         exclude: Option<NodeId>,
     ) {
         let now = ctx.now();
-        let Some(track) = self.source_tracks.get(&source).copied() else {
+        let Some(&track) = self.track(source) else {
             return;
         };
         // Stale knowledge: past one exploratory interval the cached offers
@@ -114,18 +115,16 @@ impl DiffusionNode {
         {
             return;
         }
-        if self
-            .last_repair
-            .get(&source)
-            .is_some_and(|&t| now.saturating_duration_since(t) < self.cfg.truncation_window)
-        {
+        if self.last_repair.iter().any(|&(s, t)| {
+            s == source && now.saturating_duration_since(t) < self.cfg.truncation_window
+        }) {
             return;
         }
         let mut excluded: Vec<NodeId> = self
-            .suspects
+            .failing_links
             .iter()
-            .filter(|(_, &u)| u >= now)
-            .map(|(&n, _)| n)
+            .filter(|l| l.suspect(now))
+            .map(|l| l.neighbor)
             .collect();
         excluded.push(self.me);
         excluded.extend(exclude);
@@ -135,7 +134,7 @@ impl DiffusionNode {
             self.cfg.scheme,
             &excluded,
         ) {
-            self.last_repair.insert(source, now);
+            exact::set(&mut self.last_repair, source, now);
             self.send_now(
                 ctx,
                 Some(up),
@@ -215,23 +214,26 @@ impl DiffusionNode {
             let mut starved: Vec<NodeId> = self
                 .source_tracks
                 .iter()
-                .filter(|(_, t)| now.saturating_duration_since(t.last_item) > silence)
-                .map(|(&s, _)| s)
+                .filter(|t| now.saturating_duration_since(t.last_item) > silence)
+                .map(|t| t.source)
                 .collect();
             starved.sort_unstable();
             for source in starved {
                 self.attempt_repair(ctx, source, None);
             }
         }
-        self.suspects.retain(|_, &mut until| until >= now);
-        // Housekeeping rides the same periodic timer.
+        // Housekeeping rides the same periodic timer. A failing link's
+        // record lasts until the neighbor is heard from, and a lapsed
+        // suspicion in it excludes nothing.
         self.gradients.sweep(now);
         let history = self.cfg.exploratory_interval.saturating_mul(2);
         let horizon =
             wsn_sim::SimTime::from_nanos(now.as_nanos().saturating_sub(history.as_nanos()));
         self.expl.expire_before(horizon);
-        self.last_seen_source
-            .retain(|_, &mut t| now.saturating_duration_since(t) <= self.cfg.truncation_window);
+        let window = self.cfg.truncation_window;
+        exact::retain(&mut self.last_seen_source, |&(_, t)| {
+            now.saturating_duration_since(t) <= window
+        });
         ctx.set_timer(self.cfg.truncation_window, DiffTimer::Truncate);
     }
 }

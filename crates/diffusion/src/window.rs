@@ -14,8 +14,15 @@
 //! window can no longer tell apart from a duplicate: it answers "seen" and
 //! counts the arrival as *stale*. A run that counts no stale arrival made
 //! every dedup decision exactly as the set would have.
+//!
+//! The windows are one exact-size list: a node holds one 16-byte window per
+//! origin it heard from, and nothing more. Diffusion keeps one set of
+//! windows for interests and one for data items; the flooding baseline one
+//! for the events it floods.
 
 use wsn_net::NodeId;
+
+use crate::exact::{self, HeapBytes};
 
 /// The width of each dedup window, in sequence numbers: one bit of a `u64`
 /// bitmap per number.
@@ -58,11 +65,12 @@ impl DedupWindows {
     /// the origin's highest number answers `false` and counts as stale.
     pub fn insert(&mut self, (origin, seq): (NodeId, u32)) -> bool {
         let Some(w) = self.windows.iter_mut().find(|w| w.origin == origin) else {
-            self.windows.push(Window {
+            let w = Window {
                 origin,
                 top: seq,
                 bits: 1,
-            });
+            };
+            exact::push(&mut self.windows, w);
             return true;
         };
         if seq > w.top {
@@ -101,7 +109,12 @@ impl DedupWindows {
 
     /// Forgets every window (node failure).
     pub fn clear(&mut self) {
-        self.windows.clear();
+        exact::clear(&mut self.windows);
+    }
+
+    /// The heap bytes the windows hold and need.
+    pub(crate) fn heap_bytes(&self) -> HeapBytes {
+        HeapBytes::of(&self.windows)
     }
 }
 
@@ -116,6 +129,7 @@ mod tests {
         assert!(w.insert((NodeId(2), 5)));
         assert!(!w.insert((NodeId(1), 5)));
         assert_eq!(w.len(), 2);
+        assert_eq!(w.heap_bytes(), HeapBytes::exact(2 * 16));
     }
 
     #[test]
@@ -151,6 +165,7 @@ mod tests {
         w.insert((NodeId(1), 1));
         w.clear();
         assert!(w.is_empty());
+        assert_eq!(w.heap_bytes(), HeapBytes::default());
         assert_eq!(w.stale(), 1);
         assert!(w.insert((NodeId(1), 100)));
     }

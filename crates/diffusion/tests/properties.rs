@@ -148,6 +148,134 @@ fn apply_gradients(table: &mut GradientTable, neighbors: &[NodeId], ops: &[(u32,
     }
 }
 
+/// The gradient table as it was before data gradients went sparse: both
+/// expiries of every neighbor slot in one dense 16-byte entry, `NONE` for
+/// no gradient. The reference for `gradient_table_answers_like_the_dense_one`.
+mod dense {
+    use wsn_net::NodeId;
+    use wsn_sim::SimTime;
+
+    const NONE: SimTime = SimTime::MAX;
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Entry {
+        expl_until: SimTime,
+        data_until: SimTime,
+    }
+
+    impl Entry {
+        const EMPTY: Entry = Entry {
+            expl_until: NONE,
+            data_until: NONE,
+        };
+
+        fn expl_live(&self, now: SimTime) -> bool {
+            self.expl_until != NONE && self.expl_until >= now
+        }
+
+        fn data_live(&self, now: SimTime) -> bool {
+            self.data_until != NONE && self.data_until >= now
+        }
+
+        fn live(&self, now: SimTime) -> bool {
+            self.expl_live(now) || self.data_live(now)
+        }
+    }
+
+    fn extend(until: &mut SimTime, to: SimTime) {
+        if *until == NONE || *until < to {
+            *until = to;
+        }
+    }
+
+    pub struct Gradients(Vec<Entry>);
+
+    impl Gradients {
+        pub fn new(degree: usize) -> Self {
+            Gradients(vec![Entry::EMPTY; degree])
+        }
+
+        pub fn refresh_exploratory(&mut self, slot: usize, until: SimTime) {
+            extend(&mut self.0[slot].expl_until, until);
+        }
+
+        pub fn reinforce(&mut self, slot: usize, until: SimTime) {
+            extend(&mut self.0[slot].data_until, until);
+        }
+
+        pub fn degrade(&mut self, slot: usize) -> bool {
+            std::mem::replace(&mut self.0[slot].data_until, NONE) != NONE
+        }
+
+        pub fn has_any(&self, slot: usize, now: SimTime) -> bool {
+            self.0[slot].live(now)
+        }
+
+        pub fn has_exploratory(&self, slot: usize, now: SimTime) -> bool {
+            self.0[slot].expl_live(now)
+        }
+
+        pub fn has_data(&self, slot: usize, now: SimTime) -> bool {
+            self.0[slot].data_live(now)
+        }
+
+        pub fn data_neighbors(&self, neighbors: &[NodeId], now: SimTime) -> Vec<NodeId> {
+            let live = self.0.iter().map(|e| e.data_live(now));
+            neighbors
+                .iter()
+                .zip(live)
+                .filter(|(_, l)| *l)
+                .map(|(&n, _)| n)
+                .collect()
+        }
+
+        pub fn all_neighbors(&self, neighbors: &[NodeId], now: SimTime) -> Vec<NodeId> {
+            let live = self.0.iter().map(|e| e.live(now));
+            neighbors
+                .iter()
+                .zip(live)
+                .filter(|(_, l)| *l)
+                .map(|(&n, _)| n)
+                .collect()
+        }
+
+        pub fn any_live(&self, now: SimTime) -> bool {
+            self.0.iter().any(|e| e.live(now))
+        }
+
+        pub fn on_tree(&self, now: SimTime) -> bool {
+            self.0.iter().any(|e| e.data_live(now))
+        }
+
+        pub fn sweep(&mut self, now: SimTime) {
+            for e in self.0.iter_mut() {
+                if e.expl_until < now {
+                    e.expl_until = NONE;
+                }
+                if e.data_until < now {
+                    e.data_until = NONE;
+                }
+            }
+        }
+
+        pub fn clear(&mut self) {
+            self.0.fill(Entry::EMPTY);
+        }
+
+        pub fn len(&self) -> usize {
+            self.0.iter().filter(|e| **e != Entry::EMPTY).count()
+        }
+    }
+}
+
+/// A gradient-table script: (operation, neighbor slot, time in ns), where
+/// a time of 63 stands for `SimTime::MAX`, the tables' own sentinel.
+/// Operations 0–2 refresh an exploratory gradient, 3–5 reinforce, 6
+/// degrades, 7 sweeps at the time and 8 clears the table.
+fn gradient_script() -> impl Strategy<Value = Vec<(u8, usize, u64)>> {
+    prop::collection::vec((0u8..9, 0usize..5, 0u64..64), 1..60)
+}
+
 proptest! {
     /// The greedy upstream choice equals the brute-force minimum under the
     /// paper's tie rules (cost, then exploratory-over-incremental, then
@@ -318,6 +446,62 @@ proptest! {
             prop_assert_eq!(a.on_tree(now), b.on_tree(now));
             prop_assert_eq!(a.any_live(now), b.any_live(now));
             prop_assert_eq!(a.any_live(now), !a.all_neighbors(&neighbors, now).is_empty());
+        }
+    }
+
+    /// The gradient table, with its data gradients in a sparse list, answers
+    /// every query exactly as the dense table it replaced: `degrade`'s
+    /// return value for an expired but unswept gradient and `len` before a
+    /// sweep included.
+    #[test]
+    fn gradient_table_answers_like_the_dense_one(script in gradient_script()) {
+        let neighbors = [NodeId(1), NodeId(2), NodeId(3), NodeId(5), NodeId(9)];
+        let mut table = GradientTable::new(neighbors.len());
+        let mut dense = dense::Gradients::new(neighbors.len());
+        let time = |t: u64| if t == 63 { SimTime::MAX } else { SimTime::from_nanos(t) };
+        for &(op, slot, t) in &script {
+            let at = time(t);
+            match op {
+                0..=2 => {
+                    table.refresh_exploratory(slot, at);
+                    dense.refresh_exploratory(slot, at);
+                }
+                3..=5 => {
+                    table.reinforce(slot, at);
+                    dense.reinforce(slot, at);
+                }
+                6 => prop_assert_eq!(table.degrade(slot), dense.degrade(slot)),
+                7 => {
+                    table.sweep(at);
+                    dense.sweep(at);
+                }
+                _ => {
+                    table.clear();
+                    dense.clear();
+                }
+            }
+            prop_assert_eq!(table.len(), dense.len());
+            prop_assert_eq!(table.is_empty(), dense.len() == 0);
+            for now in (0..64).step_by(3).map(time) {
+                for (k, &n) in neighbors.iter().enumerate() {
+                    prop_assert_eq!(table.has_any(&neighbors, n, now), dense.has_any(k, now));
+                    prop_assert_eq!(
+                        table.has_exploratory(&neighbors, n, now),
+                        dense.has_exploratory(k, now)
+                    );
+                    prop_assert_eq!(table.has_data(&neighbors, n, now), dense.has_data(k, now));
+                }
+                prop_assert_eq!(
+                    table.data_neighbors(&neighbors, now),
+                    dense.data_neighbors(&neighbors, now)
+                );
+                prop_assert_eq!(
+                    table.all_neighbors(&neighbors, now),
+                    dense.all_neighbors(&neighbors, now)
+                );
+                prop_assert_eq!(table.any_live(now), dense.any_live(now));
+                prop_assert_eq!(table.on_tree(now), dense.on_tree(now));
+            }
         }
     }
 

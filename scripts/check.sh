@@ -34,8 +34,7 @@ fi
 echo "==> output fixtures: krishnamachari, baselines, ablations, mac_overhead"
 # The abstract tree contrast, the flooding and omniscient brackets, the MAC
 # comparison and the swept protocol timings, each compared byte for byte
-# with its committed output. About 20 s on two workers; --jobs is pinned
-# because the ablations header names the worker count.
+# with its committed output. About 20 s on two workers.
 fixture() {
     local file="$1"
     shift
@@ -46,7 +45,7 @@ fixture() {
 }
 fixture bench_output_krishnamachari.txt krishnamachari
 fixture bench_output_baselines.txt baselines -- --fields 5 --jobs 2
-fixture bench_output_ablations.txt ablations -- --fields 4 --jobs 2
+fixture bench_output_ablations.txt ablations -- --fields 4
 fixture bench_output_mac_overhead.txt mac_overhead -- --fields 6 --jobs 2
 
 echo "==> smoke sweep: 2 points x 2 fields through the job runner"

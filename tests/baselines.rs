@@ -31,6 +31,12 @@ fn energy_brackets_hold() {
         .map(|(_, p)| p.sink.distinct)
         .sum();
     assert!(flood_distinct > 0);
+    // The flood's dedup windows answered as unbounded sets would have.
+    let flood_stale: u64 = flood.protocols().map(|(_, p)| p.stale_arrivals()).sum();
+    assert_eq!(
+        flood_stale, 0,
+        "stale arrivals behind a flooding dedup window"
+    );
     let flood_energy = flood.total_activity_energy() / 150.0 / flood_distinct as f64;
 
     // Diffusion schemes.

@@ -8,11 +8,16 @@
 //! The sizes are table sizes read through [`DiffusionNode::state_sizes`],
 //! not RSS: they are deterministic, and cheap enough to check in an
 //! unoptimized build.
+//!
+//! Each table also holds exactly what it contains: the heap bytes it holds,
+//! counted from capacities, equal what its live entries need, counted from
+//! lengths. That holds under rolling failures too, where nodes lose every
+//! table and refill it, and the largest any node holds does not grow.
 
 use wsn::diffusion::{DiffusionConfig, DiffusionNode, Role, Scheme, StateSizes};
 use wsn::net::{NetConfig, Network};
-use wsn::scenario::ScenarioSpec;
-use wsn::sim::SimTime;
+use wsn::scenario::{FailureConfig, ScenarioInstance, ScenarioSpec};
+use wsn::sim::{SimDuration, SimTime};
 
 /// The largest of each table over all nodes: the per-node memory bound.
 fn largest(net: &Network<DiffusionNode>) -> StateSizes {
@@ -22,7 +27,43 @@ fn largest(net: &Network<DiffusionNode>) -> StateSizes {
             dedup_windows: m.dedup_windows.max(s.dedup_windows),
             cached_entries: m.cached_entries.max(s.cached_entries),
             offer_slots: m.offer_slots.max(s.offer_slots),
+            held_bytes: m.held_bytes.max(s.held_bytes),
+            live_bytes: m.live_bytes.max(s.live_bytes),
         })
+}
+
+/// A greedy diffusion network over `instance`'s field and roles, with its
+/// failure schedule queued.
+fn network(instance: &ScenarioInstance, seed: u64) -> Network<DiffusionNode> {
+    let cfg = DiffusionConfig::for_scheme(Scheme::Greedy);
+    let mut net = Network::new(
+        instance.field.topology.clone(),
+        NetConfig::default(),
+        seed,
+        |id| {
+            let (is_source, is_sink) = instance.role_of(id);
+            DiffusionNode::new(cfg.clone(), id, Role { is_source, is_sink })
+        },
+    );
+    for e in &instance.failure_events {
+        if e.down {
+            net.schedule_down(e.at, e.node);
+        } else {
+            net.schedule_up(e.at, e.node);
+        }
+    }
+    net
+}
+
+/// Every node's tables hold exactly the bytes their live entries need.
+fn assert_exact_size(net: &Network<DiffusionNode>, at: &str) {
+    for (id, p) in net.protocols() {
+        let s = p.state_sizes();
+        assert_eq!(
+            s.held_bytes, s.live_bytes,
+            "{id} at {at}: tables hold more than their entries need: {s:?}"
+        );
+    }
 }
 
 #[test]
@@ -31,16 +72,7 @@ fn protocol_tables_stop_growing_with_simulated_time() {
     // cycle, so the cache holds the same rounds at both instants.
     let spec = ScenarioSpec::paper(40, 2002);
     let instance = spec.instantiate();
-    let cfg = DiffusionConfig::for_scheme(Scheme::Greedy);
-    let mut net = Network::new(
-        instance.field.topology.clone(),
-        NetConfig::default(),
-        spec.seed,
-        |id| {
-            let (is_source, is_sink) = instance.role_of(id);
-            DiffusionNode::new(cfg.clone(), id, Role { is_source, is_sink })
-        },
-    );
+    let mut net = network(&instance, spec.seed);
     net.run_until(SimTime::from_secs(200));
     let early = largest(&net);
     let sink = instance.sinks[0];
@@ -86,6 +118,43 @@ fn protocol_tables_stop_growing_with_simulated_time() {
 
     // Bounded without changing an answer: no arrival was older than its
     // dedup window.
+    let stale: u64 = net.protocols().map(|(_, p)| p.stale_arrivals()).sum();
+    assert_eq!(stale, 0, "stale arrivals behind a dedup window");
+}
+
+#[test]
+fn tables_hold_what_they_contain_under_rolling_failures() {
+    // The same field with a fifth of its relays down at any instant, a new
+    // batch every 30 s until 2,000 s: failed nodes clear every table, and
+    // recovered ones refill them.
+    let spec = ScenarioSpec {
+        failures: Some(FailureConfig::default()),
+        duration: SimDuration::from_secs(2000),
+        ..ScenarioSpec::paper(40, 2002)
+    };
+    let instance = spec.instantiate();
+    assert!(instance.failure_events.len() > 100, "failures scheduled");
+    let mut net = network(&instance, spec.seed);
+    // Which nodes the current batch took down decides how much the largest
+    // node holds (its held bytes swing by 4x over this run), so the bound
+    // is the largest any node held at any 50-s step of the first 1,000 s,
+    // 200 s among them.
+    let mut early = StateSizes::default();
+    for t in (50..=1000).step_by(50) {
+        net.run_until(SimTime::from_secs(t));
+        assert_exact_size(&net, &format!("{t} s"));
+        early.held_bytes = early.held_bytes.max(largest(&net).held_bytes);
+    }
+    net.run_until(SimTime::from_secs(2000));
+    assert_exact_size(&net, "2,000 s");
+    let late = largest(&net);
+
+    assert!(early.held_bytes > 0 && late.cached_entries > 0, "{late:?}");
+    assert!(
+        late.held_bytes <= early.held_bytes,
+        "the largest node's tables grew: {} B up to 1,000 s, {late:?} at 2,000 s",
+        early.held_bytes
+    );
     let stale: u64 = net.protocols().map(|(_, p)| p.stale_arrivals()).sum();
     assert_eq!(stale, 0, "stale arrivals behind a dedup window");
 }

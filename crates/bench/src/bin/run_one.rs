@@ -248,6 +248,10 @@ fn main() {
         outcome.stale_arrivals
     );
     outln!(
+        "wide offer rows: {} (exploratory offer rows past 2-byte slots)",
+        outcome.wide_offer_rows
+    );
+    outln!(
         "\nsimulated {:.0} s ({} events) in {:.2} s wall time",
         record.duration_s,
         outcome.accounting.events_processed,

@@ -105,6 +105,10 @@ pub struct RunOutcome {
     /// [`wsn_diffusion::DedupWindows`]). Zero means every dedup decision
     /// equals an unbounded set's.
     pub stale_arrivals: u64,
+    /// Exploratory offer rows over all nodes that converted to the wide
+    /// form (see [`wsn_diffusion::StateSizes::wide_offer_rows`]). Zero
+    /// means every row kept its 2-byte slots.
+    pub wide_offer_rows: u64,
     /// Simulator run accounting (events dispatched, final clock, backlog).
     pub accounting: RunAccounting,
     /// Disconnected placements rejected while generating the run's field
@@ -249,6 +253,7 @@ impl Experiment {
         let mut delays_s = Vec::new();
         let mut tree_edges = Vec::new();
         let mut stale_arrivals = 0;
+        let mut wide_offer_rows = 0;
         for (id, proto) in net.protocols() {
             if proto.role().is_sink {
                 distinct_events += proto.sink.distinct;
@@ -263,6 +268,7 @@ impl Experiment {
                 sent[kind.index()] += proto.counters.sent(kind);
             }
             stale_arrivals += proto.stale_arrivals();
+            wide_offer_rows += proto.state_sizes().wide_offer_rows;
             let next_hops = proto
                 .gradients()
                 .data_neighbors(net.topology().neighbors(id), now);
@@ -299,6 +305,7 @@ impl Experiment {
             tree_edges,
             down: nodes.filter(|&id| !net.is_up(id)).collect(),
             stale_arrivals,
+            wide_offer_rows,
             accounting: net.accounting(),
             field_retries: instance.field.retries,
         };

@@ -23,24 +23,29 @@
 //! own event). The cache keeps no copy of the neighbor list: the upstream
 //! choice takes the topology's list
 //! ([`Ctx::neighbors`](wsn_net::Ctx::neighbors)) to map slots to
-//! `NodeId`s. Each slot is 6 bytes, a 16-bit cost and the arrival as a
-//! nanosecond offset from the entry's creation instant, and recording one
-//! is one indexed store. An entry that receives an offer before its
-//! creation instant, or 2³² ns (4.29 s) or more after it, or an offer whose
-//! cost does not fit in 16 bits, converts its row once to 12-byte slots
-//! holding 32-bit costs and absolute arrivals, so every offer the upstream
-//! choice compares is exact. Incremental offers come only from the few
-//! neighbors on the aggregation tree, so each entry keeps them sparse: a
-//! short list of each offering slot's best one, allocated on the entry's
-//! first incremental message together with the incremental-cost dedup,
-//! which therefore expires with the entry.
+//! `NodeId`s. Each slot is 2 bytes, an 8-bit cost and the arrival's *rank*:
+//! its position among the distinct instants recorded in the row. Offers are
+//! recorded in time order (the engine's clock guarantees it, and recording
+//! panics on a reversal), so ranks order arrivals exactly as their instants
+//! do, and equal ranks mean equal instants. Arrivals are only ever compared
+//! inside one row, so every upstream choice is the one exact instants give.
+//! A cost of 255 or more, or a 256th distinct instant, converts the row
+//! once to 8-byte slots holding 32-bit costs and ranks, boxed in its entry.
+//! Incremental offers
+//! come only from the few neighbors on the aggregation tree, so each entry
+//! keeps them sparse, with exact arrivals: a short list of each offering
+//! slot's best one, allocated on the entry's first incremental message
+//! together with the incremental-cost dedup, which therefore expires with
+//! the entry.
 //!
-//! The entries are one exact-size list, and their ids a second one beside
-//! it, so a lookup scans a few contiguous 8-byte ids, newest first. The
+//! The entries are one exact-size list, their ids a second one beside it,
+//! so a lookup scans a few contiguous 8-byte ids, newest first, and their
+//! narrow rows a third, one row after another: no row is an allocation of
+//! its own. The
 //! node expires an entry two exploratory intervals after its event, so it
 //! holds at most three rounds per source. The upstream choice
 //! compares `NodeId`s, never slots or list positions, so storage order
-//! cannot reach it. See `DESIGN.md` §20, §21 and §23.
+//! cannot reach it. See `DESIGN.md` §20, §21, §23 and §24.
 
 use wsn_net::NodeId;
 use wsn_sim::SimTime;
@@ -66,137 +71,77 @@ pub enum UpstreamKind {
 
 /// The narrow row's "no such cost" sentinel. Costs from 0 to
 /// `NARROW_NONE - 1` fit a narrow row; a larger one converts it.
-const NARROW_NONE: u16 = u16::MAX;
+const NARROW_NONE: u8 = u8::MAX;
 
-/// One slot's best exploratory offer in 6 bytes: its arrival is a
-/// nanosecond offset from the row's base, the entry's creation instant.
-/// Packed to 2-byte alignment, so it is only ever read and written by
-/// value. A cost of [`NARROW_NONE`] marks an offer not yet made (its offset
-/// is then meaningless).
-#[derive(Debug, Clone, Copy)]
-#[repr(C, packed(2))]
-struct NarrowOffer {
-    /// Best exploratory cost from this slot.
-    cost: u16,
-    /// Arrival of that offer, nanoseconds after the base.
-    after: u32,
-}
-
-/// One slot's best exploratory offer in its exact 12-byte form: packed to
-/// 4-byte alignment, so it is only ever read and written by value. A cost
-/// of [`NONE`] marks an offer not yet made (its arrival time is then
+/// One slot's best exploratory offer in 2 bytes. A cost of
+/// [`NARROW_NONE`] marks an offer not yet made (its rank is then
 /// meaningless).
 #[derive(Debug, Clone, Copy)]
-#[repr(C, packed(4))]
-struct ExplOffer {
+struct NarrowOffer {
+    /// Best exploratory cost from this slot.
+    cost: u8,
+    /// The rank of that offer's arrival in its row.
+    rank: u8,
+}
+
+/// One slot's best exploratory offer in its wide 8-byte form. A cost of
+/// [`NONE`] marks an offer not yet made (its rank is then meaningless).
+#[derive(Debug, Clone, Copy)]
+struct WideOffer {
     /// Best exploratory cost from this slot.
     cost: u32,
-    /// Arrival of that offer.
-    at: SimTime,
+    /// The rank of that offer's arrival in its row.
+    rank: u32,
 }
 
-/// An entry's exploratory offers, one per offer slot.
-#[derive(Debug, Clone)]
-enum OfferRow {
-    /// 16-bit costs, and arrivals as offsets from `base`, the entry's
-    /// creation instant: the row of every entry whose offers all cost less
-    /// than [`NARROW_NONE`] and arrive within 2³² ns after it.
-    Narrow {
-        base: SimTime,
-        offers: Box<[NarrowOffer]>,
-    },
-    /// 32-bit costs and absolute arrivals: the row of an entry that
-    /// received an offer before its creation instant, 2³² ns or more after
-    /// it, or at a cost of [`NARROW_NONE`] or more.
-    Wide(Box<[ExplOffer]>),
+/// A narrow slot no offer reached yet.
+const EMPTY: NarrowOffer = NarrowOffer {
+    cost: NARROW_NONE,
+    rank: 0,
+};
+
+/// An entry's exploratory offers, one per offer slot: its narrow row in
+/// the cache's list, or the wide row it converted to. An offer's rank is
+/// the number of distinct instants recorded in the row before its own.
+#[derive(Debug, Clone, Copy)]
+enum Row<'a> {
+    Narrow(&'a [NarrowOffer]),
+    Wide(&'a [WideOffer]),
 }
 
-impl OfferRow {
-    /// `slots` offers not yet made, in a narrow row based at `base`.
-    fn new(slots: usize, base: SimTime) -> Self {
-        let empty = NarrowOffer {
-            cost: NARROW_NONE,
-            after: 0,
+impl<'a> Row<'a> {
+    /// The (cost, arrival rank) of slot `k`'s offer, if one was made.
+    fn get(self, k: usize) -> Option<(u32, u32)> {
+        let WideOffer { cost, rank } = match self {
+            Row::Narrow(offers) => widen(offers[k]),
+            Row::Wide(offers) => offers[k],
         };
-        OfferRow::Narrow {
-            base,
-            offers: vec![empty; slots].into_boxed_slice(),
-        }
+        (cost != NONE).then_some((cost, rank))
     }
 
-    /// The number of offer slots.
-    fn len(&self) -> usize {
-        match self {
-            OfferRow::Narrow { offers, .. } => offers.len(),
-            OfferRow::Wide(offers) => offers.len(),
-        }
-    }
-
-    /// The cost of slot `k`'s offer, [`NONE`] if none was made.
-    fn cost(&self, k: usize) -> u32 {
-        match self {
-            OfferRow::Narrow { offers, .. } => widen_cost(offers[k].cost),
-            OfferRow::Wide(offers) => offers[k].cost,
-        }
-    }
-
-    /// The (cost, arrival) of slot `k`'s offer, if one was made.
-    fn get(&self, k: usize) -> Option<(u32, SimTime)> {
-        let (cost, at) = match self {
-            OfferRow::Narrow { base, offers } => {
-                let o = offers[k];
-                (widen_cost(o.cost), widen(*base, o.after))
-            }
-            OfferRow::Wide(offers) => {
-                let ExplOffer { cost, at } = offers[k];
-                (cost, at)
-            }
+    /// Every offer made, as (slot, cost, arrival rank), in slot order.
+    fn offers(self) -> impl Iterator<Item = (usize, u32, u32)> + 'a {
+        let len = match self {
+            Row::Narrow(offers) => offers.len(),
+            Row::Wide(offers) => offers.len(),
         };
-        (cost != NONE).then_some((cost, at))
-    }
-
-    /// Every offer made, as (slot, cost, arrival), in slot order.
-    fn offers(&self) -> impl Iterator<Item = (usize, u32, SimTime)> + '_ {
-        (0..self.len()).filter_map(|k| self.get(k).map(|(c, t)| (k, c, t)))
-    }
-
-    /// Makes `(cost, at)` slot `k`'s offer. A narrow row that cannot hold
-    /// `cost` in 16 bits, or `at` as an offset from its base, first
-    /// converts, once, to a wide one.
-    fn set(&mut self, k: usize, cost: u32, at: SimTime) {
-        if let OfferRow::Narrow { base, offers } = self {
-            if let (Some(cost), Some(after)) = (narrow_cost(cost), narrow(*base, at)) {
-                offers[k] = NarrowOffer { cost, after };
-                return;
-            }
-            let base = *base;
-            let wide = offers.iter().map(|&o| ExplOffer {
-                cost: widen_cost(o.cost),
-                at: widen(base, o.after),
-            });
-            *self = OfferRow::Wide(wide.collect());
-        }
-        if let OfferRow::Wide(offers) = self {
-            offers[k] = ExplOffer { cost, at };
-        }
-    }
-
-    /// The heap bytes of the row's slots.
-    fn heap_bytes(&self) -> HeapBytes {
-        HeapBytes::exact(match self {
-            OfferRow::Narrow { offers, .. } => std::mem::size_of_val(&**offers),
-            OfferRow::Wide(offers) => std::mem::size_of_val(&**offers),
-        })
+        (0..len).filter_map(move |k| self.get(k).map(|(c, r)| (k, c, r)))
     }
 }
 
-/// `cost` as a narrow row's 16-bit cost, if it is below [`NARROW_NONE`].
-fn narrow_cost(cost: u32) -> Option<u16> {
-    u16::try_from(cost).ok().filter(|&c| c != NARROW_NONE)
+/// `cost` as a narrow row's 8-bit cost, if it is below [`NARROW_NONE`].
+fn narrow_cost(cost: u32) -> Option<u8> {
+    u8::try_from(cost).ok().filter(|&c| c != NARROW_NONE)
+}
+
+/// `rank` as a narrow row's 8-bit rank, if it is below `u8::MAX`: costs
+/// and ranks share the narrow range 0–254.
+fn narrow_rank(rank: u32) -> Option<u8> {
+    u8::try_from(rank).ok().filter(|&r| r != u8::MAX)
 }
 
 /// A narrow row's cost as a 32-bit one, [`NARROW_NONE`] as [`NONE`].
-fn widen_cost(cost: u16) -> u32 {
+fn widen_cost(cost: u8) -> u32 {
     if cost == NARROW_NONE {
         NONE
     } else {
@@ -204,16 +149,12 @@ fn widen_cost(cost: u16) -> u32 {
     }
 }
 
-/// `at` as a nanosecond offset from `base`, if it is in `[base, base +
-/// 2³²)`.
-fn narrow(base: SimTime, at: SimTime) -> Option<u32> {
-    let after = at.as_nanos().checked_sub(base.as_nanos())?;
-    u32::try_from(after).ok()
-}
-
-/// The instant `after` nanoseconds past `base`.
-fn widen(base: SimTime, after: u32) -> SimTime {
-    SimTime::from_nanos(base.as_nanos() + u64::from(after))
+/// A narrow offer in the wide form.
+fn widen(o: NarrowOffer) -> WideOffer {
+    WideOffer {
+        cost: widen_cost(o.cost),
+        rank: u32::from(o.rank),
+    }
 }
 
 /// One slot's best incremental offer.
@@ -241,13 +182,23 @@ struct Incremental {
 /// Cached state for one exploratory event.
 #[derive(Debug, Clone)]
 pub struct ExplEntry {
-    /// The event item the exploratory message carried.
-    pub item: EventItem,
+    /// When the event was generated, as the message that created the entry
+    /// carried it: the instant expiry reads. An entry that an incremental
+    /// message created holds that message's arrival instead.
+    pub generated: SimTime,
+    /// The instant of the latest exploratory offer recorded, or the
+    /// entry's creation instant while it has none. No offer may be
+    /// recorded before it.
+    latest: SimTime,
     /// Offer slot of the sender of the first copy (the opportunistic
     /// choice).
     first_from: u32,
-    /// One exploratory offer per neighbor slot, then the node's own.
-    offers: OfferRow,
+    /// The distinct instants of the exploratory offers recorded, 0 while
+    /// there are none: the next later instant's rank.
+    ranks: u32,
+    /// The entry's exploratory offers in the wide form, `None` while they
+    /// fit its narrow row in the cache's list.
+    wide: Option<Box<[WideOffer]>>,
     /// Incremental offers and dedup, `None` until the first incremental
     /// message for this id.
     incremental: Option<Box<Incremental>>,
@@ -259,45 +210,68 @@ pub struct ExplEntry {
 }
 
 impl ExplEntry {
-    /// A fresh entry created at `now` with `slots` empty exploratory offers
-    /// for the first message heard about an event, from offer slot `from`;
-    /// the caller records its offer.
-    fn new(item: EventItem, from: usize, slots: usize, now: SimTime) -> Self {
+    /// A fresh entry created at `now`, without offers, for the first
+    /// message heard about an event, from offer slot `from`; the caller
+    /// records its offer.
+    fn new(item: EventItem, from: usize, now: SimTime) -> Self {
         ExplEntry {
-            item,
+            generated: item.generated,
+            latest: now,
             first_from: from as u32,
-            offers: OfferRow::new(slots, now),
+            ranks: 0,
+            wide: None,
             incremental: None,
             reinforce_sent: false,
             timer_armed: false,
         }
     }
 
-    /// The minimum energy cost at which this node received the event: the
-    /// `E` looked up when forwarding incremental cost messages. Each slot
-    /// keeps the lowest cost it offered, so this is the lowest over the
-    /// row; `None` when only incremental offers arrived.
-    fn own_energy(&self) -> Option<u32> {
-        self.offers.offers().map(|(_, c, _)| c).min()
+    /// Panics unless an offer may be recorded at `at`: no earlier than the
+    /// latest exploratory offer, or the entry's creation.
+    fn check_order(&self, at: SimTime) {
+        assert!(
+            at >= self.latest,
+            "offer at {} ns recorded after one at {} ns",
+            at.as_nanos(),
+            self.latest.as_nanos()
+        );
     }
 
-    /// The heap bytes the entry's row and incremental state hold and need.
+    /// The rank of an exploratory offer kept at `at`, no earlier than the
+    /// latest one: the latest one's rank at the same instant, the next rank
+    /// at a later one. `at` becomes the latest.
+    fn rank_at(&mut self, at: SimTime) -> u32 {
+        let rank = if self.ranks > 0 && at == self.latest {
+            self.ranks - 1
+        } else {
+            self.ranks
+        };
+        self.latest = at;
+        self.ranks = rank + 1;
+        rank
+    }
+
+    /// The heap bytes the entry's wide row and incremental state hold and
+    /// need.
     fn heap_bytes(&self) -> HeapBytes {
+        let wide = self.wide.as_ref().map_or(HeapBytes::default(), |w| {
+            HeapBytes::exact(std::mem::size_of_val(&**w))
+        });
         let incremental = self.incremental.as_ref().map_or(HeapBytes::default(), |i| {
             HeapBytes::exact(std::mem::size_of::<Incremental>())
                 + HeapBytes::of(&i.offers)
                 + HeapBytes::of(&i.forwarded)
         });
-        self.offers.heap_bytes() + incremental
+        wide + incremental
     }
 }
 
 /// The per-node exploratory cache: one [`ExplEntry`] per exploratory id
-/// heard, until [`expire_before`](Self::expire_before) drops it. An entry
-/// holds a 6-byte exploratory offer per offer slot (degree + 1) and, once
-/// incremental cost messages arrive, a short list of incremental offers
-/// and the origins already forwarded. The entries and their ids are two
-/// exact-size lists.
+/// heard, until [`expire_before`](Self::expire_before) drops it. Each
+/// entry has a 2-byte exploratory offer per offer slot (degree + 1) and,
+/// once incremental cost messages arrive, a short list of incremental
+/// offers and the origins already forwarded. The entries, their ids and
+/// their rows of narrow offers are three exact-size lists.
 ///
 /// Methods that take `neighbors` map offer slots to [`NodeId`]s through
 /// it: the node's neighbor list in ascending id order, as
@@ -338,6 +312,14 @@ pub struct ExplCache {
     ids: Vec<MsgId>,
     /// `entries[i]` is the entry of `ids[i]`.
     entries: Vec<ExplEntry>,
+    /// The entries' narrow rows, one after another: `entries[i]`'s is the
+    /// `i`-th run of degree + 1 offers. A buffer of its own per row, tens
+    /// of bytes each, fragmented the heap over long runs (`DESIGN.md`
+    /// §24.4).
+    narrow: Vec<NarrowOffer>,
+    /// Offer rows converted to the wide form, kept across
+    /// [`clear`](Self::clear).
+    wide_rows: u64,
 }
 
 impl ExplCache {
@@ -348,6 +330,8 @@ impl ExplCache {
             degree: u32::try_from(degree).expect("degree fits u32"),
             ids: Vec::new(),
             entries: Vec::new(),
+            narrow: Vec::new(),
+            wide_rows: 0,
         }
     }
 
@@ -361,27 +345,72 @@ impl ExplCache {
         self.degree as usize
     }
 
+    /// The number of offer slots: one per neighbor, then the node's own.
+    fn slots(&self) -> usize {
+        self.own_slot() + 1
+    }
+
+    /// Entry `i`'s exploratory offers.
+    fn row(&self, i: usize) -> Row<'_> {
+        match &self.entries[i].wide {
+            Some(wide) => Row::Wide(wide),
+            None => Row::Narrow(&self.narrow[i * self.slots()..][..self.slots()]),
+        }
+    }
+
     /// The node an offer slot belongs to.
     fn node_at(&self, neighbors: &[NodeId], slot: usize) -> NodeId {
         neighbors.get(slot).copied().unwrap_or(self.me)
     }
 
-    /// The entry for `id`, created at `now` for a first message from offer
-    /// slot `from` if absent; `true` when it was created.
-    fn entry_or_new(
+    /// The position of `id`'s entry, created at `now` for a first message
+    /// from offer slot `from` if absent; `true` when it was created.
+    fn find_or_new(
         &mut self,
         id: MsgId,
         item: EventItem,
         from: usize,
         now: SimTime,
-    ) -> (&mut ExplEntry, bool) {
+    ) -> (usize, bool) {
         if let Some(i) = self.find(id) {
-            return (&mut self.entries[i], false);
+            return (i, false);
         }
-        let slots = self.own_slot() + 1;
         exact::push(&mut self.ids, id);
-        exact::push(&mut self.entries, ExplEntry::new(item, from, slots, now));
-        (self.entries.last_mut().expect("just pushed"), true)
+        exact::push(&mut self.entries, ExplEntry::new(item, from, now));
+        let slots = self.slots();
+        exact::extend(&mut self.narrow, slots, EMPTY);
+        (self.entries.len() - 1, true)
+    }
+
+    /// Makes `(cost, at)` slot `k`'s offer in entry `i`'s row, `at` no
+    /// earlier than the row's latest offer. A narrow row that cannot hold
+    /// `cost` or the offer's rank in 8 bits first converts, once, to a wide
+    /// one; returns `true` when it did.
+    fn set(&mut self, i: usize, k: usize, cost: u32, at: SimTime) -> bool {
+        let slots = self.slots();
+        let entry = &mut self.entries[i];
+        let rank = entry.rank_at(at);
+        if let Some(wide) = &mut entry.wide {
+            wide[k] = WideOffer { cost, rank };
+            return false;
+        }
+        let narrow = &mut self.narrow[i * slots..][..slots];
+        if let (Some(cost), Some(rank)) = (narrow_cost(cost), narrow_rank(rank)) {
+            narrow[k] = NarrowOffer { cost, rank };
+            return false;
+        }
+        let mut wide: Box<[WideOffer]> = narrow.iter().map(|&o| widen(o)).collect();
+        wide[k] = WideOffer { cost, rank };
+        entry.wide = Some(wide);
+        true
+    }
+
+    /// Panics unless `from` is an offer slot.
+    fn check_slot(&self, from: usize) {
+        assert!(
+            from <= self.own_slot(),
+            "offer slot {from} past the own slot"
+        );
     }
 
     /// Records a received exploratory event from offer slot `from` (a
@@ -389,9 +418,17 @@ impl ExplCache {
     /// event). Returns `true` when this is the first copy of `id` (the
     /// caller then re-floods it).
     ///
+    /// Offers for one id must be recorded in time order: `now` may not be
+    /// earlier than the latest exploratory offer recorded for `id`, nor
+    /// than the message that created its entry. The cache keeps each
+    /// arrival as its rank among the distinct instants recorded for `id`,
+    /// which orders arrivals exactly only under that contract. Passing the
+    /// engine's clock (`Ctx::now`) keeps it.
+    ///
     /// # Panics
     ///
-    /// Panics if `from` is past the own slot.
+    /// Panics, before changing anything, if `from` is past the own slot or
+    /// if `now` breaks the time order.
     pub fn record_exploratory(
         &mut self,
         id: MsgId,
@@ -400,22 +437,32 @@ impl ExplCache {
         energy: u32,
         now: SimTime,
     ) -> bool {
-        let (entry, first) = self.entry_or_new(id, item, from, now);
-        if energy < entry.offers.cost(from) {
-            entry.offers.set(from, energy, now);
+        self.check_slot(from);
+        let (i, first) = self.find_or_new(id, item, from, now);
+        self.entries[i].check_order(now);
+        let cost = self.row(i).get(from).map_or(NONE, |(cost, _)| cost);
+        if energy < cost && self.set(i, from, energy, now) {
+            self.wide_rows += 1;
         }
         first
     }
 
     /// Records a received incremental cost offer from offer slot `from`.
+    /// Incremental offers keep their exact arrivals.
     ///
     /// Unknown ids are accepted: a node can hear an incremental cost message
     /// for an exploratory event it never saw (it is on the tree but off the
     /// flood path — rare, but the reinforcement walk must still work there).
     ///
+    /// The time-order contract of
+    /// [`record_exploratory`](Self::record_exploratory) holds here too: `now`
+    /// may not be earlier than the latest exploratory offer recorded for
+    /// `id`, nor than the message that created its entry.
+    ///
     /// # Panics
     ///
-    /// Panics if `from` is past the own slot.
+    /// Panics, before changing anything, if `from` is past the own slot or
+    /// if `now` breaks the time order.
     pub fn record_incremental(
         &mut self,
         id: MsgId,
@@ -424,11 +471,10 @@ impl ExplCache {
         cost: u32,
         now: SimTime,
     ) {
-        assert!(
-            from <= self.own_slot(),
-            "offer slot {from} past the own slot"
-        );
-        let (entry, _) = self.entry_or_new(id, item, from, now);
+        self.check_slot(from);
+        let (i, _) = self.find_or_new(id, item, from, now);
+        let entry = &mut self.entries[i];
+        entry.check_order(now);
         let offers = &mut entry.incremental.get_or_insert_default().offers;
         let slot = from as u32;
         match offers.iter_mut().find(|o| o.slot == slot) {
@@ -480,8 +526,12 @@ impl ExplCache {
     /// This node's own energy cost `E` for `id`, if it saw the exploratory
     /// event itself (used when forwarding incremental cost messages:
     /// `C' = min(C, E)`).
+    ///
+    /// Each slot keeps the lowest cost it offered, so this is the lowest
+    /// over the row; `None` when only incremental offers arrived.
     pub fn own_energy(&self, id: MsgId) -> Option<u32> {
-        self.entry(id)?.own_energy()
+        let i = self.find(id)?;
+        self.row(i).offers().map(|(_, cost, _)| cost).min()
     }
 
     /// The upstream neighbor to reinforce for `id` under `scheme`, with
@@ -493,7 +543,9 @@ impl ExplCache {
     /// Greedy: the offer with the lowest cost; cost ties prefer exploratory
     /// offers over incremental ones; remaining ties go to the earliest
     /// arrival, then the lowest node id (full determinism). The node's own
-    /// offer competes like any other, under its own id.
+    /// offer competes like any other, under its own id. Arrivals are
+    /// compared only between offers of one kind: exploratory ones by rank,
+    /// incremental ones by instant.
     pub fn choose_upstream(
         &self,
         neighbors: &[NodeId],
@@ -518,10 +570,11 @@ impl ExplCache {
         excluded: &[NodeId],
     ) -> Option<(NodeId, UpstreamKind)> {
         debug_assert_eq!(neighbors.len(), self.own_slot(), "not this node's list");
-        let entry = self.entry(id)?;
+        let i = self.find(id)?;
+        let entry = &self.entries[i];
         let node_at = |slot: usize| self.node_at(neighbors, slot);
-        // Every exploratory offer made, as (slot, cost, arrival).
-        let mut explored = entry.offers.offers().peekable();
+        // Every exploratory offer made, as (slot, cost, arrival rank).
+        let mut explored = self.row(i).offers().peekable();
         match scheme {
             Scheme::Opportunistic => {
                 let first = node_at(entry.first_from as usize);
@@ -531,20 +584,23 @@ impl ExplCache {
                     Some((first, UpstreamKind::Exploratory))
                 } else {
                     explored
-                        .map(|(k, _, t)| (t, node_at(k)))
+                        .map(|(k, _, rank)| (rank, node_at(k)))
                         .filter(|(_, n)| !excluded.contains(n))
                         .min()
                         .map(|(_, n)| (n, UpstreamKind::Exploratory))
                 }
             }
             Scheme::Greedy => {
-                // The minimum over (cost, kind, arrival, node id).
+                // The minimum over (cost, kind, arrival, node id). An
+                // exploratory arrival is its rank and an incremental one
+                // its instant in nanoseconds; the kind differs first, so
+                // the two are never compared.
                 let incremental = entry.incremental.iter().flat_map(|i| &i.offers).map(|o| {
                     let n = node_at(o.slot as usize);
-                    (o.cost, UpstreamKind::Incremental, o.at, n)
+                    (o.cost, UpstreamKind::Incremental, o.at.as_nanos(), n)
                 });
                 explored
-                    .map(|(k, c, t)| (c, UpstreamKind::Exploratory, t, node_at(k)))
+                    .map(|(k, c, rank)| (c, UpstreamKind::Exploratory, u64::from(rank), node_at(k)))
                     .chain(incremental)
                     .filter(|(_, _, _, n)| !excluded.contains(n))
                     .min()
@@ -566,35 +622,59 @@ impl ExplCache {
     /// The offers the cached entries hold: every entry's exploratory slots
     /// (degree + 1 each) plus its incremental offers.
     pub fn offer_slots(&self) -> usize {
-        self.entries
+        let incremental: usize = self
+            .entries
             .iter()
-            .map(|e| e.offers.len() + e.incremental.as_ref().map_or(0, |i| i.offers.len()))
-            .sum()
+            .map(|e| e.incremental.as_ref().map_or(0, |i| i.offers.len()))
+            .sum();
+        self.entries.len() * self.slots() + incremental
     }
 
     /// Drops entries for events generated before `horizon`, and with them
     /// their incremental-cost dedup (bounds memory on long runs; two
     /// exploratory intervals of history are plenty).
     pub fn expire_before(&mut self, horizon: SimTime) {
-        let live = |e: &ExplEntry| e.item.generated >= horizon;
-        // Both lists are visited in order, once each, so `ids` keeps
-        // exactly the ids of the entries kept.
+        let live = |e: &ExplEntry| e.generated >= horizon;
+        // Every truncation tick asks, and an entry expires only once per
+        // round: leave the rows unvisited unless one does.
+        if self.entries.iter().all(live) {
+            return;
+        }
+        // Every list is visited in order, once each, so `ids` keeps
+        // exactly the ids of the entries kept, and `narrow` their rows.
         let mut kept = self.entries.iter().map(live);
         exact::retain(&mut self.ids, |_| kept.next() == Some(true));
+        let (slots, mut kept) = (self.slots(), self.entries.iter().map(live));
+        let (mut offer, mut keep) = (0, false);
+        exact::retain(&mut self.narrow, |_| {
+            if offer % slots == 0 {
+                keep = kept.next() == Some(true);
+            }
+            offer += 1;
+            keep
+        });
         exact::retain(&mut self.entries, live);
     }
 
-    /// Removes all state (node failure).
+    /// Offer rows converted to the wide form since the cache was created:
+    /// rows that received a cost of 255 or more, or offers at more than 255
+    /// distinct instants. Kept across [`clear`](Self::clear).
+    pub fn wide_rows(&self) -> u64 {
+        self.wide_rows
+    }
+
+    /// Removes all state (node failure); the count of wide rows stays.
     pub fn clear(&mut self) {
         exact::clear(&mut self.ids);
         exact::clear(&mut self.entries);
+        exact::clear(&mut self.narrow);
     }
 
-    /// The heap bytes the cache holds and needs: the two lists, and each
-    /// entry's row and incremental state.
+    /// The heap bytes the cache holds and needs: the three lists, and each
+    /// entry's wide row and incremental state.
     pub(crate) fn heap_bytes(&self) -> HeapBytes {
-        let rows: HeapBytes = self.entries.iter().map(ExplEntry::heap_bytes).sum();
-        HeapBytes::of(&self.ids) + HeapBytes::of(&self.entries) + rows
+        let own: HeapBytes = self.entries.iter().map(ExplEntry::heap_bytes).sum();
+        HeapBytes::of(&self.ids) + HeapBytes::of(&self.entries) + HeapBytes::of(&self.narrow) + own
     }
 }
 
@@ -836,154 +916,219 @@ mod tests {
     }
 
     #[test]
-    fn narrow_offer_is_6_bytes() {
-        assert_eq!(std::mem::size_of::<NarrowOffer>(), 6);
+    fn narrow_offer_is_2_bytes() {
+        assert_eq!(std::mem::size_of::<NarrowOffer>(), 2);
     }
 
     /// The wide row's slot.
     #[test]
-    fn expl_offer_is_12_bytes() {
-        assert_eq!(std::mem::size_of::<ExplOffer>(), 12);
+    fn wide_offer_is_8_bytes() {
+        assert_eq!(std::mem::size_of::<WideOffer>(), 8);
     }
 
-    /// The row takes 24 bytes in either form, its base instant included,
-    /// and the lowest cost the node saw is read off the row, not stored.
-    /// The entry's 8-byte id sits in the list beside it.
+    /// The entry keeps its row's latest instant and count of instants; the
+    /// narrow row itself sits in the cache's list, and the lowest cost the
+    /// node saw is read off the row, not stored. The entry's 8-byte id
+    /// sits in the list beside it.
     #[test]
     fn expl_entry_is_56_bytes() {
         assert_eq!(std::mem::size_of::<ExplEntry>(), 56);
-        assert_eq!(std::mem::size_of::<OfferRow>(), 24);
     }
 
-    /// Offers recorded before an entry's creation instant, 2³² ns or more
-    /// after it, or at a cost of 65,535 or more, turn its row wide, and
-    /// every upstream choice stays exact: it is the answer worked out by
-    /// hand from the arrivals, and the choice over the same offers recorded
-    /// in time order. Equal costs make the arrivals decide, 1 ns apart, so
-    /// a clamped, wrapped or coarsened arrival or cost changes an answer.
+    fn is_wide(c: &ExplCache, id: MsgId) -> bool {
+        c.entry(id).expect("recorded").wide.is_some()
+    }
+
+    /// Offers at a cost of 255 or more, or at a 256th distinct instant,
+    /// turn a row wide, and every upstream choice stays exact: it is the
+    /// answer worked out by hand from the arrivals. Offers 2³² ns apart stay
+    /// narrow, since only their order is kept. Equal costs make the
+    /// arrivals decide, 1 ns apart, so a rank that advances on an equal
+    /// instant, stands still on a later one, or wraps changes an answer.
     #[test]
     fn offers_beyond_a_narrow_rows_reach_stay_exact() {
-        const SPAN: i64 = 1 << 32;
+        const SPAN: u64 = 1 << 32;
         let created = t(10_000);
         // Offers as (neighbor, cost, arrival in ns after the entry's
-        // creation instant), in recording order: the first creates the
-        // entry. `early` records three offers before it; `late` records
-        // narrow offers up to 2³² − 1 ns, then offers 2³² ns and more after.
-        let early = [(1, 5, 0), (7, 5, -1), (9, 5, -2), (3, 6, -3)];
-        let late = [
+        // creation instant), in time order: the first creates the entry.
+        // `apart` spreads equal costs over more than 2³² ns.
+        let apart = [
             (1, 7, 0),
             (2, 3, 5),
+            (3, 3, SPAN - 1),
             (9, 3, SPAN),
             (4, 3, SPAN + 1),
-            (3, 3, SPAN - 1),
         ];
         // `narrowest` records the largest cost a narrow row holds; `costly`
         // records the two smallest it cannot hold, each tied with another
         // offer, and a cheaper offer last.
-        let narrowest = [(3, 65_534, 0), (9, 65_534, 2), (7, 65_534, 1)];
+        let narrowest = [(3, 254, 0), (7, 254, 1), (9, 254, 2)];
         let costly = [
-            (4, 65_535, 0),
-            (2, 65_535, 1),
-            (9, 65_536, 2),
-            (1, 65_536, 3),
-            (3, 65_534, 4),
+            (4, 255, 0),
+            (2, 255, 1),
+            (9, 256, 2),
+            (1, 256, 3),
+            (3, 254, 4),
         ];
-        let record = |c: &mut ExplCache, round: u32, offers: &[(u32, u32, i64)]| {
+        let record = |c: &mut ExplCache, round: u32, offers: &[(u32, u32, u64)]| {
             for &(n, cost, dt) in offers {
-                let ns = created.as_nanos().checked_add_signed(dt).expect("in range");
-                let now = SimTime::from_nanos(ns);
+                let now = SimTime::from_nanos(created.as_nanos() + dt);
                 c.record_exploratory(id(0, round), item(0, round), slot(n), cost, now);
             }
         };
-        let in_time_order = |offers: &[(u32, u32, i64)]| {
-            let mut sorted = offers.to_vec();
-            sorted.sort_by_key(|&(_, _, dt)| dt);
-            sorted
-        };
-        let (mut recorded, mut by_time) = (cache(), cache());
-        let rounds = [&early[..], &late, &narrowest, &costly];
-        for (round, offers) in (0..).zip(rounds) {
-            record(&mut recorded, round, offers);
-            record(&mut by_time, round, &in_time_order(offers));
+        let mut c = cache();
+        for (round, offers) in (0..).zip([&apart[..], &narrowest, &costly]) {
+            record(&mut c, round, offers);
         }
-        let wide = |c: &ExplCache, round| {
-            let entry = c.entry(id(0, round)).expect("recorded");
-            matches!(entry.offers, OfferRow::Wide(_))
-        };
-        assert!(wide(&recorded, 0) && wide(&recorded, 1));
-        assert!(!wide(&by_time, 0), "in time order, `early` stays narrow");
-        assert!(!wide(&recorded, 2) && !wide(&by_time, 2), "65,534 fits");
-        assert!(wide(&recorded, 3) && wide(&by_time, 3), "65,535 does not");
-        let mut only_65_536 = cache();
-        record(&mut only_65_536, 0, &[(1, 65_536, 0)]);
-        assert!(wide(&only_65_536, 0), "65,536 does not");
-        assert_eq!(only_65_536.own_energy(id(0, 0)), Some(65_536));
+        assert!(!is_wide(&c, id(0, 0)), "2³² ns apart stays narrow");
+        assert!(!is_wide(&c, id(0, 1)), "254 fits");
+        assert!(is_wide(&c, id(0, 2)), "255 does not");
+        assert_eq!(c.wide_rows(), 1);
+        let mut only_256 = cache();
+        record(&mut only_256, 0, &[(1, 256, 0)]);
+        assert!(is_wide(&only_256, id(0, 0)), "256 does not");
+        assert_eq!(only_256.own_energy(id(0, 0)), Some(256));
 
         // (round, scheme, excluded, expected choice).
         let (g, o) = (Scheme::Greedy, Scheme::Opportunistic);
-        let cases: [(u32, Scheme, &[u32], u32); 30] = [
-            (0, g, &[], 9),
-            (0, g, &[9], 7),
-            (0, g, &[9, 7], 1),
-            (0, g, &[9, 7, 1], 3),
+        let cases: [(u32, Scheme, &[u32], u32); 23] = [
+            (0, g, &[], 2),
+            (0, g, &[2], 3),
+            (0, g, &[2, 3], 9),
+            (0, g, &[2, 3, 9], 4),
+            (0, g, &[2, 3, 9, 4], 1),
             (0, o, &[], 1),
-            (0, o, &[1], 3),
-            (0, o, &[1, 3], 9),
-            (1, g, &[], 2),
-            (1, g, &[2], 3),
-            (1, g, &[2, 3], 9),
-            (1, g, &[2, 3, 9], 4),
-            (1, g, &[2, 3, 9, 4], 1),
-            (1, o, &[], 1),
-            (1, o, &[1], 2),
-            (1, o, &[1, 2], 3),
-            (1, o, &[1, 2, 3], 9),
+            (0, o, &[1], 2),
+            (0, o, &[1, 2], 3),
+            (0, o, &[1, 2, 3], 9),
+            (1, g, &[], 3),
+            (1, g, &[3], 7),
+            (1, g, &[3, 7], 9),
+            (1, o, &[], 3),
+            (1, o, &[3], 7),
+            (1, o, &[3, 7], 9),
             (2, g, &[], 3),
-            (2, g, &[3], 7),
-            (2, g, &[3, 7], 9),
-            (2, o, &[], 3),
-            (2, o, &[3], 7),
-            (2, o, &[3, 7], 9),
-            (3, g, &[], 3),
-            (3, g, &[3], 4),
-            (3, g, &[3, 4], 2),
-            (3, g, &[3, 4, 2], 9),
-            (3, g, &[3, 4, 2, 9], 1),
-            (3, o, &[], 4),
-            (3, o, &[4], 2),
-            (3, o, &[4, 2], 9),
+            (2, g, &[3], 4),
+            (2, g, &[3, 4], 2),
+            (2, g, &[3, 4, 2], 9),
+            (2, g, &[3, 4, 2, 9], 1),
+            (2, o, &[], 4),
+            (2, o, &[4], 2),
+            (2, o, &[4, 2], 9),
         ];
         for (round, scheme, excluded, expected) in cases {
             let excluded: Vec<NodeId> = excluded.iter().map(|&n| NodeId(n)).collect();
-            let choose = |c: &ExplCache| {
-                c.choose_upstream_excluding(&NEIGHBORS, id(0, round), scheme, &excluded)
-                    .map(|(n, _)| n)
-            };
-            let case = (round, scheme, &excluded);
-            assert_eq!(choose(&recorded), Some(NodeId(expected)), "{case:?}");
+            let chosen = c
+                .choose_upstream_excluding(&NEIGHBORS, id(0, round), scheme, &excluded)
+                .map(|(n, _)| n);
+            assert_eq!(
+                chosen,
+                Some(NodeId(expected)),
+                "{:?}",
+                (round, scheme, &excluded)
+            );
             if excluded.is_empty() {
                 assert_eq!(
-                    recorded.choose_upstream(&NEIGHBORS, id(0, round), scheme),
-                    recorded.choose_upstream_excluding(&NEIGHBORS, id(0, round), scheme, &[])
+                    c.choose_upstream(&NEIGHBORS, id(0, round), scheme),
+                    c.choose_upstream_excluding(&NEIGHBORS, id(0, round), scheme, &[])
                 );
             }
-            // The opportunistic choice is the first copy's sender unless it
-            // is excluded; the two orders record different first copies of
-            // `early` (neighbors 1 and 3), and the same one of every other
-            // round.
-            let order_free = [NodeId(1), NodeId(3)].iter().all(|n| excluded.contains(n));
-            if scheme == Scheme::Greedy || order_free || round != 0 {
-                assert_eq!(choose(&by_time), choose(&recorded), "{case:?}");
-            }
         }
-        assert_eq!(
-            by_time.choose_upstream(&NEIGHBORS, id(0, 0), o),
-            Some((NodeId(3), UpstreamKind::Exploratory))
-        );
-        assert_eq!(recorded.own_energy(id(0, 0)), Some(5));
-        assert_eq!(recorded.own_energy(id(0, 1)), Some(3));
-        assert_eq!(recorded.own_energy(id(0, 2)), Some(65_534));
-        assert_eq!(recorded.own_energy(id(0, 3)), Some(65_534));
+        assert_eq!(c.own_energy(id(0, 0)), Some(3));
+        assert_eq!(c.own_energy(id(0, 1)), Some(254));
+        assert_eq!(c.own_energy(id(0, 2)), Some(254));
+    }
+
+    /// A row ranks 255 distinct instants narrow, ties taking the latest
+    /// rank, and converts at the 256th with every rank kept.
+    #[test]
+    fn a_256th_distinct_instant_converts_the_row() {
+        // Node 1,000 with neighbors 0..300, all offering cost 7: ranks
+        // alone decide, then node ids.
+        let neighbors: Vec<NodeId> = (0..300).map(NodeId).collect();
+        let mut c = ExplCache::new(NodeId(1_000), neighbors.len());
+        let key = id(0, 0);
+        let at = |ns: u64| SimTime::from_nanos(1_000 + ns);
+        // Neighbors 0..=254 at 255 distinct instants, then 255 tied with
+        // the latest.
+        for n in 0..=254u32 {
+            c.record_exploratory(key, item(0, 0), n as usize, 7, at(u64::from(n)));
+        }
+        c.record_exploratory(key, item(0, 0), 255, 7, at(254));
+        assert!(!is_wide(&c, key), "255 distinct instants fit");
+        let below = |n: u32| -> Vec<NodeId> { (0..n).map(NodeId).collect() };
+        let choose = |c: &ExplCache, excluded: &[NodeId], scheme| {
+            c.choose_upstream_excluding(&neighbors, key, scheme, excluded)
+                .map(|(n, _)| n.0)
+        };
+        assert_eq!(choose(&c, &below(254), Scheme::Greedy), Some(254));
+        assert_eq!(choose(&c, &below(255), Scheme::Greedy), Some(255));
+        // The 256th distinct instant, an offer tied with it, and a cheaper
+        // one much later.
+        c.record_exploratory(key, item(0, 0), 256, 7, at(255));
+        assert!(is_wide(&c, key), "the 256th converts");
+        c.record_exploratory(key, item(0, 0), 257, 7, at(255));
+        c.record_exploratory(key, item(0, 0), 258, 6, at(1 << 40));
+        assert_eq!(c.wide_rows(), 1);
+        assert_eq!(choose(&c, &[], Scheme::Greedy), Some(258));
+        for expected in [0, 1, 2, 253, 254, 255, 256, 257] {
+            let mut excluded = below(expected);
+            assert_eq!(choose(&c, &excluded, Scheme::Opportunistic), Some(expected));
+            excluded.push(NodeId(258));
+            assert_eq!(choose(&c, &excluded, Scheme::Greedy), Some(expected));
+        }
+        assert_eq!(choose(&c, &below(258), Scheme::Opportunistic), Some(258));
+        assert_eq!(c.own_energy(key), Some(6));
+    }
+
+    #[test]
+    #[should_panic(expected = "recorded after one at")]
+    fn an_offer_before_the_rows_latest_panics() {
+        let mut c = cache();
+        c.record_exploratory(id(0, 0), item(0, 0), slot(1), 5, t(10));
+        let early = SimTime::from_nanos(t(10).as_nanos() - 1);
+        c.record_exploratory(id(0, 0), item(0, 0), slot(7), 5, early);
+    }
+
+    #[test]
+    #[should_panic(expected = "recorded after one at")]
+    fn an_incremental_offer_before_the_rows_latest_panics() {
+        let mut c = cache();
+        c.record_exploratory(id(0, 0), item(0, 0), slot(1), 5, t(10));
+        c.record_incremental(id(0, 0), item(0, 0), slot(7), 5, t(9));
+    }
+
+    #[test]
+    #[should_panic(expected = "offer slot 7 past the own slot")]
+    fn an_exploratory_offer_past_the_own_slot_panics() {
+        let mut c = cache();
+        c.record_exploratory(id(0, 0), item(0, 0), NEIGHBORS.len() + 1, 5, t(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "offer slot 7 past the own slot")]
+    fn an_incremental_offer_past_the_own_slot_panics() {
+        let mut c = cache();
+        c.record_incremental(id(0, 0), item(0, 0), NEIGHBORS.len() + 1, 5, t(10));
+    }
+
+    /// A rejected offer changes nothing: no entry is created for it.
+    #[test]
+    fn a_rejected_offer_leaves_the_cache_as_it_was() {
+        let mut c = cache();
+        let past = NEIGHBORS.len() + 1;
+        let tries: [&dyn Fn(&mut ExplCache); 2] = [
+            &|c| {
+                c.record_exploratory(id(0, 0), item(0, 0), past, 5, t(10));
+            },
+            &|c| c.record_incremental(id(0, 0), item(0, 0), past, 5, t(10)),
+        ];
+        for attempt in tries {
+            let outcome =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| attempt(&mut c)));
+            assert!(outcome.is_err());
+            assert!(c.is_empty());
+        }
     }
 
     #[test]
@@ -1038,20 +1183,22 @@ mod tests {
             generated: t(ms),
             ..item(0, 0)
         };
+        // Round `r`'s offer comes from the neighbor in slot `r`.
         for round in 0..4 {
             let ms = u64::from(round) * 1_000;
-            c.record_exploratory(id(0, round), at(ms), slot(1), 2, t(ms));
+            c.record_exploratory(id(0, round), at(ms), round as usize, 2, t(ms));
         }
         c.record_incremental(id(0, 3), at(3_000), slot(7), 1, t(3_100));
         c.first_incremental(id(0, 3), NodeId(8));
-        let row = slots * 6;
+        let row = slots * 2;
         let incremental = std::mem::size_of::<Incremental>() + 16 + 4;
         let entry = 8 + std::mem::size_of::<ExplEntry>();
         assert_eq!(
             c.heap_bytes(),
             HeapBytes::exact(4 * (entry + row) + incremental)
         );
-        // Expiry keeps the newer entries, each under its own id.
+        // Expiry keeps the newer entries, each under its own id and with
+        // its own row.
         c.expire_before(t(2_000));
         assert_eq!(
             c.heap_bytes(),
@@ -1062,7 +1209,11 @@ mod tests {
             c.choose_upstream(&NEIGHBORS, id(0, 3), Scheme::Greedy),
             Some((NodeId(7), UpstreamKind::Incremental))
         );
-        assert_eq!(c.entry(id(0, 2)).map(|e| e.item.generated), Some(t(2_000)));
+        assert_eq!(c.entry(id(0, 2)).map(|e| e.generated), Some(t(2_000)));
+        assert_eq!(
+            c.choose_upstream(&NEIGHBORS, id(0, 2), Scheme::Greedy),
+            Some((NEIGHBORS[2], UpstreamKind::Exploratory))
+        );
         c.clear();
         assert_eq!(c.heap_bytes(), HeapBytes::default());
     }

@@ -22,6 +22,12 @@ pub(crate) fn push<T>(list: &mut Vec<T>, x: T) {
     insert(list, list.len(), x);
 }
 
+/// Appends `n` copies of `x`, growing `list` by exactly `n` slots.
+pub(crate) fn extend<T: Clone>(list: &mut Vec<T>, n: usize, x: T) {
+    refit(list, n);
+    list.resize(list.len() + n, x);
+}
+
 /// Inserts `x` at `index`, growing `list` by exactly one slot.
 pub(crate) fn insert<T>(list: &mut Vec<T>, index: usize, x: T) {
     refit(list, 1);
@@ -124,6 +130,10 @@ mod tests {
         }
         insert(&mut list, 0, 9);
         assert_eq!(list, [9, 0, 1, 2, 3, 4]);
+        extend(&mut list, 2, 7);
+        assert_eq!(list, [9, 0, 1, 2, 3, 4, 7, 7]);
+        assert_eq!(list.capacity(), list.len());
+        retain(&mut list, |&x| x != 7);
         let mut pairs = Vec::new();
         set(&mut pairs, 'a', 1);
         set(&mut pairs, 'b', 2);

@@ -150,6 +150,10 @@ pub struct StateSizes {
     /// Heap bytes the live entries of those tables need, counted from
     /// lengths. Equal to `held_bytes` while every table is at exact size.
     pub live_bytes: usize,
+    /// Exploratory offer rows converted to the wide form since the run
+    /// started, node failures included ([`ExplCache::wide_rows`]). Zero
+    /// means every row kept its 2-byte slots.
+    pub wide_offer_rows: u64,
 }
 
 /// The diffusion protocol instance for one node.
@@ -280,6 +284,7 @@ impl DiffusionNode {
             offer_slots: self.expl.offer_slots(),
             held_bytes: bytes.held,
             live_bytes: bytes.live,
+            wide_offer_rows: self.expl.wide_rows(),
         }
     }
 

@@ -1,6 +1,6 @@
 //! Property-based tests of the diffusion building blocks.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use proptest::prelude::*;
 use wsn_diffusion::{
@@ -42,6 +42,15 @@ fn shuffled<T: Clone>(v: &[T], seed: u64) -> Vec<T> {
         out.swap(i, (z % (i as u64 + 1)) as usize);
     }
     out
+}
+
+/// `offers` stably sorted by arrival: the order the engine records them
+/// in, since its clock never runs backwards. Offers at one instant keep
+/// their order.
+fn by_arrival<K: Clone, C: Clone>(offers: &[(K, C, u64)]) -> Vec<(K, C, u64)> {
+    let mut sorted = offers.to_vec();
+    sorted.sort_by_key(|&(_, _, t)| t);
+    sorted
 }
 
 /// The node the exploratory-cache tests run on, and its neighbors: every
@@ -124,6 +133,66 @@ fn brute_force_upstream(
             }
         }
     }
+}
+
+/// The exploratory cache as it was before arrivals became ranks: per (node,
+/// incremental?) the lowest cost with the exact arrival that first reached
+/// it, and the sender of the first message. The reference for
+/// `rank_rows_answer_like_exact_instants`.
+#[derive(Default)]
+struct ExactOffers {
+    first: Option<u32>,
+    effective: BTreeMap<(u32, bool), (u32, u64)>,
+    /// The distinct instants of the exploratory offers kept so far.
+    instants: BTreeSet<u64>,
+    /// Whether an exploratory offer of 255 or more was kept.
+    costly: bool,
+}
+
+impl ExactOffers {
+    fn record(&mut self, n: u32, incremental: bool, cost: u32, t: u64) {
+        self.first.get_or_insert(n);
+        let best = self
+            .effective
+            .entry((n, incremental))
+            .or_insert((u32::MAX, t));
+        if cost < best.0 {
+            *best = (cost, t);
+            if !incremental {
+                self.instants.insert(t);
+                self.costly |= cost >= 255;
+            }
+        }
+    }
+
+    fn own_energy(&self) -> Option<u32> {
+        let explored = self.effective.iter().filter(|(&(_, inc), _)| !inc);
+        explored.map(|(_, &(cost, _))| cost).min()
+    }
+
+    /// Whether the cache's row must have left its 2-byte slots.
+    fn wide(&self) -> bool {
+        self.costly || self.instants.len() > 255
+    }
+}
+
+/// A time-ordered offer script: the node count, then steps of (node, cost,
+/// incremental?, ns since the previous step). One script in four runs on
+/// 300 nodes, long and with few ties, so that a row ranks more than 255
+/// instants; the others on 12 nodes with many ties. Half the scripts keep
+/// costs below 255, the other half straddle it.
+fn ranked_script() -> impl Strategy<Value = (u32, Vec<(u32, u32, bool, u64)>)> {
+    (0u32..4, any::<bool>()).prop_flat_map(|(shape, costly)| {
+        let (n, len, ties) = if shape == 0 {
+            (300u32, 700..900, 1)
+        } else {
+            (12, 1..40, 3)
+        };
+        let top: u32 = if costly { 258 } else { 254 };
+        let step = (0u64..8).prop_map(move |s| s.saturating_sub(ties - 1));
+        let offer = (0..n, 248..=top, (0u8..8).prop_map(|k| k == 0), step);
+        prop::collection::vec(offer, len).prop_map(move |steps| (n, steps))
+    })
 }
 
 /// A dedup stream: (origin, step forward, lag behind the step). Steps are
@@ -346,7 +415,9 @@ proptest! {
 
     /// The upstream choice does not depend on the order offers arrive in
     /// (beyond the first copy) nor on the cache's storage layout: the same
-    /// offers recorded in a shuffled order give identical answers.
+    /// offers recorded in a shuffled order give identical answers. Offers
+    /// are recorded in time order, the only order the engine produces, so
+    /// the shuffle reorders only offers that arrive at one instant.
     #[test]
     fn upstream_choice_ignores_offer_order(
         first in (0u32..12, 1u32..5),
@@ -359,8 +430,8 @@ proptest! {
         let mut keys = std::collections::BTreeSet::new();
         let script: Vec<_> = script.into_iter().filter(|(k, _, _)| keys.insert(*k)).collect();
         let id = MsgId { source: NodeId(99), round: 3 };
-        let a = cache_with(id, first, &script);
-        let b = cache_with(id, first, &shuffled(&script, seed));
+        let a = cache_with(id, first, &by_arrival(&script));
+        let b = cache_with(id, first, &by_arrival(&shuffled(&script, seed)));
         let (_, nb) = node_and_neighbors(99, 12);
         let excluded: Vec<NodeId> = excluded.into_iter().map(NodeId).collect();
         let first_only = [NodeId(first.0)];
@@ -379,13 +450,15 @@ proptest! {
     /// Both upstream choices equal the brute-force minimum over (cost,
     /// kind, arrival, node id) — with the node's own offer competing under
     /// its own id, wherever that id falls among its neighbors' — under no
-    /// exclusions, random ones, and the node itself excluded.
+    /// exclusions, random ones, and the node itself excluded. Offers are
+    /// recorded in time order.
     #[test]
     fn upstream_choice_is_the_total_order_minimum(
         me in 0u32..12,
         script in keyed_offers(),
         excluded in prop::collection::vec(0u32..12, 0..4),
     ) {
+        let script = by_arrival(&script);
         let id = MsgId { source: NodeId(99), round: 1 };
         let (node, neighbors) = node_and_neighbors(me, 12);
         let mut cache = ExplCache::new(node, neighbors.len());
@@ -672,5 +745,59 @@ proptest! {
         prop_assert_eq!(AggregationFn::Perfect.aggregate_bytes(d), 64);
         let lin = AggregationFn::Linear.aggregate_bytes(d);
         prop_assert_eq!(lin, 28 * d as u32 + 36);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A row that keeps each arrival as its rank among the row's distinct
+    /// instants answers like one that keeps the instants: after every
+    /// record of a time-ordered script, both upstream choices with no
+    /// exclusions, random ones, the node itself excluded, and the exact
+    /// answers' winners excluded, and `own_energy`, equal the reference's.
+    /// The row converts to the wide form exactly when an offer of 255 or
+    /// more or a 256th distinct instant is kept.
+    #[test]
+    fn rank_rows_answer_like_exact_instants(
+        (n, script) in ranked_script(),
+        me in any::<u64>(),
+        picks in prop::collection::vec(any::<u64>(), 0..6),
+    ) {
+        let (me, neighbors) = node_and_neighbors((me % u64::from(n)) as u32, n);
+        let mut cache = ExplCache::new(me, neighbors.len());
+        let mut exact = ExactOffers::default();
+        let id = MsgId { source: NodeId(n), round: 2 };
+        let random: Vec<NodeId> = picks
+            .iter()
+            .map(|&p| NodeId(script[(p % script.len() as u64) as usize].0))
+            .collect();
+        let mut now = 1_000;
+        for &(node, cost, incremental, step) in &script {
+            now += step;
+            let at = SimTime::from_nanos(now);
+            let slot = offer_slot(&cache, &neighbors, me, node);
+            if incremental {
+                cache.record_incremental(id, item(n, 2), slot, cost, at);
+            } else {
+                cache.record_exploratory(id, item(n, 2), slot, cost, at);
+            }
+            exact.record(node, incremental, cost, now);
+            let first = exact.first.expect("recorded");
+            for scheme in [Scheme::Greedy, Scheme::Opportunistic] {
+                let expected = brute_force_upstream(first, &exact.effective, scheme, &[]);
+                prop_assert_eq!(cache.choose_upstream(&neighbors, id, scheme), expected);
+                let winners: Vec<NodeId> =
+                    expected.map(|(w, _)| w).into_iter().chain([NodeId(first)]).collect();
+                for ex in [&random[..], &[me][..], &winners[..]] {
+                    prop_assert_eq!(
+                        cache.choose_upstream_excluding(&neighbors, id, scheme, ex),
+                        brute_force_upstream(first, &exact.effective, scheme, ex)
+                    );
+                }
+            }
+            prop_assert_eq!(cache.own_energy(id), exact.own_energy());
+            prop_assert_eq!(cache.wide_rows(), u64::from(exact.wide()));
+        }
     }
 }

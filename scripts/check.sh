@@ -121,13 +121,18 @@ echo "==> memory smoke: peak RSS flat from 200 s to 2,000 s (run_one --scale 10)
 # 2,000 nodes at the 200-node density. Per-node protocol state is bounded by
 # origins, degree and the cache horizon, not by simulated time, so ten times
 # the simulated time may cost at most 10% more peak RSS. A stale arrival
-# would mean a dedup window answered differently from an unbounded set.
+# would mean a dedup window answered differently from an unbounded set, and
+# a wide offer row that an exploratory row outgrew its 2-byte slots.
 peak_rss_mib() {
     local out
     out="$(cargo run --release -p wsn-bench --bin run_one -- \
         --nodes 200 --scale 10 --duration "$1")"
     echo "$out" | grep -q "^stale arrivals: 0 " || {
         echo "stale arrivals at $1 s" >&2
+        return 1
+    }
+    echo "$out" | grep -q "^wide offer rows: 0 " || {
+        echo "wide offer rows at $1 s" >&2
         return 1
     }
     echo "$out" | sed -n 's/^peak RSS: \([0-9.]*\) MiB$/\1/p'

@@ -13,6 +13,9 @@
 //! counted from capacities, equal what its live entries need, counted from
 //! lengths. That holds under rolling failures too, where nodes lose every
 //! table and refill it, and the largest any node holds does not grow.
+//!
+//! And every exploratory offer row keeps its 2-byte slots: no node
+//! converts one to the wide form at any sample.
 
 use wsn::diffusion::{DiffusionConfig, DiffusionNode, Role, Scheme, StateSizes};
 use wsn::net::{NetConfig, Network};
@@ -29,6 +32,7 @@ fn largest(net: &Network<DiffusionNode>) -> StateSizes {
             offer_slots: m.offer_slots.max(s.offer_slots),
             held_bytes: m.held_bytes.max(s.held_bytes),
             live_bytes: m.live_bytes.max(s.live_bytes),
+            wide_offer_rows: m.wide_offer_rows.max(s.wide_offer_rows),
         })
 }
 
@@ -66,6 +70,14 @@ fn assert_exact_size(net: &Network<DiffusionNode>, at: &str) {
     }
 }
 
+/// No node has converted an exploratory offer row to the wide form.
+fn assert_narrow_rows(sizes: &StateSizes, at: &str) {
+    assert_eq!(
+        sizes.wide_offer_rows, 0,
+        "wide offer rows by {at}: {sizes:?}"
+    );
+}
+
 #[test]
 fn protocol_tables_stop_growing_with_simulated_time() {
     // 200 s and 2,000 s sit at the same phase of the 50 s exploratory
@@ -75,10 +87,12 @@ fn protocol_tables_stop_growing_with_simulated_time() {
     let mut net = network(&instance, spec.seed);
     net.run_until(SimTime::from_secs(200));
     let early = largest(&net);
+    assert_narrow_rows(&early, "200 s");
     let sink = instance.sinks[0];
     let delivered_early = net.protocol(sink).sink.distinct;
     net.run_until(SimTime::from_secs(2000));
     let late = largest(&net);
+    assert_narrow_rows(&late, "2,000 s");
 
     // The run kept working: the sink went on receiving events, and the
     // tables were in use at both instants.
@@ -143,11 +157,14 @@ fn tables_hold_what_they_contain_under_rolling_failures() {
     for t in (50..=1000).step_by(50) {
         net.run_until(SimTime::from_secs(t));
         assert_exact_size(&net, &format!("{t} s"));
-        early.held_bytes = early.held_bytes.max(largest(&net).held_bytes);
+        let sizes = largest(&net);
+        assert_narrow_rows(&sizes, &format!("{t} s"));
+        early.held_bytes = early.held_bytes.max(sizes.held_bytes);
     }
     net.run_until(SimTime::from_secs(2000));
     assert_exact_size(&net, "2,000 s");
     let late = largest(&net);
+    assert_narrow_rows(&late, "2,000 s");
 
     assert!(early.held_bytes > 0 && late.cached_entries > 0, "{late:?}");
     assert!(

@@ -12,8 +12,8 @@
 //! hand rather than through the job runner, so `--scale`, `--max-events`,
 //! `--progress`, `--metrics` and `--profile` are usage errors.
 
-use wsn_bench::{outln, HarnessOptions};
-use wsn_core::{field_seed, Experiment};
+use wsn_bench::{outln, sweep_or_exit, HarnessOptions};
+use wsn_core::{field_seed, Experiment, JobError, JobFailure};
 use wsn_diffusion::{FloodingNode, Role, Scheme};
 use wsn_metrics::{FigureTable, Summary};
 use wsn_net::{tx_duration, EnergyModel, NetConfig, Network};
@@ -101,12 +101,20 @@ fn main() {
         let mut scheme_energy = Vec::new();
         let mut scheme_delivery = Vec::new();
         for scheme in [Scheme::Opportunistic, Scheme::Greedy] {
-            let trace = opts.runner.trace.as_ref().map(|spec| {
-                let path = spec.job_path(0.0, f as usize, scheme);
-                let sink = JsonlSink::create(&path)
-                    .unwrap_or_else(|e| panic!("cannot create trace file {}: {e}", path.display()));
-                (wsn_trace::shared(sink), spec.options())
-            });
+            let trace = match &opts.runner.trace {
+                Some(spec) => {
+                    let path = spec.job_path(0.0, f as usize, scheme);
+                    let sink = JsonlSink::create(&path).map_err(|e| JobError {
+                        point_index: 0,
+                        point_x: 0.0,
+                        field_index: f as usize,
+                        scheme,
+                        cause: JobFailure::artifact(&path, &e),
+                    })?;
+                    Some((wsn_trace::shared(sink), spec.options()))
+                }
+                None => None,
+            };
             let m = Experiment::new(spec.clone(), scheme)
                 .run_on_observed(&instance, u64::MAX, trace, None, None)
                 .expect("an unbounded event budget cannot trip")
@@ -132,7 +140,7 @@ fn main() {
         // sink counts 5 distinct events per round.
         let omniscient_energy = git.cost * per_frame_j / nodes as f64 / sources.len() as f64;
 
-        (
+        Ok((
             [
                 flood_energy,
                 scheme_energy[0],
@@ -140,8 +148,9 @@ fn main() {
                 omniscient_energy,
             ],
             [flood_delivery, scheme_delivery[0], scheme_delivery[1], 1.0],
-        )
+        ))
     });
+    let rows = sweep_or_exit(rows.into_iter().collect::<Result<Vec<_>, _>>());
 
     for (f, (energy_row, delivery_row)) in rows.into_iter().enumerate() {
         energy.push_row(

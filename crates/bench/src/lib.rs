@@ -26,7 +26,9 @@
 //!   per job into `DIR` (created if absent); reduce a metrics directory
 //!   with the `metrics_report` binary. Same seed ⇒ byte-identical metrics
 //!   files, and enabling metrics never changes trace bytes or figure
-//!   numbers;
+//!   numbers. A job whose trace or metrics file cannot be created fails
+//!   before it runs, with an error naming its `(point, field, scheme)` and
+//!   the path;
 //! * `--profile` — attach the wall-clock dispatch profiler to every run:
 //!   per-job totals ride the `--progress` stream and, combined with
 //!   `--trace`, land in each trace as `profile` records (render with
@@ -322,8 +324,8 @@ pub fn read_artifact(path: &Path) -> String {
 /// Before any run, exits with a usage error (status 2) if `--scale` leaves
 /// a sweep point of some figure with fewer nodes than its sources plus
 /// sinks. Exits the process with status 2 if a run trips the watchdog
-/// budget (`--max-events`); the error names the offending `(point, field,
-/// scheme)`.
+/// budget (`--max-events`) or cannot create its trace or metrics file; the
+/// error names the offending `(point, field, scheme)`.
 pub fn run_and_print(figures: &[Figure], opts: &HarnessOptions) {
     for &figure in figures {
         if let Err(msg) = opts.params.check_roles(figure) {
@@ -337,8 +339,9 @@ pub fn run_and_print(figures: &[Figure], opts: &HarnessOptions) {
 }
 
 /// Unwraps a sweep's result. A run that tripped the watchdog budget
-/// (`--max-events`) prints one `error: job (point …)` line naming its
-/// `(point, field, scheme)` on stderr and exits with status 2.
+/// (`--max-events`), or whose trace or metrics file could not be created,
+/// prints one `error: job (point …)` line naming its `(point, field,
+/// scheme)` on stderr and exits with status 2.
 pub fn sweep_or_exit<T>(result: Result<T, JobError>) -> T {
     result.unwrap_or_else(|err| {
         eprintln!("error: {err}");

@@ -6,7 +6,8 @@
 //! flags they would ignore but run every field asked for, and `ablations`
 //! prints the same stdout at any worker count; a watchdog trip
 //! in any sweep is an error line, not a panic, and leaves a metrics stream
-//! the reader accepts; a closed stdout ends a binary quietly with status 0;
+//! the reader accepts; so is a per-job trace or metrics file that cannot be
+//! created; a closed stdout ends a binary quietly with status 0;
 //! and the two audits pass a real run's artifacts and fail on a tampered
 //! copy.
 
@@ -340,6 +341,36 @@ fn a_tripped_sweep_is_an_error_line_not_a_panic() {
         );
         assert_eq!(err.lines().count(), 1, "{}: {err}", bin.0);
     }
+}
+
+#[test]
+fn an_artifact_that_cannot_be_created_is_an_error_line_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("wsn_cli_artifact_{}", std::process::id()));
+    let cases = [
+        (FIG5, "--trace", "point50_field0_greedy.jsonl"),
+        (FIG5, "--metrics", "point50_field0_greedy.metrics.jsonl"),
+        (BASELINES, "--trace", "point0_field0_greedy.jsonl"),
+    ];
+    for (i, (bin, flag, file)) in cases.into_iter().enumerate() {
+        // A directory where the job's file belongs: creating it fails.
+        let out_dir = dir.join(i.to_string());
+        let blocked = out_dir.join(file);
+        std::fs::create_dir_all(&blocked).expect("temp dir");
+        let out_dir = out_dir.to_str().expect("UTF-8 temp path");
+        let args = ["--quick", "--fields", "1", "--duration", "5", flag, out_dir];
+        let out = run(bin, &args);
+        assert_eq!(out.status.code(), Some(2), "{} {args:?}", bin.0);
+        assert!(out.stdout.is_empty(), "{} {args:?} wrote to stdout", bin.0);
+        let err = text(&out.stderr);
+        let cause = format!("field 0, greedy): cannot create {}: ", blocked.display());
+        assert!(
+            err.starts_with("error: job (point ") && err.contains(&cause),
+            "{} {args:?}: {err}",
+            bin.0
+        );
+        assert_eq!(err.lines().count(), 1, "{} {args:?}: {err}", bin.0);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -48,7 +48,9 @@ mod sweep;
 pub use experiment::{Experiment, MetricsSetup, RunOutcome};
 pub use figures::{run_figure, run_figure_with, Figure, FigureData, FigureParams};
 pub use reconcile::registry_mismatches;
-pub use runner::{peak_rss_kb, JobError, JobReport, MetricsSpec, RunJob, Runner, TraceSpec};
+pub use runner::{
+    peak_rss_kb, JobError, JobFailure, JobReport, MetricsSpec, RunJob, Runner, TraceSpec,
+};
 pub use sweep::{
     collect_points, compare_point, field_seed, run_sweep, sweep_jobs, ComparisonPoint, MetricKind,
 };

@@ -25,7 +25,7 @@
 //! naming the offending `(point, field, scheme)` instead of hanging the
 //! whole sweep; sibling jobs complete normally.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -144,7 +144,7 @@ impl MetricsSpec {
     }
 }
 
-/// A job that tripped the watchdog, identified by its sweep coordinates.
+/// A failed job, identified by its sweep coordinates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobError {
     /// Index of the sweep point the failing job belonged to.
@@ -155,8 +155,44 @@ pub struct JobError {
     pub field_index: usize,
     /// The scheme the failing job was running.
     pub scheme: Scheme,
-    /// The underlying budget violation.
-    pub cause: EventBudgetExceeded,
+    /// Why the job failed.
+    pub cause: JobFailure,
+}
+
+/// Why a job failed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JobFailure {
+    /// The run tripped the watchdog budget.
+    Budget(EventBudgetExceeded),
+    /// The job's trace or metrics file could not be created, so the job
+    /// never ran.
+    Artifact {
+        /// The file that could not be created.
+        path: PathBuf,
+        /// The I/O error, as text.
+        error: String,
+    },
+}
+
+impl JobFailure {
+    /// The failure to create the artifact file at `path`.
+    pub fn artifact(path: &Path, error: &std::io::Error) -> Self {
+        JobFailure::Artifact {
+            path: path.to_path_buf(),
+            error: error.to_string(),
+        }
+    }
+}
+
+impl std::fmt::Display for JobFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JobFailure::Budget(cause) => cause.fmt(f),
+            JobFailure::Artifact { path, error } => {
+                write!(f, "cannot create {}: {error}", path.display())
+            }
+        }
+    }
 }
 
 impl std::fmt::Display for JobError {
@@ -171,7 +207,10 @@ impl std::fmt::Display for JobError {
 
 impl std::error::Error for JobError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.cause)
+        match &self.cause {
+            JobFailure::Budget(cause) => Some(cause),
+            JobFailure::Artifact { .. } => None,
+        }
     }
 }
 
@@ -251,8 +290,16 @@ impl Runner {
         self.parallel_map(jobs, |_, job| self.execute(job))
     }
 
-    /// Runs one job inline on the current thread.
+    /// Runs one job inline on the current thread. A trace or metrics file
+    /// that cannot be created fails the job before it simulates.
     fn execute(&self, job: &RunJob) -> Result<JobReport, JobError> {
+        let job_error = |cause| JobError {
+            point_index: job.point_index,
+            point_x: job.point_x,
+            field_index: job.field_index,
+            scheme: job.scheme,
+            cause,
+        };
         let budget = job.max_events.or(self.max_events).unwrap_or(u64::MAX);
         let start = Instant::now();
         let mut exp = Experiment::new(job.spec.clone(), job.scheme);
@@ -266,15 +313,14 @@ impl Runner {
             .trace
             .as_ref()
             .map(|spec| spec.job_path(job.point_x, job.field_index, job.scheme));
-        let trace = self
-            .trace
-            .as_ref()
-            .zip(trace_path.as_ref())
-            .map(|(spec, path)| {
+        let trace = match self.trace.as_ref().zip(trace_path.as_ref()) {
+            Some((spec, path)) => {
                 let sink = JsonlSink::create(path)
-                    .unwrap_or_else(|e| panic!("cannot create trace file {}: {e}", path.display()));
-                (wsn_trace::shared(sink), spec.options())
-            });
+                    .map_err(|e| job_error(JobFailure::artifact(path, &e)))?;
+                Some((wsn_trace::shared(sink), spec.options()))
+            }
+            None => None,
+        };
         let profile = self
             .profile
             .then(|| wsn_sim::shared_profile(ProfileSink::new()));
@@ -282,14 +328,17 @@ impl Runner {
             .metrics
             .as_ref()
             .map(|spec| spec.job_path(job.point_x, job.field_index, job.scheme));
-        let metrics = metrics_path.as_ref().map(|path| {
-            let file = std::fs::File::create(path)
-                .unwrap_or_else(|e| panic!("cannot create metrics file {}: {e}", path.display()));
-            MetricsSetup {
-                opts: MetricsOptions::default(),
-                out: Some(Box::new(std::io::BufWriter::new(file))),
+        let metrics = match metrics_path.as_ref() {
+            Some(path) => {
+                let file = std::fs::File::create(path)
+                    .map_err(|e| job_error(JobFailure::artifact(path, &e)))?;
+                Some(MetricsSetup {
+                    opts: MetricsOptions::default(),
+                    out: Some(Box::new(std::io::BufWriter::new(file))),
+                })
             }
-        });
+            None => None,
+        };
         let result = exp.run_on_observed(
             &job.spec.instantiate(),
             budget,
@@ -368,13 +417,7 @@ impl Runner {
                         artifacts_json,
                     );
                 }
-                Err(JobError {
-                    point_index: job.point_index,
-                    point_x: job.point_x,
-                    field_index: job.field_index,
-                    scheme: job.scheme,
-                    cause,
-                })
+                Err(job_error(JobFailure::Budget(cause)))
             }
         }
     }
@@ -525,12 +568,12 @@ mod tests {
             point_x: 250.0,
             field_index: 3,
             scheme: Scheme::Greedy,
-            cause: EventBudgetExceeded {
+            cause: JobFailure::Budget(EventBudgetExceeded {
                 budget: 1000,
                 events_processed: 1000,
                 sim_time: SimTime::from_secs(4),
                 deadline: SimTime::from_secs(200),
-            },
+            }),
         };
         let msg = err.to_string();
         assert!(msg.contains("point 2"), "{msg}");

@@ -34,7 +34,7 @@ pub struct DiffusionMetricIds {
     /// flush (the paper's aggregation fan-in).
     pub(crate) agg_fanin: HistId,
     /// `diffusion.item_drops{reason=..}` — data items lost at the protocol
-    /// layer, indexed by [`wsn_net::drop_reason_index`].
+    /// layer, indexed by [`DropReason::index`].
     pub(crate) item_drops: [CounterId; 6],
 }
 
@@ -62,7 +62,7 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         let ids = DiffusionMetricIds::register(&mut reg);
         for (i, r) in DropReason::ALL.iter().enumerate() {
-            assert_eq!(wsn_net::drop_reason_index(*r), i);
+            assert_eq!(r.index(), i);
             let name = format!("diffusion.item_drops{{reason={}}}", r.name());
             reg.inc(ids.item_drops[i]);
             assert_eq!(reg.counter_by_name(&name), Some(1));

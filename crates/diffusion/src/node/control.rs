@@ -99,7 +99,7 @@ impl DiffusionNode {
         if !first {
             // Duplicate exploratory copy: the cache suppresses the re-flood.
             self.metric(ctx, |ids, reg| {
-                reg.inc(ids.item_drops[wsn_net::drop_reason_index(DropReason::CacheSuppressed)]);
+                reg.inc(ids.item_drops[DropReason::CacheSuppressed.index()]);
             });
             if ctx.trace_enabled() {
                 ctx.trace(TraceRecord::ItemDrop {

@@ -15,24 +15,10 @@ use super::{DiffTimer, DiffusionNode};
 
 impl DiffusionNode {
     /// The lineage id of one event item (`source#round` on the wire).
-    fn item_lineage(item: &EventItem) -> LineageId {
+    pub(super) fn item_lineage(item: &EventItem) -> LineageId {
         LineageId {
             src: item.source.0,
             seq: item.round,
-        }
-    }
-
-    /// The lineage wire string of an outgoing message. Only payload-bearing
-    /// messages (data aggregates and exploratory events) carry event
-    /// lineage; control traffic has none. Called only on traced runs —
-    /// untraced sends must not pay for the encoding. The caller interns the
-    /// string (see [`Ctx::intern_lineage`]) so the packet carries a `Copy`
-    /// handle and repeats of the same set allocate once.
-    fn msg_lineage(msg: &DiffMsg) -> Option<String> {
-        match msg {
-            DiffMsg::Exploratory { item, .. } => Some(join_lineage([Self::item_lineage(item)])),
-            DiffMsg::Data { items, .. } => Some(join_lineage(items.iter().map(Self::item_lineage))),
-            _ => None,
         }
     }
 
@@ -47,14 +33,9 @@ impl DiffusionNode {
         if matches!(msg, DiffMsg::Interest { .. }) {
             self.metric(ctx, |ids, reg| reg.inc(ids.interests_sent));
         }
-        let lineage = if ctx.trace_enabled() {
-            Self::msg_lineage(&msg).map(|wire| ctx.intern_lineage(&wire))
-        } else {
-            None
-        };
         match dst {
-            None => ctx.broadcast_with_lineage(bytes, msg, lineage),
-            Some(n) => ctx.unicast_with_lineage(n, bytes, msg, lineage),
+            None => ctx.broadcast(bytes, msg),
+            Some(n) => ctx.unicast(n, bytes, msg),
         }
     }
 
@@ -180,7 +161,7 @@ impl DiffusionNode {
         if downstream.is_empty() {
             self.metric(ctx, |ids, reg| {
                 reg.add(
-                    ids.item_drops[wsn_net::drop_reason_index(DropReason::NoRoute)],
+                    ids.item_drops[DropReason::NoRoute.index()],
                     out.items.len() as u64,
                 );
             });
@@ -244,9 +225,7 @@ impl DiffusionNode {
                 }
                 // The copy goes no further here: the dedup cache absorbed it.
                 self.metric(ctx, |ids, reg| {
-                    reg.inc(
-                        ids.item_drops[wsn_net::drop_reason_index(DropReason::CacheSuppressed)],
-                    );
+                    reg.inc(ids.item_drops[DropReason::CacheSuppressed.index()]);
                 });
                 if ctx.trace_enabled() {
                     ctx.trace(TraceRecord::ItemDrop {

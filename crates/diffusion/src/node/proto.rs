@@ -2,7 +2,7 @@
 //! callbacks into the control, data, and reinforcement submodules.
 
 use wsn_net::{Ctx, NodeId, Packet, Protocol};
-use wsn_trace::{DropReason, TraceRecord};
+use wsn_trace::{join_lineage, DropReason, TraceRecord};
 
 use crate::cache::ExplCache;
 use crate::config::{next_generate_delay, FLOOD_JITTER, GRADIENT_TIMEOUT};
@@ -121,10 +121,7 @@ impl Protocol for DiffusionNode {
         if let DiffMsg::Data { items, .. } = msg {
             let n = items.len() as u64;
             self.metric(ctx, |ids, reg| {
-                reg.add(
-                    ids.item_drops[wsn_net::drop_reason_index(DropReason::RetryLimit)],
-                    n,
-                );
+                reg.add(ids.item_drops[DropReason::RetryLimit.index()], n);
             });
         }
         if ctx.trace_enabled() {
@@ -179,5 +176,15 @@ impl Protocol for DiffusionNode {
         // The exploratory cache dominates diffusion's per-node memory and is
         // the interesting size to watch in snapshots.
         self.expl.len()
+    }
+
+    fn lineage(msg: &DiffMsg) -> Option<String> {
+        // Only payload-bearing messages (exploratory events and data
+        // aggregates) carry event lineage; control traffic has none.
+        match msg {
+            DiffMsg::Exploratory { item, .. } => Some(join_lineage([Self::item_lineage(item)])),
+            DiffMsg::Data { items, .. } => Some(join_lineage(items.iter().map(Self::item_lineage))),
+            _ => None,
+        }
     }
 }

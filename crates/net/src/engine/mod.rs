@@ -124,7 +124,7 @@ impl<P: Protocol> Network<P> {
         mut make: impl FnMut(NodeId) -> P,
     ) -> Self {
         let n = topo.len();
-        let core = EngineCore::new(topo, cfg.mac, seed);
+        let core = EngineCore::new(topo, cfg.mac, seed, P::lineage);
         let protocols = (0..n).map(|i| make(NodeId::from_index(i))).collect();
         Network {
             core,

@@ -11,7 +11,6 @@ use wsn_sim::{EventId, RunAccounting, SimDuration, SimRng, SimTime, Simulator};
 use wsn_trace::{DropReason, TraceRecord};
 
 use crate::mac::{Mac, MacCtx, MacImpl, MacKind};
-use crate::metrics::drop_reason_index;
 use crate::node::NodeId;
 use crate::packet::Packet;
 use crate::phy::Phy;
@@ -61,9 +60,14 @@ impl<M: std::fmt::Debug, T: std::fmt::Debug> std::fmt::Debug for EngineCore<M, T
 }
 
 impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> EngineCore<M, T> {
-    pub(super) fn new(topo: Topology, mac: MacKind, seed: u64) -> Self {
+    pub(super) fn new(
+        topo: Topology,
+        mac: MacKind,
+        seed: u64,
+        lineage_of: fn(&M) -> Option<String>,
+    ) -> Self {
         let n = topo.len();
-        let phy = Phy::new(topo, mac == MacKind::Ideal);
+        let phy = Phy::new(topo, mac == MacKind::Ideal, lineage_of);
         let mac = MacImpl::new(mac, n, seed);
         let proto_rngs = (0..n)
             .map(|i| SimRng::derive(seed, STREAM_PROTO, i as u64))
@@ -137,7 +141,7 @@ impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> EngineCore<M, T> {
     pub(crate) fn enqueue(&mut self, node: NodeId, packet: Packet<M>) {
         let i = node.index();
         if !self.phy.is_up(i) {
-            self.phy.stats.drops[drop_reason_index(DropReason::NodeDown)] += 1;
+            self.phy.stats.drops[DropReason::NodeDown.index()] += 1;
             self.emit(TraceRecord::PacketDrop {
                 t_ns: self.sim.now().as_nanos(),
                 node: node.0,
@@ -152,9 +156,7 @@ impl<M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> EngineCore<M, T> {
                 node: node.0,
                 bytes: packet.bytes,
                 dst: packet.dst.map(|d| d.0),
-                lineage: packet
-                    .lineage
-                    .map(|h| self.phy.lineage.resolve(h).to_string()),
+                lineage: (self.phy.lineage_of)(&packet.payload),
             });
         }
         let (mac, mut ctx) = self.mac_split();

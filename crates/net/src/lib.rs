@@ -53,7 +53,7 @@ pub use config::{tx_duration, NetConfig, RETRY_LIMIT};
 pub use energy::{EnergyMeter, EnergyModel, RadioState};
 pub use engine::{EngineCore, EventBudgetExceeded, Network};
 pub use mac::MacKind;
-pub use metrics::{drop_reason_index, MetricsOptions, NetMetricIds};
+pub use metrics::{MetricsOptions, NetMetricIds};
 pub use node::NodeId;
 pub use packet::{Packet, TxId};
 pub use phy::NetStats;

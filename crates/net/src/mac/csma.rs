@@ -21,7 +21,6 @@ use crate::config::{
 };
 use crate::engine::Ev;
 use crate::mac::{Mac, MacCtx};
-use crate::metrics::drop_reason_index;
 use crate::node::NodeId;
 use crate::packet::{Packet, TxId};
 use crate::phy::{Control, Frame, TxOutcome};
@@ -148,7 +147,7 @@ impl<M: Clone + std::fmt::Debug> CsmaCa<M> {
             ctx.phy.stats.retries += 1;
             self.nodes[i].queue.push_front(queued);
         } else {
-            ctx.phy.stats.drops[drop_reason_index(DropReason::RetryLimit)] += 1;
+            ctx.phy.stats.drops[DropReason::RetryLimit.index()] += 1;
             if let Some(m) = ctx.phy.metrics.as_deref_mut() {
                 m.reg.observe(m.ids.retry_hist, u64::from(queued.retries));
             }

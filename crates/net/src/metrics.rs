@@ -58,22 +58,6 @@ impl Default for MetricsOptions {
     }
 }
 
-/// Index of a [`DropReason`] in a `{reason=..}`-labeled counter array —
-/// by construction the position of the reason in [`DropReason::ALL`].
-/// Shared across layers (the PHY's `phy.drops` and diffusion's
-/// `diffusion.item_drops` index the same way) so audits can line reasons up.
-#[inline]
-pub fn drop_reason_index(reason: DropReason) -> usize {
-    match reason {
-        DropReason::Collision => 0,
-        DropReason::RetryLimit => 1,
-        DropReason::NodeDown => 2,
-        DropReason::NoRoute => 3,
-        DropReason::CacheSuppressed => 4,
-        DropReason::Budget => 5,
-    }
-}
-
 /// Dense ids for every PHY/MAC/engine metric, registered once per run.
 ///
 /// Registration order is export order (JSONL header, `mtotal` line), so
@@ -95,7 +79,7 @@ pub struct NetMetricIds {
     /// `phy.busy_samples` — MAC carrier-sense polls that found the medium
     /// busy.
     pub(crate) busy_samples: CounterId,
-    /// `phy.drops{reason=..}` — indexed by [`drop_reason_index`]; sampled
+    /// `phy.drops{reason=..}` — indexed by [`DropReason::index`]; sampled
     /// from the count block.
     pub(crate) drops: [CounterId; 6],
     /// `phy.energy_nj{state=..}` — integer nanojoules debited per radio
@@ -233,13 +217,6 @@ impl MetricsState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn drop_reason_index_matches_all_order() {
-        for (i, r) in DropReason::ALL.iter().enumerate() {
-            assert_eq!(drop_reason_index(*r), i);
-        }
-    }
 
     #[test]
     fn registration_is_stable_and_labeled() {

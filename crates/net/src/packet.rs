@@ -1,7 +1,5 @@
 //! Frames on the air.
 
-use wsn_trace::LineageHandle;
-
 use crate::node::NodeId;
 
 /// A frame as transmitted by the MAC.
@@ -18,13 +16,6 @@ pub struct Packet<M> {
     pub dst: Option<NodeId>,
     /// Frame size in bytes, which determines air time and hence energy.
     pub bytes: u32,
-    /// Lineage ids the payload carries, interned in the run's
-    /// [`LineageTable`](wsn_trace::LineageTable) (the comma-joined
-    /// `src#seq` wire string is resolved back at trace-emission time). Only
-    /// stamped when a trace sink is installed — `None` on untraced runs, so
-    /// the hot path never pays for the encoding. A `Copy` handle, so
-    /// requeues, retries, and clones never touch the heap.
-    pub lineage: Option<LineageHandle>,
     /// The protocol-level message.
     pub payload: M,
 }
@@ -36,7 +27,6 @@ impl<M> Packet<M> {
             from,
             dst: None,
             bytes,
-            lineage: None,
             payload,
         }
     }
@@ -47,15 +37,8 @@ impl<M> Packet<M> {
             from,
             dst: Some(to),
             bytes,
-            lineage: None,
             payload,
         }
-    }
-
-    /// Stamps the packet with interned lineage ids.
-    pub fn with_lineage(mut self, lineage: Option<LineageHandle>) -> Self {
-        self.lineage = lineage;
-        self
     }
 
     /// Whether `node` should process this packet.

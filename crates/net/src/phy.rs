@@ -47,12 +47,12 @@
 use std::rc::Rc;
 
 use wsn_sim::{SimTime, Simulator};
-use wsn_trace::{DropReason, LineageTable, SharedSink, TraceRecord};
+use wsn_trace::{DropReason, SharedSink, TraceRecord};
 
 use crate::config::tx_duration;
 use crate::energy::{state_index, EnergyMeter, RadioState};
 use crate::engine::Ev;
-use crate::metrics::{drop_reason_index, MetricsState};
+use crate::metrics::MetricsState;
 use crate::node::NodeId;
 use crate::packet::{Packet, TxId};
 use crate::soa::Bits;
@@ -98,12 +98,12 @@ impl<M> Frame<M> {
         }
     }
 
-    /// The payload's lineage stamp, resolved through the run's intern table
-    /// and re-encoded for a trace record. Only payloads of traced runs carry
-    /// a handle, so this allocates nothing on untraced paths.
-    fn trace_lineage(&self, lineage: &LineageTable) -> Option<String> {
+    /// The lineage a trace record reports: the protocol's answer for a
+    /// payload (see [`Protocol::lineage`](crate::Protocol::lineage)), none
+    /// for a MAC control frame.
+    fn trace_lineage(&self, lineage_of: fn(&M) -> Option<String>) -> Option<String> {
         match self {
-            Frame::Payload(p) => p.lineage.map(|h| lineage.resolve(h).to_string()),
+            Frame::Payload(p) => lineage_of(&p.payload),
             _ => None,
         }
     }
@@ -210,7 +210,7 @@ pub struct NetStats {
     /// Unicast retransmissions. Counted in `CsmaCa::requeue_or_fail`.
     pub retries: u64,
     /// Frames lost, by reason in [`DropReason::ALL`] order (index with
-    /// [`drop_reason_index`]): `collision` in `Phy::finish_frame`,
+    /// [`DropReason::index`]): `collision` in `Phy::finish_frame`,
     /// `retry_limit` in `CsmaCa::requeue_or_fail`, `node_down` in
     /// `EngineCore::enqueue`. The other reasons drop protocol items, not
     /// frames, and stay zero here.
@@ -235,7 +235,7 @@ impl NetStats {
 
     /// Unicast frames abandoned after the retry limit.
     pub fn total_failed(&self) -> u64 {
-        self.drops[drop_reason_index(DropReason::RetryLimit)]
+        self.drops[DropReason::RetryLimit.index()]
     }
 }
 
@@ -323,10 +323,9 @@ pub(crate) struct Phy<M> {
     /// The installed trace sink, if any. `None` keeps every emission site
     /// down to a single branch.
     pub(crate) trace: Option<SharedSink>,
-    /// The run's lineage intern table: packets carry `Copy` handles into it,
-    /// and trace emission resolves them back to wire strings. Empty (and
-    /// untouched) on untraced runs.
-    pub(crate) lineage: LineageTable,
+    /// The protocol's [`Protocol::lineage`](crate::Protocol::lineage),
+    /// asked for a payload's lineage when a trace record is written.
+    pub(crate) lineage_of: fn(&M) -> Option<String>,
     /// The metrics registry and its wiring, if installed. Lives on the PHY
     /// (like the trace sink) so the broadcast loops' split borrows reach it
     /// as a disjoint field; `None` keeps every recording site to one branch.
@@ -350,7 +349,6 @@ impl<M: std::fmt::Debug> std::fmt::Debug for Phy<M> {
             .field("stats", &self.stats)
             .field("next_tx", &self.next_tx)
             .field("trace", &self.trace.is_some())
-            .field("lineage", &self.lineage)
             .field("metrics", &self.metrics.is_some())
             .field("capture", &self.capture)
             .finish_non_exhaustive()
@@ -358,7 +356,7 @@ impl<M: std::fmt::Debug> std::fmt::Debug for Phy<M> {
 }
 
 impl<M: Clone + std::fmt::Debug> Phy<M> {
-    pub(crate) fn new(topo: Topology, capture: bool) -> Self {
+    pub(crate) fn new(topo: Topology, capture: bool, lineage_of: fn(&M) -> Option<String>) -> Self {
         let n = topo.len();
         Phy {
             up: Bits::new_all_set(n),
@@ -371,7 +369,7 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
             stats: NetStats::default(),
             next_tx: 0,
             trace: None,
-            lineage: LineageTable::new(),
+            lineage_of,
             metrics: None,
             capture,
         }
@@ -457,7 +455,7 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
             in_flight,
             stats,
             trace,
-            lineage,
+            lineage_of,
             metrics,
             capture,
             ..
@@ -477,7 +475,7 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
                     kind: frame.kind(),
                     bytes,
                     dst: frame.trace_dst(),
-                    lineage: frame.trace_lineage(lineage),
+                    lineage: frame.trace_lineage(*lineage_of),
                 },
             );
         }
@@ -572,7 +570,7 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
                 r.rx -= 1;
                 r.clean = false;
                 if corrupted {
-                    stats.drops[drop_reason_index(DropReason::Collision)] += 1;
+                    stats.drops[DropReason::Collision.index()] += 1;
                     emit_to(
                         trace,
                         TraceRecord::PacketDrop {

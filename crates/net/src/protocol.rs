@@ -74,6 +74,16 @@ pub trait Protocol: Sized {
     fn cache_size(&self) -> usize {
         0
     }
+
+    /// The lineage ids `msg` carries, as the comma-joined `src#seq` wire
+    /// string of the trace's `enq` and payload `tx` records (see
+    /// [`wsn_trace::join_lineage`]). The engine asks only on traced runs,
+    /// when it writes such a record, so untraced runs never pay for the
+    /// encoding. Default: `None` (the payload carries no event).
+    fn lineage(msg: &Self::Msg) -> Option<String> {
+        let _ = msg;
+        None
+    }
 }
 
 /// The protocol's window into the engine during a callback.
@@ -149,41 +159,6 @@ impl<'a, M: Clone + std::fmt::Debug, T: Clone + std::fmt::Debug> Ctx<'a, M, T> {
     /// but only `to`'s protocol sees the packet.
     pub fn unicast(&mut self, to: NodeId, bytes: u32, msg: M) {
         let pkt = Packet::unicast(self.node, to, bytes, msg);
-        self.core.enqueue(self.node, pkt);
-    }
-
-    /// Interns a lineage wire string (comma-joined `src#seq`) in the run's
-    /// [`LineageTable`](wsn_trace::LineageTable), returning the `Copy`
-    /// handle packets carry. The same string always returns the same
-    /// handle, so repeated sends of a stable aggregate allocate once.
-    pub fn intern_lineage(&mut self, wire: &str) -> wsn_trace::LineageHandle {
-        self.core.phy.lineage.intern(wire)
-    }
-
-    /// [`Ctx::broadcast`] with a lineage stamp: the interned lineage ids
-    /// (see [`Ctx::intern_lineage`]) ride the frame into the trace's
-    /// `enq`/`tx` records. Pass `None` (or just use `broadcast`) when
-    /// tracing is off — see [`Ctx::trace_enabled`].
-    pub fn broadcast_with_lineage(
-        &mut self,
-        bytes: u32,
-        msg: M,
-        lineage: Option<wsn_trace::LineageHandle>,
-    ) {
-        let pkt = Packet::broadcast(self.node, bytes, msg).with_lineage(lineage);
-        self.core.enqueue(self.node, pkt);
-    }
-
-    /// [`Ctx::unicast`] with a lineage stamp (see
-    /// [`Ctx::broadcast_with_lineage`]).
-    pub fn unicast_with_lineage(
-        &mut self,
-        to: NodeId,
-        bytes: u32,
-        msg: M,
-        lineage: Option<wsn_trace::LineageHandle>,
-    ) {
-        let pkt = Packet::unicast(self.node, to, bytes, msg).with_lineage(lineage);
         self.core.enqueue(self.node, pkt);
     }
 

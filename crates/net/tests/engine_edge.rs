@@ -17,7 +17,8 @@ const RTS: usize = 2;
 const CTS: usize = 3;
 
 /// Minimal scripted protocol (see `engine_properties.rs` for the generic
-/// one); here each instance also records failure callbacks.
+/// one); here each instance also records failure callbacks, and payload `p`
+/// carries the lineage `"p#7"`.
 #[derive(Debug, Default)]
 struct Probe {
     sends: Vec<(SimDuration, Option<NodeId>, u32)>,
@@ -56,6 +57,9 @@ impl Protocol for Probe {
     }
     fn on_unicast_failed(&mut self, _ctx: &mut Ctx<'_, u32, Cmd>, to: NodeId, msg: &u32) {
         self.failed_unicasts.push((to, *msg));
+    }
+    fn lineage(msg: &u32) -> Option<String> {
+        Some(format!("{msg}#7"))
     }
 }
 
@@ -314,6 +318,53 @@ fn rts_cts_handles_hidden_terminals() {
     payloads.sort_unstable();
     payloads.dedup();
     assert_eq!(payloads, vec![10, 20]);
+}
+
+/// The lineage of every `enq` record and of every `tx` record (tagged with
+/// its frame kind), in order.
+fn lineages(recs: &[TraceRecord]) -> Vec<(&'static str, Option<String>)> {
+    recs.iter()
+        .filter_map(|r| match r {
+            TraceRecord::MacEnqueue { lineage, .. } => Some(("enq", lineage.clone())),
+            TraceRecord::PacketTx { kind, lineage, .. } => Some((*kind, lineage.clone())),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn enq_and_payload_tx_records_carry_the_protocols_lineage() {
+    // Node 0 unicasts payload 5 (RTS, CTS, data, ACK), then broadcasts 6.
+    let mut net = Network::new(pair(), rts_config(), 9, |id| {
+        let mut p = Probe::default();
+        if id == NodeId(0) {
+            p.sends.push((ms(10), Some(NodeId(1)), 5));
+            p.sends.push((ms(100), None, 6));
+        }
+        p
+    });
+    let recs = run_recorded(&mut net, SimTime::from_secs(1));
+    let (five, six) = (Some("5#7".to_string()), Some("6#7".to_string()));
+    assert_eq!(
+        lineages(&recs),
+        vec![
+            ("enq", five.clone()),
+            ("rts", None),
+            ("cts", None),
+            ("data", five),
+            ("ack", None),
+            ("enq", six.clone()),
+            ("data", six),
+        ]
+    );
+    // `Air` keeps the default hook: no record carries lineage.
+    let mut net = Network::new(pair(), NetConfig::default(), 9, |id| Air {
+        at_start: vec![(ms(10 * u64::from(id.0 + 1)), 64, 5)],
+        ..Air::default()
+    });
+    let recs = run_recorded(&mut net, SimTime::from_secs(1));
+    let none = vec![("enq", None), ("data", None), ("enq", None), ("data", None)];
+    assert_eq!(lineages(&recs), none);
 }
 
 fn line(n: usize) -> Topology {

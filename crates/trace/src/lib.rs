@@ -59,7 +59,7 @@ pub mod report;
 pub mod sink;
 
 pub use audit::{audit_text, AuditReport, Auditor, Violation};
-pub use lineage::{join_lineage, split_lineage, LineageHandle, LineageId, LineageTable};
+pub use lineage::{join_lineage, split_lineage, LineageId};
 pub use record::{
     joules_to_nj, DecodeError, DropReason, TraceRecord, ENERGY_STATES, FRAME_KINDS,
     REINFORCE_KINDS, SCHEMA_VERSION,

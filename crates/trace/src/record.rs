@@ -99,6 +99,16 @@ impl DropReason {
         DropReason::Budget,
     ];
 
+    /// The reason's slot in a `{reason=..}`-labeled counter array: its
+    /// position in [`DropReason::ALL`], which lists the reasons in
+    /// declaration order. The PHY's `phy.drops` and diffusion's
+    /// `diffusion.item_drops` index the same way, so audits can line
+    /// reasons up.
+    #[inline]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// The reason's wire label.
     pub fn name(self) -> &'static str {
         match self {
@@ -149,7 +159,7 @@ pub enum TraceRecord {
         bytes: u32,
         /// Logical destination (`None` = broadcast).
         dst: Option<u32>,
-        /// Lineage ids carried by the payload, if the payload is stamped.
+        /// Lineage ids carried by the payload, if it carries any.
         lineage: Option<String>,
     },
     /// A frame was put on the air. `tx` is the per-run transmission id that
@@ -167,7 +177,7 @@ pub enum TraceRecord {
         bytes: u32,
         /// Logical destination (`None` = broadcast).
         dst: Option<u32>,
-        /// Lineage ids carried by the payload, if the payload is stamped.
+        /// Lineage ids carried by the payload, if it carries any.
         lineage: Option<String>,
     },
     /// A payload frame was successfully decoded at a hearer.
@@ -886,6 +896,13 @@ mod tests {
         .to_json();
         assert!(!line.contains("tx"), "{line}");
         assert!(line.contains("\"reason\":\"node_down\""), "{line}");
+    }
+
+    #[test]
+    fn drop_reason_slots_follow_all_order() {
+        for (i, r) in DropReason::ALL.iter().enumerate() {
+            assert_eq!(r.index(), i);
+        }
     }
 
     #[test]

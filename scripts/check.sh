@@ -74,6 +74,16 @@ audit="$(cargo run --release -p wsn-bench --bin trace_audit -- "$tracedir/a")"
 echo "$audit" | tail -1
 echo "$audit" | grep -q ", 0 violation(s)"
 
+echo "==> audit smoke under every MAC: mac_overhead traces audit clean"
+# fig8 runs CSMA only; mac_overhead traces one field under CSMA, RTS/CTS
+# and the ideal MAC (six traces, about 120 MB), and each must pass the
+# same audit.
+cargo run --release -q -p wsn-bench --bin mac_overhead -- \
+    --quick --fields 1 --duration 10 --trace "$tracedir/mac" >/dev/null
+mac_audit="$(cargo run --release -q -p wsn-bench --bin trace_audit -- "$tracedir/mac")"
+echo "$mac_audit" | tail -1
+echo "$mac_audit" | grep -q ", 0 violation(s)"
+
 echo "==> metrics smoke: snapshot stream reduces and audits clean vs trace"
 # One sweep with both artifacts attached: metrics_report must render
 # non-empty per-layer tables, and --audit must reconcile every registry

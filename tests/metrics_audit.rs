@@ -28,7 +28,7 @@ use std::rc::Rc;
 use wsn::core::{registry_mismatches, Experiment, MetricsSetup, RunOutcome};
 use wsn::diffusion::{MsgKind, Scheme};
 use wsn::metrics::{MetricType, MetricsLine, MetricsRegistry};
-use wsn::net::{drop_reason_index, MacKind, MetricsOptions, NodeId, TraceOptions};
+use wsn::net::{MacKind, MetricsOptions, NodeId, TraceOptions};
 use wsn::scenario::{FailureConfig, FailureEvent, ScenarioInstance, ScenarioSpec};
 use wsn::sim::{SimDuration, SimTime};
 use wsn::trace::{
@@ -313,7 +313,7 @@ impl TraceSink for SnapshotCounts {
                 running.frames_tx[k.expect("a known frame kind")] += 1;
             }
             TraceRecord::Collision { .. } => running.collisions += 1,
-            TraceRecord::PacketDrop { reason, .. } => running.drops[drop_reason_index(reason)] += 1,
+            TraceRecord::PacketDrop { reason, .. } => running.drops[reason.index()] += 1,
             TraceRecord::Snapshot { t_ns, queue, .. } => {
                 if self.instants.last().map(|c| c.t_ns) != Some(t_ns) {
                     self.instants.push(Counts {

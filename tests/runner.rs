@@ -3,7 +3,7 @@
 //! per-job watchdog must name the offending run without poisoning siblings.
 
 use wsn::core::field_seed;
-use wsn::core::{collect_points, run_sweep, sweep_jobs, MetricKind, Runner};
+use wsn::core::{collect_points, run_sweep, sweep_jobs, JobFailure, MetricKind, Runner};
 use wsn::diffusion::{DiffusionConfig, Scheme};
 use wsn::scenario::ScenarioSpec;
 use wsn::sim::SimDuration;
@@ -95,7 +95,10 @@ fn watchdog_names_the_offending_job_without_poisoning_siblings() {
             assert_eq!(err.point_x, 70.0);
             assert_eq!(err.field_index, 0);
             assert_eq!(err.scheme, Scheme::Opportunistic);
-            assert!(err.cause.events_processed >= 50);
+            assert!(
+                matches!(&err.cause, JobFailure::Budget(b) if b.events_processed >= 50),
+                "{err}"
+            );
             let msg = err.to_string();
             assert!(
                 msg.contains("field 0") && msg.contains("opportunistic"),

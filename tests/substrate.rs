@@ -2,8 +2,7 @@
 //! protocol: ARQ behavior, collisions, energy accounting, and determinism.
 
 use wsn::net::{
-    drop_reason_index, Ctx, NetConfig, Network, NodeId, Packet, Position, Protocol, Topology,
-    RETRY_LIMIT,
+    Ctx, NetConfig, Network, NodeId, Packet, Position, Protocol, Topology, RETRY_LIMIT,
 };
 use wsn::sim::{SimDuration, SimTime};
 use wsn::trace::DropReason;
@@ -274,7 +273,7 @@ fn frames_queued_while_down_are_dropped() {
     net.run_until(SimTime::from_secs(1));
     // Node 1 is silent, so the drop and the (absent) frames are node 0's.
     let s = net.stats();
-    assert_eq!(s.drops[drop_reason_index(DropReason::NodeDown)], 1);
+    assert_eq!(s.drops[DropReason::NodeDown.index()], 1);
     assert_eq!(s.total_tx_frames(), 0);
     assert!(net.protocol(NodeId(1)).received.is_empty());
 }

@@ -13,7 +13,7 @@
 //! `--progress`, `--metrics` and `--profile` are usage errors.
 
 use wsn_bench::{outln, sweep_or_exit, HarnessOptions};
-use wsn_core::{field_seed, Experiment, JobError, JobFailure};
+use wsn_core::{check_artifact, field_seed, Experiment, JobError, JobFailure};
 use wsn_diffusion::{FloodingNode, Role, Scheme};
 use wsn_metrics::{FigureTable, Summary};
 use wsn_net::{tx_duration, EnergyModel, NetConfig, Network};
@@ -57,6 +57,28 @@ fn main() {
         ],
     );
 
+    // The diffusion runs go through the hand-rolled instance (shared with
+    // the flooding bracket) rather than a `RunJob`, so `--trace` is
+    // honoured here directly: one file per (field, scheme) under the
+    // runner's naming scheme, point 0. Every file is checked, in run
+    // order, before any network runs.
+    let schemes = [Scheme::Opportunistic, Scheme::Greedy];
+    let job_error = |field_index, scheme, cause| JobError {
+        point_index: 0,
+        point_x: 0.0,
+        field_index,
+        scheme,
+        cause,
+    };
+    if let Some(spec) = &opts.runner.trace {
+        for f in 0..fields {
+            for scheme in schemes {
+                let path = spec.job_path(0.0, f, scheme);
+                sweep_or_exit(check_artifact(&path).map_err(|c| job_error(f, scheme, c)));
+            }
+        }
+    }
+
     // One job per field; each worker builds (and drops) its own networks.
     // Results come back keyed by field index, so the tables are identical
     // to a serial run at any worker count.
@@ -94,22 +116,15 @@ fn main() {
         };
         let flood_delivery = flood_distinct as f64 / flood_generated.max(1) as f64;
 
-        // The two diffusion schemes. These go through the hand-rolled
-        // instance (shared with the flooding bracket) rather than a
-        // `RunJob`, so `--trace` is honoured here directly: one file per
-        // (field, scheme) under the runner's naming scheme, point 0.
+        // The two diffusion schemes.
         let mut scheme_energy = Vec::new();
         let mut scheme_delivery = Vec::new();
-        for scheme in [Scheme::Opportunistic, Scheme::Greedy] {
+        for scheme in schemes {
             let trace = match &opts.runner.trace {
                 Some(spec) => {
                     let path = spec.job_path(0.0, f as usize, scheme);
-                    let sink = JsonlSink::create(&path).map_err(|e| JobError {
-                        point_index: 0,
-                        point_x: 0.0,
-                        field_index: f as usize,
-                        scheme,
-                        cause: JobFailure::artifact(&path, &e),
+                    let sink = JsonlSink::create(&path).map_err(|e| {
+                        job_error(f as usize, scheme, JobFailure::artifact(&path, &e))
                     })?;
                     Some((wsn_trace::shared(sink), spec.options()))
                 }

@@ -346,29 +346,69 @@ fn a_tripped_sweep_is_an_error_line_not_a_panic() {
 #[test]
 fn an_artifact_that_cannot_be_created_is_an_error_line_not_a_panic() {
     let dir = std::env::temp_dir().join(format!("wsn_cli_artifact_{}", std::process::id()));
+    // (binary, flags, the file that a directory blocks in the last output
+    // directory). The blocked job is the first of one sweep and the last
+    // of another, and in one its trace could be created but its metrics
+    // file cannot.
     let cases = [
         (FIG5, "--trace", "point50_field0_greedy.jsonl"),
         (FIG5, "--metrics", "point50_field0_greedy.metrics.jsonl"),
+        (
+            FIG5,
+            "--jobs 2 --trace",
+            "point250_field0_opportunistic.jsonl",
+        ),
+        (
+            FIG5,
+            "--trace --metrics",
+            "point50_field0_greedy.metrics.jsonl",
+        ),
         (BASELINES, "--trace", "point0_field0_greedy.jsonl"),
     ];
-    for (i, (bin, flag, file)) in cases.into_iter().enumerate() {
+    for (i, (bin, flags, file)) in cases.into_iter().enumerate() {
+        let mut args = vec!["--quick", "--fields", "1", "--duration", "5"];
+        let mut out_dirs = Vec::new();
+        for flag in flags.split(' ') {
+            match flag.strip_prefix("--") {
+                Some(name @ ("trace" | "metrics")) => {
+                    out_dirs.push((flag, dir.join(i.to_string()).join(name)));
+                }
+                _ => args.push(flag),
+            }
+        }
+        for (flag, out_dir) in &out_dirs {
+            std::fs::create_dir_all(out_dir).expect("temp dir");
+            args.extend([*flag, out_dir.to_str().expect("UTF-8 temp path")]);
+        }
         // A directory where the job's file belongs: creating it fails.
-        let out_dir = dir.join(i.to_string());
-        let blocked = out_dir.join(file);
-        std::fs::create_dir_all(&blocked).expect("temp dir");
-        let out_dir = out_dir.to_str().expect("UTF-8 temp path");
-        let args = ["--quick", "--fields", "1", "--duration", "5", flag, out_dir];
+        let blocked = out_dirs.last().expect("an output flag").1.join(file);
+        std::fs::create_dir(&blocked).expect("temp dir");
         let out = run(bin, &args);
         assert_eq!(out.status.code(), Some(2), "{} {args:?}", bin.0);
         assert!(out.stdout.is_empty(), "{} {args:?} wrote to stdout", bin.0);
         let err = text(&out.stderr);
-        let cause = format!("field 0, greedy): cannot create {}: ", blocked.display());
+        let scheme = if file.contains("greedy") {
+            "greedy"
+        } else {
+            "opportunistic"
+        };
+        let cause = format!("field 0, {scheme}): cannot create {}: ", blocked.display());
         assert!(
             err.starts_with("error: job (point ") && err.contains(&cause),
             "{} {args:?}: {err}",
             bin.0
         );
         assert_eq!(err.lines().count(), 1, "{} {args:?}: {err}", bin.0);
+        // No job ran: the output directories hold the blocking directory
+        // and nothing else.
+        for (_, out_dir) in &out_dirs {
+            let names: Vec<_> = std::fs::read_dir(out_dir)
+                .expect("the output directory is still there")
+                .map(|e| e.expect("a directory entry").path())
+                .collect();
+            let expected = Vec::from_iter(blocked.starts_with(out_dir).then(|| blocked.clone()));
+            assert_eq!(names, expected, "{} {args:?}", bin.0);
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -269,8 +269,8 @@ pub fn run_figure(figure: Figure, params: &FigureParams) -> FigureData {
 ///
 /// # Errors
 ///
-/// Returns the first [`JobError`] in job order if the runner's watchdog
-/// budget was exceeded.
+/// Returns the first [`JobError`] in job order, as
+/// [`collect_points`](crate::collect_points) does.
 pub fn run_figure_with(
     figure: Figure,
     params: &FigureParams,

@@ -25,6 +25,8 @@
 //! naming the offending `(point, field, scheme)` instead of hanging the
 //! whole sweep; sibling jobs complete normally.
 
+use std::fs::OpenOptions;
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -68,6 +70,19 @@ pub struct RunJob {
     pub net: NetConfig,
     /// Per-job watchdog override; `None` defers to [`Runner::max_events`].
     pub max_events: Option<u64>,
+}
+
+impl RunJob {
+    /// A failure of this job, named by its sweep coordinates.
+    fn error(&self, cause: JobFailure) -> JobError {
+        JobError {
+            point_index: self.point_index,
+            point_x: self.point_x,
+            field_index: self.field_index,
+            scheme: self.scheme,
+            cause,
+        }
+    }
 }
 
 /// What one completed job reports back.
@@ -184,6 +199,25 @@ impl JobFailure {
     }
 }
 
+/// Checks that a job could create its artifact file at `path`, and leaves
+/// the directory as it found it: a file the check creates is removed, and
+/// a file already there is opened for writing but not truncated.
+///
+/// # Errors
+///
+/// [`JobFailure::Artifact`] with the error a job would meet creating the
+/// file (a directory at `path`, a missing parent, no permission).
+pub fn check_artifact(path: &Path) -> Result<(), JobFailure> {
+    let check = match OpenOptions::new().write(true).create_new(true).open(path) {
+        Ok(_) => std::fs::remove_file(path),
+        Err(e) if e.kind() == ErrorKind::AlreadyExists => {
+            OpenOptions::new().write(true).open(path).map(drop)
+        }
+        Err(e) => Err(e),
+    };
+    check.map_err(|e| JobFailure::artifact(path, &e))
+}
+
 impl std::fmt::Display for JobFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -284,22 +318,47 @@ impl Runner {
 
     /// Executes every job and returns one result per job, in job order.
     ///
-    /// A [`JobError`] in one slot (watchdog budget exhausted) does not
-    /// affect sibling jobs; they run to completion.
+    /// A [`JobError`] in one slot (watchdog budget exhausted, or an
+    /// artifact file that cannot be created) does not affect sibling jobs;
+    /// they run to completion. To fail before any job simulates instead,
+    /// call [`Runner::check_artifacts`] first, as
+    /// [`crate::collect_points`] does.
     pub fn run(&self, jobs: &[RunJob]) -> Vec<Result<JobReport, JobError>> {
         self.parallel_map(jobs, |_, job| self.execute(job))
+    }
+
+    /// Checks every job's trace and metrics path with [`check_artifact`],
+    /// in job order, and leaves both directories as it found them.
+    ///
+    /// # Errors
+    ///
+    /// The first job, in job order, whose trace or metrics file cannot be
+    /// created.
+    pub fn check_artifacts(&self, jobs: &[RunJob]) -> Result<(), JobError> {
+        for job in jobs {
+            let (trace, metrics) = self.artifact_paths(job);
+            for path in trace.iter().chain(&metrics) {
+                check_artifact(path).map_err(|cause| job.error(cause))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The job's trace and metrics file paths, for the artifacts the
+    /// runner writes.
+    fn artifact_paths(&self, job: &RunJob) -> (Option<PathBuf>, Option<PathBuf>) {
+        let (x, f, scheme) = (job.point_x, job.field_index, job.scheme);
+        (
+            self.trace.as_ref().map(|spec| spec.job_path(x, f, scheme)),
+            self.metrics
+                .as_ref()
+                .map(|spec| spec.job_path(x, f, scheme)),
+        )
     }
 
     /// Runs one job inline on the current thread. A trace or metrics file
     /// that cannot be created fails the job before it simulates.
     fn execute(&self, job: &RunJob) -> Result<JobReport, JobError> {
-        let job_error = |cause| JobError {
-            point_index: job.point_index,
-            point_x: job.point_x,
-            field_index: job.field_index,
-            scheme: job.scheme,
-            cause,
-        };
         let budget = job.max_events.or(self.max_events).unwrap_or(u64::MAX);
         let start = Instant::now();
         let mut exp = Experiment::new(job.spec.clone(), job.scheme);
@@ -309,14 +368,11 @@ impl Runner {
         // The sink is created (and owned) on whichever worker thread runs
         // the job; it never crosses threads, so the single-threaded
         // `Rc<RefCell<…>>` handle suffices.
-        let trace_path = self
-            .trace
-            .as_ref()
-            .map(|spec| spec.job_path(job.point_x, job.field_index, job.scheme));
+        let (trace_path, metrics_path) = self.artifact_paths(job);
         let trace = match self.trace.as_ref().zip(trace_path.as_ref()) {
             Some((spec, path)) => {
                 let sink = JsonlSink::create(path)
-                    .map_err(|e| job_error(JobFailure::artifact(path, &e)))?;
+                    .map_err(|e| job.error(JobFailure::artifact(path, &e)))?;
                 Some((wsn_trace::shared(sink), spec.options()))
             }
             None => None,
@@ -324,14 +380,10 @@ impl Runner {
         let profile = self
             .profile
             .then(|| wsn_sim::shared_profile(ProfileSink::new()));
-        let metrics_path = self
-            .metrics
-            .as_ref()
-            .map(|spec| spec.job_path(job.point_x, job.field_index, job.scheme));
         let metrics = match metrics_path.as_ref() {
             Some(path) => {
                 let file = std::fs::File::create(path)
-                    .map_err(|e| job_error(JobFailure::artifact(path, &e)))?;
+                    .map_err(|e| job.error(JobFailure::artifact(path, &e)))?;
                 Some(MetricsSetup {
                     opts: MetricsOptions::default(),
                     out: Some(Box::new(std::io::BufWriter::new(file))),
@@ -417,7 +469,7 @@ impl Runner {
                         artifacts_json,
                     );
                 }
-                Err(job_error(JobFailure::Budget(cause)))
+                Err(job.error(JobFailure::Budget(cause)))
             }
         }
     }
@@ -558,6 +610,23 @@ mod tests {
             spec.job_path(62.5, 0, Scheme::Opportunistic),
             PathBuf::from("/tmp/traces/point62.5_field0_opportunistic.jsonl")
         );
+    }
+
+    #[test]
+    fn check_artifact_leaves_the_directory_as_it_found_it() {
+        let dir = std::env::temp_dir().join(format!("wsn_check_artifact_{}", std::process::id()));
+        let (new, old, blocked) = (dir.join("new"), dir.join("old"), dir.join("blocked"));
+        std::fs::create_dir_all(&blocked).expect("temp dir");
+        std::fs::write(&old, "kept").expect("temp file");
+        assert_eq!(check_artifact(&new), Ok(()));
+        assert_eq!(check_artifact(&old), Ok(()));
+        assert!(matches!(
+            check_artifact(&blocked),
+            Err(JobFailure::Artifact { path, .. }) if path == blocked
+        ));
+        assert!(!new.exists(), "the check removes the file it created");
+        assert_eq!(std::fs::read_to_string(&old).ok().as_deref(), Some("kept"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

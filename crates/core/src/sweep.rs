@@ -152,14 +152,17 @@ pub fn sweep_jobs(
 ///
 /// # Errors
 ///
-/// Returns the first [`JobError`] in job order if any job tripped the
-/// watchdog. All sibling jobs still ran to completion; callers needing
-/// partial results should use [`Runner::run`] directly.
+/// Returns the first [`JobError`] in job order. A trace or metrics file
+/// that cannot be created ([`Runner::check_artifacts`]) fails the sweep
+/// before any job simulates. A job that tripped the watchdog fails it
+/// after all sibling jobs ran to completion; callers needing partial
+/// results should use [`Runner::run`] directly.
 pub fn collect_points(
     runner: &Runner,
     xs: &[f64],
     jobs: &[RunJob],
 ) -> Result<Vec<ComparisonPoint>, JobError> {
+    runner.check_artifacts(jobs)?;
     let reports = runner.run(jobs);
     let mut points: Vec<ComparisonPoint> = xs
         .iter()
@@ -185,8 +188,9 @@ pub fn collect_points(
 ///
 /// # Errors
 ///
-/// Returns the first [`JobError`] in job order if the runner's watchdog
-/// budget was exceeded (impossible when the runner has no budget).
+/// Returns the first [`JobError`] in job order, as [`collect_points`]
+/// does (impossible when the runner has no budget and writes no
+/// artifacts).
 pub fn run_sweep(
     runner: &Runner,
     xs: &[f64],

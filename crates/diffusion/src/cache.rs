@@ -45,7 +45,7 @@
 //! node expires an entry two exploratory intervals after its event, so it
 //! holds at most three rounds per source. The upstream choice
 //! compares `NodeId`s, never slots or list positions, so storage order
-//! cannot reach it. See `DESIGN.md` §20, §21, §23 and §24.
+//! cannot reach it. See `DESIGN.md` §17.2.
 
 use wsn_net::NodeId;
 use wsn_sim::SimTime;
@@ -315,7 +315,7 @@ pub struct ExplCache {
     /// The entries' narrow rows, one after another: `entries[i]`'s is the
     /// `i`-th run of degree + 1 offers. A buffer of its own per row, tens
     /// of bytes each, fragmented the heap over long runs (`DESIGN.md`
-    /// §24.4).
+    /// §17.1).
     narrow: Vec<NarrowOffer>,
     /// Offer rows converted to the wide form, kept across
     /// [`clear`](Self::clear).

@@ -10,8 +10,8 @@
 //!
 //! A change moves the list into a new buffer of its new length and frees
 //! the old one whole. Resizing buffers in place splits heap chunks, and
-//! over a long run the remnants fragment the heap; `DESIGN.md` §23.1
-//! gives the measurements.
+//! over a long run the remnants fragment the heap; `DESIGN.md` §17.1
+//! cites the measurements.
 
 use std::iter::Sum;
 use std::mem::size_of;

@@ -17,7 +17,7 @@
 //! [`NodeId`] take the topology's list
 //! ([`Ctx::neighbors`](wsn_net::Ctx::neighbors)) to map ids to slots, and
 //! neighbor lists come out in ascending id order, the list's own order.
-//! See `DESIGN.md` §19, §21 and §23.
+//! See `DESIGN.md` §17.3.
 
 use wsn_net::NodeId;
 use wsn_sim::SimTime;

@@ -64,7 +64,6 @@ mod flooding;
 mod gradient;
 mod metrics;
 mod msg;
-mod naming;
 mod node;
 mod stats;
 mod truncate;
@@ -77,7 +76,6 @@ pub use flooding::{FloodTimer, FloodingNode};
 pub use gradient::GradientTable;
 pub use metrics::DiffusionMetricIds;
 pub use msg::{DiffMsg, EventItem, MsgId, MsgKind, ReinforceKind};
-pub use naming::{AttrValue, InterestSpec, Predicate, SensorDescription};
 pub use node::{DiffTimer, DiffusionNode, Role, StateSizes};
 pub use stats::{ProtoCounters, SinkStats};
 pub use truncate::{TruncationLog, WindowEntry};

@@ -26,7 +26,7 @@
 //! Every table holds exactly what the node knows: the per-origin and
 //! per-neighbor state are exact-size lists scanned linearly, since a node
 //! hears from a few sources and sinks and has trouble with few neighbors
-//! (`DESIGN.md` §23).
+//! (`DESIGN.md` §17).
 
 use std::sync::Arc;
 

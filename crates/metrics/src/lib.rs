@@ -11,7 +11,7 @@
 //! and [`Log2Histogram`]s, and the [`SnapshotEncoder`] JSONL time-series
 //! codec ([`MetricsLine`] parses it back).
 //! Everything is std-only and float-free on the hot path; see DESIGN.md
-//! §17 for the layout and naming convention.
+//! §16 for the layout and naming convention.
 //!
 //! # Examples
 //!

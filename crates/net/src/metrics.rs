@@ -20,7 +20,7 @@
 //! [`MetricsState`] is boxed behind an `Option` on the PHY (one pointer in
 //! the struct, one branch per emission site when disabled), joining the
 //! split-borrow destructuring of the broadcast loops the same way the trace
-//! sink does. See DESIGN.md §17.
+//! sink does. See DESIGN.md §16.
 
 use std::io::Write;
 

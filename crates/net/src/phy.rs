@@ -23,7 +23,7 @@
 //! for *every* hearer of *every* frame — `up` (a packed bitset), `meters`,
 //! `transmitting`, `radio` — are parallel arrays, and the cold `in_flight`
 //! frames live in a separate array the hot scan never walks. See
-//! `DESIGN.md` §16.
+//! `DESIGN.md` §15.2.
 //!
 //! Receptions are addressed by link, not stored per hearer: a reception of
 //! `u`'s frame at `v` is one set bit in `receiving` at the address of the
@@ -31,12 +31,12 @@
 //! frame itself stays in `u`'s `in_flight` slot. Whether that reception is
 //! still decodable lives in `v`'s [`Radio`] record, which is exact because
 //! any overlap corrupts *every* reception at a hearer: at most one
-//! reception per hearer is ever clean. See `DESIGN.md` §19.
+//! reception per hearer is ever clean. See `DESIGN.md` §14.4.
 //!
 //! The broadcast loops iterate the topology's neighbor slices through split
 //! borrows (`topo` is a field disjoint from the per-node arrays and
 //! `stats`), so the steady state clones no neighbor lists and allocates
-//! nothing — see `DESIGN.md` §15 for the ownership rules.
+//! nothing — see `DESIGN.md` §14.4 for the ownership rules.
 //!
 //! With [`Phy::capture`] set (the ideal contention-free MAC), the collision
 //! machinery is disabled: receivers decode every overlapping frame

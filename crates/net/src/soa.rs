@@ -4,7 +4,7 @@
 //! frame, and sets or clears one reception flag per link it crosses;
 //! packing the flags 64 to a word keeps them resident in a few cache lines
 //! even at 100k nodes (100k nodes = ~1.5 KiB of bits vs 100 KiB of padded
-//! `bool`s inside an array-of-structs). See `DESIGN.md` §16 and §19.
+//! `bool`s inside an array-of-structs). See `DESIGN.md` §15.2 and §14.4.
 
 /// A fixed-length bitset indexed by node id or by link address.
 #[derive(Debug, Clone)]

@@ -6,7 +6,7 @@
 //! and caches the neighbor lists once per field, and its clones share them:
 //! the arrays sit behind one `Arc`, so a clone copies none of them and a
 //! scenario instance and the network built from it hold one adjacency
-//! (`DESIGN.md` §21).
+//! (`DESIGN.md` §15.3).
 //!
 //! Construction goes through a [`SpatialGrid`]: positions are bucketed into
 //! uniform square cells of side `range_m`, so any node's neighbors lie in its
@@ -19,14 +19,14 @@
 //! Neighbor lists are stored flattened: one shared arena `Vec<NodeId>` plus a
 //! per-node `(offset, len)` span, rather than `Vec<Vec<NodeId>>`. One
 //! allocation instead of n, and the broadcast hot path walks contiguous
-//! memory. See `DESIGN.md` §16.
+//! memory. See `DESIGN.md` §15.1.
 //!
 //! Every arena entry is a *link* `u → v` with a fixed address: its position
 //! in the arena. A parallel reverse index gives, for the entry `v` at
 //! position `k` of `u`'s span, `u`'s position in `v`'s span, so per-link
 //! state (the PHY's reception flags, a protocol's per-neighbor gradients)
 //! lives in flat arrays that both endpoints can address. See `DESIGN.md`
-//! §19.
+//! §15.1.
 
 use std::sync::Arc;
 

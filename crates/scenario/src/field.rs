@@ -32,7 +32,7 @@ pub enum Connectivity {
     /// Accept when the largest connected component spans at least this
     /// fraction of the nodes; the accepted field records the component's
     /// membership mask ([`Field::core`]) so roles are placed inside it.
-    /// The scaled-extrapolation rule (`--scale`, `DESIGN.md` §16.3).
+    /// The scaled-extrapolation rule (`--scale`, `DESIGN.md` §15.4).
     GiantComponent {
         /// Minimum fraction of nodes the giant component must span
         /// (e.g. 0.95).

@@ -10,7 +10,7 @@
 //! hash-free: payloads live in slot storage reused through a free list, heap
 //! entries are small `Copy` keys, and liveness is a generation compare — no
 //! `HashSet`, no hashing, no per-event allocation once the queue has reached
-//! its steady-state capacity. See `DESIGN.md` §15 for the invariants.
+//! its steady-state capacity. See `DESIGN.md` §14.3 for the invariants.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -22,7 +22,7 @@ use crate::time::SimTime;
 /// A `(slot, generation)` pair into the queue's slab: the slot is reused
 /// after the event fires or is cancelled, and the generation stamp is what
 /// makes a stale id held across that reuse inert (its generation no longer
-/// matches the slot's). See `DESIGN.md` §15 for the wraparound bound.
+/// matches the slot's). See `DESIGN.md` §14.3 for the wraparound bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId {
     slot: u32,

@@ -36,5 +36,5 @@ pub use dijkstra::{dijkstra, multi_source_dijkstra, ShortestPaths};
 pub use graph::Graph;
 pub use models::{event_radius_sources, random_geometric, random_sources, region_sources};
 pub use steiner::{steiner_cost, MAX_STEINER_TERMINALS};
-pub use stretch::{optimality_gap, path_stretch, steiner_lower_bound, StretchReport};
+pub use stretch::steiner_lower_bound;
 pub use trees::{greedy_incremental_tree, path_sum_cost, shortest_path_tree, Tree};

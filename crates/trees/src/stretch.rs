@@ -1,88 +1,13 @@
-//! Path-stretch and Steiner lower-bound analysis.
+//! A lower bound on the cost of any aggregation tree.
 //!
-//! Greedy aggregation trades path length for sharing: a source attached at a
-//! tree junction may take a longer route to the sink than its shortest path.
-//! [`path_stretch`] quantifies that (it is the abstract counterpart of the
-//! paper's delay panel), and [`steiner_lower_bound`] bounds how far the GIT
-//! can possibly be from the optimal aggregation tree.
-
-use std::collections::BTreeSet;
+//! [`steiner_lower_bound`] bounds from below the cost of every tree that
+//! connects the sources to the sink, so it bounds the optimal (Steiner)
+//! tree too. It is cheap at any terminal count, where
+//! [`steiner_cost`](crate::steiner_cost) is exact but limited to
+//! [`MAX_STEINER_TERMINALS`](crate::MAX_STEINER_TERMINALS).
 
 use crate::dijkstra::dijkstra;
 use crate::graph::Graph;
-use crate::trees::Tree;
-
-/// Per-source path stretch on a tree: tree distance to the sink divided by
-/// the shortest-path distance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StretchReport {
-    /// `(source, tree distance, shortest distance)` per reachable source.
-    pub per_source: Vec<(usize, f64, f64)>,
-}
-
-impl StretchReport {
-    /// Mean stretch over sources (1.0 = every source rides a shortest path).
-    pub fn mean_stretch(&self) -> f64 {
-        if self.per_source.is_empty() {
-            return 1.0;
-        }
-        let sum: f64 = self
-            .per_source
-            .iter()
-            .map(|&(_, tree_d, short_d)| if short_d > 0.0 { tree_d / short_d } else { 1.0 })
-            .sum();
-        sum / self.per_source.len() as f64
-    }
-
-    /// Worst single-source stretch.
-    pub fn max_stretch(&self) -> f64 {
-        self.per_source
-            .iter()
-            .map(|&(_, tree_d, short_d)| if short_d > 0.0 { tree_d / short_d } else { 1.0 })
-            .fold(1.0, f64::max)
-    }
-}
-
-/// Computes each source's distance to `sink` *along the tree* versus its
-/// shortest-path distance in `g`. Sources not connected to the sink by the
-/// tree are skipped.
-///
-/// # Examples
-///
-/// ```
-/// use wsn_trees::{greedy_incremental_tree, path_stretch, Graph};
-///
-/// let mut g = Graph::new(4);
-/// g.add_edge(0, 1, 1.0);
-/// g.add_edge(1, 2, 1.0);
-/// g.add_edge(0, 3, 1.0);
-/// g.add_edge(3, 2, 1.0);
-/// let tree = greedy_incremental_tree(&g, 0, &[2]);
-/// let report = path_stretch(&g, &tree, 0, &[2]);
-/// assert_eq!(report.mean_stretch(), 1.0); // single source rides a shortest path
-/// ```
-pub fn path_stretch(g: &Graph, tree: &Tree, sink: usize, sources: &[usize]) -> StretchReport {
-    // Build the tree as a subgraph and run Dijkstra on it from the sink.
-    let mut tg = Graph::new(g.len());
-    for &(u, v) in &tree.edges {
-        let w = g
-            .neighbors(u)
-            .iter()
-            .find(|&&(x, _)| x == v)
-            .map(|&(_, w)| w)
-            .expect("tree edge exists in graph");
-        tg.add_edge(u, v, w);
-    }
-    let on_tree = dijkstra(&tg, sink);
-    let shortest = dijkstra(g, sink);
-    let distinct: BTreeSet<usize> = sources.iter().copied().collect();
-    let per_source = distinct
-        .into_iter()
-        .filter(|&s| on_tree.dist[s].is_finite())
-        .map(|s| (s, on_tree.dist[s], shortest.dist[s]))
-        .collect();
-    StretchReport { per_source }
-}
 
 /// A lower bound on the cost of *any* tree connecting `sources` to `sink`:
 /// the maximum of (a) the longest shortest-path distance from the sink to a
@@ -137,18 +62,6 @@ pub fn steiner_lower_bound(g: &Graph, sink: usize, sources: &[usize]) -> f64 {
     longest.max(mst_weight / 2.0)
 }
 
-/// Verifies a candidate tree cost against the Steiner lower bound — used by
-/// tests and the ablation harness to sanity-check GIT quality. Returns the
-/// ratio `cost / lower_bound` (≥ 1 for any valid tree; the GIT guarantees
-/// ≤ 4 by this particular bound since GIT ≤ 2·OPT and OPT ≥ MST/2).
-pub fn optimality_gap(tree_cost: f64, lower_bound: f64) -> f64 {
-    if lower_bound <= 0.0 {
-        1.0
-    } else {
-        tree_cost / lower_bound
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,27 +80,6 @@ mod tests {
     }
 
     #[test]
-    fn spt_has_unit_stretch() {
-        let g = ladder();
-        let spt = shortest_path_tree(&g, 0, &[3, 5]);
-        let report = path_stretch(&g, &spt, 0, &[3, 5]);
-        assert_eq!(report.mean_stretch(), 1.0);
-        assert_eq!(report.max_stretch(), 1.0);
-    }
-
-    #[test]
-    fn git_stretches_the_second_source() {
-        let g = ladder();
-        let git = greedy_incremental_tree(&g, 0, &[3, 5]);
-        let report = path_stretch(&g, &git, 0, &[3, 5]);
-        // s2 (node 5) attaches via s1: distance 4 instead of 3.
-        assert!(report.max_stretch() > 1.0);
-        assert!((report.max_stretch() - 4.0 / 3.0).abs() < 1e-9);
-        // Mean = (1.0 + 4/3) / 2.
-        assert!((report.mean_stretch() - (1.0 + 4.0 / 3.0) / 2.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn lower_bound_is_below_actual_trees() {
         let g = ladder();
         let lb = steiner_lower_bound(&g, 0, &[3, 5]);
@@ -196,7 +88,6 @@ mod tests {
         assert!(lb > 0.0);
         assert!(git.cost + 1e-9 >= lb, "GIT {} below bound {lb}", git.cost);
         assert!(spt.cost + 1e-9 >= lb);
-        assert!(optimality_gap(git.cost, lb) >= 1.0);
     }
 
     #[test]
@@ -215,9 +106,6 @@ mod tests {
         let g = ladder();
         assert_eq!(steiner_lower_bound(&g, 0, &[]), 0.0);
         assert_eq!(steiner_lower_bound(&g, 0, &[0]), 0.0);
-        assert_eq!(optimality_gap(5.0, 0.0), 1.0);
-        let empty = path_stretch(&g, &greedy_incremental_tree(&g, 0, &[]), 0, &[]);
-        assert_eq!(empty.mean_stretch(), 1.0);
     }
 
     #[test]
@@ -227,8 +115,5 @@ mod tests {
         // 2, 3 disconnected.
         let lb = steiner_lower_bound(&g, 0, &[1, 3]);
         assert_eq!(lb, 1.0);
-        let tree = greedy_incremental_tree(&g, 0, &[1, 3]);
-        let report = path_stretch(&g, &tree, 0, &[1, 3]);
-        assert_eq!(report.per_source.len(), 1);
     }
 }

@@ -6,6 +6,42 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> DESIGN cites: every DESIGN.md section cited outside history names a heading"
+# Code, scripts and docs cite DESIGN.md by section ("DESIGN §14.3",
+# "`DESIGN.md` §17.2", lists such as "§15.2 and §14.4", ranges such as
+# "§9–10", a cite broken across comment lines). Each number must name a
+# "## N." or "### N.M" heading. CHANGES.md and ROADMAP.md are history, and
+# perfbench/ changes only with the benchmark, so neither is checked.
+git ls-files --cached --others --exclude-standard -- \
+    crates src tests examples scripts README.md EXPERIMENTS.md .claude |
+    perl -e '
+        open my $design, "<", "DESIGN.md" or die "DESIGN.md: $!\n";
+        my %heading;
+        while (<$design>) {
+            $heading{$1} = 1 if /^## (\d+)\./ || /^### (\d+\.\d+) /;
+        }
+        my $sep = qr{(?:[ \t]*\n[ \t]*(?://[!/]?|\#)?[ \t]*|[ \t]+)};
+        my $num = qr{\d+(?:\.\d+)?};
+        my ($cites, $bad) = (0, 0);
+        while (my $file = <STDIN>) {
+            chomp $file;
+            open my $fh, "<", $file or die "$file: $!\n";
+            my $text = do { local $/; <$fh> };
+            while ($text =~ /DESIGN(?:\.md)?`?$sep?(§$num(?:(?:$sep?(?:,|and|or)$sep?§|–)$num)*)/g) {
+                my ($cite, $at) = ($1, $-[0]);
+                my $line = 1 + (substr($text, 0, $at) =~ tr/\n//);
+                for my $n ($cite =~ /($num)/g) {
+                    $cites++;
+                    next if $heading{$n};
+                    print STDERR "$file:$line: DESIGN §$n names no heading of DESIGN.md\n";
+                    $bad++;
+                }
+            }
+        }
+        print "$cites DESIGN section cite(s), $bad dangling\n";
+        exit($bad ? 1 : 0);
+    '
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

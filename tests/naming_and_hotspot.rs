@@ -1,57 +1,10 @@
-//! Integration of the attribute-naming layer (§2) and the traffic-
-//! concentration metric (§3) with the experiment pipeline.
+//! The traffic-concentration metric (§3) through the experiment pipeline:
+//! `RunOutcome::hotspot`, the node that dissipates the most energy.
 
 use wsn::core::Experiment;
-use wsn::diffusion::{InterestSpec, Scheme, SensorDescription};
+use wsn::diffusion::Scheme;
 use wsn::scenario::ScenarioSpec;
 use wsn::sim::SimDuration;
-
-/// The paper's sensing task as an attribute interest: animals detected in
-/// the 80 m × 80 m south-west corner of the field.
-fn paper_task() -> InterestSpec {
-    InterestSpec::new("track-four-legged-animals")
-        .require_tag("type", "four-legged-animal")
-        .require_range("x", 0.0, 80.0)
-        .require_range("y", 0.0, 80.0)
-}
-
-/// A node's self-description: its coordinates plus its sensing modality.
-fn describe(x: f64, y: f64) -> SensorDescription {
-    SensorDescription::new()
-        .with_tag("type", "four-legged-animal")
-        .with_number("x", x)
-        .with_number("y", y)
-}
-
-#[test]
-fn corner_placement_agrees_with_the_attribute_interest() {
-    // The scenario layer's corner placement and the §2 naming layer are two
-    // views of the same task: every node the placement picks as a source
-    // must match the task interest, and no node outside the region may.
-    let inst = ScenarioSpec::paper(200, 5).instantiate();
-    let task = paper_task();
-    for (i, p) in inst.field.positions.iter().enumerate() {
-        let node = wsn::net::NodeId::from_index(i);
-        let matches = task.matches(&describe(p.x, p.y));
-        if inst.sources.contains(&node) {
-            assert!(matches, "source {node} at {p} does not match the task");
-        }
-        if !matches {
-            assert!(
-                !inst.sources.contains(&node),
-                "non-matching node {node} was selected as a source"
-            );
-        }
-    }
-    // The task is satisfiable: some nodes match.
-    let matching = inst
-        .field
-        .positions
-        .iter()
-        .filter(|p| task.matches(&describe(p.x, p.y)))
-        .count();
-    assert!(matching >= inst.sources.len());
-}
 
 #[test]
 fn hotspot_is_reported_and_plausible() {

@@ -17,13 +17,15 @@
 //! * `--progress` — per-job NDJSON progress lines on stderr (point, field,
 //!   scheme, simulator events, simulated seconds, wall ms, events/sec);
 //! * `--trace DIR` — write one JSONL telemetry trace per job into `DIR`
-//!   (created if absent), named `point<x>_field<i>_<scheme>.jsonl`; reduce
+//!   (created if absent), named `point<x>_field<i>_<scheme>.jsonl`
+//!   (`all_figures` puts each figure's in `DIR/fig5/` … `DIR/fig10/`); reduce
 //!   a trace directory with the `trace_report` binary, check its
 //!   conservation invariants with `trace_audit`. Same seed ⇒
 //!   byte-identical trace files;
 //! * `--metrics DIR` — attach the in-sim metrics registry to every run and
 //!   write one `point<x>_field<i>_<scheme>.metrics.jsonl` snapshot stream
-//!   per job into `DIR` (created if absent); reduce a metrics directory
+//!   per job into `DIR` (created if absent; per figure under
+//!   `all_figures`, as for `--trace`); reduce a metrics directory
 //!   with the `metrics_report` binary. Same seed ⇒ byte-identical metrics
 //!   files, and enabling metrics never changes trace bytes or figure
 //!   numbers. A job whose trace or metrics file cannot be created fails
@@ -62,7 +64,10 @@
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use wsn_core::{run_figure_with, Figure, FigureParams, JobError, MetricsSpec, Runner, TraceSpec};
+use wsn_core::{
+    check_sweeps, figure_jobs, run_figure_with, Figure, FigureParams, JobError, MetricsSpec,
+    RunJob, Runner, TraceSpec,
+};
 use wsn_sim::SimDuration;
 
 /// Writes `args` to stdout: the one path by which every bench binary prints
@@ -321,11 +326,17 @@ pub fn read_artifact(path: &Path) -> String {
 /// Runs each of `figures` in turn on the options' runner and prints its
 /// panels (and CSV, if enabled).
 ///
+/// One figure writes its traces and metrics straight into the `--trace`
+/// and `--metrics` directories. Several write each figure's into a
+/// subdirectory named after it (`fig5/` … `fig10/`), because figures that
+/// share sweep points share job names.
+///
 /// Before any run, exits with a usage error (status 2) if `--scale` leaves
 /// a sweep point of some figure with fewer nodes than its sources plus
-/// sinks. Exits the process with status 2 if a run trips the watchdog
-/// budget (`--max-events`) or cannot create its trace or metrics file; the
-/// error names the offending `(point, field, scheme)`.
+/// sinks, and with status 2 if any job of any figure cannot create its
+/// trace or metrics file. Exits the process with status 2 if a run trips
+/// the watchdog budget (`--max-events`). Either error names the offending
+/// `(point, field, scheme)`.
 pub fn run_and_print(figures: &[Figure], opts: &HarnessOptions) {
     for &figure in figures {
         if let Err(msg) = opts.params.check_roles(figure) {
@@ -333,8 +344,19 @@ pub fn run_and_print(figures: &[Figure], opts: &HarnessOptions) {
             exit_usage_error(&msg, &harness_usage(&[]));
         }
     }
-    for &figure in figures {
-        run_and_print_one(figure, opts);
+    let sweeps: Vec<(Runner, Vec<RunJob>)> = figures
+        .iter()
+        .map(|&figure| {
+            let runner = match figures.len() {
+                1 => opts.runner.clone(),
+                _ => opts.runner.in_subdir(figure.name()),
+            };
+            (runner, figure_jobs(figure, &opts.params))
+        })
+        .collect();
+    sweep_or_exit(check_sweeps(&sweeps));
+    for (&figure, (runner, _)) in figures.iter().zip(&sweeps) {
+        run_and_print_one(figure, opts, runner);
     }
 }
 
@@ -349,10 +371,11 @@ pub fn sweep_or_exit<T>(result: Result<T, JobError>) -> T {
     })
 }
 
-/// Runs `figure` and prints its panels, its CSV and the wall-time line.
-fn run_and_print_one(figure: Figure, opts: &HarnessOptions) {
+/// Runs `figure` on `runner` and prints its panels, its CSV and the
+/// wall-time line.
+fn run_and_print_one(figure: Figure, opts: &HarnessOptions, runner: &Runner) {
     let start = std::time::Instant::now();
-    let data = sweep_or_exit(run_figure_with(figure, &opts.params, &opts.runner));
+    let data = sweep_or_exit(run_figure_with(figure, &opts.params, runner));
     outln!("{}", data.render_text());
     if opts.csv {
         outln!("## CSV: energy\n{}", data.energy.render_csv());

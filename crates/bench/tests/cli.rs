@@ -7,9 +7,10 @@
 //! prints the same stdout at any worker count; a watchdog trip
 //! in any sweep is an error line, not a panic, and leaves a metrics stream
 //! the reader accepts; so is a per-job trace or metrics file that cannot be
-//! created; a closed stdout ends a binary quietly with status 0;
-//! and the two audits pass a real run's artifacts and fail on a tampered
-//! copy.
+//! created; `all_figures` keeps one trace and one metrics file per job of
+//! every figure, and checks them all before any job runs; a closed stdout
+//! ends a binary quietly with status 0; and the two audits pass a real
+//! run's artifacts and fail on a tampered copy.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -21,6 +22,7 @@ type Bin = (&'static str, &'static str);
 const RUN_ONE: Bin = ("run_one", env!("CARGO_BIN_EXE_run_one"));
 const FIG5: Bin = ("fig5", env!("CARGO_BIN_EXE_fig5"));
 const FIG8: Bin = ("fig8", env!("CARGO_BIN_EXE_fig8"));
+const ALL_FIGURES: Bin = ("all_figures", env!("CARGO_BIN_EXE_all_figures"));
 const TRACE_REPORT: Bin = ("trace_report", env!("CARGO_BIN_EXE_trace_report"));
 const TRACE_AUDIT: Bin = ("trace_audit", env!("CARGO_BIN_EXE_trace_audit"));
 const METRICS_REPORT: Bin = ("metrics_report", env!("CARGO_BIN_EXE_metrics_report"));
@@ -409,6 +411,98 @@ fn an_artifact_that_cannot_be_created_is_an_error_line_not_a_panic() {
             let expected = Vec::from_iter(blocked.starts_with(out_dir).then(|| blocked.clone()));
             assert_eq!(names, expected, "{} {args:?}", bin.0);
         }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file under `dir`, at any depth, sorted.
+fn files_under(dir: &Path) -> Vec<std::path::PathBuf> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("a readable directory") {
+        let path = entry.expect("a directory entry").path();
+        if path.is_dir() {
+            files.extend(files_under(&path));
+        } else {
+            files.push(path);
+        }
+    }
+    files.sort();
+    files
+}
+
+#[test]
+fn all_figures_keeps_one_artifact_per_job() {
+    let dir = std::env::temp_dir().join(format!("wsn_cli_all_figures_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (traces, metrics) = (dir.join("t"), dir.join("m"));
+    let (t, m) = (traces.to_str(), metrics.to_str());
+    let (t, m) = (t.expect("UTF-8 temp path"), m.expect("UTF-8 temp path"));
+    let args = [
+        "--quick",
+        "--fields",
+        "1",
+        "--duration",
+        "1",
+        "--jobs",
+        "1",
+        "--progress",
+        "--trace",
+        t,
+        "--metrics",
+        m,
+    ];
+
+    // A directory where the last figure's first trace belongs: the run
+    // fails before any job simulates, and leaves both directories as it
+    // found them.
+    let blocked = traces.join("fig10").join("point2_field0_greedy.jsonl");
+    std::fs::create_dir_all(&blocked).expect("temp dir");
+    std::fs::create_dir_all(&metrics).expect("temp dir");
+    let out = run(ALL_FIGURES, &args);
+    assert_eq!(out.status.code(), Some(2), "{}", text(&out.stderr));
+    assert!(out.stdout.is_empty(), "all_figures wrote to stdout");
+    let err = text(&out.stderr);
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(
+        err.contains(&format!("cannot create {}: ", blocked.display())),
+        "{err}"
+    );
+    let entries = |d: &Path| -> Vec<_> {
+        std::fs::read_dir(d)
+            .expect("the directory is still there")
+            .map(|e| e.expect("a directory entry").path())
+            .collect()
+    };
+    assert_eq!(entries(&traces), [traces.join("fig10")]);
+    assert_eq!(
+        entries(&traces.join("fig10")),
+        std::slice::from_ref(&blocked)
+    );
+    assert!(entries(&metrics).is_empty());
+
+    // Unblocked: one progress line per job, each naming its own files.
+    std::fs::remove_dir_all(&traces).expect("temp dir");
+    let out = run(ALL_FIGURES, &args);
+    assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
+    let jobs: Vec<&str> = text(&out.stderr).lines().collect();
+    assert_eq!(
+        jobs.len(),
+        30,
+        "2 or 3 points x 2 schemes for each of 6 figures"
+    );
+    let path_of = |line: &str, key: &str| {
+        let start = line
+            .find(&format!("\"{key}\":\""))
+            .expect("an artifact path")
+            + key.len()
+            + 4;
+        let len = line[start..].find('"').expect("a closing quote");
+        std::path::PathBuf::from(&line[start..start + len])
+    };
+    for (key, root) in [("trace", &traces), ("metrics", &metrics)] {
+        let named: BTreeSet<_> = jobs.iter().map(|line| path_of(line, key)).collect();
+        assert_eq!(named.len(), jobs.len(), "{key}: two jobs share a file");
+        assert_eq!(files_under(root), Vec::from_iter(named), "{key}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

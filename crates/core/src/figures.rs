@@ -12,8 +12,8 @@ use wsn_sim::SimDuration;
 
 use wsn_diffusion::DiffusionConfig;
 
-use crate::runner::{JobError, Runner};
-use crate::sweep::{field_seed, run_sweep, ComparisonPoint, MetricKind};
+use crate::runner::{JobError, RunJob, Runner};
+use crate::sweep::{collect_points, field_seed, sweep_jobs, ComparisonPoint, MetricKind};
 
 /// The figures of the paper's evaluation section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,6 +56,20 @@ impl Figure {
             Figure::Fig8NumberOfSinks => "Figure 8: Impact of the number of sinks",
             Figure::Fig9NumberOfSources => "Figure 9: Impact of the number of sources",
             Figure::Fig10LinearAggregation => "Figure 10: Impact of the linear aggregation",
+        }
+    }
+
+    /// The figure's short name, `fig5` … `fig10`: the name of the binary
+    /// that regenerates it, and of its artifact subdirectory when
+    /// `all_figures` writes traces or metrics.
+    pub fn name(self) -> &'static str {
+        match self {
+            Figure::Fig5Comparative => "fig5",
+            Figure::Fig6NodeFailures => "fig6",
+            Figure::Fig7RandomSources => "fig7",
+            Figure::Fig8NumberOfSinks => "fig8",
+            Figure::Fig9NumberOfSources => "fig9",
+            Figure::Fig10LinearAggregation => "fig10",
         }
     }
 
@@ -256,6 +270,26 @@ fn figure_spec(
     spec
 }
 
+/// The `(point, field, scheme)` jobs of `figure`'s sweep, in the order
+/// [`run_figure_with`] runs them.
+pub fn figure_jobs(figure: Figure, params: &FigureParams) -> Vec<RunJob> {
+    let aggregation = match figure {
+        Figure::Fig10LinearAggregation => AggregationFn::Linear,
+        _ => AggregationFn::Perfect,
+    };
+    let xs = sweep_values(figure, params);
+    let xs_f64: Vec<f64> = xs.iter().map(|&x| x as f64).collect();
+    sweep_jobs(
+        &xs_f64,
+        params.fields_per_point,
+        |pi, f| figure_spec(figure, params, xs[pi], pi, f),
+        |_, scheme| DiffusionConfig {
+            aggregation,
+            ..DiffusionConfig::for_scheme(scheme)
+        },
+    )
+}
+
 /// Regenerates one figure on [`Runner::from_env`] (serial unless `WSN_JOBS`
 /// says otherwise, no watchdog).
 pub fn run_figure(figure: Figure, params: &FigureParams) -> FigureData {
@@ -276,22 +310,11 @@ pub fn run_figure_with(
     params: &FigureParams,
     runner: &Runner,
 ) -> Result<FigureData, JobError> {
-    let aggregation = match figure {
-        Figure::Fig10LinearAggregation => AggregationFn::Linear,
-        _ => AggregationFn::Perfect,
-    };
-    let xs = sweep_values(figure, params);
-    let xs_f64: Vec<f64> = xs.iter().map(|&x| x as f64).collect();
-    let points = run_sweep(
-        runner,
-        &xs_f64,
-        params.fields_per_point,
-        |pi, f| figure_spec(figure, params, xs[pi], pi, f),
-        |_, scheme| DiffusionConfig {
-            aggregation,
-            ..DiffusionConfig::for_scheme(scheme)
-        },
-    )?;
+    let xs_f64: Vec<f64> = sweep_values(figure, params)
+        .iter()
+        .map(|&x| x as f64)
+        .collect();
+    let points = collect_points(runner, &xs_f64, &figure_jobs(figure, params))?;
 
     let columns = vec!["greedy".to_string(), "opportunistic".to_string()];
     let panel_metrics = [

@@ -46,11 +46,11 @@ mod runner;
 mod sweep;
 
 pub use experiment::{Experiment, MetricsSetup, RunOutcome};
-pub use figures::{run_figure, run_figure_with, Figure, FigureData, FigureParams};
+pub use figures::{figure_jobs, run_figure, run_figure_with, Figure, FigureData, FigureParams};
 pub use reconcile::registry_mismatches;
 pub use runner::{
-    check_artifact, peak_rss_kb, JobError, JobFailure, JobReport, MetricsSpec, RunJob, Runner,
-    TraceSpec,
+    check_artifact, check_sweeps, peak_rss_kb, JobError, JobFailure, JobReport, MetricsSpec,
+    RunJob, Runner, TraceSpec,
 };
 pub use sweep::{
     collect_points, compare_point, field_seed, run_sweep, sweep_jobs, ComparisonPoint, MetricKind,

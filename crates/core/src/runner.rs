@@ -218,6 +218,41 @@ pub fn check_artifact(path: &Path) -> Result<(), JobFailure> {
     check.map_err(|e| JobFailure::artifact(path, &e))
 }
 
+/// Checks several sweeps' artifact paths before any of them runs: creates
+/// each runner's trace and metrics directory where it is missing (its
+/// parent must exist), then checks every job's paths with
+/// [`Runner::check_artifacts`], sweep by sweep. A failed check removes the
+/// directories it created, so it leaves every directory as it found them;
+/// a passed one keeps them for the jobs.
+///
+/// # Errors
+///
+/// The first job, in sweep then job order, whose directory or file cannot
+/// be created. A directory is charged to its sweep's first job.
+pub fn check_sweeps(sweeps: &[(Runner, Vec<RunJob>)]) -> Result<(), JobError> {
+    let mut created: Vec<PathBuf> = Vec::new();
+    let result = sweeps.iter().try_for_each(|(runner, jobs)| {
+        let Some(first) = jobs.first() else {
+            return Ok(());
+        };
+        let trace = runner.trace.iter().map(|spec| &spec.dir);
+        for dir in trace.chain(runner.metrics.iter().map(|spec| &spec.dir)) {
+            match std::fs::create_dir(dir) {
+                Ok(()) => created.push(dir.clone()),
+                Err(_) if dir.is_dir() => {}
+                Err(e) => return Err(first.error(JobFailure::artifact(dir, &e))),
+            }
+        }
+        runner.check_artifacts(jobs)
+    });
+    if result.is_err() {
+        for dir in created.iter().rev() {
+            let _ = std::fs::remove_dir(dir);
+        }
+    }
+    result
+}
+
 impl std::fmt::Display for JobFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -342,6 +377,20 @@ impl Runner {
             }
         }
         Ok(())
+    }
+
+    /// This runner with its trace and metrics directories each moved down
+    /// into subdirectory `name`: how sweeps whose jobs share names (two
+    /// figures over the same node counts) keep their artifacts apart.
+    pub fn in_subdir(&self, name: &str) -> Runner {
+        let mut runner = self.clone();
+        if let Some(spec) = &mut runner.trace {
+            spec.dir.push(name);
+        }
+        if let Some(spec) = &mut runner.metrics {
+            spec.dir.push(name);
+        }
+        runner
     }
 
     /// The job's trace and metrics file paths, for the artifacts the

@@ -132,6 +132,7 @@ impl EnergyMeter {
     /// # Panics
     ///
     /// Panics if `now` precedes the previous transition (time runs forward).
+    #[inline]
     pub fn set_state(&mut self, state: RadioState, now: SimTime) -> (RadioState, f64) {
         let prev = self.state;
         let joules = self.accumulate(now);
@@ -164,8 +165,19 @@ impl EnergyMeter {
             + self.dissipated_in_state_at(RadioState::Receiving, now)
     }
 
+    /// Closes the interval since the last transition. The PHY calls this
+    /// for the sender and every hearer of every frame, so it does the
+    /// arithmetic of `now.duration_since(since).as_secs_f64()` here, where
+    /// it inlines, in the same operations and order: the same bits.
+    #[inline]
     fn accumulate(&mut self, now: SimTime) -> f64 {
-        let dt = now.duration_since(self.since).as_secs_f64();
+        let (now_ns, since_ns) = (now.as_nanos(), self.since.as_nanos());
+        assert!(
+            since_ns <= now_ns,
+            "duration_since: earlier ({}) is after self ({now})",
+            self.since
+        );
+        let dt = (now_ns - since_ns) as f64 / 1e9;
         let joules = dt * EnergyModel::PAPER.power(self.state);
         self.joules[state_index(self.state)] += joules;
         self.since = now;

@@ -275,6 +275,8 @@ impl<P: Protocol> Network<P> {
         }
         let result = self.run_loop(deadline, max_events);
         self.profile_close();
+        #[cfg(debug_assertions)]
+        self.core.phy.check_bookkeeping();
         result
     }
 

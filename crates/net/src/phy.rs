@@ -19,10 +19,13 @@
 //!   deferred interpretation of the outcome is what keeps the layers
 //!   independent.
 //!
-//! Per-node state is struct-of-arrays: the fields the broadcast loops touch
-//! for *every* hearer of *every* frame — `up` (a packed bitset), `meters`,
-//! `transmitting`, `radio` — are parallel arrays, and the cold `in_flight`
-//! frames live in a separate array the hot scan never walks. See
+//! Per-node state is struct-of-arrays, split by how often the broadcast
+//! loops touch it: for *every* hearer of *every* frame they read one 12-byte
+//! [`Radio`] record (power, whether it transmits, carrier sense, reception
+//! state) and update its [`EnergyMeter`], two parallel arrays; the cold
+//! `in_flight` frames live in a separate array the hot scan never walks.
+//! The meter update is inlined into the loops with the meter's own f64
+//! arithmetic, so every debit is bit-identical to a `set_state` call. See
 //! `DESIGN.md` §15.2.
 //!
 //! Receptions are addressed by link, not stored per hearer: a reception of
@@ -112,39 +115,31 @@ impl<M> Frame<M> {
 /// Emits through a borrowed sink handle. Emission sites inside the split
 /// borrows of the broadcast loops reach the sink through the disjoint
 /// `trace` field and emit through this instead of [`Phy::emit`].
+/// `#[inline]`, so an untraced call site can skip building the record.
+#[inline]
 fn emit_to(trace: &Option<SharedSink>, rec: TraceRecord) {
     if let Some(t) = trace {
         t.borrow_mut().record(&rec);
     }
 }
 
-/// Recomputes node `i`'s radio state after any bookkeeping change, debiting
-/// the closed interval to the trace if one is installed.
+/// Moves node `i`'s meter to the state its radio record implies, debiting
+/// the closed interval to the metrics registry and the trace if installed.
 ///
-/// A free function over the individual hot arrays (rather than a `Phy`
-/// method) so the broadcast loops can call it while holding split borrows of
-/// the sibling arrays — each array is its own argument by design.
-#[allow(clippy::too_many_arguments)]
+/// A free function over one node's record and meter (rather than a `Phy`
+/// method) so the broadcast loops can call it while holding split borrows
+/// of the sibling arrays. Inlined: the loops call it for the sender and
+/// every hearer of every frame.
+#[inline(always)]
 fn update_meter_at(
-    meters: &mut [EnergyMeter],
-    up: &Bits,
-    transmitting: &[Option<TxId>],
-    radio: &[Radio],
+    meter: &mut EnergyMeter,
+    radio: &Radio,
     trace: &Option<SharedSink>,
     metrics: &mut Option<Box<MetricsState>>,
     i: usize,
     now: SimTime,
 ) {
-    let state = if !up.get(i) {
-        RadioState::Off
-    } else if transmitting[i].is_some() {
-        RadioState::Transmitting
-    } else if radio[i].busy > 0 {
-        RadioState::Receiving
-    } else {
-        RadioState::Idle
-    };
-    let (prev, joules) = meters[i].set_state(state, now);
+    let (prev, joules) = meter.set_state(radio.state(), now);
     // Zero-length and zero-power intervals produce no record, so the
     // trace stream stays proportional to real state *changes*. The metrics
     // debit mirrors the trace gate exactly — the zero-tolerance audit
@@ -156,15 +151,14 @@ fn update_meter_at(
                 wsn_trace::joules_to_nj(joules),
             );
         }
-        emit_to(
-            trace,
-            TraceRecord::EnergyDebit {
+        if let Some(sink) = trace {
+            sink.borrow_mut().record(&TraceRecord::EnergyDebit {
                 t_ns: now.as_nanos(),
                 node: i as u32,
                 state: prev.name(),
                 joules,
-            },
-        );
+            });
+        }
     }
 }
 
@@ -175,8 +169,10 @@ fn record_collision(stats: &mut NetStats, trace: &Option<SharedSink>, t_ns: u64,
     emit_to(trace, TraceRecord::Collision { t_ns, node });
 }
 
-/// One node's carrier-sense and reception state.
-#[derive(Debug, Clone, Copy, Default)]
+/// One node's radio: power, the frame on the air, carrier sense and
+/// reception state. The one record a hearer visit reads besides the
+/// node's meter.
+#[derive(Debug, Clone, Copy)]
 struct Radio {
     /// In-range transmissions on the air (carrier sense).
     busy: u32,
@@ -188,6 +184,38 @@ struct Radio {
     /// implies `rx == 1`. Never set under perfect capture, where nothing
     /// is corrupted.
     clean: bool,
+    /// Whether the node is powered.
+    up: bool,
+    /// Whether the node has a frame on the air (its `in_flight` slot is
+    /// full).
+    transmitting: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<Radio>() == 12);
+
+impl Radio {
+    /// A powered radio with nothing on the air: every node's start.
+    const IDLE: Radio = Radio {
+        busy: 0,
+        rx: 0,
+        clean: false,
+        up: true,
+        transmitting: false,
+    };
+
+    /// The state the node's energy meter should be in.
+    #[inline]
+    fn state(&self) -> RadioState {
+        if !self.up {
+            RadioState::Off
+        } else if self.transmitting {
+            RadioState::Transmitting
+        } else if self.busy > 0 {
+            RadioState::Receiving
+        } else {
+            RadioState::Idle
+        }
+    }
 }
 
 /// The run's count block: every frame, payload byte, collision, retry and
@@ -303,21 +331,18 @@ impl<M> TxOutcome<M> {
 pub(crate) struct Phy<M> {
     pub(crate) topo: Topology,
     // ---- hot per-node arrays: touched for every hearer of every frame ----
-    /// Power state, packed 64 nodes to a word.
-    up: Bits,
+    /// Power, transmission, carrier sense and reception state.
+    radio: Vec<Radio>,
     /// Energy meters, advanced on every radio-state change.
     meters: Vec<EnergyMeter>,
-    /// The transmission each node has on the air, if any.
-    transmitting: Vec<Option<TxId>>,
-    /// Carrier sense and reception state.
-    radio: Vec<Radio>,
     // ---- hot per-link flags: touched for every link a frame crosses ----
     /// Bit `l` is set while the far end of link `l = u → v` is receiving
     /// `u`'s frame on the air.
     receiving: Bits,
     // ---- cold per-node array: only touched at the sender ----
-    /// The frame each node has on the air (present iff `transmitting` is).
-    in_flight: Vec<Option<Frame<M>>>,
+    /// The frame each node has on the air and its transmission id (present
+    /// iff the node's `Radio::transmitting` is set).
+    in_flight: Vec<Option<(TxId, Frame<M>)>>,
     pub(crate) stats: NetStats,
     next_tx: u64,
     /// The installed trace sink, if any. `None` keeps every emission site
@@ -342,10 +367,8 @@ impl<M: std::fmt::Debug> std::fmt::Debug for Phy<M> {
         // Manual impl: the sink handle is a trait object with no Debug.
         f.debug_struct("Phy")
             .field("topo", &self.topo)
-            .field("up", &self.up)
-            .field("meters", &self.meters)
-            .field("transmitting", &self.transmitting)
             .field("radio", &self.radio)
+            .field("meters", &self.meters)
             .field("stats", &self.stats)
             .field("next_tx", &self.next_tx)
             .field("trace", &self.trace.is_some())
@@ -359,10 +382,8 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
     pub(crate) fn new(topo: Topology, capture: bool, lineage_of: fn(&M) -> Option<String>) -> Self {
         let n = topo.len();
         Phy {
-            up: Bits::new_all_set(n),
+            radio: vec![Radio::IDLE; n],
             meters: vec![EnergyMeter::new(SimTime::ZERO); n],
-            transmitting: vec![None; n],
-            radio: vec![Radio::default(); n],
             receiving: Bits::new_all_clear(topo.link_count()),
             in_flight: (0..n).map(|_| None).collect(),
             topo,
@@ -377,24 +398,24 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
 
     /// The number of nodes.
     pub(crate) fn len(&self) -> usize {
-        self.up.len()
+        self.radio.len()
     }
 
     /// Whether node `i` is powered.
     #[inline]
     pub(crate) fn is_up(&self, i: usize) -> bool {
-        self.up.get(i)
+        self.radio[i].up
     }
 
     /// Sets node `i`'s power state (the failure layer's entry point).
     pub(crate) fn set_up(&mut self, i: usize, value: bool) {
-        self.up.set(i, value);
+        self.radio[i].up = value;
     }
 
     /// Whether node `i` has a frame on the air.
     #[inline]
     pub(crate) fn is_transmitting(&self, i: usize) -> bool {
-        self.transmitting[i].is_some()
+        self.radio[i].transmitting
     }
 
     /// Whether node `i` senses the medium busy (any in-range transmission on
@@ -444,13 +465,11 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
         // the per-node arrays and the counters in `stats`, so the loops
         // below iterate it directly — no neighbor-list clone. Each SoA
         // field is its own borrow, so mutating `radio` never conflicts
-        // with reading `up` or `transmitting`.
+        // with updating `meters`.
         let Phy {
             topo,
-            up,
-            meters,
-            transmitting,
             radio,
+            meters,
             receiving,
             in_flight,
             stats,
@@ -479,15 +498,16 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
                 },
             );
         }
-        debug_assert!(transmitting[i].is_none(), "radio already busy");
-        transmitting[i] = Some(tx);
-        in_flight[i] = Some(frame);
+        let me = &mut radio[i];
+        debug_assert!(!me.transmitting, "radio already busy");
+        me.transmitting = true;
+        in_flight[i] = Some((tx, frame));
         // Half-duplex: the reception we were decoding, if any, is lost.
-        if radio[i].clean {
-            radio[i].clean = false;
+        if me.clean {
+            me.clean = false;
             record_collision(stats, trace, t_ns, i as u32);
         }
-        update_meter_at(meters, up, transmitting, radio, trace, metrics, i, now);
+        update_meter_at(&mut meters[i], me, trace, metrics, i, now);
 
         let sender = NodeId::from_index(i);
         let links = topo.links(sender);
@@ -498,11 +518,11 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
             if capture {
                 // Perfect capture: every powered hearer decodes the frame,
                 // overlap or not, even while transmitting itself.
-                if up.get(vi) {
+                if r.up {
                     r.rx += 1;
                     receiving.set(link, true);
                 }
-            } else if up.get(vi) && transmitting[vi].is_none() {
+            } else if r.up && !r.transmitting {
                 // Overlap with any ongoing reception corrupts everything:
                 // the one clean reception, if any, and this one.
                 if r.rx > 0 {
@@ -517,7 +537,7 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
                 r.rx += 1;
                 receiving.set(link, true);
             }
-            update_meter_at(meters, up, transmitting, radio, trace, metrics, vi, now);
+            update_meter_at(&mut meters[vi], r, trace, metrics, vi, now);
         }
         let duration = tx_duration(bytes);
         sim.schedule_after(duration, Ev::TxEnd { node: sender, tx });
@@ -539,10 +559,8 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
         let t_ns = now.as_nanos();
         let Phy {
             topo,
-            up,
-            meters,
-            transmitting,
             radio,
+            meters,
             receiving,
             in_flight,
             stats,
@@ -551,10 +569,10 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
             capture,
             ..
         } = self;
-        debug_assert_eq!(transmitting[i], Some(tx), "TxEnd out of order");
-        transmitting[i] = None;
-        let frame = in_flight[i].take().expect("frame in flight");
-        update_meter_at(meters, up, transmitting, radio, trace, metrics, i, now);
+        let (sent, frame) = in_flight[i].take().expect("frame in flight");
+        debug_assert_eq!(sent, tx, "TxEnd out of order");
+        radio[i].transmitting = false;
+        update_meter_at(&mut meters[i], &radio[i], trace, metrics, i, now);
 
         let sender = NodeId::from_index(i);
         let hearers = topo.links(sender).zip(topo.neighbors(sender));
@@ -580,7 +598,7 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
                             tx: Some(tx.0),
                         },
                     );
-                } else if up.get(vi) {
+                } else if r.up {
                     match &frame {
                         Frame::Payload(pkt) => {
                             // Addressed unicasts and broadcasts deliver;
@@ -625,7 +643,7 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
                     }
                 }
             }
-            update_meter_at(meters, up, transmitting, radio, trace, metrics, vi, now);
+            update_meter_at(&mut meters[vi], r, trace, metrics, vi, now);
         }
         if let Frame::Payload(pkt) = frame {
             out.packet = Some(pkt);
@@ -639,7 +657,7 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
     /// the truncated frame is simply never decoded — no collision is
     /// recorded.
     pub(crate) fn fail_transmission(&mut self, now: SimTime, i: usize) {
-        if self.transmitting[i].is_none() {
+        if !self.radio[i].transmitting {
             return;
         }
         let me = NodeId::from_index(i);
@@ -684,18 +702,51 @@ impl<M: Clone + std::fmt::Debug> Phy<M> {
         radio[i].clean = false;
     }
 
+    /// Checks every node's radio record against the frames on the air and
+    /// the link flags: `busy` counts the neighbors with a frame in flight,
+    /// `rx` the set `receiving` flags on the links into the node, `clean`
+    /// implies `rx == 1`, and `transmitting` is set iff the node's
+    /// `in_flight` slot is full. O(nodes + links); the engine runs it at
+    /// every run-loop exit in debug builds (DESIGN §14.6).
+    ///
+    /// # Panics
+    ///
+    /// Panics at the first node whose record disagrees, naming it.
+    #[cfg(debug_assertions)]
+    pub(crate) fn check_bookkeeping(&self) {
+        for (i, r) in self.radio.iter().enumerate() {
+            let me = NodeId::from_index(i);
+            let (mut busy, mut rx) = (0, 0);
+            for (&u, &back) in self.topo.neighbors(me).iter().zip(self.topo.reverse(me)) {
+                busy += u32::from(self.in_flight[u.index()].is_some());
+                let link = self.topo.links(u).start + back as usize;
+                rx += u32::from(self.receiving.get(link));
+            }
+            assert_eq!(r.busy, busy, "{me}: busy count vs neighbors on the air");
+            assert_eq!(r.rx, rx, "{me}: rx count vs receiving flags into it");
+            assert!(
+                !r.clean || r.rx == 1,
+                "{me}: clean with {} receptions",
+                r.rx
+            );
+            assert_eq!(
+                r.transmitting,
+                self.in_flight[i].is_some(),
+                "{me}: transmitting flag vs frame in flight"
+            );
+        }
+    }
+
     /// Recomputes the radio state after any bookkeeping change, debiting the
     /// closed interval to the trace if one is installed.
     pub(crate) fn update_meter(&mut self, i: usize, now: SimTime) {
         let Phy {
-            up,
-            meters,
-            transmitting,
             radio,
+            meters,
             trace,
             metrics,
             ..
         } = self;
-        update_meter_at(meters, up, transmitting, radio, trace, metrics, i, now);
+        update_meter_at(&mut meters[i], &radio[i], trace, metrics, i, now);
     }
 }

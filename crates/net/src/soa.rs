@@ -1,12 +1,12 @@
-//! Compact flag storage for the struct-of-arrays engine state.
+//! Compact flag storage for the PHY's per-link reception state.
 //!
-//! The hot dispatch path tests `up` for the sender and every hearer of each
-//! frame, and sets or clears one reception flag per link it crosses;
-//! packing the flags 64 to a word keeps them resident in a few cache lines
-//! even at 100k nodes (100k nodes = ~1.5 KiB of bits vs 100 KiB of padded
-//! `bool`s inside an array-of-structs). See `DESIGN.md` §15.2 and §14.4.
+//! The hot dispatch path sets or clears one reception flag per link a
+//! frame crosses; a sender's links are consecutive addresses, so packing
+//! the flags 64 to a word puts a whole span's flags in one or two words.
+//! Per-node flags live in the PHY's `Radio` records instead, beside the
+//! counters a hearer visit reads anyway. See `DESIGN.md` §14.4 and §15.2.
 
-/// A fixed-length bitset indexed by node id or by link address.
+/// A fixed-length bitset indexed by link address.
 #[derive(Debug, Clone)]
 pub(crate) struct Bits {
     words: Vec<u64>,
@@ -14,29 +14,12 @@ pub(crate) struct Bits {
 }
 
 impl Bits {
-    /// A bitset of `len` bits, all set (every node starts powered).
-    pub(crate) fn new_all_set(len: usize) -> Self {
-        let mut words = vec![u64::MAX; len.div_ceil(64)];
-        // Keep the tail word clean so whole-word operations stay exact.
-        if !len.is_multiple_of(64) {
-            if let Some(last) = words.last_mut() {
-                *last = (1u64 << (len % 64)) - 1;
-            }
-        }
-        Bits { words, len }
-    }
-
     /// A bitset of `len` bits, all clear (no link starts receiving).
     pub(crate) fn new_all_clear(len: usize) -> Self {
         Bits {
             words: vec![0; len.div_ceil(64)],
             len,
         }
-    }
-
-    /// The number of bits.
-    pub(crate) fn len(&self) -> usize {
-        self.len
     }
 
     /// Reads bit `i`.
@@ -87,29 +70,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn starts_all_set_and_toggles() {
-        let mut bits = Bits::new_all_set(70);
-        assert_eq!(bits.len(), 70);
+    fn starts_all_clear_and_toggles() {
+        let mut bits = Bits::new_all_clear(70);
         for i in 0..70 {
-            assert!(bits.get(i));
+            assert!(!bits.get(i));
         }
-        bits.set(0, false);
-        bits.set(63, false);
-        bits.set(64, false);
-        assert!(!bits.get(0));
-        assert!(!bits.get(63));
-        assert!(!bits.get(64));
-        assert!(bits.get(1));
-        assert!(bits.get(65));
+        bits.set(0, true);
         bits.set(63, true);
+        bits.set(64, true);
+        assert!(bits.get(0));
         assert!(bits.get(63));
+        assert!(bits.get(64));
+        assert!(!bits.get(1));
+        assert!(!bits.get(65));
+        bits.set(63, false);
+        assert!(!bits.get(63));
     }
 
     #[test]
     fn tail_word_is_masked() {
-        let bits = Bits::new_all_set(3);
+        // Setting every bit leaves the tail word's unused bits clear.
+        let mut bits = Bits::new_all_clear(3);
+        let mut exact = Bits::new_all_clear(64);
+        for i in 0..3 {
+            bits.set(i, true);
+        }
+        for i in 0..64 {
+            exact.set(i, true);
+        }
         assert_eq!(bits.words, vec![0b111]);
-        let exact = Bits::new_all_set(64);
         assert_eq!(exact.words, vec![u64::MAX]);
     }
 
@@ -128,7 +117,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn get_out_of_bounds_panics() {
-        let bits = Bits::new_all_set(10);
+        let bits = Bits::new_all_clear(10);
         let _ = bits.get(10);
     }
 }

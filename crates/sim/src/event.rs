@@ -1,94 +1,100 @@
 //! The pending-event queue.
 //!
-//! A binary heap keyed on `(time, sequence)` over a generation-stamped slab.
-//! The sequence number breaks ties between events scheduled for the same
-//! instant in insertion order, which makes the simulation fully
-//! deterministic: two runs that schedule the same events in the same order
-//! dequeue them in the same order.
+//! A binary heap of `u128` keys over a slab. Each key packs an event's
+//! `(time, sequence, slot)` as `time << 64 | seq << 24 | slot`; sequence
+//! numbers are unique, so the integer order is exactly `(time, sequence)`:
+//! events at one instant pop in insertion order, which makes the
+//! simulation fully deterministic. Two runs that schedule the same events
+//! in the same order dequeue them in the same order.
 //!
 //! The slab is what makes the steady-state hot path allocation- and
-//! hash-free: payloads live in slot storage reused through a free list, heap
-//! entries are small `Copy` keys, and liveness is a generation compare — no
-//! `HashSet`, no hashing, no per-event allocation once the queue has reached
-//! its steady-state capacity. See `DESIGN.md` §14.3 for the invariants.
+//! hash-free: payloads live in slot storage reused through a free list,
+//! heap entries are plain integers, and liveness is one tag compare (the
+//! slot holds the low 32 bits of its occupant's sequence number) — no
+//! `HashSet`, no hashing, no per-event allocation once the queue has
+//! reached its steady-state capacity. See `DESIGN.md` §14.3 for the
+//! invariants and the packing bounds.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
+/// Sequence numbers occupy 40 bits of a heap key.
+const SEQ_LIMIT: u64 = 1 << 40;
+/// Slot indices occupy the low 24 bits of a heap key.
+const SLOT_LIMIT: u32 = 1 << 24;
+
+/// Packs an event's heap key, `time << 64 | seq << 24 | slot`.
+///
+/// # Panics
+///
+/// Panics if `seq` reaches 2^40 or `slot` reaches 2^24, the widths the key
+/// gives them.
+fn pack(time: SimTime, seq: u64, slot: u32) -> u128 {
+    assert!(seq < SEQ_LIMIT, "event sequence number {seq} reached 2^40");
+    assert!(
+        slot < SLOT_LIMIT,
+        "event slot {slot} reached 2^24 pending events"
+    );
+    (u128::from(time.as_nanos()) << 64) | (u128::from(seq) << 24) | u128::from(slot)
+}
+
+/// The time of a packed key.
+fn key_time(key: u128) -> SimTime {
+    SimTime::from_nanos((key >> 64) as u64)
+}
+
+/// The id a packed key was pushed under: its slot and its sequence tag.
+fn key_id(key: u128) -> EventId {
+    EventId {
+        slot: (key as u32) & (SLOT_LIMIT - 1),
+        tag: (key >> 24) as u32,
+    }
+}
+
 /// Identifier of a scheduled event, usable to cancel it before it fires.
 ///
-/// A `(slot, generation)` pair into the queue's slab: the slot is reused
-/// after the event fires or is cancelled, and the generation stamp is what
-/// makes a stale id held across that reuse inert (its generation no longer
-/// matches the slot's). See `DESIGN.md` §14.3 for the wraparound bound.
+/// A `(slot, tag)` pair into the queue's slab: the slot is reused after the
+/// event fires or is cancelled, and the tag, the low 32 bits of the event's
+/// sequence number, is what makes a stale id held across that reuse inert
+/// (the slot's next occupant carries another tag). See `DESIGN.md` §14.3
+/// for the aliasing bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId {
     slot: u32,
-    gen: u32,
+    tag: u32,
 }
 
 impl EventId {
     /// The id packed into one integer (mostly useful in logs).
     pub fn as_u64(self) -> u64 {
-        (u64::from(self.gen) << 32) | u64::from(self.slot)
+        (u64::from(self.tag) << 32) | u64::from(self.slot)
     }
 
     /// A fabricated id for tests that need one the queue never issued.
     #[cfg(test)]
-    fn fake(slot: u32, gen: u32) -> Self {
-        EventId { slot, gen }
+    fn fake(slot: u32, tag: u32) -> Self {
+        EventId { slot, tag }
     }
 }
 
 /// One slab slot: the payload of the live event occupying it (if any) and
-/// the slot's current generation. The generation advances every time an
-/// occupant leaves (fires or is cancelled), so exactly one `EventId` ever
-/// matches an occupied slot.
+/// the low 32 bits of that event's sequence number. Sequence numbers are
+/// unique, so exactly one `EventId` matches an occupied slot.
 #[derive(Debug)]
 struct Slot<E> {
-    gen: u32,
+    tag: u32,
     payload: Option<E>,
-}
-
-/// A heap key. Payload-free and `Copy`: the heap only orders and validates;
-/// the slab owns the data.
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    time: SimTime,
-    seq: u64,
-    slot: u32,
-    gen: u32,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-// Reverse ordering so the std max-heap pops the *earliest* event first.
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
 }
 
 /// A deterministic pending-event queue.
 ///
-/// Events are popped in `(time, insertion order)` order. Cancellation flips
-/// the slot's generation; the heap entry becomes a tombstone that pop
-/// discards by a generation compare. The heap top is kept live at all times
-/// (tombstones reaching the top are drained eagerly by the `&mut` methods),
-/// so [`EventQueue::peek_time`] is a true `&self` read.
+/// Events are popped in `(time, insertion order)` order. Cancellation
+/// empties the slot; the heap key becomes a tombstone that pop discards by
+/// a tag compare. The heap top is kept live at all times (tombstones
+/// reaching the top are drained eagerly by the `&mut` methods), so
+/// [`EventQueue::peek_time`] is a true `&self` read.
 ///
 /// # Examples
 ///
@@ -105,7 +111,7 @@ impl Ord for HeapEntry {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<HeapEntry>,
+    heap: BinaryHeap<Reverse<u128>>,
     slots: Vec<Slot<E>>,
     /// Vacant slot indices, reused LIFO.
     free: Vec<u32>,
@@ -127,47 +133,54 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `payload` at `time`, returning a handle for cancellation.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the 2^40th push, or with 2^24 events pending (the widths
+    /// of a heap key's fields).
     pub fn push(&mut self, time: SimTime, payload: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
+        // The low 32 bits: what the slot and the id keep of `seq`.
+        let tag = seq as u32;
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slots[slot as usize].payload = Some(payload);
+                self.slots[slot as usize] = Slot {
+                    tag,
+                    payload: Some(payload),
+                };
                 slot
             }
             None => {
-                let slot = u32::try_from(self.slots.len()).expect("more than 2^32 pending events");
+                // Exact: `pack` stops the slab growing past 2^24 slots.
+                let slot = self.slots.len() as u32;
                 self.slots.push(Slot {
-                    gen: 0,
+                    tag,
                     payload: Some(payload),
                 });
                 slot
             }
         };
-        let gen = self.slots[slot as usize].gen;
-        self.heap.push(HeapEntry {
-            time,
-            seq,
-            slot,
-            gen,
-        });
+        self.heap.push(Reverse(pack(time, seq, slot)));
         self.live += 1;
-        EventId { slot, gen }
+        EventId { slot, tag }
     }
 
     /// Whether `id` currently names the live occupant of its slot.
     fn is_live(&self, id: EventId) -> bool {
         self.slots
             .get(id.slot as usize)
-            .is_some_and(|s| s.gen == id.gen && s.payload.is_some())
+            .is_some_and(|s| s.tag == id.tag && s.payload.is_some())
     }
 
-    /// Vacates `id`'s slot, returning the payload. The generation bump is
-    /// what retires every outstanding handle and heap tombstone for it.
+    /// Vacates `id`'s slot, returning the payload. The empty slot is what
+    /// retires every outstanding handle and heap tombstone for it; the
+    /// next occupant brings its own tag.
     fn vacate(&mut self, id: EventId) -> E {
-        let s = &mut self.slots[id.slot as usize];
-        let payload = s.payload.take().expect("vacate of an empty slot");
-        s.gen = s.gen.wrapping_add(1);
+        let payload = self.slots[id.slot as usize]
+            .payload
+            .take()
+            .expect("vacate of an empty slot");
         self.free.push(id.slot);
         self.live -= 1;
         payload
@@ -176,9 +189,8 @@ impl<E> EventQueue<E> {
     /// Discards tombstones from the heap top, restoring the invariant that
     /// the top (if any) is live.
     fn drain_dead_top(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            let s = &self.slots[top.slot as usize];
-            if s.gen == top.gen && s.payload.is_some() {
+        while let Some(&Reverse(key)) = self.heap.peek() {
+            if self.is_live(key_id(key)) {
                 return;
             }
             self.heap.pop();
@@ -205,21 +217,18 @@ impl<E> EventQueue<E> {
         // The top is live by invariant, but an empty queue still has to
         // answer; drain defensively to keep the invariant local.
         self.drain_dead_top();
-        let entry = self.heap.pop()?;
-        let id = EventId {
-            slot: entry.slot,
-            gen: entry.gen,
-        };
+        let Reverse(key) = self.heap.pop()?;
+        let id = key_id(key);
         let payload = self.vacate(id);
         self.drain_dead_top();
-        Some((entry.time, id, payload))
+        Some((key_time(key), id, payload))
     }
 
     /// The time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         // The heap top is always live (tombstones are drained by the `&mut`
         // methods that create or expose them), so this is a plain read.
-        self.heap.peek().map(|e| e.time)
+        self.heap.peek().map(|&Reverse(key)| key_time(key))
     }
 
     /// The number of pending (non-cancelled) events.
@@ -318,7 +327,7 @@ mod tests {
         let mut q = EventQueue::new();
         let a = q.push(t(1), 'a');
         assert!(q.cancel(a));
-        // 'b' reuses a's slot under a bumped generation.
+        // 'b' reuses a's slot under its own sequence tag.
         let b = q.push(t(2), 'b');
         assert!(!q.cancel(a), "stale id must be inert after slot reuse");
         assert!(q.cancel(b));
@@ -380,6 +389,39 @@ mod tests {
     }
 
     #[test]
+    fn keys_hold_the_largest_seq_and_slot() {
+        let (seq, slot) = (SEQ_LIMIT - 1, SLOT_LIMIT - 1);
+        let key = pack(SimTime::MAX, seq, slot);
+        assert_eq!(key_time(key), SimTime::MAX);
+        assert_eq!(
+            key_id(key),
+            EventId {
+                slot,
+                tag: seq as u32
+            }
+        );
+        // Neither field carries into the next: the largest slot sorts
+        // before the next sequence number, the largest sequence number
+        // before the next nanosecond.
+        let at = SimTime::from_nanos(7);
+        assert!(pack(at, 5, slot) < pack(at, 6, 0));
+        assert!(pack(at, seq, slot) < pack(SimTime::from_nanos(8), 0, 0));
+        assert_eq!(key_time(pack(at, seq, slot)), at);
+    }
+
+    #[test]
+    #[should_panic(expected = "reached 2^40")]
+    fn sequence_bound_is_asserted() {
+        pack(t(1), SEQ_LIMIT, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "reached 2^24")]
+    fn slot_bound_is_asserted() {
+        pack(t(1), 0, SLOT_LIMIT);
+    }
+
+    #[test]
     fn event_ids_pack_into_u64_for_logs() {
         let mut q = EventQueue::new();
         let a = q.push(t(1), 'a');
@@ -387,7 +429,7 @@ mod tests {
         assert_ne!(a.as_u64(), b.as_u64());
         q.cancel(a);
         let c = q.push(t(1), 'c');
-        // Same slot as a, different generation: still a distinct packed id.
+        // Same slot as a, different tag: still a distinct packed id.
         assert_ne!(a.as_u64(), c.as_u64());
     }
 }

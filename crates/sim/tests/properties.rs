@@ -71,6 +71,52 @@ proptest! {
         prop_assert_eq!(popped, kept);
     }
 
+    /// Random interleavings of push, cancel and pop agree with a plain list
+    /// ordered by `(time, push order)`: every pop, every cancel's answer
+    /// (for live, fired and cancelled ids, across slot reuse), and
+    /// `peek_time` and `len` after each step. Times come from a handful of
+    /// instants, so most pushes tie with another pending event.
+    #[test]
+    fn queue_matches_a_reference_list(
+        ops in prop::collection::vec((0u8..10, 0u64..6, any::<usize>()), 1..300),
+    ) {
+        let mut q = EventQueue::new();
+        // Pending events as (time, push order); the value popped is the
+        // push order.
+        let mut model: Vec<(u64, usize)> = Vec::new();
+        // Every id issued, by push order.
+        let mut ids = Vec::new();
+        for (kind, time, pick) in ops {
+            match kind {
+                0..=4 => {
+                    model.push((time, ids.len()));
+                    ids.push(q.push(SimTime::from_nanos(time), ids.len()));
+                }
+                5..=6 if !ids.is_empty() => {
+                    let order = pick % ids.len();
+                    let pending = model.iter().position(|&(_, o)| o == order);
+                    prop_assert_eq!(q.cancel(ids[order]), pending.is_some());
+                    if let Some(at) = pending {
+                        model.remove(at);
+                    }
+                }
+                _ => {
+                    let first = model.iter().enumerate().min_by_key(|&(_, &e)| e).map(|(at, _)| at);
+                    let want = first.map(|at| model.remove(at));
+                    let got = q.pop().map(|(t, id, v)| {
+                        assert_eq!(id, ids[v], "pop returns the id push issued");
+                        (t.as_nanos(), v)
+                    });
+                    prop_assert_eq!(got, want);
+                }
+            }
+            let earliest = model.iter().map(|&(t, _)| t).min();
+            prop_assert_eq!(q.peek_time().map(SimTime::as_nanos), earliest);
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.is_empty(), model.is_empty());
+        }
+    }
+
     /// The simulator clock never runs backwards and visits every event.
     #[test]
     fn simulator_clock_is_monotone(delays in prop::collection::vec(0u64..10_000, 1..100)) {

@@ -51,7 +51,24 @@ pub const REINFORCE_KINDS: [&str; 3] = ["establish", "refresh", "repair"];
 /// possible.
 #[inline]
 pub fn joules_to_nj(joules: f64) -> u64 {
-    (joules * 1e9).round() as u64
+    round_to_u64(joules * 1e9)
+}
+
+/// `x.round() as u64` without a libm call where that is exact.
+///
+/// For finite `x` in `[0, 2^53)` the fraction `x - trunc(x)` is computed
+/// exactly, so adding one at a fraction of a half or more rounds half away
+/// from zero as `round()` does. Everything else (negative, NaN, infinite,
+/// or at least 2^53, where every double is an integer) takes `round()`.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    const TWO_53: f64 = (1u64 << 53) as f64;
+    if (0.0..TWO_53).contains(&x) {
+        let t = x as u64;
+        t + u64::from(x - t as f64 >= 0.5)
+    } else {
+        x.round() as u64
+    }
 }
 
 /// Builds `TraceRecord::$variant` from the line fields of the same names,
@@ -911,5 +928,52 @@ mod tests {
             assert_eq!(DropReason::parse(r.name()), Some(r));
         }
         assert_eq!(DropReason::parse("gremlins"), None);
+    }
+
+    #[test]
+    fn rounding_without_libm_matches_round() {
+        let two_53 = (1u64 << 53) as f64;
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let mut xs = vec![0.0, -0.0, two_53 - 1.0, two_53, two_53 + 2.0, 1e300];
+        // Exact ties, in every binade where halves exist, and the double
+        // just below each.
+        for tie in [
+            0.5,
+            1.5,
+            2.5,
+            1e6 + 0.5,
+            2f64.powi(51) + 0.5,
+            2f64.powi(52) - 0.5,
+        ] {
+            xs.extend([tie, below(tie)]);
+        }
+        // Odd and even integers, and values near them.
+        for n in [1.0, 2.0, 7.0, 1e9, 2f64.powi(52) - 1.0] {
+            xs.extend([n, below(n), f64::from_bits(n.to_bits() + 1)]);
+        }
+        for x in xs {
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+        }
+        // Out of range: negatives, NaN and infinities saturate as `as` does.
+        for x in [-0.7, -2.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x}");
+        }
+    }
+
+    #[test]
+    fn joules_to_nj_matches_the_libm_rounding() {
+        // A spread of debit sizes, from sub-nanojoule to kilojoules.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..100_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let joules = (x >> 11) as f64 / (1u64 << 53) as f64 * 10f64.powi((x % 16) as i32 - 12);
+            assert_eq!(
+                joules_to_nj(joules),
+                (joules * 1e9).round() as u64,
+                "{joules:e} J"
+            );
+        }
     }
 }

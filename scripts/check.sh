@@ -207,4 +207,17 @@ if [ -z "$results" ] || echo "$results" | grep -qv '^{"correct": true,'; then
     exit 1
 fi
 
+echo "==> benchmark counts check: traced runs reproduce the committed counts digests"
+# A traced invocation also digests each traced run's full RunRecord and
+# every per-layer count (the counts digests of perfbench/digests.txt),
+# which untraced runs never compute. About 30 s.
+bench_traced="$(cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seconds 1 --trace 1)"
+traced="$(echo "$bench_traced" | grep '^{"correct": ' || true)"
+echo "$traced" | cut -c1-60
+if [ -z "$traced" ] || echo "$traced" | grep -qv '^{"correct": true,'; then
+    echo "benchmark counts check failed" >&2
+    exit 1
+fi
+
 echo "==> all checks passed"
